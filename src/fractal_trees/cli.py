@@ -24,7 +24,7 @@ from .decimation import (
     spectrum,
 )
 from .entropy import entropy
-from .kirchhoff import tau_bruteforce, verify_matrix_tree
+from .kirchhoff import prob_laplacian_charpoly, tau_bruteforce, verify_matrix_tree
 from .levels import build_level, export, vertex_count_formula
 from .structures import (
     BUILTIN_NAMES,
@@ -41,15 +41,6 @@ EXIT_INCONSISTENT = 2
 
 # levels above this build very large graphs; the oracle warns before trying
 BRUTE_FORCE_SOFT_CAP = 400
-
-
-def max_threads() -> int:
-    """Worker cap for embarrassingly parallel verification work."""
-    raw = os.environ.get("DECIMATION_TREES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve(name: str):
@@ -220,29 +211,21 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
 
-    def oracle_check(n):
-        g = build_level(s, n)
-        return tau_bruteforce(g), tau(s, n, dd)
+    graphs = {n: build_level(s, n) for n in oracle_levels}
+    brute = {n: tau_bruteforce(g) for n, g in graphs.items()}
+    for n in oracle_levels:
+        ok = tau(s, n, dd) == brute[n]
+        record(f"tau oracle vs closed form, level {n}", ok, f"{brute[n]}")
 
-    threads = max_threads()
-    if threads > 1 and len(oracle_levels) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(oracle_check, oracle_levels))
-    else:
-        results = [oracle_check(n) for n in oracle_levels]
-    for n, (brute, fact) in zip(oracle_levels, results):
-        ok = fact == brute
-        record(f"tau oracle vs closed form, level {n}", ok, f"{brute}")
-
-    for n in [n for n in oracle_levels if n >= 1][:2]:
-        g = build_level(s, n)
-        ok, t, rhs = verify_matrix_tree(g)
+    # the first two nonempty levels; each charpoly serves both checks
+    spectral_levels = [n for n in oracle_levels if n >= 1][:2]
+    chis = {n: prob_laplacian_charpoly(graphs[n]) for n in spectral_levels}
+    for n in spectral_levels:
+        ok, t, rhs = verify_matrix_tree(graphs[n], tau=brute[n], chi=chis[n])
         record(f"matrix-tree identity on G_{n}", ok, f"tau={t}")
 
-    for n in [n for n in oracle_levels if n >= 1][:2]:
-        ok, detail = crosscheck_spectrum(dd, n)
+    for n in spectral_levels:
+        ok, detail = crosscheck_spectrum(dd, n, chi=chis[n])
         record(f"spectrum charpoly crosscheck, level {n}", ok, detail)
 
     sum_ok = True

@@ -512,9 +512,6 @@ class SpectrumTable:
             mult * cls.degree * self.d ** k for cls, k, mult in self.entries
         )
 
-    def bases(self) -> set:
-        return {cls for cls, _, _ in self.entries}
-
 
 def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """Exact spectrum of P_n as preiterate families, by forward induction."""
@@ -648,19 +645,23 @@ def family_polynomial(dd: DecimationData, base: AlgebraicClass, depth: int) -> P
     return poly
 
 
-def crosscheck_spectrum(dd: DecimationData, n: int) -> tuple[bool, str]:
+def crosscheck_spectrum(
+    dd: DecimationData, n: int, chi: Polynomial | None = None
+) -> tuple[bool, str]:
     """Compare the predicted sigma(P_n) with a built graph, exactly.
 
     Asserts char(P_n) = +- x * prod family_polynomial(base, k)^mult as an
     identity of rational polynomials.  Exponential in n (builds G_n).
+    `chi` is `prob_laplacian_charpoly(build_level(dd.structure, n))` when
+    the caller already has it.
     """
     table = spectrum(dd, n)
-    g = build_level(dd.structure, n)
-    chi = prob_laplacian_charpoly(g)
+    if chi is None:
+        chi = prob_laplacian_charpoly(build_level(dd.structure, n))
     predicted = Polynomial.x()
     for cls, k, mult in table.entries:
         predicted = predicted * family_polynomial(dd, cls, k) ** mult
-    if g.vertex_count % 2 == 1:
+    if chi.degree % 2 == 1:
         predicted = -predicted
     if chi == predicted:
         return True, "charpoly matches spectrum table"

@@ -162,8 +162,22 @@ class FactoredInteger:
         if isinstance(other, FactoredInteger):
             return self.factors == other.factors
         if isinstance(other, int):
-            return self.factors == factorize(other) if other >= 1 else False
+            return self._equals_int(other)
         return NotImplemented
+
+    def _equals_int(self, n: int) -> bool:
+        """Divide n by each p^e exactly; n itself is never factored."""
+        if n < 1:
+            return False
+        for p, e in self.factors.items():
+            # p^e >= 2^(e (bits(p) - 1)); bail out before building a power
+            # far larger than n
+            if e * (p.bit_length() - 1) >= n.bit_length():
+                return False
+            n, r = divmod(n, p ** e)
+            if r or n % p == 0:
+                return False
+        return n == 1
 
     def __str__(self):
         if not self.factors:

@@ -1,11 +1,11 @@
 """Ground-truth spanning-tree counting via the Matrix-Tree theorem.
 
-`tau_bruteforce` evaluates a cofactor of the integer graph Laplacian with
-fraction-free elimination, so it is exact for any graph this package can
+`tau_bruteforce` evaluates a cofactor of the integer graph Laplacian by
+exact sparse elimination, so it is exact for any graph this package can
 build.  The probabilistic-Laplacian variant (tau = prod d_j / sum d_j
 times the product of nonzero eigenvalues of P = D^-1 (D - A)) is verified
-against it exactly; the eigenvalue product is read off the characteristic
-polynomial of the (L, D) pencil, never from floating point.
+against it exactly; the eigenvalue product is read off the exact
+characteristic polynomial of P, never from floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .matrices import bareiss_det_int, charpoly_pencil
+from .matrices import charpoly
 from .polys import Polynomial
 
 Q = Fraction
@@ -92,42 +92,71 @@ def tau_bruteforce(g, drop: int = 0) -> int:
     """Number of spanning trees: cofactor of the Laplacian, exactly.
 
     `drop` selects which row/column to delete (any choice gives the same
-    value; exposed for the cofactor-independence tests).
+    value; exposed for the cofactor-independence tests).  The minor of a
+    connected graph is positive definite, so symmetric elimination never
+    meets a zero pivot and needs no pivoting: the rows are kept sparse
+    and vertices are eliminated in minimum-degree order, which keeps the
+    fill small on the level graphs.  The determinant is the product of
+    the pivots.
     """
     n = g.vertex_count
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not is_connected(g):
         raise ValueError("disconnected")
-    lap = laplacian(g)
-    minor = [
-        [lap[i][j] for j in range(n) if j != drop]
-        for i in range(n)
-        if i != drop
-    ]
-    tau = bareiss_det_int(minor)
-    if tau < 1:
-        raise AssertionError("spanning tree count must be positive")
-    return tau
+    # Fraction diagonals make every pivot a Fraction, so divisions stay exact
+    rows: dict[int, dict[int, Fraction]] = {
+        v: {v: Q(0)} for v in range(n) if v != drop
+    }
+    for u, v, m in _edges_of(g):
+        for a, b in ((u, v), (v, u)):
+            if a != drop:
+                row = rows[a]
+                row[a] += m
+                if b != drop:
+                    row[b] = row.get(b, 0) - m
+    det = Q(1)
+    while rows:
+        v = min(rows, key=lambda w: len(rows[w]))
+        row = rows.pop(v)
+        pivot = row.pop(v)
+        det *= pivot
+        for i, a_iv in row.items():
+            ri = rows[i]
+            del ri[v]
+            f = a_iv / pivot
+            for j, a_vj in row.items():
+                x = ri.get(j, 0) - f * a_vj
+                if x:
+                    ri[j] = x
+                else:
+                    ri.pop(j, None)
+    if det.denominator != 1 or det < 1:
+        raise AssertionError("spanning tree count must be a positive integer")
+    return int(det)
 
 
 def prob_laplacian_charpoly(g) -> Polynomial:
     """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A)."""
-    return charpoly_pencil(laplacian(g), degrees(g))
+    return charpoly(
+        [[Q(x, d) for x in row] for row, d in zip(laplacian(g), degrees(g))]
+    )
 
 
-def det_star_P(g) -> Fraction:
+def det_star_P(g, chi: Polynomial | None = None) -> Fraction:
     """Product of the nonzero eigenvalues of P, exact.
 
     det(P - xI) = prod (lambda_i - x); with a single zero eigenvalue the
     coefficient of x^1 is minus the product of the nonzero ones.  The
-    result is asserted positive (true for connected graphs).
+    result is asserted positive (true for connected graphs).  `chi` is
+    `prob_laplacian_charpoly(g)` when the caller already has it.
     """
     if g.vertex_count < 2:
         raise ValueError("need at least 2 vertices")
     if not is_connected(g):
         raise ValueError("disconnected")
-    chi = prob_laplacian_charpoly(g)
+    if chi is None:
+        chi = prob_laplacian_charpoly(g)
     if chi.constant_term() != 0:
         raise AssertionError("probabilistic Laplacian lost its zero eigenvalue")
     c1 = chi.coeffs[1] if chi.degree >= 1 else Q(0)
@@ -139,17 +168,22 @@ def det_star_P(g) -> Fraction:
     return value
 
 
-def verify_matrix_tree(g) -> tuple[bool, int, Fraction]:
+def verify_matrix_tree(
+    g, tau: int | None = None, chi: Polynomial | None = None
+) -> tuple[bool, int, Fraction]:
     """Check tau = (prod d_j / sum d_j) * det_star(P) exactly.
 
-    Returns (equal, tau, right-hand side).
+    Returns (equal, tau, right-hand side).  `tau` and `chi` are
+    `tau_bruteforce(g)` and `prob_laplacian_charpoly(g)` when the caller
+    already has them.
     """
-    tau = tau_bruteforce(g)
+    if tau is None:
+        tau = tau_bruteforce(g)
     degs = degrees(g)
     prod_d = 1
     for d in degs:
         prod_d *= d
-    rhs = Q(prod_d, sum(degs)) * det_star_P(g)
+    rhs = Q(prod_d, sum(degs)) * det_star_P(g, chi)
     return rhs == tau, tau, rhs
 
 

@@ -18,36 +18,6 @@ Q = Fraction
 Matrix = list  # list of rows
 
 
-def identity(n: int, one=Q(1), zero=Q(0)) -> Matrix:
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = ai[0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + ai[t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def trace(a: Matrix):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
 def solve_linear(a: Matrix, rhs: Matrix) -> Matrix:
     """Solve a X = rhs by Gaussian elimination over a field.
 
@@ -156,54 +126,60 @@ def bareiss_det_int(a: Sequence[Sequence[int]]) -> int:
 def charpoly(a: Matrix) -> Polynomial:
     """Characteristic polynomial det(M - x I) of a square Fraction matrix.
 
-    Uses the Faddeev-LeVerrier recurrence, which is exact and division
-    free apart from divisions by 1..n.  Note the sign convention: this is
-    det(M - xI), i.e. (-1)^n times the monic characteristic polynomial.
+    Reduces M to upper Hessenberg form H by similarity transforms over Q
+    (Gaussian elimination below the subdiagonal, row swaps mirrored by
+    column swaps), then expands det(xI - H) along the last column with
+    the standard Hessenberg recurrence.  Both stages are O(n^3) field
+    operations.  Note the sign convention: this is det(M - xI), i.e.
+    (-1)^n times the monic characteristic polynomial.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("charpoly needs a square matrix")
-    if n == 0:
-        return Polynomial.const(1)
-    # det(xI - M) = x^n + c[1] x^(n-1) + ... + c[n]
-    coeffs = [Q(1)]
-    nmat = None
-    for k in range(1, n + 1):
-        if nmat is None:
-            mk = a
-        else:
-            mk = mat_mul(a, nmat)
-        ck = -trace(mk) / k
-        coeffs.append(ck)
-        if k < n:
-            nmat = [list(row) for row in mk]
-            for i in range(n):
-                nmat[i][i] = nmat[i][i] + ck
-    monic = Polynomial(list(reversed(coeffs)))  # in x, lowest degree first
-    if n % 2 == 1:
-        monic = -monic
-    return monic
-
-
-def charpoly_pencil(lap: Sequence[Sequence[int]], degs: Sequence[int]) -> Polynomial:
-    """Characteristic polynomial det(P - x I) for P = D^-1 L, exactly.
-
-    det(P - xI) = det(L - xD) / det(D).  The integer polynomial
-    det(L - xD) has degree n; it is recovered from n+1 exact integer
-    determinant evaluations (Bareiss) and Lagrange interpolation, which
-    is far cheaper than symbolic elimination for the sizes used here.
-    """
-    n = len(lap)
-    pts = []
-    vals = []
-    for t in range(n + 1):
-        m = [[lap[i][j] - (t * degs[i] if i == j else 0) for j in range(n)] for i in range(n)]
-        pts.append(Q(t))
-        vals.append(Q(bareiss_det_int(m)))
-    from .polys import _lagrange
-
-    q = _lagrange(pts, vals)
-    det_d = 1
-    for d in degs:
-        det_d *= d
-    return q * Q(1, det_d)
+    h = [[Q(e) for e in row] for row in a]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue  # column k already has a zero subdiagonal
+        if piv != k + 1:
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        top = h[k + 1]
+        # the column steps below change row k+1 only in column k+1
+        cols = [j for j in range(k + 2, n) if top[j]]
+        for i in range(k + 2, n):
+            hi = h[i]
+            if not hi[k]:
+                continue
+            u = hi[k] / top[k]
+            # row i -= u * row k+1, then column k+1 += u * column i
+            hi[k] = Q(0)
+            if top[k + 1]:
+                hi[k + 1] -= u * top[k + 1]
+            for j in cols:
+                hi[j] -= u * top[j]
+            for row in h:
+                if row[i]:
+                    row[k + 1] += u * row[i]
+    # p[m] = det(xI - H_m) for the leading m x m block, lowest degree first
+    p = [[Q(1)]]
+    for m in range(1, n + 1):
+        col = m - 1
+        nxt = [Q(0)] + p[m - 1]
+        c = h[col][col]
+        if c:
+            for j, v in enumerate(p[m - 1]):
+                nxt[j] -= c * v
+        sub = Q(1)
+        for i in range(m - 1, 0, -1):
+            sub *= h[i][i - 1]
+            if not sub:
+                break
+            coef = h[i - 1][col] * sub
+            if coef:
+                for j, v in enumerate(p[i - 1]):
+                    nxt[j] -= coef * v
+        p.append(nxt)
+    chi = Polynomial(p[n])
+    return -chi if n % 2 else chi

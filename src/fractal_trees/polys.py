@@ -451,9 +451,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
 
-    def has_pole_at(self, cls: "AlgebraicClass") -> bool:
-        return cls.minpoly.divides(self.den)
-
     # -- field operations ----------------------------------------------------
 
     def _coerce(self, other):

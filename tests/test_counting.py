@@ -60,6 +60,23 @@ def test_factored_integer_digit_count_without_materializing():
         t.value(digit_cap=1000)
 
 
+def test_factored_integer_equals_int_without_factoring_it():
+    import time
+
+    semiprime = 1_000_000_007 * 1_000_000_009  # 19 digits, no small factor
+    t0 = time.perf_counter()
+    assert FactoredInteger.from_int(6) != semiprime
+    assert FactoredInteger({2: 1, 1_000_000_007: 1}) != semiprime
+    assert FactoredInteger({1_000_000_007: 1, 1_000_000_009: 1}) == semiprime
+    assert FactoredInteger({2: 10 ** 12}) != semiprime
+    assert time.perf_counter() - t0 < 0.5
+    assert FactoredInteger({2: 1, 3: 3}) == 54
+    assert FactoredInteger({2: 1, 3: 3}) != 108  # p divides the quotient
+    assert FactoredInteger({2: 1, 3: 3}) != 27 * 4
+    assert FactoredInteger({}) == 1
+    assert FactoredInteger({2: 1}) != 0
+
+
 # ---------------------------------------------------------------------------
 # preiterate products
 

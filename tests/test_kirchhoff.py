@@ -15,6 +15,7 @@ from fractal_trees import (
     wedge_check,
 )
 from fractal_trees.kirchhoff import laplacian
+from fractal_trees.matrices import bareiss_det_int
 
 
 def test_k3():
@@ -70,7 +71,15 @@ def test_all_cofactors_equal():
     rng = random.Random(11)
     for _ in range(10):
         g = random_connected_graph(rng, 8)
-        values = {tau_bruteforce(g, drop=i) for i in range(g.vertex_count)}
+        lap = laplacian(g)
+        n = g.vertex_count
+        values = set()
+        for i in range(n):
+            # the dense Bareiss determinant is an independent reference
+            minor = [[lap[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+            value = tau_bruteforce(g, drop=i)
+            assert value == bareiss_det_int(minor)
+            values.add(value)
         assert len(values) == 1
 
 

@@ -42,11 +42,23 @@ def test_charpoly_non_square_raises():
         charpoly([[F(1), F(2)]])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10 ** 6))
-def test_charpoly_matches_eliminated_determinant(dim, seed):
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from([1.0, 0.2]),
+)
+def test_charpoly_matches_eliminated_determinant(dim, seed, density):
+    # sparse draws (most entries zero) exercise the Hessenberg row swap and
+    # the skip over an already zero subdiagonal
     rng = random.Random(seed)
-    m = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)] for _ in range(dim)]
+    m = [
+        [
+            F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else F(0)
+            for _ in range(dim)
+        ]
+        for _ in range(dim)
+    ]
     chi = charpoly(m)
     for x in (F(0), F(1), F(-1, 2), F(7, 3)):
         shifted = [
