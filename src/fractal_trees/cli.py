@@ -24,6 +24,7 @@ from .decimation import (
     spectrum,
 )
 from .entropy import entropy
+from .factored import decimal_string
 from .kirchhoff import prob_laplacian_charpoly, tau_bruteforce, verify_matrix_tree
 from .levels import build_level, export, vertex_count_formula
 from .structures import (
@@ -179,7 +180,7 @@ def cmd_count(args) -> int:
         print(f"# value has {t.digits10()} digits; factored form:")
         print(str(t))
     else:
-        print(t.value())
+        print(decimal_string(t.value()))
     return EXIT_OK
 
 

@@ -19,7 +19,9 @@ The pipeline, all in exact arithmetic:
      speak about.
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
-     symbolically as (base class, depth) preiterate families.  A family
+     symbolically as (base class, depth) preiterate families, stored by
+     the level at which each family was born, so a level step touches
+     only the newest families and spectrum(dd, n) costs O(n).  A family
      whose next preimage set would contain an exceptional value cannot be
      lifted wholesale: at depth one the preimage polynomial is factored
      and only the regular factors are kept (the exceptional members are
@@ -243,7 +245,16 @@ class DecimationData:
     _chains: dict = field(default_factory=dict, repr=False)
     _image_cache: dict = field(default_factory=dict, repr=False)
     _preimage_cache: dict = field(default_factory=dict, repr=False)
+    # spectrum induction state: _tables[b] holds the depth-0 families born
+    # at level b; _first_lift maps a class to the first level at which a
+    # family of that class was born and then lifted; _deep_hit is the
+    # earliest (level, exceptional, base, depth) at which an exceptional
+    # orbit meets a lifted family at depth 2 or more, where the induction
+    # refuses
     _tables: list = field(default_factory=list, repr=False)
+    _zero_roots: Optional[list] = field(default=None, repr=False)
+    _first_lift: dict = field(default_factory=dict, repr=False)
+    _deep_hit: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -514,21 +525,25 @@ class SpectrumTable:
 
 
 def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
-    """Exact spectrum of P_n as preiterate families, by forward induction."""
+    """Exact spectrum of P_n as preiterate families, by forward induction.
+
+    A family born at level b (a depth-0 entry of sigma(P_b)) that is not
+    split at level b + 1 reads as (class, n - b, mult) at every level n.
+    """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if not dd._tables:
+        v0 = dd.structure.v0_size
+        top = AlgebraicClass.from_rational(Q(v0, v0 - 1))
+        dd._tables.append({top: v0 - 1})
     while len(dd._tables) <= n:
-        if not dd._tables:
-            v0 = dd.structure.v0_size
-            top = AlgebraicClass.from_rational(Q(v0, v0 - 1))
-            dd._tables.append({(top, 0): v0 - 1})
-        else:
-            level = len(dd._tables)
-            dd._tables.append(_advance(dd, dd._tables[-1], level))
-    table = dd._tables[n]
+        _advance(dd, len(dd._tables))
+    split = _split_classes(dd) if n else set()
     entries = tuple(
-        (cls, k, table[(cls, k)])
-        for cls, k in sorted(table, key=lambda ck: (ck[1], ck[0].key()))
+        (cls, n - b, mult)
+        for b in range(n, -1, -1)
+        for cls, mult in dd._tables[b].items()
+        if b == n or cls not in split
     )
     st = SpectrumTable(level=n, d=dd.d, entries=entries)
     if st.eigenvalue_count() != dd.v_count(n):
@@ -541,73 +556,115 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
 
 def _zero_root_classes(dd: DecimationData) -> list[AlgebraicClass]:
     """Nonzero, non-exceptional R-preimages of the zero eigenvalue."""
-    out = []
-    for cls, mult in factor_classes(dd.R.num.monic()):
-        if cls == ZERO_CLASS or cls in dd.exceptional:
-            continue
-        if mult != 1:
-            raise InconsistentSpectrumError(
-                "repeated regular preimage of the zero eigenvalue; "
-                "multiplicity rules for critical points are not covered"
-            )
-        out.append(cls)
-    return out
+    if dd._zero_roots is None:
+        out = []
+        for cls, mult in factor_classes(dd.R.num.monic()):
+            if cls == ZERO_CLASS or cls in dd.exceptional:
+                continue
+            if mult != 1:
+                raise InconsistentSpectrumError(
+                    "repeated regular preimage of the zero eigenvalue; "
+                    "multiplicity rules for critical points are not covered"
+                )
+            out.append(cls)
+        dd._zero_roots = out
+    return dd._zero_roots
 
 
-def _mult_from_chain(dd, table: dict, chain: ForwardChain, offset: int) -> int:
-    """Multiplicity at the previous level of the class chain[offset]."""
-    cls = chain.class_at(offset)
+def _split_classes(dd: DecimationData) -> set:
+    """Classes whose depth-0 families split instead of lifting: the images
+    R(e) of the exceptional values e."""
+    images = (dd.chain(e).class_at(1) for e in dd.exceptional)
+    return {cls for cls in images if cls is not None}
+
+
+def _mult_from_chain(chain: ForwardChain, born: dict) -> int:
+    """Multiplicity at the previous level of the class chain[1].
+
+    `born` holds the previous level's depth-0 families; a deeper family
+    matching chain[1 + k] is a deep hit, refused before this is asked.
+    """
+    cls = chain.class_at(1)
     if cls is None:
         return 0
     if cls == ZERO_CLASS:
         return 1
-    hits = [
-        mult
-        for (base, k), mult in table.items()
-        if chain.class_at(offset + k) == base
-    ]
-    if len(hits) > 1:
+    return born.get(cls, 0)
+
+
+def _note_deep_hit(dd: DecimationData, e: AlgebraicClass, i: int):
+    """Record when the lifted families of chain(e)[i]'s class first meet
+    e's orbit at a depth of at least 2, which is the earliest level at
+    which they would need a deep split."""
+    chain = dd.chain(e)
+    cls = chain.classes[i]
+    birth = dd._first_lift.get(cls)
+    if birth is None:
+        return
+    if i < 2:
+        # orbit classes are distinct, so only a cycle revisits this one
+        if chain.status != "cycle" or i < chain.cycle_start:
+            return
+        period = len(chain.classes) - chain.cycle_start
+        i += period * -(-(2 - i) // period)
+    if dd._deep_hit is None or birth + i < dd._deep_hit[0]:
+        dd._deep_hit = (birth + i, e, cls, i)
+
+
+def _advance(dd: DecimationData, n: int):
+    """Append the depth-0 families born at level n; the families born
+    earlier carry over one level deeper."""
+    prev = dd._tables[n - 1]
+    split = _split_classes(dd)
+
+    # walk every orbit as deep as the deepest family at level n - 1 asks
+    depth = n - min(dd._first_lift.values(), default=n - 1)
+    for e in dd.exceptional:
+        chain = dd.chain(e)
+        known, cycled = len(chain.classes), chain.status == "cycle"
+        chain.class_at(depth)
+        if chain.status == "cycle" and not cycled:
+            known = min(known, chain.cycle_start)
+        for i in range(known, len(chain.classes)):
+            _note_deep_hit(dd, e, i)
+    if dd._deep_hit is not None and dd._deep_hit[0] <= n:
+        _, e, base, k = dd._deep_hit
         raise InconsistentSpectrumError(
-            "a value matched two distinct preiterate families; "
-            "bookkeeping is inconsistent"
+            f"exceptional value {e} sits inside the depth-{k} "
+            f"preiterates of {base}; deep family splitting is not supported"
         )
-    return hits[0] if hits else 0
 
-
-def _advance(dd: DecimationData, prev: dict, n: int) -> dict:
     new: dict = {}
     v_prev = dd.v_count(n - 1)
 
-    def put(cls, depth, mult):
+    def put(cls, mult):
         if mult < 0:
             raise InconsistentSpectrumError(
                 f"negative multiplicity for {cls} at level {n}"
             )
         if mult == 0:
             return
-        key = (cls, depth)
-        if key in new:
+        if cls in new:
             raise InconsistentSpectrumError(
-                f"duplicate spectrum entry for {cls} at depth {depth}"
+                f"duplicate spectrum entry for {cls} at depth 0"
             )
-        new[key] = mult
+        new[cls] = mult
 
     # exceptional values by their case rules
-    for cls in dd.exceptional:
-        record = dd.case_records[cls]
-        mult_image = _mult_from_chain(dd, prev, dd.chain(cls), 1)
-        put(cls, 0, record.multiplicity(dd.m, n, v_prev, mult_image))
+    for e in dd.exceptional:
+        mult_image = _mult_from_chain(dd.chain(e), prev)
+        put(e, dd.case_records[e].multiplicity(dd.m, n, v_prev, mult_image))
 
     # fresh preimages of the zero eigenvalue (plain lifts of mult 1)
     for cls in _zero_root_classes(dd):
-        put(cls, 0, 1)
+        put(cls, 1)
 
-    # lift the previous families one preiterate deeper
-    for (base, k), mult in sorted(prev.items(), key=lambda it: (it[0][1], it[0][0].key())):
-        blockers = [e for e in dd.exceptional if dd.chain(e).class_at(k + 1) == base]
-        if not blockers:
-            put(base, k + 1, mult)
-        elif k == 0:
+    # split the previous level's families at the images R(e); the rest
+    # lift one preiterate deeper
+    removed = 0
+    for base, mult in prev.items():
+        if base in split:
+            removed += mult * base.degree
             for sub, root_mult in dd.preimage_classes(base):
                 if sub in dd.exceptional or sub == ZERO_CLASS:
                     continue
@@ -616,21 +673,23 @@ def _advance(dd: DecimationData, prev: dict, n: int) -> dict:
                         "repeated regular preimage inside a split family; "
                         "multiplicity rules for critical points are not covered"
                     )
-                put(sub, 0, mult)
-        else:
-            raise InconsistentSpectrumError(
-                f"exceptional value {blockers[0]} sits inside the depth-{k + 1} "
-                f"preiterates of {base}; deep family splitting is not supported"
-            )
+                put(sub, mult)
+        elif base not in dd._first_lift:
+            dd._first_lift[base] = n - 1
+            for e in dd.exceptional:
+                classes = dd.chain(e).classes
+                if base in classes:
+                    _note_deep_hit(dd, e, classes.index(base))
 
-    count = 1 + sum(
-        mult * cls.degree * dd.d ** k for (cls, k), mult in new.items()
+    # sum rule: lifts multiply the eigenvalue count by d
+    count = 1 + dd.d * (v_prev - 1 - removed) + sum(
+        mult * cls.degree for cls, mult in new.items()
     )
     if count != dd.v_count(n):
         raise InconsistentSpectrumError(
             f"sum rule violated at level {n}: {count} != {dd.v_count(n)}"
         )
-    return new
+    dd._tables.append(dict(sorted(new.items(), key=lambda it: it[0].key())))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,39 @@ request and only when it is small enough to print.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 Factorization = Dict[int, int]
+
+# str(int) refuses more than 4300 digits on recent Pythons; pieces of this
+# many digits stay well below that limit
+_DECIMAL_PIECE = 3000
+
+
+def decimal_string(n: int) -> str:
+    """str(n) for a nonnegative int of any size.
+
+    Divide and conquer over n = hi * 10^w + lo with w = _DECIMAL_PIECE *
+    2^i; every piece handed to str() has at most _DECIMAL_PIECE digits,
+    and each low half is zero-padded to its width w.
+    """
+    powers = [10 ** _DECIMAL_PIECE]
+    while powers[-1] ** 2 <= n:
+        powers.append(powers[-1] ** 2)
+
+    def convert(x: int, i: int) -> str:  # x < powers[i] ** 2
+        if i < 0:
+            return str(x)
+        hi, lo = divmod(x, powers[i])
+        if not hi:
+            return convert(lo, i - 1)
+        return convert(hi, i - 1) + convert(lo, i - 1).zfill(_DECIMAL_PIECE << i)
+
+    return convert(n, len(powers) - 1)
 
 
 def factorize(n: int) -> Factorization:
@@ -103,14 +131,18 @@ class FactoredRational:
 
 @dataclass(frozen=True)
 class FactoredInteger:
-    """A positive integer as a prime -> exponent map (exponents >= 1)."""
+    """A positive integer as a prime -> exponent map (exponents >= 1).
 
-    factors: Factorization = field(default_factory=dict)
+    Immutable: `factors` is a read-only view of a private copy.
+    """
+
+    factors: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for p, e in self.factors.items():
             if e < 1:
                 raise ValueError("FactoredInteger exponents must be >= 1")
+        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
 
     @classmethod
     def from_int(cls, n: int) -> "FactoredInteger":
@@ -137,16 +169,29 @@ class FactoredInteger:
         return out
 
     def digits10(self) -> int:
-        """Decimal digit count, from exponents via high-precision logs."""
+        """Exact decimal digit count, floor(log10) + 1, from the exponents.
+
+        Powers of ten are the only integers with an integral log10; for
+        every other value the log is summed at doubling precision until
+        its fractional part is clear of 0 and 1 by far more than the
+        rounding error (10^-20 at the starting precision).
+        """
         if not self.factors:
             return 1
+        if self.factors.keys() == {2, 5} and self.factors[2] == self.factors[5]:
+            return self.factors[2] + 1
         import mpmath
 
-        with mpmath.workdps(60):
-            acc = mpmath.mpf(0)
-            for p, e in self.factors.items():
-                acc += e * mpmath.log10(p)
-            return int(mpmath.floor(acc)) + 1
+        start = max(len(str(e)) for e in self.factors.values()) + 30
+        dps = start
+        while True:
+            with mpmath.workdps(dps):
+                acc = mpmath.fsum(e * mpmath.log10(p) for p, e in self.factors.items())
+                whole = mpmath.floor(acc)
+                margin = mpmath.mpf(10) ** (start - dps - 20)
+                if margin < acc - whole < 1 - margin:
+                    return int(whole) + 1
+            dps *= 2
 
     def log(self, dps: int = 40):
         """Natural log as an mpmath float at dps decimal digits."""
@@ -164,6 +209,14 @@ class FactoredInteger:
         if isinstance(other, int):
             return self._equals_int(other)
         return NotImplemented
+
+    def __hash__(self):
+        # equal to hash(int) of the value, since the two compare equal
+        modulus = sys.hash_info.modulus
+        out = 1
+        for p, e in self.factors.items():
+            out = out * pow(p, e, modulus) % modulus
+        return out
 
     def _equals_int(self, n: int) -> bool:
         """Divide n by each p^e exactly; n itself is never factored."""

@@ -64,13 +64,16 @@ class LevelGraph:
 
 
 def vertex_count_formula(s: SelfSimilarStructure, n: int) -> int:
-    """|V_n| from the linear recursion |V_n| = m |V_{n-1}| - m |V_0| + |V_1|."""
+    """|V_n|, the closed form of |V_n| = m |V_{n-1}| - m |V_0| + |V_1|.
+
+    (m^n (|V1| - |V0|) + m |V0| - |V1|) / (m - 1) for n >= 1; the
+    division is exact because m^n = 1 (mod m - 1).  Needs m >= 2, which
+    validation enforces.
+    """
     if n == 0:
         return s.v0_size
-    count = s.v1_size
-    for _ in range(n - 1):
-        count = s.m * count - s.m * s.v0_size + s.v1_size
-    return count
+    m, v0, v1 = s.m, s.v0_size, s.v1_size
+    return (m ** n * (v1 - v0) + m * v0 - v1) // (m - 1)
 
 
 def edge_count_formula(s: SelfSimilarStructure, n: int) -> int:

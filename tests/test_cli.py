@@ -104,6 +104,40 @@ def test_count_large_level_prints_factored(capsys):
     assert "factored form" in out
 
 
+def test_count_plain_past_the_int_string_limit(capsys):
+    # 4,482 digits: above the 4,300-digit str(int) limit of recent Pythons
+    from fractal_trees import tau
+
+    code, out, err = run(capsys, "count", "sierpinski", "-n", "8")
+    assert code == 0, err
+    printed = out.strip()
+    t = tau(builtin("sierpinski"), 8)
+    assert printed.isdigit() and len(printed) == t.digits10() > 4300
+    prime = 2 ** 127 - 1
+    residue = 1
+    for p, e in t.factors.items():
+        residue = residue * pow(p, e, prime) % prime
+    printed_residue = 0
+    for digit in printed:  # int(printed) itself would hit the limit
+        printed_residue = (printed_residue * 10 + int(digit)) % prime
+    assert printed_residue == residue
+
+
+def test_python_dash_m_entry_point():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "fractal_trees", "count", "sierpinski", "-n", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "54"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "sierpinski", "--max-level", "2")
     assert code == 0

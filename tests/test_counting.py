@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from fractal_trees import (
@@ -75,6 +76,35 @@ def test_factored_integer_equals_int_without_factoring_it():
     assert FactoredInteger({2: 1, 3: 3}) != 27 * 4
     assert FactoredInteger({}) == 1
     assert FactoredInteger({2: 1}) != 0
+
+
+def test_factored_integer_digit_count_is_exact():
+    # a 70-digit exponent: 60-digit logs got the last 15 digits wrong
+    t = FactoredInteger({2: 10 ** 70, 3: 7})
+    with mpmath.workdps(150):
+        log10 = 10 ** 70 * mpmath.log10(2) + 7 * mpmath.log10(3)
+        assert t.digits10() == int(mpmath.floor(log10)) + 1
+    # powers of ten sit exactly on an integral log10
+    assert FactoredInteger({2: 10 ** 70, 5: 10 ** 70}).digits10() == 10 ** 70 + 1
+    assert FactoredInteger({2: 3, 5: 3}).digits10() == 4
+    # values a hair off a power of ten
+    for n in (10 ** 30 - 1, 10 ** 30 + 1, 999, 1001):
+        assert FactoredInteger(factorize(n)).digits10() == len(str(n))
+
+
+def test_factored_integer_hashable_and_immutable():
+    a = FactoredInteger({2: 1, 3: 3})
+    b = FactoredInteger(dict([(3, 3), (2, 1)]))
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(54)  # it also compares equal to the int
+    assert len({a, b, FactoredInteger({2: 1})}) == 2
+    with pytest.raises(TypeError):
+        a.factors[3] = 5
+    source = {2: 1}
+    c = FactoredInteger(source)
+    source[2] = 7
+    assert c.exponent(2) == 1
+    assert c.factors.get(2) == 1 and list(c.factors.items()) == [(2, 1)]
 
 
 # ---------------------------------------------------------------------------

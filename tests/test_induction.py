@@ -1,0 +1,101 @@
+"""The spectrum induction at depth: birth-indexed families, laziness, refusals."""
+
+from fractions import Fraction
+
+import pytest
+
+from fractal_trees import builtin, derive, spectrum, tau
+from fractal_trees import decimation
+from fractal_trees.decimation import ForwardChain, InconsistentSpectrumError
+from fractal_trees.polys import AlgebraicClass
+from test_generalization import level3_gasket
+
+FOUR = ("sierpinski", "nonpcf_sg", "diamond", "hexagasket")
+
+# published exponent closed forms; hexagasket's power of 2 is the
+# corrected 2(6^n - 1)/5 (see the erratum pair in the acceptance suite)
+CLOSED_FORMS = {
+    "sierpinski": lambda n: {
+        2: (3 ** n - 1) // 2,
+        3: (3 ** (n + 1) + 2 * n + 1) // 4,
+        5: (3 ** n - 2 * n - 1) // 4,
+    },
+    "nonpcf_sg": lambda n: {
+        2: 2 * (11 * 6 ** n - 30 * n - 11) // 25,
+        3: (2 * 6 ** n + 3) // 5,
+        5: (4 * 6 ** n + 30 * n - 4) // 25,
+    },
+    "diamond": lambda n: {2: 2 * (4 ** n - 1) // 3},
+    "hexagasket": lambda n: {
+        2: 2 * (6 ** n - 1) // 5,
+        3: (4 * 6 ** (n + 1) + 5 * n + 1) // 25,
+        7: (6 ** n - 5 * n - 1) // 25,
+    },
+}
+
+
+def rat(x):
+    return AlgebraicClass.from_rational(Fraction(x))
+
+
+@pytest.mark.parametrize("name", FOUR)
+def test_closed_forms_hold_deep(name):
+    s = builtin(name)
+    dd = derive(s)
+    for n in (117, 245, 500):
+        assert dict(tau(s, n, dd).factors) == CLOSED_FORMS[name](n), n
+
+
+def test_spectrum_factors_each_polynomial_once(monkeypatch):
+    for s in [builtin(name) for name in FOUR] + [level3_gasket()]:
+        dd = derive(s)
+        calls = []
+
+        def counting(p, _real=decimation.factor_classes):
+            calls.append(p)
+            return _real(p)
+
+        monkeypatch.setattr(decimation, "factor_classes", counting)
+        spectrum(dd, 300)
+        monkeypatch.undo()
+        assert len(calls) <= 10, (s.name, len(calls))
+
+
+def test_incremental_reads_match_a_deep_first_build():
+    for s in [builtin(name) for name in FOUR] + [level3_gasket()]:
+        dd, dd2 = derive(s), derive(s)
+        upward = [spectrum(dd, n).entries for n in range(61)]
+        spectrum(dd2, 60)
+        assert [spectrum(dd2, n).entries for n in range(61)] == upward, s.name
+
+
+def _inject_orbit(dd, e, classes, status, cycle_start=0):
+    chain = ForwardChain(dd, e)
+    chain.classes = list(classes)
+    chain.status = status
+    chain.cycle_start = cycle_start
+    dd._chains[e] = chain
+
+
+def test_orbit_reaching_a_lifted_family_is_refused_at_its_level():
+    # sierpinski: the 3/4 family is born at level 1 and lifts; an orbit
+    # 1/2 -> 3/2 -> 3/4 meets it at depth 2, which is level 1 + 2
+    dd = derive(builtin("sierpinski"))
+    _inject_orbit(dd, rat("1/2"), [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
+    with pytest.raises(InconsistentSpectrumError, match="deep family splitting"):
+        spectrum(dd, 10)
+    assert len(dd._tables) == 3
+    assert spectrum(dd, 2).eigenvalue_count() == dd.v_count(2)
+    with pytest.raises(InconsistentSpectrumError, match="depth-2 preiterates of 3/4"):
+        spectrum(dd, 3)
+
+
+def test_periodic_orbit_is_refused_where_it_returns():
+    # diamond: 1 is born at level 1 and lifts; the orbit 1 -> 2 -> 1 -> ...
+    # (cycle of period 2 from position 0) meets it again at depth 2
+    dd = derive(builtin("diamond"))
+    _inject_orbit(dd, rat(1), [rat(1), rat(2)], "cycle", cycle_start=0)
+    for n in range(3):
+        spectrum(dd, n)
+    with pytest.raises(InconsistentSpectrumError, match="depth-2 preiterates of 1"):
+        spectrum(dd, 3)

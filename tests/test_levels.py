@@ -24,6 +24,18 @@ def test_vertex_counts_match_closed_form():
             assert build_level(s, n).vertex_count == closed
 
 
+def test_vertex_count_closed_form_divides_exactly():
+    from test_generalization import level3_gasket
+
+    for s in [builtin(name) for name in BUILTIN_NAMES] + [level3_gasket()]:
+        count = s.v1_size
+        for n in range(1, 51):
+            numerator = s.m ** n * (s.v1_size - s.v0_size) + s.m * s.v0_size - s.v1_size
+            assert numerator % (s.m - 1) == 0, (s.name, n)
+            assert vertex_count_formula(s, n) == count, (s.name, n)
+            count = s.m * count - s.m * s.v0_size + s.v1_size
+
+
 def test_known_vertex_counts():
     assert build_level(builtin("sierpinski"), 2).vertex_count == 15
     assert build_level(builtin("diamond"), 2).vertex_count == 12
