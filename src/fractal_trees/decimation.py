@@ -6,8 +6,11 @@ The pipeline, all in exact arithmetic:
   1. Block the level-1 probabilistic Laplacian as [[A, B], [C, D]] with A
      indexed by the boundary.  Full symmetry forces A = I (no edge joins
      two boundary vertices).
-  2. Compute the Schur complement S(z) = (A - zI) - B (D - zI)^-1 C over
-     the rational-function field and extract the unique scalar functions
+  2. Compute the Schur complement S(z) = (A - zI) - B (D - zI)^-1 C: its
+     entries have denominator chi_D(z) = det(D - zI), so chi_D(z) S(z) is
+     a polynomial matrix of degree <= k + 1 (k = |V1| - |V0|), which is
+     evaluated over Q at k + 2 integers off the roots of chi_D and
+     Newton-interpolated.  Extract the unique scalar functions
      phi(z) = -(|V0|-1) S_12(z) and R(z) = 1 - S_11(z)/phi(z).  The
      matrix identity S(z) = phi(z) (P0 - R(z)) is verified entrywise; a
      failure falsifies full symmetry and aborts.
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count, islice
 from typing import Optional
 
 from .levels import build_level, vertex_count_formula
@@ -54,6 +58,7 @@ from .polys import (
     RationalFunction,
     factor_classes,
     image_class_poly,
+    interpolate,
     preimage_poly,
 )
 from .structures import SelfSimilarStructure, validated
@@ -345,27 +350,25 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
 
     interior = range(v0, v1)
     d_mat = [[p1[i][j] for j in interior] for i in interior]
-    b_mat = [[p1[i][j] for j in interior] for i in range(v0)]
     c_mat = [[p1[i][j] for j in range(v0)] for i in interior]
 
-    z = RationalFunction(Polynomial.x())
-    one = RationalFunction(1)
-    d_minus_z = [
-        [RationalFunction(d_mat[i][j]) - (z if i == j else 0 * one) for j in range(len(d_mat))]
-        for i in range(len(d_mat))
-    ]
-    c_rf = [[RationalFunction(e) for e in row] for row in c_mat]
-    x_mat = solve_linear(d_minus_z, c_rf)
-
-    s_mat = []
-    for i in range(v0):
-        row = []
-        for j in range(v0):
-            acc = RationalFunction(p1[i][j]) - (z if i == j else 0 * one)
-            for t in range(len(x_mat)):
-                acc = acc - RationalFunction(b_mat[i][t]) * x_mat[t][j]
-            row.append(acc)
-        s_mat.append(row)
+    # chi_D(z) S(z) at k + 2 integers off the roots of chi_D (module docstring, step 2)
+    chi_d = charpoly(d_mat)
+    points = list(islice((Q(z) for z in count() if chi_d(Q(z))), len(d_mat) + 2))
+    samples = []
+    for z in points:
+        c = chi_d(z)
+        x_mat = solve_linear(
+            [[e - z * (i == j) for j, e in enumerate(row)] for i, row in enumerate(d_mat)], c_mat
+        )
+        samples.append([
+            [c * (p1[i][j] - z * (i == j)
+                  - sum(p1[i][t] * x_mat[t - v0][j] for t in interior if p1[i][t]))
+             for j in range(v0)]
+            for i in range(v0)
+        ])
+    s_mat = [[RationalFunction(interpolate(points, [smp[i][j] for smp in samples]), chi_d)
+              for j in range(v0)] for i in range(v0)]
 
     phi = RationalFunction(-(v0 - 1)) * s_mat[0][1]
     if phi.is_zero():
@@ -381,7 +384,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     for i in range(v0):
         for j in range(v0):
             p0_entry = Q(1) if i == j else Q(-1, v0 - 1)
-            target = phi * (RationalFunction(p0_entry) - (r if i == j else 0 * one))
+            target = phi * (RationalFunction(p0_entry) - (r if i == j else 0))
             if s_mat[i][j] != target:
                 raise NotFullySymmetricError(
                     "Schur complement does not factor through the boundary "
@@ -393,7 +396,6 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     if r.num.degree <= r.den.degree:
         raise DecimationError("deg num(R) <= deg den(R); decimation assumptions violated")
 
-    chi_d = charpoly(d_mat)
     sigma = tuple(factor_classes(chi_d.monic()))
     zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
     seen = {cls for cls, _ in sigma}

@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .matrices import charpoly
 from .polys import Polynomial
+from .structures import connected
 
 Q = Fraction
 
@@ -43,13 +44,9 @@ class SimpleGraph:
         return cls(n, tuple((u, v, m) for (u, v), m in sorted(acc.items())))
 
 
-def _edges_of(g) -> tuple[Edge, ...]:
-    return tuple(g.edges)
-
-
 def degrees(g) -> list[int]:
     deg = [0] * g.vertex_count
-    for u, v, m in _edges_of(g):
+    for u, v, m in g.edges:
         deg[u] += m
         deg[v] += m
     return deg
@@ -59,7 +56,7 @@ def laplacian(g) -> list[list[int]]:
     """Integer Laplacian D - A; rows sum to zero."""
     n = g.vertex_count
     lap = [[0] * n for _ in range(n)]
-    for u, v, m in _edges_of(g):
+    for u, v, m in g.edges:
         if u == v:
             raise ValueError("loop edge")
         lap[u][v] -= m
@@ -67,25 +64,6 @@ def laplacian(g) -> list[list[int]]:
         lap[u][u] += m
         lap[v][v] += m
     return lap
-
-
-def is_connected(g) -> bool:
-    n = g.vertex_count
-    if n == 0:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v, _ in _edges_of(g):
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n
 
 
 def tau_bruteforce(g, drop: int = 0) -> int:
@@ -102,13 +80,13 @@ def tau_bruteforce(g, drop: int = 0) -> int:
     n = g.vertex_count
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if not is_connected(g):
+    if not connected(n, g.edges):
         raise ValueError("disconnected")
     # Fraction diagonals make every pivot a Fraction, so divisions stay exact
     rows: dict[int, dict[int, Fraction]] = {
         v: {v: Q(0)} for v in range(n) if v != drop
     }
-    for u, v, m in _edges_of(g):
+    for u, v, m in g.edges:
         for a, b in ((u, v), (v, u)):
             if a != drop:
                 row = rows[a]
@@ -153,7 +131,7 @@ def det_star_P(g, chi: Polynomial | None = None) -> Fraction:
     """
     if g.vertex_count < 2:
         raise ValueError("need at least 2 vertices")
-    if not is_connected(g):
+    if not connected(g.vertex_count, g.edges):
         raise ValueError("disconnected")
     if chi is None:
         chi = prob_laplacian_charpoly(g)
@@ -198,8 +176,8 @@ def wedge(g1, g2, x1: int, x2: int) -> SimpleGraph:
             return x1
         return n1 + v - (1 if v > x2 else 0)
 
-    edges = list(_edges_of(g1)) + [
-        (relabel(u), relabel(v), m) for u, v, m in _edges_of(g2)
+    edges = list(g1.edges) + [
+        (relabel(u), relabel(v), m) for u, v, m in g2.edges
     ]
     return SimpleGraph.from_edges(n1 + n2 - 1, edges)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .structures import SelfSimilarStructure
+from .structures import SelfSimilarStructure, connected
 
 Edge = tuple[int, int, int]
 
@@ -44,23 +44,6 @@ class LevelGraph:
         for d in self.degrees():
             hist[d] = hist.get(d, 0) + 1
         return hist
-
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return False
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.vertex_count
 
 
 def vertex_count_formula(s: SelfSimilarStructure, n: int) -> int:
@@ -164,7 +147,7 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
     )
     if g.vertex_count != vertex_count_formula(s, n):
         raise AssertionError("vertex count recursion violated")
-    if not g.is_connected():
+    if not connected(g.vertex_count, g.edges):
         raise AssertionError("level graph not connected")
     return g
 

@@ -1,9 +1,8 @@
-"""Dense exact linear algebra over Q and over the rational-function field.
+"""Dense exact linear algebra over Q.
 
-Matrices are plain lists of lists.  The entries only need field
-operations, so the same elimination code serves `Fraction` matrices and
-`RationalFunction` matrices (the Schur complement in the decimation
-engine is computed over Q(z)).
+Matrices are plain lists of lists of `Fraction`.  The decimation engine
+evaluates the Schur complement at rational points with `solve_linear`
+and interpolates the numerators (see `decimation.derive`).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polys import Polynomial, RationalFunction
+from .polys import Polynomial
 
 Q = Fraction
 
@@ -19,48 +18,33 @@ Matrix = list  # list of rows
 
 
 def solve_linear(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve a X = rhs by Gaussian elimination over a field.
+    """Solve a X = rhs by Gauss-Jordan elimination over Q.
 
     `a` must be square and nonsingular; `rhs` has matching row count.
-    Works for any entry type with field operations and truthiness-free
-    zero tests via `== 0`-style comparison against the entry's own zero.
     """
     n = len(a)
-    m = len(rhs[0])
     aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            e = aug[r][col]
-            if not _is_zero_entry(e):
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix in solve_linear")
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _entry_inverse(aug[col][col])
-        aug[col] = [e * inv for e in aug[col]]
+        top = aug[col]
+        inv = 1 / top[col]
+        # the pivot row is zero left of col, and column col is never read
+        # again (only the right-hand block is returned)
+        cols = [j for j in range(col + 1, len(top)) if top[j]]
+        for j in cols:
+            top[j] *= inv
         for r in range(n):
-            if r == col:
+            row = aug[r]
+            f = row[col]
+            if r == col or not f:
                 continue
-            f = aug[r][col]
-            if _is_zero_entry(f):
-                continue
-            aug[r] = [er - f * ec for er, ec in zip(aug[r], aug[col])]
+            for j in cols:
+                row[j] -= f * top[j]
     return [row[n:] for row in aug]
-
-
-def _is_zero_entry(e) -> bool:
-    if isinstance(e, RationalFunction):
-        return e.is_zero()
-    return e == 0
-
-
-def _entry_inverse(e):
-    if isinstance(e, RationalFunction):
-        return RationalFunction(e.den, e.num)
-    return 1 / e
 
 
 def det_gauss(a: Matrix) -> Fraction:

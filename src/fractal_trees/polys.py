@@ -11,6 +11,7 @@ the number-theoretic utilities the decimation pipeline needs:
   * splitting squarefree polynomials into irreducible factors up to
     degree 4 (linear scan, cubic test, quartic resolvent),
   * resultants, used to push algebraic numbers through rational maps,
+  * Newton interpolation from values at rational points,
   * `AlgebraicClass`, a monic squarefree polynomial standing for a full
     Galois-conjugate family of eigenvalues.
 
@@ -388,6 +389,26 @@ def _res(p: Polynomial, q: Polynomial) -> Fraction:
     return sign * q.leading() ** (dp - r.degree) * _res(q, r)
 
 
+def interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]).
+
+    Newton's divided differences; the xs must be distinct.
+    """
+    xs = [_as_fraction(x) for x in xs]
+    coef = [_as_fraction(y) for y in ys]
+    n = len(xs)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    acc = [coef[-1]] if n else []
+    for i in range(n - 2, -1, -1):
+        # acc = acc * (z - xs[i]) + coef[i]
+        acc = [coef[i] - xs[i] * acc[0]] + [
+            a - xs[i] * b for a, b in zip(acc, acc[1:] + [Q(0)])
+        ]
+    return Polynomial(acc)
+
+
 # ---------------------------------------------------------------------------
 # rational functions
 
@@ -713,25 +734,10 @@ def image_class_poly(src: Polynomial, num: Polynomial, den: Polynomial) -> Polyn
         pts.append(Q(w))
         vals.append(resultant(src, probe))
         w += 1
-    q = _lagrange(pts, vals)
+    q = interpolate(pts, vals)
     if q.is_zero():
         raise ValueError("image polynomial vanished; pole inside the class?")
     return squarefree_part(q)
-
-
-def _lagrange(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Polynomial:
-    """Interpolating polynomial through (xs[i], ys[i])."""
-    acc = Polynomial()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        term = Polynomial.const(yi)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = term * Polynomial([-xj, 1]) * (1 / (xi - xj))
-        acc = acc + term
-    return acc
 
 
 def preimage_poly(base: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:

@@ -26,6 +26,7 @@ complement is required to factor through the boundary Laplacian.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -40,9 +41,9 @@ def _normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
         elif len(e) == 3:
             u, v, mult = e
         else:
-            raise ValueError(f"edge must be [u, v] or [u, v, mult]: {e!r}")
+            raise _malformed(f"edge must be [u, v] or [u, v, mult]: {e!r}")
         if mult < 1:
-            raise ValueError(f"edge multiplicity must be positive: {e!r}")
+            raise _malformed(f"edge multiplicity must be positive: {e!r}")
         if u > v:
             u, v = v, u
         acc[(u, v)] = acc.get((u, v), 0) + mult
@@ -114,6 +115,27 @@ class InvalidStructureError(ValueError):
         super().__init__(str(report))
 
 
+def _malformed(violation: str) -> InvalidStructureError:
+    return InvalidStructureError(ValidationReport((violation,)))
+
+
+def connected(vertex_count: int, edges: Iterable[Sequence[int]]) -> bool:
+    """True when the graph on 0..vertex_count-1 with these (u, v, ...) edges is connected."""
+    if vertex_count == 0:
+        return False
+    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v, *_ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == vertex_count
+
+
 def validate(s: SelfSimilarStructure) -> ValidationReport:
     """Check every structural invariant; returns all violations by name."""
     bad: list[str] = []
@@ -146,21 +168,12 @@ def validate(s: SelfSimilarStructure) -> ValidationReport:
             ids_ok = False
     if not ids_ok:
         return ValidationReport(tuple(bad))
+    # before any per-vertex table is built, so a huge v1_size costs nothing
+    if s.v1_size > s.m * s.v0_size:
+        bad.append("uncovered V1 vertex (not any cell corner image)")
+        return ValidationReport(tuple(bad))
 
-    # connectivity of G1
-    adj: dict[int, set[int]] = {v: set() for v in range(s.v1_size)}
-    for u, v, _ in s.edges1:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != s.v1_size:
+    if not connected(s.v1_size, s.edges1):
         bad.append("G1 not connected")
 
     # per-cell injectivity
@@ -299,21 +312,55 @@ def to_json_dict(s: SelfSimilarStructure) -> dict:
     }
 
 
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _ints(v) -> bool:
+    return isinstance(v, list) and all(map(_int, v))
+
+
+def _int_rows(v) -> bool:
+    return isinstance(v, list) and all(map(_ints, v))
+
+
+# field -> (what its JSON value must be, the check); edge lengths and
+# multiplicities are checked by `SelfSimilarStructure.create`
+_JSON_FIELDS = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "cells": ("an integer", _int),
+    "boundary_size": ("an integer", _int),
+    "v1_size": ("an integer", _int),
+    "edges": ("a list of integer lists", _int_rows),
+    "boundary": ("a list of integers", _ints),
+    "cell_maps": ("a list of integer lists", _int_rows),
+}
+
+
 def from_json_dict(d: dict) -> SelfSimilarStructure:
-    try:
-        return SelfSimilarStructure.create(
-            name=d["name"],
-            m=d["cells"],
-            v0_size=d["boundary_size"],
-            v1_size=d["v1_size"],
-            edges1=d["edges"],
-            boundary=d["boundary"],
-            cell_maps=d["cell_maps"],
-        )
-    except KeyError as e:
-        raise ValueError(f"fractal definition missing field {e.args[0]!r}") from None
+    """Build a structure from its JSON form; wrong JSON types raise `InvalidStructureError`."""
+    if not isinstance(d, dict):
+        raise _malformed(f"fractal definition must be a JSON object, not {type(d).__name__}")
+    for key, (kind, ok) in _JSON_FIELDS.items():
+        if key not in d:
+            raise _malformed(f"fractal definition missing field {key!r}")
+        if not ok(d[key]):
+            raise _malformed(f"field {key!r} must be {kind}: {reprlib.repr(d[key])}")
+    return SelfSimilarStructure.create(
+        name=d["name"],
+        m=d["cells"],
+        v0_size=d["boundary_size"],
+        v1_size=d["v1_size"],
+        edges1=d["edges"],
+        boundary=d["boundary"],
+        cell_maps=d["cell_maps"],
+    )
 
 
 def load_json(path: str) -> SelfSimilarStructure:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise _malformed(f"cannot read {path}: {e.strerror}") from None
+    return from_json_dict(data)

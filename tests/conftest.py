@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from fractal_trees import SimpleGraph
+from fractal_trees.structures import connected
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -27,19 +28,7 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 10) -> Simple
             if rng.random() < 0.45
         ]
         g = SimpleGraph.from_edges(n, edges)
-        seen = {0}
-        stack = [0]
-        adj = {v: [] for v in range(n)}
-        for u, v, _ in g.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) == n and edges:
+        if edges and connected(n, g.edges):
             return g
 
 

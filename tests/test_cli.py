@@ -187,6 +187,26 @@ def test_invalid_fractal_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: [d], None),
+        (lambda d: {**d, "edges": [["0", 2, 1]] + d["edges"][1:]}, "edges"),
+        (lambda d: {**d, "cell_maps": None}, "cell_maps"),
+        (lambda d: {**d, "boundary": [0, 2.5]}, "boundary"),
+    ],
+    ids=["top-level-list", "string-vertex-id", "null-cell-maps", "float-vertex-id"],
+)
+def test_malformed_fractal_file_one_error_line(tmp_path, capsys, mutate, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(to_json_dict(builtin("diamond")))))
+    code, out, err = run(capsys, "count", str(path), "-n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if field:
+        assert f"field '{field}'" in err
+
+
 def test_negative_level_rejected(capsys):
     code, _, err = run(capsys, "count", "diamond", "-n", "-2")
     assert code == 1

@@ -4,6 +4,7 @@ import pytest
 
 from fractal_trees import (
     SelfSimilarStructure,
+    build_level,
     builtin,
     crosscheck_spectrum,
     derive,
@@ -14,7 +15,10 @@ from fractal_trees.decimation import (
     ZERO_CLASS,
     classify,
 )
+from fractal_trees.kirchhoff import degrees
+from fractal_trees.matrices import solve_linear
 from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction
+from test_generalization import level3_gasket
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
 SQRT5_PAIR = AlgebraicClass(Polynomial([F(1, 4), F(-3, 2), 1]))
@@ -301,3 +305,118 @@ def test_boundary_edge_rejected_by_derive():
 def test_negative_level_rejected(dds):
     with pytest.raises(ValueError):
         spectrum(dds["sierpinski"], -1)
+
+
+# ---------------------------------------------------------------------------
+# derive's outputs, pinned
+
+
+def _p(coeffs):
+    return Polynomial([F(c) for c in coeffs])
+
+
+# phi num/den, R num/den, raw R num, raw R den, chi_D = det(D - zI), each
+# lowest degree first, recorded from the earlier Gaussian elimination over Q(z)
+PINNED_DERIVE = {
+    "sierpinski": (
+        ("3/8", "-1/4"), ("5/8", "-7/4", 1),
+        (0, 5, -4), (1,),
+        (0, "75/64", -5, "117/16", "-9/2", 1),
+        ("15/64", "-13/16", "13/16", "-1/4"),
+        ("25/32", "-45/16", 3, -1),
+    ),
+    "nonpcf_sg": (
+        ("5/16", "-7/24"), ("1/2", "-3/2", 1),
+        (0, "-36/7", "60/7", "-24/7"), ("-15/14", 1),
+        (0, "3/4", "-7/2", "23/4", -4, 1),
+        ("5/32", "-59/96", "3/4", "-7/24"),
+        ("3/4", "-7/2", "23/4", -4, 1),
+    ),
+    "diamond": (
+        ("-1/2",), (-1, 1),
+        (0, 4, -2), (1,),
+        (0, 2, -3, 1),
+        ("1/2", "-1/2"),
+        (1, -2, 1),
+    ),
+    "hexagasket": (
+        ("3/64", "-1/8", "1/16"), ("7/64", "-33/32", "47/16", -3, 1),
+        (0, -7, 31, -40, 16), ("-1/2", 1),
+        (0, "147/2048", "-2135/2048", "3071/512", "-579/32", "8097/256",
+         "-531/16", "165/8", -7, 1),
+        ("21/4096", "-127/2048", "35/128", "-293/512", "155/256", "-5/16", "1/16"),
+        ("1323/8192", "-2457/1024", "29277/2048", "-46543/1024", "11007/128",
+         "-26025/256", "1215/16", "-279/8", 9, -1),
+    ),
+    "interval": (
+        ("-1/2",), (-1, 1),
+        (0, 4, -2), (1,),
+        (0, 2, -3, 1),
+        ("1/2", "-1/2"),
+        (1, -1),
+    ),
+    "tree3": (
+        ("1/4", "-1/6"), ("1/2", "-3/2", 1),
+        (0, 6, -6), (1,),
+        (0, "3/4", "-7/2", "23/4", -4, 1),
+        ("1/8", "-11/24", "1/2", "-1/6"),
+        ("3/4", "-7/2", "23/4", -4, 1),
+    ),
+    "sg3": (
+        ("7/64", "-1/6", "1/16"), ("15/64", "-61/32", "67/16", "-7/2", 1),
+        (0, -15, 47, -48, 16), ("-7/6", 1),
+        (0, "675/2048", "-8055/2048", "9123/512", "-1361/32", "15377/256",
+         "-417/8", "219/8", -8, 1),
+        ("105/4096", "-507/2048", "607/768", "-1843/1536", "733/768", "-37/96", "1/16"),
+        ("675/2048", "-1845/512", "3639/256", "-7249/256", "127/4", "-163/8", 7, -1),
+    ),
+}
+
+
+def _schur_at(s, z):
+    """S(z) = (A - zI) - B (D - zI)^-1 C of P1, by one Fraction solve at z."""
+    g1 = build_level(s, 1)
+    v0, v1 = s.v0_size, g1.vertex_count
+    degs = degrees(g1)
+    p1 = [[F(int(i == j)) for j in range(v1)] for i in range(v1)]
+    for u, v, mult in g1.edges:
+        p1[u][v] -= F(mult, degs[u])
+        p1[v][u] -= F(mult, degs[v])
+    interior = range(v0, v1)
+    x = solve_linear(
+        [[p1[i][j] - z * (i == j) for j in interior] for i in interior],
+        [[p1[i][j] for j in range(v0)] for i in interior],
+    )
+    return [
+        [p1[i][j] - z * (i == j) - sum(p1[i][t] * x[t - v0][j] for t in interior)
+         for j in range(v0)]
+        for i in range(v0)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DERIVE))
+def test_derive_outputs_pinned(name):
+    s = level3_gasket() if name == "sg3" else builtin(name)
+    dd = derive(s)
+    phi_n, phi_d, r_n, r_d, raw_n, raw_d, chi = PINNED_DERIVE[name]
+    assert (dd.phi.num, dd.phi.den) == (_p(phi_n), _p(phi_d))
+    assert (dd.R.num, dd.R.den) == (_p(r_n), _p(r_d))
+    assert dd.R_raw == (_p(raw_n), _p(raw_d))
+    assert dd.charpoly_d == _p(chi)
+    # derive samples S at integer points; check it at a point off that grid
+    z = F(7, 3)
+    assert dd.charpoly_d(z) != 0
+    v0 = s.v0_size
+    phi, r = dd.phi(z), dd.R(z)
+    expected = [
+        [phi * ((1 if i == j else F(-1, v0 - 1)) - (r if i == j else 0)) for j in range(v0)]
+        for i in range(v0)
+    ]
+    assert _schur_at(s, z) == expected
+
+
+def test_derive_skips_roots_of_chi_d():
+    # derive samples S(z) at z = 0, 1, 2, ...; z = 1 is an eigenvalue of D
+    # here, so it must be skipped (the pinned test above covers the result)
+    for name in ("nonpcf_sg", "diamond", "interval", "tree3"):
+        assert _p(PINNED_DERIVE[name][6])(F(1)) == 0, name

@@ -82,6 +82,32 @@ def test_solve_linear_rational():
     assert x == [[F(1, 5)], [F(3, 5)]]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from([1.0, 0.3]),
+)
+def test_solve_linear_solves(dim, seed, density):
+    # sparse draws with a permuted nonzero diagonal need row swaps and skip
+    # zero entries of the pivot row
+    rng = random.Random(seed)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else F(0)
+
+    a = [[entry() for _ in range(dim)] for _ in range(dim)]
+    perm = rng.sample(range(dim), dim)
+    for i in range(dim):
+        a[i][perm[i]] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    if det_gauss(a) == 0:
+        return
+    rhs = [[entry() for _ in range(3)] for _ in range(dim)]
+    x = solve_linear(a, rhs)
+    assert [[sum(a[i][t] * x[t][j] for t in range(dim)) for j in range(3)]
+            for i in range(dim)] == rhs
+
+
 def test_solve_linear_singular_raises():
     with pytest.raises(ValueError):
         solve_linear([[F(1), F(1)], [F(2), F(2)]], [[F(1)], [F(1)]])

@@ -13,6 +13,7 @@ from fractal_trees.polys import (
     class_norm_product,
     factor_classes,
     image_class_poly,
+    interpolate,
     preimage_poly,
     rational_roots,
     reduce,
@@ -261,3 +262,23 @@ def test_preimage_poly_of_quadratic_class():
     assert pre.degree == 4
     # product of all four preiterates: norm * (1/4)^2 per branch level
     assert pre.constant_term() == F(3, 16) * F(1, 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(small_rationals, max_size=13),
+    st.lists(rationals, min_size=13, max_size=13, unique=True),
+)
+def test_interpolate_recovers_polynomial(coeffs, pool):
+    p = Polynomial(coeffs)
+    xs = pool[: max(p.degree, 0) + 1]
+    assert interpolate(xs, [p(x) for x in xs]) == p
+
+
+def test_interpolate_edge_cases():
+    assert interpolate([], []) == Polynomial()
+    assert interpolate([F(3)], [F(5)]) == poly(5)
+    # more points than the degree needs still recovers the polynomial
+    q = poly(1, -2, 0, 3)
+    xs = [F(x) for x in range(-3, 5)]
+    assert interpolate(xs, [q(x) for x in xs]) == q

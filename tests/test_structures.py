@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_trees import (
     BUILTIN_NAMES,
     InvalidStructureError,
     SelfSimilarStructure,
+    ValidationReport,
     builtin,
     validate,
 )
@@ -120,3 +123,79 @@ def test_json_round_trip(tmp_path):
 def test_json_missing_field():
     with pytest.raises(ValueError, match="missing field"):
         from_json_dict({"name": "x"})
+
+
+def test_json_top_level_must_be_object():
+    with pytest.raises(InvalidStructureError, match="JSON object"):
+        from_json_dict([to_json_dict(builtin("diamond"))])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("edges", [["0", 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1]]),
+        ("cell_maps", None),
+        ("boundary", [0, 1.5]),
+        ("v1_size", 2.5),
+        ("cells", True),
+        ("name", 7),
+    ],
+)
+def test_json_wrong_type_names_the_field(key, value):
+    d = to_json_dict(builtin("diamond"))
+    d[key] = value
+    with pytest.raises(InvalidStructureError, match=f"field '{key}'"):
+        from_json_dict(d)
+
+
+def test_oversized_v1_refused_before_per_vertex_checks():
+    # more vertices than cell corners: refused before the connectivity and
+    # coverage checks build a table per vertex, so a huge v1_size costs nothing
+    d = to_json_dict(builtin("diamond"))
+    d["v1_size"] = 10**5
+    report = validate(from_json_dict(d))
+    assert report.violations == ("uncovered V1 vertex (not any cell corner image)",)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(-3, 12, allow_nan=False),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_json(draw):
+    """A builtin's JSON form with types swapped, keys dropped, lists nested."""
+    d = to_json_dict(builtin(draw(st.sampled_from(BUILTIN_NAMES))))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(d)))
+        op = draw(st.sampled_from(["drop", "swap", "nest", "swap_item"]))
+        if op == "drop":
+            del d[key]
+        elif op == "swap":
+            d[key] = draw(st.one_of(_JSON_SCALARS, st.just([]), st.just({})))
+        elif op == "nest":
+            d[key] = [d[key]]
+        elif isinstance(d[key], list) and d[key]:
+            items = d[key]
+            i = draw(st.integers(0, len(items) - 1))
+            if isinstance(items[i], list) and items[i] and draw(st.booleans()):
+                j = draw(st.integers(0, len(items[i]) - 1))
+                items[i][j] = draw(_JSON_SCALARS)
+            else:
+                items[i] = draw(st.one_of(_JSON_SCALARS, st.just([])))
+    return draw(st.sampled_from([d, [d], None, 1.5, "x"])) if draw(st.integers(0, 9)) == 0 else d
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_json())
+def test_malformed_json_gives_named_error(d):
+    try:
+        s = from_json_dict(d)
+    except InvalidStructureError:
+        return
+    assert isinstance(s, SelfSimilarStructure)
+    assert isinstance(validate(s), ValidationReport)
