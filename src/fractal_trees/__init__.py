@@ -22,9 +22,8 @@ from .decimation import (
     spectrum,
 )
 from .entropy import EntropyReport, bounds, entropy, tree_entropy_sharpness_demo
-from .factored import FactoredInteger, FactoredRational, factorize
+from .factored import FactoredInteger, factor_powers, factorize
 from .kirchhoff import (
-    SimpleGraph,
     det_star_P,
     tau_bruteforce,
     verify_matrix_tree,
@@ -36,9 +35,7 @@ from .polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
-    class_norm_product,
     rational_roots,
-    reduce,
     resultant,
 )
 from .structures import (

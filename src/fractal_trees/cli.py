@@ -343,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "level", 0) and args.level < 0:
+    if getattr(args, "level", 0) < 0 or getattr(args, "max_level", 0) < 0:
         print("error: level must be nonnegative", file=sys.stderr)
         return EXIT_INVALID
     if getattr(args, "prec", 6) < 6:

@@ -1,32 +1,38 @@
 """Assembly of exact spanning-tree counts from the spectrum tables.
 
 tau(G_n) = | prod d_j / sum d_j * prod over spectrum entries of the
-preiterate product |, everything kept in prime-factored form.  The
-preiterate product of a conjugate family is closed form: the product of
-all d^k k-fold preimages of every conjugate of beta equals
-norm(beta) * (-Q(0)/P_d)^(deg * (d^k - 1)/(d - 1)), which is what makes
-counts with 10^14 digits tractable.
+preiterate product |.  Every factor is a power of one of a few
+rationals: the vertex degrees, m^-n and (|V0|(|V0|-1))^-1 (the degree
+sum), each family's class norm, and the one-step ratio
+(-1)^(d+1) Q(0)/P_d.  The preiterate product of a conjugate family is
+closed form: the product of all d^k k-fold preimages of every conjugate
+of beta equals norm(beta) * ((-1)^(d+1) Q(0)/P_d)^(deg * (d^k - 1)/(d - 1)),
+which is what makes counts with 10^14 digits tractable.  `tau` adds the
+exponents of every source into one {base: exponent} map and factors each
+distinct base once at the end.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .decimation import DecimationData, derive, spectrum
-from .factored import FactoredInteger, FactoredRational
+from .factored import FactoredInteger, factor_powers
 from .levels import degree_stats
 from .polys import AlgebraicClass
 from .structures import SelfSimilarStructure
-
-Q = Fraction
 
 
 class AssemblyError(ArithmeticError):
     """The factored assembly failed to produce a positive integer."""
 
 
-def preiterate_product(dd: DecimationData, base: AlgebraicClass, k: int) -> FactoredRational:
-    """Product of all k-fold R-preimages of all conjugates of base, factored.
+def preiterate_product(
+    dd: DecimationData, base: AlgebraicClass, k: int
+) -> dict[Fraction, int]:
+    """Product of all k-fold R-preimages of all conjugates of base, as
+    {rational base: exponent}: norm(base)^1 * ratio^exponent.
 
     k = 0 gives the class norm itself.  The zero eigenvalue is never
     lifted (connectivity), so a base containing 0 is rejected for k >= 1.
@@ -37,9 +43,9 @@ def preiterate_product(dd: DecimationData, base: AlgebraicClass, k: int) -> Fact
         if k >= 1:
             raise ValueError("the zero eigenvalue is never lifted to preiterates")
         raise ValueError("class norm of a class containing 0 vanishes")
-    norm = FactoredRational.from_fraction(base.norm())
+    powers = {base.norm(): 1}
     if k == 0:
-        return norm
+        return powers
     if dd.d == 1:
         exponent = base.degree * k
     else:
@@ -48,8 +54,9 @@ def preiterate_product(dd: DecimationData, base: AlgebraicClass, k: int) -> Fact
     # the constant term of the monic preimage polynomial is -w Q(0)/P_d
     # and the product of its d roots carries a further (-1)^d
     sign = 1 if dd.d % 2 == 1 else -1
-    ratio = FactoredRational.from_fraction(sign * dd.Q0 / dd.Pd)
-    return norm * ratio ** exponent
+    ratio = sign * dd.Q0 / dd.Pd
+    powers[ratio] = powers.get(ratio, 0) + exponent
+    return powers
 
 
 def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> FactoredInteger:
@@ -64,24 +71,23 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
     table = spectrum(dd, n)
     stats = degree_stats(s, n)
 
-    acc = FactoredRational.one()
-    for deg in stats.corner_degrees:
-        acc = acc * FactoredRational.from_int(deg)
-    for deg, count in sorted(stats.interior_histogram.items()):
-        acc = acc * FactoredRational.from_int(deg) ** count
+    powers: Counter = Counter(stats.corner_degrees)
+    powers.update(stats.interior_histogram)
     # sum of degrees = 2 E_n = m^n |V0| (|V0| - 1)
-    acc = acc / (
-        FactoredRational.from_int(s.m) ** n
-        * FactoredRational.from_int(s.v0_size * (s.v0_size - 1))
-    )
+    powers[s.m] -= n
+    powers[s.v0_size * (s.v0_size - 1)] -= 1
     for cls, k, mult in table.entries:
-        acc = acc * preiterate_product(dd, cls, k) ** mult
+        for base, e in preiterate_product(dd, cls, k).items():
+            powers[base] += e * mult
 
-    if acc.sign != 1 or not acc.is_integer():
+    sign, factors = factor_powers(powers)
+    negative = sorted(p for p, e in factors.items() if e < 0)
+    if sign != 1 or negative:
         raise AssemblyError(
-            f"assembly mismatch at level {n}: result {acc} is not a positive integer"
+            f"assembly mismatch at level {n}: the product is not a positive "
+            f"integer (sign {sign:+d}, negative exponents at primes {negative})"
         )
-    return acc.as_integer()
+    return FactoredInteger(factors)
 
 
 def exponent_table(

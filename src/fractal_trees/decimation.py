@@ -50,7 +50,7 @@ from itertools import count, islice
 from typing import Optional
 
 from .levels import build_level, vertex_count_formula
-from .kirchhoff import degrees, prob_laplacian_charpoly
+from .kirchhoff import prob_laplacian_charpoly
 from .matrices import charpoly, solve_linear
 from .polys import (
     AlgebraicClass,
@@ -86,6 +86,17 @@ class UnclassifiableError(DecimationError):
 
 class InconsistentSpectrumError(DecimationError):
     pass
+
+
+def _certified(cls: AlgebraicClass) -> AlgebraicClass:
+    """Refuse a class that may split further: the per-class bookkeeping
+    assumes every class is one full conjugate family."""
+    if not cls.certified_irreducible:
+        raise UnclassifiableError(
+            f"class {cls} of degree {cls.degree} is not certified "
+            "irreducible; classwise bookkeeping would be unsound"
+        )
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +340,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     s = validated(s)
     g1 = build_level(s, 1)
     v0, v1 = s.v0_size, g1.vertex_count
-    degs = degrees(g1)
+    degs = g1.degrees()
 
     # probabilistic Laplacian of G1, boundary rows first (ids 0..v0-1)
     p1 = [[Q(0)] * v1 for _ in range(v1)]
@@ -399,10 +410,10 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     sigma = tuple(factor_classes(chi_d.monic()))
     zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
     seen = {cls for cls, _ in sigma}
-    exceptional = [cls for cls, _ in sigma]
+    exceptional = [_certified(cls) for cls, _ in sigma]
     for cls, _ in zero_classes:
         if cls not in seen:
-            exceptional.append(cls)
+            exceptional.append(_certified(cls))
             seen.add(cls)
     exceptional.sort(key=lambda c: c.key())
 
@@ -514,12 +525,6 @@ class SpectrumTable:
     entries: tuple[tuple[AlgebraicClass, int, int], ...]
     zero_mult: int = 1
 
-    def as_mapping(self) -> dict:
-        return {(cls, k): mult for cls, k, mult in self.entries}
-
-    def multiplicity(self, cls: AlgebraicClass, depth: int) -> int:
-        return self.as_mapping().get((cls, depth), 0)
-
     def eigenvalue_count(self) -> int:
         return self.zero_mult + sum(
             mult * cls.degree * self.d ** k for cls, k, mult in self.entries
@@ -568,7 +573,7 @@ def _zero_root_classes(dd: DecimationData) -> list[AlgebraicClass]:
                     "repeated regular preimage of the zero eigenvalue; "
                     "multiplicity rules for critical points are not covered"
                 )
-            out.append(cls)
+            out.append(_certified(cls))
         dd._zero_roots = out
     return dd._zero_roots
 
@@ -675,7 +680,7 @@ def _advance(dd: DecimationData, n: int):
                         "repeated regular preimage inside a split family; "
                         "multiplicity rules for critical points are not covered"
                     )
-                put(sub, mult)
+                put(_certified(sub), mult)
         elif base not in dd._first_lift:
             dd._first_lift[base] = n - 1
             for e in dd.exceptional:

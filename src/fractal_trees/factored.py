@@ -1,10 +1,15 @@
-"""Integers and rationals kept in prime-factored form.
+"""Integers kept in prime-factored form.
 
 Spanning-tree counts on level-n fractal graphs have exponents that grow
 like m^n, so the counts themselves can never be materialized at depth.
 Everything downstream (exponent tables, entropy) works on
 {prime: exponent} maps; the plain integer value is only produced on
 request and only when it is small enough to print.
+
+`FactoredInteger` is the one factored type.  A product of powers of a
+few rationals, such as the assembly of tau(G_n), is kept as a
+{rational base: exponent} map until the end; `factor_powers` then
+factors each distinct base once into a sign and prime exponents.
 """
 
 from __future__ import annotations
@@ -65,68 +70,26 @@ def factorize(n: int) -> Factorization:
     return out
 
 
-@dataclass(frozen=True)
-class FactoredRational:
-    """A nonzero rational as sign * prod p^e with e possibly negative."""
+def factor_powers(powers: Mapping[Fraction, int]) -> tuple[int, Factorization]:
+    """Sign and prime exponents of prod base^e over nonzero rational bases.
 
-    sign: int = 1
-    factors: tuple = ()  # sorted tuple of (prime, exponent), exponent != 0
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    @classmethod
-    def one(cls) -> "FactoredRational":
-        return cls(1, ())
-
-    @classmethod
-    def from_int(cls, n: int) -> "FactoredRational":
-        if n == 0:
+    Each base is factored once; primes whose exponents cancel to 0 are
+    left out, so the map is empty exactly when the product is +-1.
+    """
+    sign = 1
+    out: Factorization = {}
+    for base, e in powers.items():
+        if base == 0:
             raise ValueError("zero cannot be factored")
-        sign = 1 if n > 0 else -1
-        return cls(sign, tuple(sorted(factorize(abs(n)).items())))
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "FactoredRational":
-        if q == 0:
-            raise ValueError("zero cannot be factored")
-        num = cls.from_int(q.numerator)
-        return num / cls.from_int(q.denominator)
-
-    def _as_dict(self) -> Factorization:
-        return dict(self.factors)
-
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        f = self._as_dict()
-        for p, e in other.factors:
-            f[p] = f.get(p, 0) + e
-            if f[p] == 0:
-                del f[p]
-        return FactoredRational(self.sign * other.sign, tuple(sorted(f.items())))
-
-    def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return self * other ** -1
-
-    def __pow__(self, e: int) -> "FactoredRational":
-        if e == 0:
-            return FactoredRational.one()
-        sign = self.sign if e % 2 else 1
-        return FactoredRational(sign, tuple((p, k * e) for p, k in self.factors))
-
-    def is_integer(self) -> bool:
-        return all(e > 0 for _, e in self.factors)
-
-    def as_integer(self) -> "FactoredInteger":
-        if self.sign != 1 or not self.is_integer():
-            raise ValueError(f"not a positive integer: {self}")
-        return FactoredInteger(dict(self.factors))
-
-    def __str__(self):
-        s = "-" if self.sign < 0 else ""
-        if not self.factors:
-            return s + "1"
-        return s + " * ".join(f"{p}^{e}" for p, e in self.factors)
+        if not e:
+            continue
+        if base < 0 and e % 2:
+            sign = -sign
+        for part, scale in ((abs(base.numerator), e), (base.denominator, -e)):
+            if part > 1:
+                for p, k in factorize(part).items():
+                    out[p] = out.get(p, 0) + k * scale
+    return sign, {p: k for p, k in out.items() if k}
 
 
 @dataclass(frozen=True)

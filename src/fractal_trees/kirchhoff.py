@@ -10,46 +10,14 @@ characteristic polynomial of P, never from floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
+from .levels import LevelGraph
 from .matrices import charpoly
 from .polys import Polynomial
 from .structures import connected
 
 Q = Fraction
-
-Edge = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected multigraph: vertex count plus (u, v, mult) edges."""
-
-    vertex_count: int
-    edges: tuple[Edge, ...]
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
-        acc: dict[tuple[int, int], int] = {}
-        for e in edges:
-            u, v = e[0], e[1]
-            m = e[2] if len(e) > 2 else 1
-            if u == v:
-                raise ValueError("loop edge")
-            if u > v:
-                u, v = v, u
-            acc[(u, v)] = acc.get((u, v), 0) + m
-        return cls(n, tuple((u, v, m) for (u, v), m in sorted(acc.items())))
-
-
-def degrees(g) -> list[int]:
-    deg = [0] * g.vertex_count
-    for u, v, m in g.edges:
-        deg[u] += m
-        deg[v] += m
-    return deg
 
 
 def laplacian(g) -> list[list[int]]:
@@ -117,7 +85,7 @@ def tau_bruteforce(g, drop: int = 0) -> int:
 def prob_laplacian_charpoly(g) -> Polynomial:
     """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A)."""
     return charpoly(
-        [[Q(x, d) for x in row] for row, d in zip(laplacian(g), degrees(g))]
+        [[Q(x, d) for x in row] for row, d in zip(laplacian(g), g.degrees())]
     )
 
 
@@ -157,7 +125,7 @@ def verify_matrix_tree(
     """
     if tau is None:
         tau = tau_bruteforce(g)
-    degs = degrees(g)
+    degs = g.degrees()
     prod_d = 1
     for d in degs:
         prod_d *= d
@@ -165,7 +133,7 @@ def verify_matrix_tree(
     return rhs == tau, tau, rhs
 
 
-def wedge(g1, g2, x1: int, x2: int) -> SimpleGraph:
+def wedge(g1, g2, x1: int, x2: int) -> LevelGraph:
     """Identify vertex x1 of g1 with vertex x2 of g2."""
     n1, n2 = g1.vertex_count, g2.vertex_count
     if not (0 <= x1 < n1) or not (0 <= x2 < n2):
@@ -179,7 +147,7 @@ def wedge(g1, g2, x1: int, x2: int) -> SimpleGraph:
     edges = list(g1.edges) + [
         (relabel(u), relabel(v), m) for u, v, m in g2.edges
     ]
-    return SimpleGraph.from_edges(n1 + n2 - 1, edges)
+    return LevelGraph.from_edges(n1 + n2 - 1, edges)
 
 
 def wedge_check(g1, g2, x1: int, x2: int) -> tuple[bool, int, int]:

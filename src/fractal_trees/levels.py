@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .structures import SelfSimilarStructure, connected
 
@@ -24,10 +25,39 @@ Edge = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class LevelGraph:
-    level: int
+    """Undirected multigraph: vertex count plus (u, v, mult) edges.
+
+    `build_level` also records the level and the boundary vertex ids
+    (`corners`); a graph made by `from_edges` alone is level 0 with no
+    marked corners.
+    """
+
     vertex_count: int
-    corners: tuple[int, ...]
     edges: tuple[Edge, ...]  # (u, v, mult), u < v, sorted
+    level: int = 0
+    corners: tuple[int, ...] = ()
+
+    @classmethod
+    def from_edges(
+        cls,
+        vertex_count: int,
+        edges: Iterable[Sequence[int]],
+        level: int = 0,
+        corners: tuple[int, ...] = (),
+    ) -> "LevelGraph":
+        """Graph from (u, v) or (u, v, mult) edges: loops are refused and
+        parallel edges merge into one edge with the summed multiplicity."""
+        acc: dict[tuple[int, int], int] = {}
+        for e in edges:
+            u, v = e[0], e[1]
+            m = e[2] if len(e) > 2 else 1
+            if u == v:
+                raise ValueError("loop edge")
+            if u > v:
+                u, v = v, u
+            acc[(u, v)] = acc.get((u, v), 0) + m
+        merged = tuple((u, v, m) for (u, v), m in sorted(acc.items()))
+        return cls(vertex_count, merged, level, corners)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count
@@ -81,7 +111,7 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
         edges = tuple(
             (i, j, 1) for i in range(v0) for j in range(i + 1, v0)
         )
-        return LevelGraph(0, v0, tuple(range(v0)), edges)
+        return LevelGraph(v0, edges, 0, tuple(range(v0)))
 
     prev = build_level(s, n - 1)
     copies = s.m
@@ -127,23 +157,15 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
                 label[root] = next_id
                 next_id += 1
 
-    acc: dict[tuple[int, int], int] = {}
-    for i in range(copies):
-        base = i * size
-        for u, v, m in prev.edges:
-            a = label[find(base + u)]
-            b = label[find(base + v)]
-            if a == b:
-                raise ValueError("loop created by corner identification")
-            if a > b:
-                a, b = b, a
-            acc[(a, b)] = acc.get((a, b), 0) + m
-
-    g = LevelGraph(
-        n,
+    g = LevelGraph.from_edges(
         next_id,
+        (
+            (label[find(i * size + u)], label[find(i * size + v)], m)
+            for i in range(copies)
+            for u, v, m in prev.edges
+        ),
+        n,
         tuple(corners),
-        tuple((u, v, m) for (u, v), m in sorted(acc.items())),
     )
     if g.vertex_count != vertex_count_formula(s, n):
         raise AssertionError("vertex count recursion violated")

@@ -418,7 +418,7 @@ class RationalFunction:
 
     Invariants: gcd(num, den) = 1 and den is monic (so the pair is a
     canonical form).  Construction from an arbitrary num/den pair performs
-    the reduction; `reduce` below is the functional entry point.
+    the reduction.
     """
 
     __slots__ = ("num", "den")
@@ -537,14 +537,6 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def reduce(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Canonical form of num/den: coprime, monic denominator.
-
-    Raises ZeroDivisionError on a zero denominator.
-    """
-    return RationalFunction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # algebraic classes
 
@@ -608,11 +600,6 @@ class AlgebraicClass:
 
     def __str__(self):
         return self.label
-
-
-def class_norm_product(c: AlgebraicClass) -> Fraction:
-    """Product of all roots of the class polynomial (Vieta)."""
-    return c.norm()
 
 
 def split_squarefree(p: Polynomial) -> list[AlgebraicClass]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from fractal_trees import SimpleGraph
+from fractal_trees import LevelGraph
 from fractal_trees.structures import connected
 
 rationals = st.fractions(
@@ -17,7 +17,7 @@ small_rationals = st.fractions(
 )
 
 
-def random_connected_graph(rng: random.Random, max_vertices: int = 10) -> SimpleGraph:
+def random_connected_graph(rng: random.Random, max_vertices: int = 10) -> LevelGraph:
     """Erdos-Renyi simple graph, resampled until connected."""
     while True:
         n = rng.randint(3, max_vertices)
@@ -27,20 +27,20 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 10) -> Simple
             for j in range(i + 1, n)
             if rng.random() < 0.45
         ]
-        g = SimpleGraph.from_edges(n, edges)
+        g = LevelGraph.from_edges(n, edges)
         if edges and connected(n, g.edges):
             return g
 
 
-def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(
+def complete_graph(n: int) -> LevelGraph:
+    return LevelGraph.from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n)]
     )
 
 
-def cycle_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+def cycle_graph(n: int) -> LevelGraph:
+    return LevelGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> SimpleGraph:
-    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+def path_graph(n: int) -> LevelGraph:
+    return LevelGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -212,6 +212,14 @@ def test_negative_level_rejected(capsys):
     assert code == 1
 
 
+def test_negative_max_level_rejected(capsys):
+    # a negative cap used to run no oracle and still print PASS lines
+    code, out, err = run(capsys, "verify", "sierpinski", "--max-level", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_output_deterministic(capsys):
     code1, out1, _ = run(capsys, "decimate", "hexagasket", "--format", "json")
     code2, out2, _ = run(capsys, "decimate", "hexagasket", "--format", "json")

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from fractal_trees import (
+    AssemblyError,
     build_level,
     builtin,
     derive,
@@ -12,7 +13,7 @@ from fractal_trees import (
     tau,
     tau_bruteforce,
 )
-from fractal_trees.factored import FactoredInteger, FactoredRational, factorize
+from fractal_trees.factored import FactoredInteger, factor_powers, factorize
 from fractal_trees.polys import AlgebraicClass, Polynomial
 
 
@@ -37,13 +38,19 @@ def test_factorize():
         factorize(0)
 
 
-def test_factored_rational_ops():
-    a = FactoredRational.from_fraction(F(9, 4))
-    b = FactoredRational.from_fraction(F(-2, 3))
-    assert str(a * b) == "-2^-1 * 3^1"
-    assert (a * b).sign == -1
-    assert (b ** 2).sign == 1
-    assert a.as_integer() if a.is_integer() else True
+def test_factor_powers():
+    # (9/4) * (-2/3) = -3/2: an odd power of a negative base flips the sign
+    assert factor_powers({F(9, 4): 1, F(-2, 3): 1}) == (-1, {2: -1, 3: 1})
+    assert factor_powers({F(-2, 3): 2}) == (1, {2: 2, 3: -2})
+    assert factor_powers({-5: 3, 7: -2}) == (-1, {5: 3, 7: -2})
+    # negative exponents divide; 12^2 / 6^2 / 4 = 1 cancels to the empty map
+    assert factor_powers({12: 2, 6: -2, F(1, 4): 1}) == (1, {})
+    assert factor_powers({F(3, 4): 1, F(1, 4): 1, 2: 4}) == (1, {3: 1})
+    # an int and an equal Fraction are the same base
+    assert factor_powers({F(6): 1, 1: 5, F(-1): 2}) == (1, {2: 1, 3: 1})
+    assert factor_powers({}) == (1, {})
+    with pytest.raises(ValueError):
+        factor_powers({F(0): 1})
 
 
 def test_factored_integer_render_and_value():
@@ -111,24 +118,32 @@ def test_factored_integer_hashable_and_immutable():
 # preiterate products
 
 
+def power_value(powers):
+    """prod base^e of a {rational base: exponent} map, as one Fraction."""
+    value = F(1)
+    for base, e in powers.items():
+        value *= F(base) ** e
+    return value
+
+
 def test_preiterate_depth_zero_is_norm(dds):
     dd = dds["sierpinski"]
-    assert preiterate_product(dd, rat("3/4"), 0) == FactoredRational.from_fraction(F(3, 4))
+    assert preiterate_product(dd, rat("3/4"), 0) == {F(3, 4): 1}
     pair = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
-    assert preiterate_product(dds["hexagasket"], pair, 0) == \
-        FactoredRational.from_fraction(F(7, 16))
+    assert power_value(preiterate_product(dds["hexagasket"], pair, 0)) == F(7, 16)
 
 
 def test_preiterate_sierpinski_depth_one(dds):
     # product of the two solutions of z(5-4z) = 3/4 is 3/16
     got = preiterate_product(dds["sierpinski"], rat("3/4"), 1)
-    assert got == FactoredRational.from_fraction(F(3, 16))
+    assert got == {F(3, 4): 1, F(1, 4): 1}
+    assert power_value(got) == F(3, 16)
 
 
 def test_preiterate_diamond_depth_two(dds):
     # 1 * (1/2)^3 = 1/8 over the four second preimages of 1
     got = preiterate_product(dds["diamond"], rat(1), 2)
-    assert got == FactoredRational.from_fraction(F(1, 8))
+    assert power_value(got) == F(1, 8)
 
 
 def test_preiterate_matches_polynomial_constant_term(dds):
@@ -143,11 +158,7 @@ def test_preiterate_matches_polynomial_constant_term(dds):
                 poly = family_polynomial(dd, cls, k)
                 vieta = poly.constant_term() if poly.degree % 2 == 0 else -poly.constant_term()
                 closed = preiterate_product(dd, cls, k)
-                sign = closed.sign
-                value = F(1)
-                for p, e in closed.factors:
-                    value *= F(p) ** e
-                assert sign * value == vieta, (name, str(cls), k)
+                assert power_value(closed) == vieta, (name, str(cls), k)
 
 
 def test_preiterate_zero_class_rejected(dds):
@@ -235,6 +246,32 @@ def test_prime_support_stable_from_level_two(dds):
         support = set(tau(builtin(name), 2, dd).factors)
         for n in range(3, 12):
             assert set(tau(builtin(name), n, dd).factors) == support, (name, n)
+
+
+def _with_q0_over_7(dd):
+    """dd with Q(0) divided by 7: every lifted family then carries 7^-E."""
+    dd.Q0 = dd.Q0 / 7
+    return dd
+
+
+def test_assembly_refuses_a_non_integer_product(monkeypatch, capsys):
+    import fractal_trees.counting as counting
+    from fractal_trees.cli import main
+
+    s = builtin("sierpinski")
+    with pytest.raises(AssemblyError, match=r"negative exponents at primes \[7\]"):
+        tau(s, 3, _with_q0_over_7(derive(s)))
+    # Q(0) -> -Q(0) negates the product at nonpcf level 3, whose families
+    # lift 27 roots in all (an odd power of the one-step ratio)
+    nonpcf = builtin("nonpcf_sg")
+    dd = derive(nonpcf)
+    dd.Q0 = -dd.Q0
+    with pytest.raises(AssemblyError, match=r"sign -1, negative exponents at primes \[\]"):
+        tau(nonpcf, 3, dd)
+    real_derive = counting.derive
+    monkeypatch.setattr(counting, "derive", lambda s: _with_q0_over_7(real_derive(s)))
+    assert main(["count", "sierpinski", "-n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: assembly mismatch at level 3")
 
 
 def test_interval_tau_is_one(dds):

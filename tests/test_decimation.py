@@ -12,10 +12,10 @@ from fractal_trees import (
 )
 from fractal_trees.decimation import (
     BoundaryAdjacencyError,
+    UnclassifiableError,
     ZERO_CLASS,
     classify,
 )
-from fractal_trees.kirchhoff import degrees
 from fractal_trees.matrices import solve_linear
 from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction
 from test_generalization import level3_gasket
@@ -307,6 +307,35 @@ def test_negative_level_rejected(dds):
         spectrum(dds["sierpinski"], -1)
 
 
+def _mark_uncertified(factor):
+    """factor_classes, but every class comes back as if it were an unsplit
+    factor of degree >= 5."""
+    def wrapped(p):
+        return [(AlgebraicClass(c.minpoly, certified_irreducible=False), mult)
+                for c, mult in factor(p)]
+    return wrapped
+
+
+def test_uncertified_class_refused(monkeypatch, capsys):
+    import fractal_trees.decimation as dec
+    from fractal_trees.cli import main
+
+    fresh = {name: derive(builtin(name)) for name in ("sierpinski", "diamond")}
+    monkeypatch.setattr(dec, "factor_classes", _mark_uncertified(dec.factor_classes))
+    # exceptional values, as derive classifies them
+    with pytest.raises(UnclassifiableError, match="not certified irreducible"):
+        derive(builtin("sierpinski"))
+    assert main(["count", "sierpinski", "-n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: class ") and err.count("\n") == 1
+    # the nonzero root 2 of R's numerator, a fresh preimage of 0
+    with pytest.raises(UnclassifiableError, match="class 2 of degree 1"):
+        spectrum(fresh["diamond"], 1)
+    # the family 3/4 split off 3/2 = R(1/2) at level 2
+    with pytest.raises(UnclassifiableError, match="class 3/4 of degree 1"):
+        spectrum(fresh["sierpinski"], 3)
+
+
 # ---------------------------------------------------------------------------
 # derive's outputs, pinned
 
@@ -377,7 +406,7 @@ def _schur_at(s, z):
     """S(z) = (A - zI) - B (D - zI)^-1 C of P1, by one Fraction solve at z."""
     g1 = build_level(s, 1)
     v0, v1 = s.v0_size, g1.vertex_count
-    degs = degrees(g1)
+    degs = g1.degrees()
     p1 = [[F(int(i == j)) for j in range(v1)] for i in range(v1)]
     for u, v, mult in g1.edges:
         p1[u][v] -= F(mult, degs[u])

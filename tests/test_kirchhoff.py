@@ -5,7 +5,7 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
 from fractal_trees import (
-    SimpleGraph,
+    LevelGraph,
     build_level,
     builtin,
     det_star_P,
@@ -40,24 +40,24 @@ def test_trees_have_one_spanning_tree():
     for _ in range(20):
         n = rng.randint(2, 12)
         edges = [(rng.randint(0, i - 1), i) for i in range(1, n)]
-        assert tau_bruteforce(SimpleGraph.from_edges(n, edges)) == 1
+        assert tau_bruteforce(LevelGraph.from_edges(n, edges)) == 1
 
 
 def test_multigraph_counts_parallel_edges():
     # doubled single edge: two spanning trees
-    g = SimpleGraph.from_edges(2, [(0, 1, 2)])
+    g = LevelGraph.from_edges(2, [(0, 1, 2)])
     assert tau_bruteforce(g) == 2
 
 
 def test_disconnected_rejected():
-    g = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+    g = LevelGraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="disconnected"):
         tau_bruteforce(g)
 
 
 def test_loop_rejected():
     with pytest.raises(ValueError, match="loop"):
-        SimpleGraph.from_edges(2, [(0, 0)])
+        LevelGraph.from_edges(2, [(0, 0)])
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -89,7 +89,7 @@ def test_relabeling_invariance():
         g = random_connected_graph(rng, 9)
         perm = list(range(g.vertex_count))
         rng.shuffle(perm)
-        h = SimpleGraph.from_edges(
+        h = LevelGraph.from_edges(
             g.vertex_count, [(perm[u], perm[v], m) for u, v, m in g.edges]
         )
         assert tau_bruteforce(g) == tau_bruteforce(h)

@@ -10,13 +10,11 @@ from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
-    class_norm_product,
     factor_classes,
     image_class_poly,
     interpolate,
     preimage_poly,
     rational_roots,
-    reduce,
     resultant,
     split_squarefree,
     squarefree_decomposition,
@@ -71,28 +69,28 @@ def test_poly_divmod(p, q):
 
 
 # ---------------------------------------------------------------------------
-# reduce
+# RationalFunction reduction
 
 
 def test_reduce_cancels_common_factor():
-    f = reduce(poly(-1, 0, 1), poly(-1, 1))  # (z^2-1)/(z-1)
+    f = RationalFunction(poly(-1, 0, 1), poly(-1, 1))  # (z^2-1)/(z-1)
     assert f.num == poly(1, 1)
     assert f.den == poly(1)
 
 
 def test_reduce_zero_numerator():
-    f = reduce(Polynomial(), poly(1, 3))
+    f = RationalFunction(Polynomial(), poly(1, 3))
     assert f.is_zero()
     assert f.den == poly(1)
 
 
 def test_reduce_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
-        reduce(poly(1), Polynomial())
+        RationalFunction(poly(1), Polynomial())
 
 
 def test_reduce_monic_denominator():
-    f = reduce(poly(2, 2), poly(4, 2))  # (2+2z)/(4+2z)
+    f = RationalFunction(poly(2, 2), poly(4, 2))  # (2+2z)/(4+2z)
     assert f.den.leading() == 1
     assert f(F(1)) == F(4, 6)
 
@@ -102,8 +100,8 @@ def test_reduce_monic_denominator():
 def test_reduce_idempotent(p, q):
     if q.is_zero():
         return
-    f = reduce(p, q)
-    again = reduce(f.num, f.den)
+    f = RationalFunction(p, q)
+    again = RationalFunction(f.num, f.den)
     assert again.num == f.num and again.den == f.den
 
 
@@ -112,7 +110,7 @@ def test_reduce_idempotent(p, q):
 def test_reduce_preserves_values(p, q, x):
     if q.is_zero() or q(x) == 0:
         return
-    f = reduce(p, q)
+    f = RationalFunction(p, q)
     if f.den(x) == 0:
         return
     assert f(x) == p(x) / q(x)
@@ -171,7 +169,7 @@ def test_rational_roots_preiterate_quadratic():
     assert rational_roots(p) == []
     cls = split_squarefree(p.monic())
     assert len(cls) == 1 and cls[0].degree == 2
-    assert class_norm_product(cls[0]) == F(3, 16)
+    assert cls[0].norm() == F(3, 16)
 
 
 def test_rational_roots_zero_poly_raises():
@@ -180,17 +178,17 @@ def test_rational_roots_zero_poly_raises():
 
 
 def test_class_norms():
-    assert class_norm_product(AlgebraicClass.from_rational(F(3, 4))) == F(3, 4)
+    assert AlgebraicClass.from_rational(F(3, 4)).norm() == F(3, 4)
     pair = AlgebraicClass(poly(F(7, 16), F(-3, 2), 1))
-    assert class_norm_product(pair) == F(7, 16)
+    assert pair.norm() == F(7, 16)
     sqrt2 = AlgebraicClass(poly(-2, 0, 1))
-    assert class_norm_product(sqrt2) == -2
+    assert sqrt2.norm() == -2
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_rationals)
 def test_degree_one_class_norm_is_root(r):
-    assert class_norm_product(AlgebraicClass.from_rational(r)) == r
+    assert AlgebraicClass.from_rational(r).norm() == r
 
 
 def test_algebraic_class_requires_squarefree():
