@@ -2,8 +2,9 @@
 """Convergence of c_n = ln tau(G_n) / |V_n| toward the tree entropy.
 
 Prints an aligned table of c_n per level for every builtin that supports
-decimation, with the general lower/upper bounds where applicable, plus
-the sharpness demonstration on the 3-branch tree structure.
+decimation, with the general lower/upper bounds where applicable.  The
+3-branch tree structure (`tree3`) shows the lower bound ln(3)/2 being
+approached from below.
 
 Usage: python scripts/entropy_convergence.py [--n-max N] [--prec P]
 """
@@ -12,7 +13,7 @@ import argparse
 
 import mpmath
 
-from fractal_trees import builtin, entropy, tree_entropy_sharpness_demo
+from fractal_trees import builtin, entropy
 from fractal_trees.structures import BUILTIN_NAMES
 
 
@@ -44,13 +45,6 @@ def main():
             )
         else:
             print(f"{name}: bounds not applicable (|V0| = 2 or G1 is a tree)")
-
-    print()
-    demo = tree_entropy_sharpness_demo(n_max=10, precision=args.prec)
-    print("3-branch tree structure: c_n -> ln(3)/2 =", mpmath.nstr(demo.target, 15))
-    for n, c in demo.values:
-        print(f"  c_{n:<2} = {mpmath.nstr(c, 15)}")
-    print(f"  monotone increasing: {demo.monotone_increasing}; final gap {mpmath.nstr(demo.final_gap, 3)}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .decimation import (
     derive,
     spectrum,
 )
-from .entropy import EntropyReport, bounds, entropy, tree_entropy_sharpness_demo
+from .entropy import EntropyReport, bounds, entropy
 from .factored import FactoredInteger, factor_powers, factorize
 from .kirchhoff import (
     det_star_P,

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import mpmath
 
@@ -24,7 +25,6 @@ from .decimation import (
     spectrum,
 )
 from .entropy import entropy
-from .factored import decimal_string
 from .kirchhoff import prob_laplacian_charpoly, tau_bruteforce, verify_matrix_tree
 from .levels import build_level, export, vertex_count_formula
 from .structures import (
@@ -59,8 +59,24 @@ def _resolve(name: str):
     )
 
 
+@contextmanager
+def _int_str_unlimited():
+    """Lift CPython's int-to-str digit limit (4300 by default) while output
+    is formatted; parsing argv and fractal files stays under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    with _int_str_unlimited():
+        print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def cmd_list(args) -> int:
@@ -163,24 +179,22 @@ def cmd_decimate(args) -> int:
 def cmd_count(args) -> int:
     s = _resolve(args.fractal)
     t = tau(s, args.level)
-    if args.format == "json":
-        data = t.to_json()
-        data["schema"] = "1"
-        data["fractal"] = s.name
-        data["level"] = args.level
-        _print_json(data)
-        return EXIT_OK
-    if args.digits:
-        print(t.digits10())
-        return EXIT_OK
-    if args.factored:
-        print(str(t))
-        return EXIT_OK
-    if t.digits10() > 10_000:
-        print(f"# value has {t.digits10()} digits; factored form:")
-        print(str(t))
-    else:
-        print(decimal_string(t.value()))
+    with _int_str_unlimited():
+        if args.format == "json":
+            data = t.to_json()
+            data["schema"] = "1"
+            data["fractal"] = s.name
+            data["level"] = args.level
+            _print_json(data)
+        elif args.digits:
+            print(t.digits10())
+        elif args.factored:
+            print(str(t))
+        elif t.digits10() > 10_000:
+            print(f"# value has {t.digits10()} digits; factored form:")
+            print(str(t))
+        else:
+            print(t.value())
     return EXIT_OK
 
 

@@ -10,16 +10,15 @@ The pipeline, all in exact arithmetic:
      entries have denominator chi_D(z) = det(D - zI), so chi_D(z) S(z) is
      a polynomial matrix of degree <= k + 1 (k = |V1| - |V0|), which is
      evaluated over Q at k + 2 integers off the roots of chi_D and
-     Newton-interpolated.  Extract the unique scalar functions
-     phi(z) = -(|V0|-1) S_12(z) and R(z) = 1 - S_11(z)/phi(z).  The
-     matrix identity S(z) = phi(z) (P0 - R(z)) is verified entrywise; a
-     failure falsifies full symmetry and aborts.
+     Newton-interpolated.  Full symmetry makes S(z) = phi(z) (P0 - R(z)),
+     one function on the diagonal and one off it, so only S_11 and S_12
+     are interpolated: phi(z) = -(|V0|-1) S_12(z) and
+     R(z) = 1 - S_11(z)/phi(z).  Every sampled diagonal entry must equal
+     S_11 and every off-diagonal entry S_12 at the same point; a failure
+     falsifies full symmetry and aborts.
   3. Classify every exceptional value (eigenvalues of D and zeros of phi)
      by exact polynomial divisibility and map it to one of the eight
-     multiplicity rules.  Predicates about removable singularities are
-     decided on the raw (pre-cancellation) numerator/denominator pair of
-     R, because reduction destroys exactly the information those rules
-     speak about.
+     multiplicity rules.
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families, stored by
@@ -38,8 +37,7 @@ rule for eigenvalues of D at which phi has a pole nominally also requires
 a pole of phi(z)R(z).  When R happens to vanish at such a point the
 product is finite although the multiplicity formula is unchanged (the
 Sierpinski value 5/4 is the standard example), so the dispatch here keys
-on the phi pole and the finiteness of R only; the phi*R predicate is
-recorded in the case record but not consulted.
+on the phi pole and the finiteness of R only.
 """
 
 from __future__ import annotations
@@ -113,9 +111,7 @@ class CaseRecord:
     in_sigma_d: bool
     phi_zero: bool
     phi_pole: bool
-    phi_r_pole: bool
     r_pole: bool
-    r_removable: bool
     dr_nonzero: bool
     image: Optional[AlgebraicClass]  # class of R(value); None when R has a pole
 
@@ -249,7 +245,6 @@ class DecimationData:
     structure: SelfSimilarStructure
     phi: RationalFunction
     R: RationalFunction
-    R_raw: tuple[Polynomial, Polynomial]
     d: int
     Q0: Fraction
     Pd: Fraction
@@ -378,29 +373,26 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
              for j in range(v0)]
             for i in range(v0)
         ])
-    s_mat = [[RationalFunction(interpolate(points, [smp[i][j] for smp in samples]), chi_d)
-              for j in range(v0)] for i in range(v0)]
+    n11 = interpolate(points, [smp[0][0] for smp in samples])
+    n12 = interpolate(points, [smp[0][1] for smp in samples])
 
-    phi = RationalFunction(-(v0 - 1)) * s_mat[0][1]
+    phi = RationalFunction(n12 * -(v0 - 1), chi_d)
     if phi.is_zero():
         raise NotFullySymmetricError("phi(z) vanishes identically")
 
-    # R via its raw (pre-cancellation) pair: R = (phi - S11)/phi
-    s11 = s_mat[0][0]
-    raw_num = phi.num * s11.den - s11.num * phi.den
-    raw_den = s11.den * phi.num
-    r = RationalFunction(raw_num, raw_den)
+    # S = phi (P0 - R) holds iff every diagonal entry is S_11 and every
+    # off-diagonal entry is S_12; chi_D S_ij has degree <= k + 1, so
+    # agreement at the k + 2 samples is agreement as rational functions
+    for smp in samples:
+        diag, off = smp[0][0], smp[0][1]
+        if any(smp[i][j] != (diag if i == j else off) for i in range(v0) for j in range(v0)):
+            raise NotFullySymmetricError(
+                "Schur complement does not factor through the boundary "
+                "Laplacian; structure is not fully symmetric"
+            )
 
-    # the factorization S(z) = phi(z) (P0 - R(z)) is what full symmetry buys
-    for i in range(v0):
-        for j in range(v0):
-            p0_entry = Q(1) if i == j else Q(-1, v0 - 1)
-            target = phi * (RationalFunction(p0_entry) - (r if i == j else 0))
-            if s_mat[i][j] != target:
-                raise NotFullySymmetricError(
-                    "Schur complement does not factor through the boundary "
-                    "Laplacian; structure is not fully symmetric"
-                )
+    # R = 1 - S_11/phi; the common denominator chi_D cancels
+    r = RationalFunction(n11 + n12 * (v0 - 1), n12 * (v0 - 1))
 
     if r.num.constant_term() != 0:
         raise DecimationError("R(0) != 0; decimation assumptions violated")
@@ -421,7 +413,6 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
         structure=s,
         phi=phi,
         R=r,
-        R_raw=(raw_num, raw_den),
         d=r.num.degree,
         Q0=r.den.constant_term(),
         Pd=r.num.leading(),
@@ -461,10 +452,6 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
     phi_zero = mp.divides(dd.phi.num) if not dd.phi.num.is_zero() else False
     phi_pole = mp.divides(dd.phi.den)
     r_pole = mp.divides(dd.R.den)
-    raw_gcd = dd.R_raw[0].gcd(dd.R_raw[1])
-    r_removable = raw_gcd.degree > 0 and mp.divides(raw_gcd)
-    phi_r = dd.phi * dd.R
-    phi_r_pole = mp.divides(phi_r.den)
     dr = dd.R.derivative()
     dr_nonzero = not mp.divides(dr.num) if not dr.num.is_zero() else False
 
@@ -479,9 +466,7 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
             in_sigma_d=in_sigma_d,
             phi_zero=phi_zero,
             phi_pole=phi_pole,
-            phi_r_pole=phi_r_pole,
             r_pole=r_pole,
-            r_removable=r_removable,
             dr_nonzero=dr_nonzero,
             image=image,
         )

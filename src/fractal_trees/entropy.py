@@ -4,7 +4,7 @@ c_n = ln tau(G_n) / |V_n| is evaluated from the exact prime exponents of
 tau(G_n) with mpmath at a requested precision; the integer itself is
 never formed.  The general bounds ln(3)/2 <= c <= ln((m-1)|V0|(|V0|-1) /
 (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a tree; the 3-branch
-tree structure attains the lower bound, which the demo below exhibits.
+tree structure (builtin `tree3`) attains the lower bound in the limit.
 """
 
 from __future__ import annotations
@@ -111,34 +111,3 @@ def entropy(
         diffs_decreasing=decreasing,
     )
 
-
-@dataclass(frozen=True)
-class SharpnessReport:
-    values: tuple          # ((n, c_n), ...) for the 3-branch tree structure
-    target: object         # ln(3)/2
-    monotone_increasing: bool
-    final_gap: object
-
-
-def tree_entropy_sharpness_demo(n_max: int = 8, precision: int = 30) -> SharpnessReport:
-    """The 3-branch tree structure attains the lower bound ln(3)/2.
-
-    tau(G_n) = 3^(3^n) (a wedge of 3^n triangles, counted by the wedge
-    product rule) and |V_n| = 1 + 2*3^n, so c_n = 3^n ln(3) / (1 + 2*3^n)
-    increases to ln(3)/2.
-    """
-    with mpmath.workdps(precision + 10):
-        log3 = mpmath.log(3)
-        values = []
-        for n in range(n_max + 1):
-            pw = 3 ** n
-            values.append((n, pw * log3 / (1 + 2 * pw)))
-        target = log3 / 2
-        monotone = all(values[i + 1][1] > values[i][1] for i in range(len(values) - 1))
-        gap = abs(target - values[-1][1])
-    return SharpnessReport(
-        values=tuple(values),
-        target=target,
-        monotone_increasing=monotone,
-        final_gap=gap,
-    )

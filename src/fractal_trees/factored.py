@@ -22,33 +22,6 @@ from typing import Dict, Mapping
 
 Factorization = Dict[int, int]
 
-# str(int) refuses more than 4300 digits on recent Pythons; pieces of this
-# many digits stay well below that limit
-_DECIMAL_PIECE = 3000
-
-
-def decimal_string(n: int) -> str:
-    """str(n) for a nonnegative int of any size.
-
-    Divide and conquer over n = hi * 10^w + lo with w = _DECIMAL_PIECE *
-    2^i; every piece handed to str() has at most _DECIMAL_PIECE digits,
-    and each low half is zero-padded to its width w.
-    """
-    powers = [10 ** _DECIMAL_PIECE]
-    while powers[-1] ** 2 <= n:
-        powers.append(powers[-1] ** 2)
-
-    def convert(x: int, i: int) -> str:  # x < powers[i] ** 2
-        if i < 0:
-            return str(x)
-        hi, lo = divmod(x, powers[i])
-        if not hi:
-            return convert(lo, i - 1)
-        return convert(hi, i - 1) + convert(lo, i - 1).zfill(_DECIMAL_PIECE << i)
-
-    return convert(n, len(powers) - 1)
-
-
 def factorize(n: int) -> Factorization:
     """Prime factorization of a positive integer by trial division."""
     if n <= 0:
@@ -145,7 +118,8 @@ class FactoredInteger:
             return self.factors[2] + 1
         import mpmath
 
-        start = max(len(str(e)) for e in self.factors.values()) + 30
+        # at least the decimal digits of the largest exponent (log10 2 < 0.302), + 30
+        start = max(e.bit_length() for e in self.factors.values()) * 302 // 1000 + 31
         dps = start
         while True:
             with mpmath.workdps(dps):
@@ -155,16 +129,6 @@ class FactoredInteger:
                 if margin < acc - whole < 1 - margin:
                     return int(whole) + 1
             dps *= 2
-
-    def log(self, dps: int = 40):
-        """Natural log as an mpmath float at dps decimal digits."""
-        import mpmath
-
-        with mpmath.workdps(dps):
-            acc = mpmath.mpf(0)
-            for p, e in sorted(self.factors.items()):
-                acc += e * mpmath.log(p)
-            return acc
 
     def __eq__(self, other):
         if isinstance(other, FactoredInteger):

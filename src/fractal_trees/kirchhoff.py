@@ -34,16 +34,15 @@ def laplacian(g) -> list[list[int]]:
     return lap
 
 
-def tau_bruteforce(g, drop: int = 0) -> int:
+def tau_bruteforce(g) -> int:
     """Number of spanning trees: cofactor of the Laplacian, exactly.
 
-    `drop` selects which row/column to delete (any choice gives the same
-    value; exposed for the cofactor-independence tests).  The minor of a
-    connected graph is positive definite, so symmetric elimination never
-    meets a zero pivot and needs no pivoting: the rows are kept sparse
-    and vertices are eliminated in minimum-degree order, which keeps the
-    fill small on the level graphs.  The determinant is the product of
-    the pivots.
+    Row and column 0 are deleted (by the matrix-tree theorem any choice
+    gives the same value).  The minor of a connected graph is positive
+    definite, so symmetric elimination never meets a zero pivot and needs
+    no pivoting: the rows are kept sparse and vertices are eliminated in
+    minimum-degree order, which keeps the fill small on the level graphs.
+    The determinant is the product of the pivots.
     """
     n = g.vertex_count
     if n < 2:
@@ -51,15 +50,13 @@ def tau_bruteforce(g, drop: int = 0) -> int:
     if not connected(n, g.edges):
         raise ValueError("disconnected")
     # Fraction diagonals make every pivot a Fraction, so divisions stay exact
-    rows: dict[int, dict[int, Fraction]] = {
-        v: {v: Q(0)} for v in range(n) if v != drop
-    }
+    rows: dict[int, dict[int, Fraction]] = {v: {v: Q(0)} for v in range(1, n)}
     for u, v, m in g.edges:
         for a, b in ((u, v), (v, u)):
-            if a != drop:
+            if a != 0:
                 row = rows[a]
                 row[a] += m
-                if b != drop:
+                if b != 0:
                     row[b] = row.get(b, 0) - m
     det = Q(1)
     while rows:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,65 @@ def test_count_plain_past_the_int_string_limit(capsys):
     for digit in printed:  # int(printed) itself would hit the limit
         printed_residue = (printed_residue * 10 + int(digit)) % prime
     assert printed_residue == residue
+
+
+@pytest.fixture
+def int_str_limit():
+    """CPython's default int-to-str digit limit for one test, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _current_int_str_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("mode", [[], ["--factored"], ["--digits"], ["--format", "json"]])
+def test_count_prints_exponents_past_the_int_string_limit(
+    monkeypatch, capsys, int_str_limit, mode
+):
+    # 2^E 5^E with E = 10^4400: every exponent and the digit count E + 1
+    # have more than 4,300 digits; `count sierpinski -n 9100` is a real case
+    from fractal_trees import FactoredInteger, cli
+
+    big = "1" + "0" * 4400
+    fake = FactoredInteger({2: 10 ** 4400, 5: 10 ** 4400})
+    monkeypatch.setattr(cli, "tau", lambda s, n: fake)
+    code, out, err = run(capsys, "count", "sierpinski", "-n", "9100", *mode)
+    assert code == 0, err
+    assert _current_int_str_limit() == int_str_limit
+    digits = "1" + "0" * 4399 + "1"
+    factored = f"2^{big} * 5^{big}"
+    expected = {
+        (): f"# value has {digits} digits; factored form:\n{factored}\n",
+        ("--factored",): factored + "\n",
+        ("--digits",): digits + "\n",
+    }
+    if mode == ["--format", "json"]:
+        assert f'"digits": {digits},' in out
+        assert f'"2": "{big}",' in out and f'"5": "{big}"' in out
+    else:
+        assert out == expected[tuple(mode)]
+
+
+def test_fractal_file_with_a_huge_integer_refused(tmp_path, capsys, int_str_limit):
+    # parsing stays under the int-to-str limit: a 5,000-digit field is refused
+    text = json.dumps(to_json_dict(builtin("diamond")))
+    text = text.replace('"cells": 4,', '"cells": 4' + "0" * 5000 + ",", 1)
+    assert "0" * 5000 in text
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "count", str(path), "-n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert _current_int_str_limit() == int_str_limit
 
 
 def test_python_dash_m_entry_point():

@@ -10,8 +10,10 @@ from fractal_trees import (
     derive,
     spectrum,
 )
+from fractal_trees import decimation
 from fractal_trees.decimation import (
     BoundaryAdjacencyError,
+    NotFullySymmetricError,
     UnclassifiableError,
     ZERO_CLASS,
     classify,
@@ -112,9 +114,9 @@ def test_sierpinski_cases(dds):
     cases = {str(c): dd.case_records[c].case_id for c in dd.exceptional}
     assert cases == {"3/2": 2, "5/4": 3, "1/2": 3}
     rec = dd.case_records[rat("3/2")]
-    assert rec.phi_zero and not rec.in_sigma_d and rec.r_removable
+    assert rec.phi_zero and not rec.in_sigma_d
     rec54 = dd.case_records[rat("5/4")]
-    assert rec54.phi_pole and rec54.mult_d == 2 and not rec54.phi_r_pole
+    assert rec54.phi_pole and rec54.mult_d == 2
     assert rec54.image == ZERO_CLASS
 
 
@@ -344,59 +346,43 @@ def _p(coeffs):
     return Polynomial([F(c) for c in coeffs])
 
 
-# phi num/den, R num/den, raw R num, raw R den, chi_D = det(D - zI), each
+# phi num/den, R num/den, chi_D = det(D - zI), each
 # lowest degree first, recorded from the earlier Gaussian elimination over Q(z)
 PINNED_DERIVE = {
     "sierpinski": (
         ("3/8", "-1/4"), ("5/8", "-7/4", 1),
         (0, 5, -4), (1,),
-        (0, "75/64", -5, "117/16", "-9/2", 1),
-        ("15/64", "-13/16", "13/16", "-1/4"),
         ("25/32", "-45/16", 3, -1),
     ),
     "nonpcf_sg": (
         ("5/16", "-7/24"), ("1/2", "-3/2", 1),
         (0, "-36/7", "60/7", "-24/7"), ("-15/14", 1),
-        (0, "3/4", "-7/2", "23/4", -4, 1),
-        ("5/32", "-59/96", "3/4", "-7/24"),
         ("3/4", "-7/2", "23/4", -4, 1),
     ),
     "diamond": (
         ("-1/2",), (-1, 1),
         (0, 4, -2), (1,),
-        (0, 2, -3, 1),
-        ("1/2", "-1/2"),
         (1, -2, 1),
     ),
     "hexagasket": (
         ("3/64", "-1/8", "1/16"), ("7/64", "-33/32", "47/16", -3, 1),
         (0, -7, 31, -40, 16), ("-1/2", 1),
-        (0, "147/2048", "-2135/2048", "3071/512", "-579/32", "8097/256",
-         "-531/16", "165/8", -7, 1),
-        ("21/4096", "-127/2048", "35/128", "-293/512", "155/256", "-5/16", "1/16"),
         ("1323/8192", "-2457/1024", "29277/2048", "-46543/1024", "11007/128",
          "-26025/256", "1215/16", "-279/8", 9, -1),
     ),
     "interval": (
         ("-1/2",), (-1, 1),
         (0, 4, -2), (1,),
-        (0, 2, -3, 1),
-        ("1/2", "-1/2"),
         (1, -1),
     ),
     "tree3": (
         ("1/4", "-1/6"), ("1/2", "-3/2", 1),
         (0, 6, -6), (1,),
-        (0, "3/4", "-7/2", "23/4", -4, 1),
-        ("1/8", "-11/24", "1/2", "-1/6"),
         ("3/4", "-7/2", "23/4", -4, 1),
     ),
     "sg3": (
         ("7/64", "-1/6", "1/16"), ("15/64", "-61/32", "67/16", "-7/2", 1),
         (0, -15, 47, -48, 16), ("-7/6", 1),
-        (0, "675/2048", "-8055/2048", "9123/512", "-1361/32", "15377/256",
-         "-417/8", "219/8", -8, 1),
-        ("105/4096", "-507/2048", "607/768", "-1843/1536", "733/768", "-37/96", "1/16"),
         ("675/2048", "-1845/512", "3639/256", "-7249/256", "127/4", "-163/8", 7, -1),
     ),
 }
@@ -427,10 +413,9 @@ def _schur_at(s, z):
 def test_derive_outputs_pinned(name):
     s = level3_gasket() if name == "sg3" else builtin(name)
     dd = derive(s)
-    phi_n, phi_d, r_n, r_d, raw_n, raw_d, chi = PINNED_DERIVE[name]
+    phi_n, phi_d, r_n, r_d, chi = PINNED_DERIVE[name]
     assert (dd.phi.num, dd.phi.den) == (_p(phi_n), _p(phi_d))
     assert (dd.R.num, dd.R.den) == (_p(r_n), _p(r_d))
-    assert dd.R_raw == (_p(raw_n), _p(raw_d))
     assert dd.charpoly_d == _p(chi)
     # derive samples S at integer points; check it at a point off that grid
     z = F(7, 3)
@@ -448,4 +433,25 @@ def test_derive_skips_roots_of_chi_d():
     # derive samples S(z) at z = 0, 1, 2, ...; z = 1 is an eigenvalue of D
     # here, so it must be skipped (the pinned test above covers the result)
     for name in ("nonpcf_sg", "diamond", "interval", "tree3"):
-        assert _p(PINNED_DERIVE[name][6])(F(1)) == 0, name
+        assert _p(PINNED_DERIVE[name][4])(F(1)) == 0, name
+
+
+@pytest.mark.parametrize("bad", range(5))
+def test_symmetry_check_reads_every_sample(monkeypatch, bad):
+    # sierpinski has k = 3 interior vertices, so derive solves at k + 2 = 5
+    # points; one perturbed entry at any of them, the last included, breaks
+    # the one-diagonal, one-off-diagonal shape of that sample
+    s = builtin("sierpinski")
+    calls = []
+
+    def perturbed(a, rhs):
+        x = solve_linear(a, rhs)
+        if len(calls) == bad:
+            x[0][0] += 1
+        calls.append(None)
+        return x
+
+    monkeypatch.setattr(decimation, "solve_linear", perturbed)
+    with pytest.raises(NotFullySymmetricError, match="does not factor"):
+        derive(s)
+    assert len(calls) == 5

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from fractal_trees import bounds, builtin, entropy, tree_entropy_sharpness_demo
+from fractal_trees import bounds, builtin, entropy
 from fractal_trees.entropy import g1_is_tree
 
 
@@ -84,15 +84,6 @@ def test_interval_entropy_zero():
     assert not rep.bounds_applicable
 
 
-def test_sharpness_demo():
-    rep = tree_entropy_sharpness_demo(n_max=8, precision=30)
-    assert rep.monotone_increasing
-    # c_5 is already within 1e-2 of ln(3)/2
-    c5 = dict(rep.values)[5]
-    assert abs(c5 - rep.target) < mpmath.mpf("1e-2")
-    assert rep.final_gap < mpmath.mpf("1e-3")
-
-
 def test_tree3_converges_to_lower_bound_from_below():
     rep = entropy(builtin("tree3"), n_max=30, precision=30)
     target = mpmath.log(3) / 2
@@ -100,6 +91,10 @@ def test_tree3_converges_to_lower_bound_from_below():
     # the bound is attained in the limit; finite levels sit strictly below
     assert rep.extrapolated < target
     assert rep.extrapolated <= rep.upper_bound
+    # c_n increases monotonically; c_5 is already within 1e-2 of ln(3)/2
+    cs = [c for _, c in rep.values]
+    assert all(a < b for a, b in zip(cs, cs[1:]))
+    assert abs(dict(rep.values)[5] - target) < mpmath.mpf("1e-2")
 
 
 def test_entropy_argument_validation():

@@ -73,14 +73,11 @@ def test_all_cofactors_equal():
         g = random_connected_graph(rng, 8)
         lap = laplacian(g)
         n = g.vertex_count
-        values = set()
+        value = tau_bruteforce(g)
         for i in range(n):
             # the dense Bareiss determinant is an independent reference
             minor = [[lap[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
-            value = tau_bruteforce(g, drop=i)
-            assert value == bareiss_det_int(minor)
-            values.add(value)
-        assert len(values) == 1
+            assert bareiss_det_int(minor) == value
 
 
 def test_relabeling_invariance():

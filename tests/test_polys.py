@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals, small_rationals
@@ -225,6 +225,37 @@ def test_quartic_biquadratic_split():
     # z^4 - 5 z^2 + 4 = (z^2-1)(z^2-4) -> four rational roots
     classes = split_squarefree(poly(4, 0, -5, 0, 1))
     assert sorted(c.rational_value() for c in classes) == [-2, -1, 1, 2]
+
+
+def _is_rational_square(x):
+    from math import isqrt
+
+    return x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
+
+
+# halves keep the rational-root search of each product cheap
+halves = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(halves, halves, halves, halves)
+def test_quartic_splits_into_its_two_quadratics(b1, c1, b2, c2):
+    # two distinct monic irreducible quadratics: the product is squarefree
+    # with no rational root, and it generally needs the resolvent with b != 0
+    assume((b1, c1) != (b2, c2))
+    assume(not _is_rational_square(b1 * b1 - 4 * c1))
+    assume(not _is_rational_square(b2 * b2 - 4 * c2))
+    q1, q2 = poly(c1, b1, 1), poly(c2, b2, 1)
+    classes = split_squarefree(q1 * q2)
+    assert sorted(c.minpoly.coeffs for c in classes) == sorted([q1.coeffs, q2.coeffs])
+
+
+def test_biquadratic_with_no_rational_split_stays_whole():
+    # z^4 - 10 z^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3): a^2 - 4c
+    # = 96 is no square and the resolvent roots 0, 8, 12 give no square u^2
+    classes = split_squarefree(poly(1, 0, -10, 0, 1))
+    assert len(classes) == 1 and classes[0].degree == 4
+    assert classes[0].certified_irreducible
 
 
 def test_factor_classes_with_multiplicity():
