@@ -365,16 +365,13 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         return args.func(args)
-    except (InvalidStructureError, KeyError, FileNotFoundError, ValueError) as e:
-        if isinstance(e, (InconsistentSpectrumError, AssemblyError)):
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_INCONSISTENT
-        msg = e.args[0] if e.args else e
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_INVALID
     except (InconsistentSpectrumError, AssemblyError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except (InvalidStructureError, KeyError, FileNotFoundError, ValueError) as e:
+        msg = e.args[0] if e.args else e
+        print(f"error: {msg}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

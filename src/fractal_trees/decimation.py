@@ -27,7 +27,11 @@ The pipeline, all in exact arithmetic:
      whose next preimage set would contain an exceptional value cannot be
      lifted wholesale: at depth one the preimage polynomial is factored
      and only the regular factors are kept (the exceptional members are
-     owned by the case rules).  The eigenvalue-count sum rule is asserted
+     owned by the case rules).  The classes that split this way are the
+     images R(e) of the exceptional values e; they depend on R alone, so
+     `derive` fixes them once (`DecimationData.split`, `CaseRecord.image`)
+     together with each e's forward orbit, and a level step only reads
+     them.  The eigenvalue-count sum rule is asserted
      at every level, and `crosscheck_spectrum` compares the predicted
      spectrum against the characteristic polynomial of an explicitly
      built level graph.
@@ -108,7 +112,6 @@ class CaseRecord:
     value: AlgebraicClass
     case_id: int
     mult_d: int              # multiplicity of the class in sigma(D)
-    in_sigma_d: bool
     phi_zero: bool
     phi_pole: bool
     r_pole: bool
@@ -252,7 +255,11 @@ class DecimationData:
     sigma_d: tuple[tuple[AlgebraicClass, int], ...]
     exceptional: tuple[AlgebraicClass, ...]
     case_records: dict = field(default_factory=dict)
+    # the images R(e) of the exceptional values: depth-0 families of these
+    # classes split at the next level instead of lifting
+    split: frozenset = frozenset()
     escape_bound: Fraction = Q(2)
+    # the forward orbit of each exceptional value, keyed by the value
     _chains: dict = field(default_factory=dict, repr=False)
     _image_cache: dict = field(default_factory=dict, repr=False)
     _preimage_cache: dict = field(default_factory=dict, repr=False)
@@ -312,11 +319,6 @@ class DecimationData:
             out = AlgebraicClass(poly, certified_irreducible=cls.certified_irreducible)
         self._image_cache[cls] = out
         return out
-
-    def chain(self, cls: AlgebraicClass) -> ForwardChain:
-        if cls not in self._chains:
-            self._chains[cls] = ForwardChain(self, cls)
-        return self._chains[cls]
 
     def preimage_classes(self, base: AlgebraicClass) -> list[tuple[AlgebraicClass, int]]:
         """Factor the degree d*deg(base) polynomial of R-preimages of base."""
@@ -420,9 +422,15 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
         sigma_d=sigma,
         exceptional=tuple(exceptional),
         escape_bound=_escape_bound(r.num, r.den),
+        # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
+        _tables=[{AlgebraicClass.from_rational(Q(v0, v0 - 1)): v0 - 1}],
     )
     for cls in dd.exceptional:
         dd.case_records[cls] = classify(dd, cls)
+        dd._chains[cls] = ForwardChain(dd, cls)
+    dd.split = frozenset(
+        rec.image for rec in dd.case_records.values() if rec.image is not None
+    )
     return dd
 
 
@@ -448,11 +456,11 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
     """Decide the multiplicity rule for a (probe or exceptional) class."""
     mp = v.minpoly
     mult_d = _division_multiplicity(dd.charpoly_d.monic(), mp)
-    in_sigma_d = mult_d > 0
     phi_zero = mp.divides(dd.phi.num) if not dd.phi.num.is_zero() else False
     phi_pole = mp.divides(dd.phi.den)
     r_pole = mp.divides(dd.R.den)
-    dr = dd.R.derivative()
+    num, den = dd.R.num, dd.R.den  # R' = (num' den - num den') / den^2
+    dr = RationalFunction(num.derivative() * den - num * den.derivative(), den * den)
     dr_nonzero = not mp.divides(dr.num) if not dr.num.is_zero() else False
 
     image: Optional[AlgebraicClass]
@@ -463,7 +471,6 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
             value=v,
             case_id=case_id,
             mult_d=mult_d,
-            in_sigma_d=in_sigma_d,
             phi_zero=phi_zero,
             phi_pole=phi_pole,
             r_pole=r_pole,
@@ -471,7 +478,7 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
             image=image,
         )
 
-    if not in_sigma_d:
+    if not mult_d:
         if not phi_zero:
             return rec(1)
         return rec(7) if r_pole else rec(2)
@@ -524,18 +531,13 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if not dd._tables:
-        v0 = dd.structure.v0_size
-        top = AlgebraicClass.from_rational(Q(v0, v0 - 1))
-        dd._tables.append({top: v0 - 1})
     while len(dd._tables) <= n:
         _advance(dd, len(dd._tables))
-    split = _split_classes(dd) if n else set()
     entries = tuple(
         (cls, n - b, mult)
         for b in range(n, -1, -1)
         for cls, mult in dd._tables[b].items()
-        if b == n or cls not in split
+        if b == n or cls not in dd.split
     )
     st = SpectrumTable(level=n, d=dd.d, entries=entries)
     if st.eigenvalue_count() != dd.v_count(n):
@@ -563,32 +565,10 @@ def _zero_root_classes(dd: DecimationData) -> list[AlgebraicClass]:
     return dd._zero_roots
 
 
-def _split_classes(dd: DecimationData) -> set:
-    """Classes whose depth-0 families split instead of lifting: the images
-    R(e) of the exceptional values e."""
-    images = (dd.chain(e).class_at(1) for e in dd.exceptional)
-    return {cls for cls in images if cls is not None}
-
-
-def _mult_from_chain(chain: ForwardChain, born: dict) -> int:
-    """Multiplicity at the previous level of the class chain[1].
-
-    `born` holds the previous level's depth-0 families; a deeper family
-    matching chain[1 + k] is a deep hit, refused before this is asked.
-    """
-    cls = chain.class_at(1)
-    if cls is None:
-        return 0
-    if cls == ZERO_CLASS:
-        return 1
-    return born.get(cls, 0)
-
-
-def _note_deep_hit(dd: DecimationData, e: AlgebraicClass, i: int):
-    """Record when the lifted families of chain(e)[i]'s class first meet
-    e's orbit at a depth of at least 2, which is the earliest level at
+def _note_deep_hit(dd: DecimationData, e: AlgebraicClass, chain: ForwardChain, i: int):
+    """Record when the lifted families of chain[i]'s class first meet e's
+    orbit `chain` at a depth of at least 2, which is the earliest level at
     which they would need a deep split."""
-    chain = dd.chain(e)
     cls = chain.classes[i]
     birth = dd._first_lift.get(cls)
     if birth is None:
@@ -607,18 +587,16 @@ def _advance(dd: DecimationData, n: int):
     """Append the depth-0 families born at level n; the families born
     earlier carry over one level deeper."""
     prev = dd._tables[n - 1]
-    split = _split_classes(dd)
 
     # walk every orbit as deep as the deepest family at level n - 1 asks
     depth = n - min(dd._first_lift.values(), default=n - 1)
-    for e in dd.exceptional:
-        chain = dd.chain(e)
+    for e, chain in dd._chains.items():
         known, cycled = len(chain.classes), chain.status == "cycle"
         chain.class_at(depth)
         if chain.status == "cycle" and not cycled:
             known = min(known, chain.cycle_start)
         for i in range(known, len(chain.classes)):
-            _note_deep_hit(dd, e, i)
+            _note_deep_hit(dd, e, chain, i)
     if dd._deep_hit is not None and dd._deep_hit[0] <= n:
         _, e, base, k = dd._deep_hit
         raise InconsistentSpectrumError(
@@ -642,10 +620,16 @@ def _advance(dd: DecimationData, n: int):
             )
         new[cls] = mult
 
-    # exceptional values by their case rules
-    for e in dd.exceptional:
-        mult_image = _mult_from_chain(dd.chain(e), prev)
-        put(e, dd.case_records[e].multiplicity(dd.m, n, v_prev, mult_image))
+    # exceptional values by their case rules; the multiplicity of R(e) at
+    # level n - 1 is a depth-0 one (a deeper match was refused above)
+    for e, rec in dd.case_records.items():
+        if rec.image is None:
+            mult_image = 0
+        elif rec.image == ZERO_CLASS:
+            mult_image = 1
+        else:
+            mult_image = prev.get(rec.image, 0)
+        put(e, rec.multiplicity(dd.m, n, v_prev, mult_image))
 
     # fresh preimages of the zero eigenvalue (plain lifts of mult 1)
     for cls in _zero_root_classes(dd):
@@ -655,7 +639,7 @@ def _advance(dd: DecimationData, n: int):
     # lift one preiterate deeper
     removed = 0
     for base, mult in prev.items():
-        if base in split:
+        if base in dd.split:
             removed += mult * base.degree
             for sub, root_mult in dd.preimage_classes(base):
                 if sub in dd.exceptional or sub == ZERO_CLASS:
@@ -668,10 +652,9 @@ def _advance(dd: DecimationData, n: int):
                 put(_certified(sub), mult)
         elif base not in dd._first_lift:
             dd._first_lift[base] = n - 1
-            for e in dd.exceptional:
-                classes = dd.chain(e).classes
-                if base in classes:
-                    _note_deep_hit(dd, e, classes.index(base))
+            for e, chain in dd._chains.items():
+                if base in chain.classes:
+                    _note_deep_hit(dd, e, chain, chain.classes.index(base))
 
     # sum rule: lifts multiply the eigenvalue count by d
     count = 1 + dd.d * (v_prev - 1 - removed) + sum(

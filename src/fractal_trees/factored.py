@@ -89,10 +89,6 @@ class FactoredInteger:
     def exponent(self, p: int) -> int:
         return self.factors.get(p, 0)
 
-    @property
-    def primes(self) -> tuple:
-        return tuple(sorted(self.factors))
-
     def value(self, digit_cap: int = 100_000) -> int:
         """Materialize the integer; refuses beyond digit_cap digits."""
         if self.digits10() > digit_cap:

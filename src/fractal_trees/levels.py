@@ -199,9 +199,9 @@ def degree_stats(s: SelfSimilarStructure, n: int) -> DegreeStats:
     """Degree statistics of G_n without building the graph.
 
     corner_degrees evolve by kappa_j (cells meeting corner j); each gluing
-    site x becomes an interior vertex of degree equal to the sum of the
-    previous-level corner degrees over the slots identified at x, and the
-    old interior histogram is replicated m times.
+    site x born at level k becomes an interior vertex of degree equal to
+    the sum of the level-(k-1) corner degrees over the slots identified at
+    x, and G_n holds m^(n-k) copies of it.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
@@ -212,12 +212,12 @@ def degree_stats(s: SelfSimilarStructure, n: int) -> DegreeStats:
         return DegreeStats(0, tuple(corner), hist)
     kappa = s.corner_cell_counts()
     sites = s.gluing_sites()
+    copies = s.m ** n
     for _ in range(1, n + 1):
-        new_hist = {d: c * s.m for d, c in hist.items()}
+        copies //= s.m  # m^(n-k) for the sites born at level k
         for slots in sites.values():
             d = sum(corner[j] for _, j in slots)
-            new_hist[d] = new_hist.get(d, 0) + 1
-        hist = new_hist
+            hist[d] = hist.get(d, 0) + copies
         corner = [kappa[j] * corner[j] for j in range(v0)]
     stats = DegreeStats(n, tuple(corner), hist)
     if stats.vertex_count() != vertex_count_formula(s, n):

@@ -1,4 +1,4 @@
-"""Exact univariate polynomial and rational-function arithmetic over Q.
+"""Exact univariate polynomial arithmetic and reduced rational functions over Q.
 
 Everything in this package that touches an eigenvalue goes through the
 types defined here.  Coefficients are `fractions.Fraction`, stored lowest
@@ -418,7 +418,8 @@ class RationalFunction:
 
     Invariants: gcd(num, den) = 1 and den is monic (so the pair is a
     canonical form).  Construction from an arbitrary num/den pair performs
-    the reduction.
+    the reduction.  `phi` and `R` are built, evaluated, compared and
+    printed, never combined, so there is no field arithmetic here.
     """
 
     __slots__ = ("num", "den")
@@ -458,8 +459,7 @@ class RationalFunction:
         return self.den.degree == 0
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -471,62 +471,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
-
-    # -- field operations ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, (Polynomial, int, Fraction)):
-            return RationalFunction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RationalFunction(other) / self
-
-    def derivative(self) -> "RationalFunction":
-        n, d = self.num, self.den
-        return RationalFunction(
-            n.derivative() * d - n * d.derivative(), d * d
-        )
 
     def __str__(self):
         if self.is_polynomial():

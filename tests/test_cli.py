@@ -280,6 +280,27 @@ def test_negative_max_level_rejected(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+def test_count_refused_by_the_induction_exits_2(monkeypatch, capsys):
+    # an injected orbit 1/2 -> 3/2 -> 3/4 meets sierpinski's lifted 3/4
+    # family at depth 2, so the induction refuses at level 3
+    from fractal_trees import counting
+    from test_induction import _inject_orbit, rat
+
+    real_derive = counting.derive
+
+    def derive_with_orbit(s):
+        dd = real_derive(s)
+        _inject_orbit(dd, rat("1/2"), [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
+        return dd
+
+    monkeypatch.setattr(counting, "derive", derive_with_orbit)
+    code, out, err = run(capsys, "count", "sierpinski", "-n", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "deep family splitting" in err
+
+
 def test_output_deterministic(capsys):
     code1, out1, _ = run(capsys, "decimate", "hexagasket", "--format", "json")
     code2, out2, _ = run(capsys, "decimate", "hexagasket", "--format", "json")

@@ -114,7 +114,7 @@ def test_sierpinski_cases(dds):
     cases = {str(c): dd.case_records[c].case_id for c in dd.exceptional}
     assert cases == {"3/2": 2, "5/4": 3, "1/2": 3}
     rec = dd.case_records[rat("3/2")]
-    assert rec.phi_zero and not rec.in_sigma_d
+    assert rec.phi_zero and rec.mult_d == 0
     rec54 = dd.case_records[rat("5/4")]
     assert rec54.phi_pole and rec54.mult_d == 2
     assert rec54.image == ZERO_CLASS

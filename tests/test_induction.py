@@ -1,5 +1,6 @@
 """The spectrum induction at depth: birth-indexed families, laziness, refusals."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,37 @@ def test_incremental_reads_match_a_deep_first_build():
         upward = [spectrum(dd, n).entries for n in range(61)]
         spectrum(dd2, 60)
         assert [spectrum(dd2, n).entries for n in range(61)] == upward, s.name
+
+
+def test_split_set_is_the_exceptional_images():
+    # 21/4 = R(3/2) on the hexagasket escapes: no eigenvalue of any P_n
+    # lies there, but it is still an image and stays in the set
+    expected = {
+        "sierpinski": {"-3/2", "0", "3/2"},
+        "diamond": {"2"},
+        "nonpcf_sg": {"0", "3/2"},
+        "hexagasket": {"21/4", "3/2", "0"},
+    }
+    for name, values in expected.items():
+        dd = derive(builtin(name))
+        assert dd.split == {rat(v) for v in values}, name
+
+
+# sha256 of sg3's spectrum tables and tau(G_n) factors at every level
+# 0..60: a change to the induction that alters any table entry or count
+# there changes the digest
+SG3_TABLES_TAU_0_60 = "7768ba253f277516dbbba71c6dd4169e31b0252d5cf8773bd0ac2fd19f6f2793"
+
+
+def test_sg3_tables_and_tau_unchanged_to_level_60():
+    s = level3_gasket()
+    dd = derive(s)
+    h = hashlib.sha256()
+    for n in range(61):
+        for cls, k, mult in spectrum(dd, n).entries:
+            h.update(f"{n}:{cls.minpoly.coeffs}:{k}:{mult};".encode())
+        h.update(f"{n}:{sorted(tau(s, n, dd).factors.items())}|".encode())
+    assert h.hexdigest() == SG3_TABLES_TAU_0_60
 
 
 def _inject_orbit(dd, e, classes, status, cycle_start=0):
