@@ -154,25 +154,26 @@ def cmd_decimate(args) -> int:
             }
         )
         return EXIT_OK
-    print(f"phi(z) = {dd.phi}")
-    print(f"R(z)   = {r_text}")
-    print(f"d = {dd.d}, Q(0) = {q0}, P_d = {pd}")
-    print("sigma(D):")
-    for cls, mult in dd.sigma_d:
-        print(f"  {cls}  (minpoly {cls.minpoly}, mult {mult})")
-    print("exceptional values:")
-    for cls in dd.exceptional:
-        rec = dd.case_records[cls]
-        img = "pole" if rec.image is None else str(rec.image)
-        print(
-            f"  {cls}: case {rec.case_id}, mult_D={rec.mult_d}, "
-            f"phi_zero={rec.phi_zero}, phi_pole={rec.phi_pole}, "
-            f"R_pole={rec.r_pole}, R(z) -> {img}"
-        )
-    print(f"sigma(P_{args.level}) (class, depth, mult):")
-    for cls, k, mult in table.entries:
-        print(f"  ({cls}, {k}, {mult})")
-    print(f"  (0, -, {table.zero_mult})")
+    with _int_str_unlimited():
+        print(f"phi(z) = {dd.phi}")
+        print(f"R(z)   = {r_text}")
+        print(f"d = {dd.d}, Q(0) = {q0}, P_d = {pd}")
+        print("sigma(D):")
+        for cls, mult in dd.sigma_d:
+            print(f"  {cls}  (minpoly {cls.minpoly}, mult {mult})")
+        print("exceptional values:")
+        for cls in dd.exceptional:
+            rec = dd.case_records[cls]
+            img = "pole" if rec.image is None else str(rec.image)
+            print(
+                f"  {cls}: case {rec.case_id}, mult_D={rec.mult_d}, "
+                f"phi_zero={rec.phi_zero}, phi_pole={rec.phi_pole}, "
+                f"R_pole={rec.r_pole}, R(z) -> {img}"
+            )
+        print(f"sigma(P_{args.level}) (class, depth, mult):")
+        for cls, k, mult in table.entries:
+            print(f"  ({cls}, {k}, {mult})")
+        print(f"  (0, -, {table.zero_mult})")
     return EXIT_OK
 
 
@@ -213,15 +214,14 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID
 
     cap = args.max_level
-    oracle_levels = [
-        n
-        for n in range(cap + 1)
-        if vertex_count_formula(s, n) <= BRUTE_FORCE_SOFT_CAP
-    ]
-    skipped = [n for n in range(cap + 1) if n not in oracle_levels]
-    if skipped:
+    # |V_n| grows with n, so the levels the oracle can take are a prefix
+    lo = 0
+    while lo <= cap and vertex_count_formula(s, lo) <= BRUTE_FORCE_SOFT_CAP:
+        lo += 1
+    oracle_levels = range(lo)
+    if lo <= cap:
         print(
-            f"note: skipping brute force at levels {skipped} "
+            f"note: skipping brute force at levels {lo}..{cap} "
             f"(graphs above {BRUTE_FORCE_SOFT_CAP} vertices)",
             file=sys.stderr,
         )

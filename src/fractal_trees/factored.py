@@ -26,11 +26,12 @@ def factorize(n: int) -> Factorization:
     """Prime factorization of a positive integer by trial division."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
-    out: Factorization = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    twos = (n & -n).bit_length() - 1
+    out: Factorization = {2: twos} if twos else {}
+    n >>= twos
+    while n % 3 == 0:
+        out[3] = out.get(3, 0) + 1
+        n //= 3
     i = 5
     while i * i <= n:
         for p in (i, i + 2):

@@ -1,10 +1,12 @@
 """Level graphs G_n and degree statistics.
 
-G_0 is the complete graph on the boundary; G_n is built by taking m
-copies of G_{n-1} and identifying copy corners according to the cell
-maps.  Vertex ids are assigned deterministically (global corners first,
-then first-touch order during the merge), so exports are reproducible
-byte for byte.
+G_0 is the complete graph on the boundary.  G_n glues m copies of
+G_{n-1} at the G1 vertices the cell maps name: corner j of copy i is G1
+vertex cell_maps[i][j], and every other vertex belongs to one copy only.
+Vertex ids are assigned deterministically, so exports are reproducible
+byte for byte: the boundary takes 0..|V0|-1 (a built graph's corners),
+then, copy by copy in cell order, a corner's G1 vertex takes the next id
+when first seen and the copy's other vertices take a fresh block.
 
 Degree statistics are computed by a recursion on the level-1 gluing data
 instead of building the graph: corner degrees scale by the number of
@@ -98,7 +100,13 @@ BUILD_VERTEX_CAP = 2_000_000
 
 
 def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
-    """Construct G_n explicitly.  Exponential in n; meant for oracle use."""
+    """Construct G_n explicitly.  Exponential in n; meant for oracle use.
+
+    Each copy of G_{n-1} gets one id row: first the ids of the G1
+    vertices its corners sit at (a vertex not seen yet takes the next
+    id), then a fresh consecutive block for its other vertices.  Edge
+    (u, v, mult) of copy i becomes (row_i[u], row_i[v], mult).
+    """
     if n < 0:
         raise ValueError("level must be nonnegative")
     if vertex_count_formula(s, n) > BUILD_VERTEX_CAP:
@@ -114,58 +122,26 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
         return LevelGraph(v0, edges, 0, tuple(range(v0)))
 
     prev = build_level(s, n - 1)
-    copies = s.m
-    size = prev.vertex_count
-
-    # union-find over provisional ids copy*size + v
-    parent = list(range(copies * size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    # group copy corners by the V1 vertex they occupy
-    image_slots: dict[int, list[int]] = {}
-    for i, cm in enumerate(s.cell_maps):
-        for j, img in enumerate(cm):
-            image_slots.setdefault(img, []).append(i * size + prev.corners[j])
-    for slots in image_slots.values():
-        for other in slots[1:]:
-            union(slots[0], other)
-
-    # deterministic relabeling: global corners first, then first-touch order
-    label: dict[int, int] = {}
-    corners = []
-    for j, b in enumerate(s.boundary):
-        root = find(image_slots[b][0])
-        label[root] = j
-        corners.append(j)
+    site = {b: j for j, b in enumerate(s.boundary)}
+    inner = prev.vertex_count - v0
     next_id = v0
-    for i in range(copies):
-        for v in range(size):
-            root = find(i * size + v)
-            if root not in label:
-                label[root] = next_id
+    rows = []
+    for cm in s.cell_maps:
+        row = []
+        for x in cm:
+            if x not in site:
+                site[x] = next_id
                 next_id += 1
+            row.append(site[x])
+        row.extend(range(next_id, next_id + inner))
+        next_id += inner
+        rows.append(row)
 
     g = LevelGraph.from_edges(
         next_id,
-        (
-            (label[find(i * size + u)], label[find(i * size + v)], m)
-            for i in range(copies)
-            for u, v, m in prev.edges
-        ),
+        ((row[u], row[v], m) for row in rows for u, v, m in prev.edges),
         n,
-        tuple(corners),
+        tuple(range(v0)),
     )
     if g.vertex_count != vertex_count_formula(s, n):
         raise AssertionError("vertex count recursion violated")

@@ -125,15 +125,17 @@ def test_count_plain_past_the_int_string_limit(capsys):
 
 
 @pytest.fixture
-def int_str_limit():
-    """CPython's default int-to-str digit limit for one test, restored after."""
+def int_str_limit(request):
+    """CPython's int-to-str digit limit for one test, restored after: the
+    default 4300, or the test's indirect parameter."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield None
         return
+    limit = getattr(request, "param", 4300)
     old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+    sys.set_int_max_str_digits(limit)
     try:
-        yield 4300
+        yield limit
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -168,6 +170,20 @@ def test_count_prints_exponents_past_the_int_string_limit(
         assert f'"2": "{big}",' in out and f'"5": "{big}"' in out
     else:
         assert out == expected[tuple(mode)]
+
+
+# at level 1400 the 3/2 family born at level 0 has multiplicity
+# (3^1400 + 3)/2, 668 digits: past 640, the lowest limit CPython allows;
+# written out here, before any test lowers the limit
+SIERPINSKI_3_2_ENTRY = f"  (3/2, 0, {(3 ** 1400 + 3) // 2})\n"
+
+
+@pytest.mark.parametrize("int_str_limit", [640], indirect=True)
+def test_decimate_text_past_the_int_string_limit(capsys, int_str_limit):
+    code, out, err = run(capsys, "decimate", "sierpinski", "-n", "1400")
+    assert code == 0, err
+    assert _current_int_str_limit() == int_str_limit
+    assert SIERPINSKI_3_2_ENTRY in out
 
 
 def test_fractal_file_with_a_huge_integer_refused(tmp_path, capsys, int_str_limit):
@@ -211,6 +227,30 @@ def test_verify_diamond_level_three(capsys):
     code, out, _ = run(capsys, "verify", "diamond", "--max-level", "3")
     assert code == 0
     assert "level 3" in out
+
+
+def test_verify_stops_at_the_first_level_past_the_oracle_cap(monkeypatch, capsys):
+    # |V_n| grows with n, so levels past the first one above 400 vertices
+    # are neither evaluated nor listed one by one
+    import time
+
+    from fractal_trees import cli
+
+    real = cli.vertex_count_formula
+    asked = []
+    monkeypatch.setattr(
+        cli, "vertex_count_formula", lambda s, n: asked.append(n) or real(s, n)
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "sierpinski", "--max-level", "100000")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "FAIL" not in out
+    assert asked == list(range(7))  # |V_6| = 1095 is the first above 400
+    assert err == (
+        "note: skipping brute force at levels 6..100000 "
+        "(graphs above 400 vertices)\n"
+    )
+    assert run(capsys, "verify", "sierpinski", "--max-level", "5") == (0, out, "")
 
 
 def test_entropy_text(capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_trees import (
     AssemblyError,
@@ -36,6 +38,22 @@ def test_factorize():
     assert factorize(1) == {}
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_takes_the_power_of_two_in_one_step():
+    # one division per factor of 2 took 13.6 s here
+    assert factorize(3 * 2 ** 200_000) == {2: 200_000, 3: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 400), st.integers(1, 10 ** 6))
+def test_factorize_round_trip(k, m):
+    n = 2 ** k * m
+    product = 1
+    for p, e in factorize(n).items():
+        assert e > 0
+        product *= p ** e
+    assert product == n
 
 
 def test_factor_powers():

@@ -131,3 +131,71 @@ def test_periodic_orbit_is_refused_where_it_returns():
         spectrum(dd, n)
     with pytest.raises(InconsistentSpectrumError, match="depth-2 preiterates of 1"):
         spectrum(dd, 3)
+
+
+# ---------------------------------------------------------------------------
+# orbit guards: each refusal names its error
+
+
+def _new_class_each_call():
+    """An image map that returns a fresh rational class in (0, 1) per call,
+    so a forward orbit under it neither escapes nor cycles."""
+    calls = iter(range(1, 10 ** 6))
+    return lambda cls: rat(Fraction(next(calls), 10 ** 6))
+
+
+def _long_orbit_derive(real_derive):
+    """derive, with every exceptional orbit already 4,096 classes long and
+    still active, and an image map that never closes it."""
+    def wrapped(s):
+        dd = real_derive(s)
+        dd.image_of = _new_class_each_call()
+        for e, chain in dd._chains.items():
+            chain.classes = [e] + [dd.image_of(e) for _ in range(4095)]
+        return dd
+    return wrapped
+
+
+def test_orbit_longer_than_the_class_cap_is_refused():
+    dd = _long_orbit_derive(derive)(builtin("sierpinski"))
+    chain = next(iter(dd._chains.values()))
+    assert len(chain.classes) == 4096 and chain.status == "active"
+    with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
+        chain.class_at(4096)
+
+
+def test_count_refused_by_the_class_cap_exits_2(monkeypatch, capsys):
+    from fractal_trees import counting
+    from fractal_trees.cli import main
+
+    monkeypatch.setattr(counting, "derive", _long_orbit_derive(counting.derive))
+    assert main(["count", "sierpinski", "-n", "4100"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "neither escapes nor cycles" in err
+
+
+def test_orbit_coefficient_past_a_million_bits_is_refused():
+    dd = derive(builtin("sierpinski"))
+    huge = rat(Fraction(1, 2 ** 1_000_001))  # in (0, 1): it does not escape
+    dd.image_of = lambda cls: huge
+    chain = next(iter(dd._chains.values()))
+    with pytest.raises(InconsistentSpectrumError, match="coefficients blew up"):
+        chain.class_at(1)
+    assert chain.classes[1:] == []
+
+
+def test_escape_radius_refused_for_a_small_leading_coefficient():
+    from fractal_trees.decimation import DecimationError, _escape_bound
+    from fractal_trees.polys import Polynomial
+
+    def poly(*coeffs):
+        return Polynomial([Fraction(c) for c in coeffs])
+
+    # deg den = deg num - 1; lc = 3 > 2 S_q = 2 certifies a radius
+    assert _escape_bound(poly(0, 1, 3), poly(0, 1)) == 2
+    # lc = 2 S_q and lc < 2 S_q are both refused
+    for num, den in ((poly(0, 0, 2), poly(0, 1)), (poly(0, 0, 1), poly(1, 1))):
+        with pytest.raises(DecimationError, match="cannot certify an escape radius"):
+            _escape_bound(num, den)

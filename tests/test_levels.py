@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -144,3 +145,34 @@ def test_export_deterministic():
 def test_export_bad_format():
     with pytest.raises(ValueError):
         export(build_level(builtin("diamond"), 1), "xml")
+
+
+# sha256 of `build <fractal> -n 0..3 --format json` stdout, concatenated,
+# recorded from the earlier union-find gluing
+BUILD_DIGESTS = {
+    "sierpinski": "a8cc3bc093bf91f7789dbedfddbe3bff66e941b1f708cbee446bc10794f7aeca",
+    "nonpcf_sg": "97f75684098eaed74c9044ca266efb3b73b2833f7c0e864111c039b17d16a818",
+    "diamond": "69c532a1498456e145d91c912b74bd567a212802ca8f3faf80e65477b1b98ca8",
+    "hexagasket": "790a3ba5770818ab7bdf3936f28dd8691b7d10cd7380f392ae5f5ad26aef325e",
+    "interval": "50f4bd8fa620b659eba8a471b85fe4c727bb2806480a8d95be2ad5fdcb4e368f",
+    "tree3": "34a97556544bc5bb5c6b4bb622e2b0def99498f60be1347352a154bc4dd209de",
+    "sg3": "c8e4e1319c1dce23db17ec75ecb08aec375972ca318b72a28f8e55f4c495640f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_DIGESTS))
+def test_build_output_pinned(name, tmp_path, capsys):
+    from fractal_trees.cli import main
+    from fractal_trees.structures import to_json_dict
+    from test_generalization import level3_gasket
+
+    fractal = name
+    if name == "sg3":
+        fractal = str(tmp_path / "sg3.json")
+        with open(fractal, "w") as f:
+            json.dump(to_json_dict(level3_gasket()), f)
+    digest = hashlib.sha256()
+    for n in range(4):
+        assert main(["build", fractal, "-n", str(n), "--format", "json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == BUILD_DIGESTS[name]
