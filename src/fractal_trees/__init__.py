@@ -22,7 +22,7 @@ from .decimation import (
     spectrum,
 )
 from .entropy import EntropyReport, bounds, entropy
-from .factored import FactoredInteger, factor_powers, factorize
+from .factored import FactoredInteger, factorize
 from .kirchhoff import (
     det_star_P,
     tau_bruteforce,

@@ -7,19 +7,26 @@ sum), each family's class norm, and the one-step ratio
 (-1)^(d+1) Q(0)/P_d.  The preiterate product of a conjugate family is
 closed form: the product of all d^k k-fold preimages of every conjugate
 of beta equals norm(beta) * ((-1)^(d+1) Q(0)/P_d)^(deg * (d^k - 1)/(d - 1)),
-which is what makes counts with 10^14 digits tractable.  `tau` adds the
-exponents of every source into one {base: exponent} map and factors each
-distinct base once at the end.
+which is what makes counts with 10^14 digits tractable.
+
+`LevelWalk` advances per-prime exponent sums from level n - 1 to n, so
+all levels up to n cost O(n) steps.  A family born at level n - 1 adds
+its norm once when it lifts and drops out when it splits.  The ratio
+exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg over the
+lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1) + 1 (also
+for d = 1).  Corners gain the factors of kappa_j; interior degrees follow
+H_n = m H_{n-1} + the factors of the new site degrees.  `preiterate_product`
+and `levels.degree_stats` give the same pieces at one level from scratch.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from math import prod
 
-from .decimation import DecimationData, derive, spectrum
-from .factored import FactoredInteger, factor_powers
-from .levels import degree_stats
+from .decimation import DecimationData, InconsistentSpectrumError, born, derive, spectrum
+from .factored import FactoredInteger, Factorization, factorize
+from .levels import edge_count_formula, vertex_count_formula
 from .polys import AlgebraicClass
 from .structures import SelfSimilarStructure
 
@@ -59,6 +66,91 @@ def preiterate_product(
     return powers
 
 
+class LevelWalk:
+    """Per-prime exponent sums of tau(G_n), one level per `step`, which
+    checks the spectrum sum rule and the degree recursion's counts;
+    `factors` checks that the level's product is a positive integer.  Key
+    -1 of a sum counts the negative bases."""
+
+    def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
+        self.s, self.dd, self.level = s, dd, 0
+        self.ratio = (1 if dd.d % 2 == 1 else -1) * dd.Q0 / dd.Pd  # (-1)^(d+1) Q(0)/P_d
+        self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
+        self._cache: dict[int, Factorization] = {}
+        self.corner = [s.v0_size - 1] * s.v0_size
+        # corner degrees, carried norms, m^-n and the degree sum's |V0|(|V0|-1)
+        self.fixed = self._add(self._add({}, s.v0_size - 1, s.v0_size - 1), s.v0_size, -1)
+        self.interior, self.inner_count, self.inner_sum = {}, 0, 0  # H_n
+        self.fresh = born(dd, 0)  # the families at depth 0
+        self.lifts = self.weight = 0  # L_n and W_n
+
+    def _add(self, acc: Factorization, q, e: int) -> Factorization:
+        """acc += e * (prime exponents of the nonzero int or Fraction q)."""
+        if q < 0:
+            acc[-1] = acc.get(-1, 0) + e
+        for part, scale in ((abs(q.numerator), e), (q.denominator, -e)):
+            if part > 1:
+                if part not in self._cache:
+                    self._cache[part] = factorize(part)
+                for p, k in self._cache[part].items():
+                    acc[p] = acc.get(p, 0) + k * scale
+        return acc
+
+    def step(self):
+        s, dd, n = self.s, self.dd, self.level + 1
+        table, lifted = born(dd, n), 0
+        for cls, mult in self.fresh.items():
+            if cls not in dd.split:
+                if cls.contains_zero():
+                    raise ValueError("the zero eigenvalue is never lifted to preiterates")
+                lifted += mult * cls.degree
+                self._add(self.fixed, cls.norm(), mult)
+        self.weight += lifted
+        self.lifts = dd.d * self.lifts + self.weight
+        self.fresh, self.level = table, n
+        # the lifted families hold sum mult * deg * d^k = (d - 1) L_n + W_n roots
+        count = 1 + (dd.d - 1) * self.lifts + self.weight
+        count += sum(m * c.degree for c, m in table.items())
+        if count != dd.v_count(n):
+            raise InconsistentSpectrumError(
+                f"sum rule violated at level {n}: {count} != {dd.v_count(n)}"
+            )
+
+        # the sites born at level n have one copy; older ones gain a factor m
+        self.interior = {p: s.m * e for p, e in self.interior.items()}
+        self.inner_count = s.m * self.inner_count + len(self.sites)
+        self.inner_sum *= s.m
+        for slots in self.sites.values():
+            d = sum(self.corner[j] for _, j in slots)
+            self._add(self.interior, d, 1)
+            self.inner_sum += d
+        self.corner = [k * c for k, c in zip(self.kappa, self.corner)]
+        self._add(self.fixed, Fraction(prod(self.kappa), s.m), 1)
+        if s.v0_size + self.inner_count != vertex_count_formula(s, n):
+            raise AssertionError("degree recursion vertex count mismatch")
+        if sum(self.corner) + self.inner_sum != 2 * edge_count_formula(s, n):
+            raise AssertionError("degree recursion handshake mismatch")
+
+    def factors(self) -> FactoredInteger:
+        """tau(G_n) at the current level, checked to be a positive integer."""
+        out = dict(self.fixed)
+        for cls, mult in self.fresh.items():
+            if cls.contains_zero():
+                raise ValueError("class norm of a class containing 0 vanishes")
+            self._add(out, cls.norm(), mult)
+        for p, e in self.interior.items():
+            out[p] = out.get(p, 0) + e
+        self._add(out, self.ratio, self.lifts)
+        sign = -1 if out.pop(-1, 0) % 2 else 1
+        negative = sorted(p for p, e in out.items() if e < 0)
+        if sign != 1 or negative:
+            raise AssemblyError(
+                f"assembly mismatch at level {self.level}: the product is not a positive "
+                f"integer (sign {sign:+d}, negative exponents at primes {negative})"
+            )
+        return FactoredInteger({p: e for p, e in out.items() if e})
+
+
 def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> FactoredInteger:
     """Exact number of spanning trees of G_n, in factored form."""
     if n < 0:
@@ -66,28 +158,11 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
     if n == 0:
         # complete graph on the boundary: Cayley's formula
         return FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
-    if dd is None:
-        dd = derive(s)
-    table = spectrum(dd, n)
-    stats = degree_stats(s, n)
-
-    powers: Counter = Counter(stats.corner_degrees)
-    powers.update(stats.interior_histogram)
-    # sum of degrees = 2 E_n = m^n |V0| (|V0| - 1)
-    powers[s.m] -= n
-    powers[s.v0_size * (s.v0_size - 1)] -= 1
-    for cls, k, mult in table.entries:
-        for base, e in preiterate_product(dd, cls, k).items():
-            powers[base] += e * mult
-
-    sign, factors = factor_powers(powers)
-    negative = sorted(p for p, e in factors.items() if e < 0)
-    if sign != 1 or negative:
-        raise AssemblyError(
-            f"assembly mismatch at level {n}: the product is not a positive "
-            f"integer (sign {sign:+d}, negative exponents at primes {negative})"
-        )
-    return FactoredInteger(factors)
+    walk = LevelWalk(s, dd if dd is not None else derive(s))
+    spectrum(walk.dd, n)  # runs the induction to level n and checks its sum rule
+    while walk.level < n:
+        walk.step()
+    return walk.factors()
 
 
 def exponent_table(
@@ -96,8 +171,11 @@ def exponent_table(
     """Per-prime exponent sequences of tau(G_n) for 0 <= n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if dd is None:
-        dd = derive(s)
-    taus = [tau(s, n, dd) for n in range(n_max + 1)]
+    walk = LevelWalk(s, dd if dd is not None else derive(s))
+    spectrum(walk.dd, n_max)
+    taus = [tau(s, 0)]
+    while walk.level < n_max:
+        walk.step()
+        taus.append(walk.factors())
     primes = sorted({p for t in taus for p in t.factors})
     return {p: [t.exponent(p) for t in taus] for p in primes}

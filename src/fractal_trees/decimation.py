@@ -156,6 +156,7 @@ class ForwardChain:
     def __init__(self, dd: "DecimationData", start: AlgebraicClass):
         self.dd = dd
         self.classes: list[AlgebraicClass] = [start]
+        self.index = {start: 0}  # class -> its position in `classes`
         self.status = "active"  # active | pole | escaped | cycle
         self.cycle_start = 0
 
@@ -181,11 +182,11 @@ class ForwardChain:
             self.status = "escaped"
             return
         _guard_height(nxt)
-        for i, seen in enumerate(self.classes):
-            if seen == nxt:
-                self.status = "cycle"
-                self.cycle_start = i
-                return
+        if nxt in self.index:
+            self.status = "cycle"
+            self.cycle_start = self.index[nxt]
+            return
+        self.index[nxt] = len(self.classes)
         self.classes.append(nxt)
         if len(self.classes) > 4096:
             raise InconsistentSpectrumError(
@@ -531,8 +532,7 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    while len(dd._tables) <= n:
-        _advance(dd, len(dd._tables))
+    born(dd, n)
     entries = tuple(
         (cls, n - b, mult)
         for b in range(n, -1, -1)
@@ -546,6 +546,13 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
             f"{st.eigenvalue_count()} != {dd.v_count(n)}"
         )
     return st
+
+
+def born(dd: DecimationData, n: int) -> dict:
+    """The depth-0 families {class: mult} born at level n."""
+    while len(dd._tables) <= n:
+        _advance(dd, len(dd._tables))
+    return dd._tables[n]
 
 
 def _zero_root_classes(dd: DecimationData) -> list[AlgebraicClass]:
@@ -653,8 +660,8 @@ def _advance(dd: DecimationData, n: int):
         elif base not in dd._first_lift:
             dd._first_lift[base] = n - 1
             for e, chain in dd._chains.items():
-                if base in chain.classes:
-                    _note_deep_hit(dd, e, chain, chain.classes.index(base))
+                if base in chain.index:
+                    _note_deep_hit(dd, e, chain, chain.index[base])
 
     # sum rule: lifts multiply the eigenvalue count by d
     count = 1 + dd.d * (v_prev - 1 - removed) + sum(

@@ -2,9 +2,12 @@
 
 c_n = ln tau(G_n) / |V_n| is evaluated from the exact prime exponents of
 tau(G_n) with mpmath at a requested precision; the integer itself is
-never formed.  The general bounds ln(3)/2 <= c <= ln((m-1)|V0|(|V0|-1) /
-(|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a tree; the 3-branch
-tree structure (builtin `tree3`) attains the lower bound in the limit.
+never formed.  One level walk (`counting.LevelWalk`: L_n = d L_{n-1} +
+W_n, H_n = m H_{n-1} + new sites) gives the exponents of every level, so
+`entropy -n N` is linear in N.  The general bounds ln(3)/2 <= c <=
+ln((m-1)|V0|(|V0|-1) / (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a
+tree; the 3-branch tree structure (builtin `tree3`) attains the lower
+bound in the limit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional
 
 import mpmath
 
-from .counting import tau
+from .counting import exponent_table, tau  # noqa: F401 - perfbench's tracer wraps tau here
 from .decimation import DecimationData, DecimationError, derive
 from .levels import vertex_count_formula
 from .structures import SelfSimilarStructure
@@ -85,16 +88,14 @@ def entropy(
                 "brute-force oracle at small levels instead"
             ) from e
     dps = precision + 10
+    table = exponent_table(s, n_max, dd)
     with mpmath.workdps(dps):
-        logs: dict[int, mpmath.mpf] = {}
+        logs = {p: mpmath.log(p) for p in table}
         values = []
         for n in range(2, n_max + 1):
-            t = tau(s, n, dd)
             acc = mpmath.mpf(0)
-            for p, e in sorted(t.factors.items()):
-                if p not in logs:
-                    logs[p] = mpmath.log(p)
-                acc += e * logs[p]
+            for p, exponents in table.items():
+                acc += exponents[n] * logs[p]
             values.append((n, acc / vertex_count_formula(s, n)))
         diffs = [abs(values[i + 1][1] - values[i][1]) for i in range(len(values) - 1)]
         tail = diffs[-5:]

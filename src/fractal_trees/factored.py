@@ -6,17 +6,13 @@ Everything downstream (exponent tables, entropy) works on
 {prime: exponent} maps; the plain integer value is only produced on
 request and only when it is small enough to print.
 
-`FactoredInteger` is the one factored type.  A product of powers of a
-few rationals, such as the assembly of tau(G_n), is kept as a
-{rational base: exponent} map until the end; `factor_powers` then
-factors each distinct base once into a sign and prime exponents.
+`FactoredInteger` is the one factored type.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, Mapping
 
@@ -42,28 +38,6 @@ def factorize(n: int) -> Factorization:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def factor_powers(powers: Mapping[Fraction, int]) -> tuple[int, Factorization]:
-    """Sign and prime exponents of prod base^e over nonzero rational bases.
-
-    Each base is factored once; primes whose exponents cancel to 0 are
-    left out, so the map is empty exactly when the product is +-1.
-    """
-    sign = 1
-    out: Factorization = {}
-    for base, e in powers.items():
-        if base == 0:
-            raise ValueError("zero cannot be factored")
-        if not e:
-            continue
-        if base < 0 and e % 2:
-            sign = -sign
-        for part, scale in ((abs(base.numerator), e), (base.denominator, -e)):
-            if part > 1:
-                for p, k in factorize(part).items():
-                    out[p] = out.get(p, 0) + k * scale
-    return sign, {p: k for p, k in out.items() if k}
 
 
 @dataclass(frozen=True)

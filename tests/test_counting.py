@@ -1,4 +1,8 @@
+import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,13 +13,17 @@ from fractal_trees import (
     AssemblyError,
     build_level,
     builtin,
+    degree_stats,
     derive,
+    entropy,
     exponent_table,
+    load_json,
     preiterate_product,
+    spectrum,
     tau,
     tau_bruteforce,
 )
-from fractal_trees.factored import FactoredInteger, factor_powers, factorize
+from fractal_trees.factored import FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass, Polynomial
 
 
@@ -54,6 +62,24 @@ def test_factorize_round_trip(k, m):
         assert e > 0
         product *= p ** e
     assert product == n
+
+
+def factor_powers(powers):
+    """Sign and prime exponents of prod base^e over nonzero rational bases,
+    each base factored on its own: the reference assembly's last step."""
+    sign = 1
+    out = {}
+    for base, e in powers.items():
+        base = F(base)
+        if base == 0:
+            raise ValueError("zero cannot be factored")
+        if base < 0 and e % 2:
+            sign = -sign
+        for part, scale in ((abs(base.numerator), e), (base.denominator, -e)):
+            if part > 1:
+                for p, k in factorize(part).items():
+                    out[p] = out.get(p, 0) + k * scale
+    return sign, {p: k for p, k in out.items() if k}
 
 
 def test_factor_powers():
@@ -307,3 +333,122 @@ def test_tree3_tau_power_of_three(dds):
     # oracle on the wedge-of-triangles graphs
     for n in range(4):
         assert tau_bruteforce(build_level(s, n)) == 3 ** (3 ** n)
+
+
+# ---------------------------------------------------------------------------
+# the level walk against the assembly from scratch
+
+SG3_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "structures" / "sg3.json"
+
+# sha256 of repr(sorted(exponent_table(s, 60).items())), recorded with the
+# per-level assembly that the level walk replaced
+EXPONENT_TABLE_SHA256 = {
+    "sierpinski": "b754603a2f65075a0f42ae2735089c38917c5b1b7e34513e04ffd3ae7c55b164",
+    "nonpcf_sg": "bd81cd2d5e01431451a25506e62790d727ff7789ed7fc762cb8e714d03bccf1a",
+    "diamond": "347e253c11a7f808894168006e828cbc4009f258c3855e4ccce85966f6b26d3b",
+    "hexagasket": "5bc108e3e3786bea2839b74ffd841639b1c769653059f50a52176066c4cc1332",
+    "interval": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "tree3": "0b7ac94745dddf9cb794014588d395d5227adf757017de0355bc068c030a91a7",
+    "sg3": "56a4c94749422eb96f4495a9da191ef39880f9675a632fb76b338da79fa3c6cf",
+}
+
+
+def _structure(name):
+    return load_json(str(SG3_JSON)) if name == "sg3" else builtin(name)
+
+
+def _assembled(s, dd, n):
+    """Prime exponents of tau(G_n) from scratch: every degree of G_n, the
+    degree sum and the preiterate product of every spectrum entry."""
+    stats = degree_stats(s, n)
+    powers = Counter(stats.corner_degrees)
+    powers.update(stats.interior_histogram)
+    powers[s.m] -= n
+    powers[s.v0_size * (s.v0_size - 1)] -= 1
+    for cls, k, mult in spectrum(dd, n).entries:
+        for base, e in preiterate_product(dd, cls, k).items():
+            powers[base] += e * mult
+    sign, factors = factor_powers(powers)
+    assert sign == 1
+    return factors
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_TABLE_SHA256))
+def test_level_walk_matches_the_assembly_from_scratch(name):
+    s = _structure(name)
+    dd = derive(s)
+    table = exponent_table(s, 60, dd)
+    for n in range(61):
+        walked = {p: seq[n] for p, seq in table.items() if seq[n]}
+        assert walked == _assembled(s, dd, n), (name, n)
+    for n in (1, 2, 7, 60):
+        assert dict(tau(s, n, dd).factors) == _assembled(s, dd, n), (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_TABLE_SHA256))
+def test_exponent_table_pinned(name):
+    table = exponent_table(_structure(name), 60)
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == EXPONENT_TABLE_SHA256[name]
+
+
+def test_entropy_factoring_grows_linearly(monkeypatch):
+    # each distinct base is factored once per walk, so the factorize calls
+    # of a sweep grow like n_max, not like n_max^2
+    import fractal_trees.counting as counting
+    import fractal_trees.factored as factored
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(counting, "factorize", counted)
+    monkeypatch.setattr(factored, "factorize", counted)
+    s = builtin("nonpcf_sg")
+
+    def calls_at(n_max):
+        dd = derive(s)
+        calls.clear()
+        entropy(s, n_max=n_max, precision=30, dd=dd)
+        return len(calls)
+
+    assert calls_at(400) <= 2 * calls_at(200) + 20
+
+
+def _with_negated_q0(dd):
+    """dd with Q(0) -> -Q(0): levels whose families lift an odd number of
+    roots in all then carry an odd power of a negative one-step ratio."""
+    dd.Q0 = -dd.Q0
+    return dd
+
+
+def test_every_level_read_is_checked(monkeypatch, capsys):
+    # no builtin lifts an odd number of roots at level 1 (the level-0
+    # family v0/(v0-1) has even multiplicity or splits), so the first
+    # negative level is the hexagasket's level 2; its level 3 is positive
+    # again, so only a check at every level catches level 2 in a sweep
+    from fractal_trees.cli import main
+
+    s = builtin("hexagasket")
+    dd = _with_negated_q0(derive(s))
+    assert tau(s, 1, dd).factors and tau(s, 3, dd).factors
+    with pytest.raises(AssemblyError, match=r"at level 2: .*sign -1, negative exponents at primes \[\]"):
+        tau(s, 2, dd)
+    with pytest.raises(AssemblyError, match="at level 2:"):
+        entropy(s, n_max=5, dd=dd)
+    with pytest.raises(AssemblyError, match="at level 2:"):
+        exponent_table(s, 3, dd)
+
+    real_derive = derive
+    monkeypatch.setattr(sys.modules["fractal_trees.counting"], "derive",
+                        lambda s: _with_negated_q0(real_derive(s)))
+    monkeypatch.setattr(sys.modules["fractal_trees.entropy"], "derive",
+                        lambda s: _with_negated_q0(real_derive(s)))
+    for argv in (["count", "hexagasket", "-n", "2"], ["entropy", "hexagasket", "-n", "5"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: assembly mismatch at level 2") and err.count("\n") == 1
+    assert main(["count", "hexagasket", "-n", "3"]) == 0

@@ -1,6 +1,7 @@
 """The spectrum induction at depth: birth-indexed families, laziness, refusals."""
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,7 @@ def test_sg3_tables_and_tau_unchanged_to_level_60():
 def _inject_orbit(dd, e, classes, status, cycle_start=0):
     chain = ForwardChain(dd, e)
     chain.classes = list(classes)
+    chain.index = {cls: i for i, cls in enumerate(chain.classes)}
     chain.status = status
     chain.cycle_start = cycle_start
     dd._chains[e] = chain
@@ -152,6 +154,7 @@ def _long_orbit_derive(real_derive):
         dd.image_of = _new_class_each_call()
         for e, chain in dd._chains.items():
             chain.classes = [e] + [dd.image_of(e) for _ in range(4095)]
+            chain.index = {cls: i for i, cls in enumerate(chain.classes)}
         return dd
     return wrapped
 
@@ -162,6 +165,19 @@ def test_orbit_longer_than_the_class_cap_is_refused():
     assert len(chain.classes) == 4096 and chain.status == "active"
     with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
         chain.class_at(4096)
+
+
+def test_orbit_reaches_the_class_cap_from_one_class_quickly():
+    # the cycle check is one dict lookup per step, so growing an orbit of
+    # fresh classes from its start up to the cap takes linear time
+    dd = derive(builtin("sierpinski"))
+    dd.image_of = _new_class_each_call()
+    chain = ForwardChain(dd, next(iter(dd._chains)))
+    start = time.perf_counter()
+    with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
+        chain.class_at(5000)
+    assert time.perf_counter() - start < 2
+    assert len(chain.classes) == 4097 == len(chain.index)
 
 
 def test_count_refused_by_the_class_cap_exits_2(monkeypatch, capsys):
