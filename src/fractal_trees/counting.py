@@ -4,19 +4,23 @@ tau(G_n) = | prod d_j / sum d_j * prod over spectrum entries of the
 preiterate product |.  Every factor is a power of one of a few
 rationals: the vertex degrees, m^-n and (|V0|(|V0|-1))^-1 (the degree
 sum), each family's class norm, and the one-step ratio
-(-1)^(d+1) Q(0)/P_d.  The preiterate product of a conjugate family is
-closed form: the product of all d^k k-fold preimages of every conjugate
-of beta equals norm(beta) * ((-1)^(d+1) Q(0)/P_d)^(deg * (d^k - 1)/(d - 1)),
-which is what makes counts with 10^14 digits tractable.
+`DecimationData.ratio` = (-1)^(d+1) Q(0)/P_d.  The preiterate product of
+a conjugate family is closed form: the product of all d^k k-fold
+preimages of every conjugate of beta equals
+norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
+with 10^14 digits tractable.
 
 `LevelWalk` advances per-prime exponent sums from level n - 1 to n, so
-all levels up to n cost O(n) steps.  A family born at level n - 1 adds
-its norm once when it lifts and drops out when it splits.  The ratio
-exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg over the
-lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1) + 1 (also
-for d = 1).  Corners gain the factors of kappa_j; interior degrees follow
-H_n = m H_{n-1} + the factors of the new site degrees.  `preiterate_product`
-and `levels.degree_stats` give the same pieces at one level from scratch.
+all levels up to n cost O(n) steps; each step runs the spectrum
+induction one level (`decimation.born`), which checks its sum rule.  The
+families born at level n - 1 that lift (`DecimationData.lifted`, decided
+by the induction) add their norm once; the others split and drop out.
+The ratio exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg
+over the lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1)
++ 1 (also for d = 1).  Corners gain the factors of kappa_j; interior
+degrees follow H_n = m H_{n-1} + the factors of the new site degrees.
+`preiterate_product` and `levels.degree_stats` give the same pieces at
+one level from scratch.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .decimation import DecimationData, InconsistentSpectrumError, born, derive, spectrum
+from .decimation import DecimationData, InconsistentSpectrumError, born, derive
+from .decimation import spectrum  # noqa: F401 - perfbench's self-test reads counting.spectrum
 from .factored import FactoredInteger, Factorization, factorize
-from .levels import edge_count_formula, vertex_count_formula
+from .levels import edge_count_formula
 from .polys import AlgebraicClass
 from .structures import SelfSimilarStructure
 
@@ -57,12 +62,7 @@ def preiterate_product(
         exponent = base.degree * k
     else:
         exponent = base.degree * (dd.d ** k - 1) // (dd.d - 1)
-    # one preimage step scales the root product by (-1)^(d+1) Q(0)/P_d:
-    # the constant term of the monic preimage polynomial is -w Q(0)/P_d
-    # and the product of its d roots carries a further (-1)^d
-    sign = 1 if dd.d % 2 == 1 else -1
-    ratio = sign * dd.Q0 / dd.Pd
-    powers[ratio] = powers.get(ratio, 0) + exponent
+    powers[dd.ratio] = powers.get(dd.ratio, 0) + exponent
     return powers
 
 
@@ -74,14 +74,12 @@ class LevelWalk:
 
     def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
         self.s, self.dd, self.level = s, dd, 0
-        self.ratio = (1 if dd.d % 2 == 1 else -1) * dd.Q0 / dd.Pd  # (-1)^(d+1) Q(0)/P_d
         self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
         self._cache: dict[int, Factorization] = {}
         self.corner = [s.v0_size - 1] * s.v0_size
         # corner degrees, carried norms, m^-n and the degree sum's |V0|(|V0|-1)
         self.fixed = self._add(self._add({}, s.v0_size - 1, s.v0_size - 1), s.v0_size, -1)
         self.interior, self.inner_count, self.inner_sum = {}, 0, 0  # H_n
-        self.fresh = born(dd, 0)  # the families at depth 0
         self.lifts = self.weight = 0  # L_n and W_n
 
     def _add(self, acc: Factorization, q, e: int) -> Factorization:
@@ -98,23 +96,19 @@ class LevelWalk:
 
     def step(self):
         s, dd, n = self.s, self.dd, self.level + 1
-        table, lifted = born(dd, n), 0
-        for cls, mult in self.fresh.items():
-            if cls not in dd.split:
-                if cls.contains_zero():
-                    raise ValueError("the zero eigenvalue is never lifted to preiterates")
-                lifted += mult * cls.degree
-                self._add(self.fixed, cls.norm(), mult)
-        self.weight += lifted
+        table, v_n = born(dd, n), dd.v_count(n)
+        for cls, mult in dd.lifted[n - 1].items():
+            if cls.contains_zero():
+                raise ValueError("the zero eigenvalue is never lifted to preiterates")
+            self.weight += mult * cls.degree
+            self._add(self.fixed, cls.norm(), mult)
         self.lifts = dd.d * self.lifts + self.weight
-        self.fresh, self.level = table, n
+        self.level = n
         # the lifted families hold sum mult * deg * d^k = (d - 1) L_n + W_n roots
         count = 1 + (dd.d - 1) * self.lifts + self.weight
         count += sum(m * c.degree for c, m in table.items())
-        if count != dd.v_count(n):
-            raise InconsistentSpectrumError(
-                f"sum rule violated at level {n}: {count} != {dd.v_count(n)}"
-            )
+        if count != v_n:
+            raise InconsistentSpectrumError(f"sum rule violated at level {n}: {count} != {v_n}")
 
         # the sites born at level n have one copy; older ones gain a factor m
         self.interior = {p: s.m * e for p, e in self.interior.items()}
@@ -126,7 +120,7 @@ class LevelWalk:
             self.inner_sum += d
         self.corner = [k * c for k, c in zip(self.kappa, self.corner)]
         self._add(self.fixed, Fraction(prod(self.kappa), s.m), 1)
-        if s.v0_size + self.inner_count != vertex_count_formula(s, n):
+        if s.v0_size + self.inner_count != v_n:
             raise AssertionError("degree recursion vertex count mismatch")
         if sum(self.corner) + self.inner_sum != 2 * edge_count_formula(s, n):
             raise AssertionError("degree recursion handshake mismatch")
@@ -134,13 +128,13 @@ class LevelWalk:
     def factors(self) -> FactoredInteger:
         """tau(G_n) at the current level, checked to be a positive integer."""
         out = dict(self.fixed)
-        for cls, mult in self.fresh.items():
+        for cls, mult in born(self.dd, self.level).items():
             if cls.contains_zero():
                 raise ValueError("class norm of a class containing 0 vanishes")
             self._add(out, cls.norm(), mult)
         for p, e in self.interior.items():
             out[p] = out.get(p, 0) + e
-        self._add(out, self.ratio, self.lifts)
+        self._add(out, self.dd.ratio, self.lifts)
         sign = -1 if out.pop(-1, 0) % 2 else 1
         negative = sorted(p for p, e in out.items() if e < 0)
         if sign != 1 or negative:
@@ -159,7 +153,6 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
         # complete graph on the boundary: Cayley's formula
         return FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
     walk = LevelWalk(s, dd if dd is not None else derive(s))
-    spectrum(walk.dd, n)  # runs the induction to level n and checks its sum rule
     while walk.level < n:
         walk.step()
     return walk.factors()
@@ -172,7 +165,6 @@ def exponent_table(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     walk = LevelWalk(s, dd if dd is not None else derive(s))
-    spectrum(walk.dd, n_max)
     taus = [tau(s, 0)]
     while walk.level < n_max:
         walk.step()

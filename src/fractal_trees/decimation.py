@@ -14,11 +14,13 @@ The pipeline, all in exact arithmetic:
      one function on the diagonal and one off it, so only S_11 and S_12
      are interpolated: phi(z) = -(|V0|-1) S_12(z) and
      R(z) = 1 - S_11(z)/phi(z).  Every sampled diagonal entry must equal
-     S_11 and every off-diagonal entry S_12 at the same point; a failure
-     falsifies full symmetry and aborts.
+     S_11 and every off-diagonal entry S_12 at the same point; the first
+     sample that fails falsifies full symmetry and aborts, before the
+     remaining samples are solved.
   3. Classify every exceptional value (eigenvalues of D and zeros of phi)
      by exact polynomial divisibility and map it to one of the eight
-     multiplicity rules.
+     multiplicity rules (`CASE_RULES`, linear in m^(n-1), |V_{n-1}| and
+     the multiplicity of R(e) at level n - 1).
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families, stored by
@@ -30,11 +32,13 @@ The pipeline, all in exact arithmetic:
      owned by the case rules).  The classes that split this way are the
      images R(e) of the exceptional values e; they depend on R alone, so
      `derive` fixes them once (`DecimationData.split`, `CaseRecord.image`)
-     together with each e's forward orbit, and a level step only reads
-     them.  The eigenvalue-count sum rule is asserted
-     at every level, and `crosscheck_spectrum` compares the predicted
-     spectrum against the characteristic polynomial of an explicitly
-     built level graph.
+     together with each e's forward orbit.  The level step that reads
+     them decides, once per family, whether it lifts or splits, and
+     records the lifting families (`DecimationData.lifted`); `spectrum`
+     and `counting.LevelWalk` read that record.  The eigenvalue-count sum
+     rule is asserted at every level, and `crosscheck_spectrum` compares
+     the predicted spectrum against the characteristic polynomial of an
+     explicitly built level graph.
 
 One deliberate deviation from the literal wording of the case rules: the
 rule for eigenvalues of D at which phi has a pole nominally also requires
@@ -118,26 +122,13 @@ class CaseRecord:
     dr_nonzero: bool
     image: Optional[AlgebraicClass]  # class of R(value); None when R has a pole
 
-    def multiplicity(self, m: int, n: int, v_prev: int, mult_image_prev: int) -> int:
-        """Apply the case rule at level n >= 1."""
-        scale = m ** (n - 1) * self.mult_d
-        if self.case_id == 1:
-            return mult_image_prev
-        if self.case_id == 2:
-            return v_prev
-        if self.case_id == 3:
-            return scale - v_prev + mult_image_prev
-        if self.case_id == 4:
-            return scale + mult_image_prev
-        if self.case_id == 5:
-            return scale + v_prev + mult_image_prev
-        if self.case_id == 6:
-            return scale - v_prev + 2 * mult_image_prev
-        if self.case_id == 7:
-            return 0
-        if self.case_id == 8:
-            return scale
-        raise AssertionError(f"bad case id {self.case_id}")
+
+# the case rules: case id -> coefficients of (m^(n-1) mult_D, |V_{n-1}|, the
+# multiplicity of R(e) at level n - 1) in the multiplicity of e at level n
+CASE_RULES = {
+    1: (0, 0, 1), 2: (0, 1, 0), 3: (1, -1, 1), 4: (1, 0, 1),
+    5: (1, 1, 1), 6: (1, -1, 2), 7: (0, 0, 0), 8: (1, 0, 0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +199,17 @@ def _class_escaped(cls: AlgebraicClass, bound: Fraction) -> bool:
     """True when every root of the class provably has modulus > bound."""
     if cls.is_rational():
         return abs(cls.rational_value()) > bound
-    a0 = cls.minpoly.constant_term()
-    if a0 == 0:
+    coeffs = cls.minpoly.coeffs
+    if coeffs[0] == 0:
         return False
-    # min root modulus >= 1 / (1 + max |a_i / a_0|), a_g = 1 included
-    worst = max(abs(c / a0) for c in cls.minpoly.coeffs[1:])
-    lower = 1 / (1 + worst)
-    return lower > bound
+    # Fujiwara's bound on the reversed polynomial, whose roots are the
+    # reciprocals: every root z has |z| > B when |a_i/a_0| < (2B)^-i for
+    # i = 1..g, with the i = g term halved
+    g = len(coeffs) - 1
+    return all(
+        abs(c / coeffs[0]) / (2 if i == g else 1) < (2 * bound) ** -i
+        for i, c in enumerate(coeffs[1:], 1)
+    )
 
 
 def _escape_bound(num: Polynomial, den: Polynomial) -> Fraction:
@@ -264,6 +259,10 @@ class DecimationData:
     _chains: dict = field(default_factory=dict, repr=False)
     _image_cache: dict = field(default_factory=dict, repr=False)
     _preimage_cache: dict = field(default_factory=dict, repr=False)
+    # the depth-0 families born at level b that lift to level b + 1, in
+    # birth order: at level n they read as (class, n - b, mult); the
+    # others are the ones in `split`
+    lifted: list = field(default_factory=list, repr=False)
     # spectrum induction state: _tables[b] holds the depth-0 families born
     # at level b; _first_lift maps a class to the first level at which a
     # family of that class was born and then lifted; _deep_hit is the
@@ -281,6 +280,13 @@ class DecimationData:
 
     def v_count(self, n: int) -> int:
         return vertex_count_formula(self.structure, n)
+
+    @property
+    def ratio(self) -> Fraction:
+        """(-1)^(d+1) Q(0)/P_d: one preimage step scales a root product by
+        it, as the constant term of the monic preimage polynomial of w is
+        -w Q(0)/P_d and the product of its d roots carries a further (-1)^d."""
+        return (1 if self.d % 2 else -1) * self.Q0 / self.Pd
 
     def primitive_R(self) -> tuple[Polynomial, Polynomial]:
         """R as an integer-primitive coprime pair (num, den).
@@ -364,35 +370,34 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     # chi_D(z) S(z) at k + 2 integers off the roots of chi_D (module docstring, step 2)
     chi_d = charpoly(d_mat)
     points = list(islice((Q(z) for z in count() if chi_d(Q(z))), len(d_mat) + 2))
-    samples = []
+    s11, s12 = [], []
     for z in points:
         c = chi_d(z)
         x_mat = solve_linear(
             [[e - z * (i == j) for j, e in enumerate(row)] for i, row in enumerate(d_mat)], c_mat
         )
-        samples.append([
+        smp = [
             [c * (p1[i][j] - z * (i == j)
                   - sum(p1[i][t] * x_mat[t - v0][j] for t in interior if p1[i][t]))
              for j in range(v0)]
             for i in range(v0)
-        ])
-    n11 = interpolate(points, [smp[0][0] for smp in samples])
-    n12 = interpolate(points, [smp[0][1] for smp in samples])
-
-    phi = RationalFunction(n12 * -(v0 - 1), chi_d)
-    if phi.is_zero():
-        raise NotFullySymmetricError("phi(z) vanishes identically")
-
-    # S = phi (P0 - R) holds iff every diagonal entry is S_11 and every
-    # off-diagonal entry is S_12; chi_D S_ij has degree <= k + 1, so
-    # agreement at the k + 2 samples is agreement as rational functions
-    for smp in samples:
+        ]
+        # S = phi (P0 - R) holds iff every diagonal entry is S_11 and every
+        # off-diagonal entry is S_12; chi_D S_ij has degree <= k + 1, so
+        # agreement at the k + 2 samples is agreement as rational functions
         diag, off = smp[0][0], smp[0][1]
         if any(smp[i][j] != (diag if i == j else off) for i in range(v0) for j in range(v0)):
             raise NotFullySymmetricError(
                 "Schur complement does not factor through the boundary "
                 "Laplacian; structure is not fully symmetric"
             )
+        s11.append(diag)
+        s12.append(off)
+    n11, n12 = interpolate(points, s11), interpolate(points, s12)
+
+    phi = RationalFunction(n12 * -(v0 - 1), chi_d)
+    if phi.is_zero():
+        raise NotFullySymmetricError("phi(z) vanishes identically")
 
     # R = 1 - S_11/phi; the common denominator chi_D cancels
     r = RationalFunction(n11 + n12 * (v0 - 1), n12 * (v0 - 1))
@@ -527,24 +532,20 @@ class SpectrumTable:
 def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """Exact spectrum of P_n as preiterate families, by forward induction.
 
-    A family born at level b (a depth-0 entry of sigma(P_b)) that is not
-    split at level b + 1 reads as (class, n - b, mult) at every level n.
+    The families born at level n read at depth 0; a family born at level
+    b < n that lifts to level b + 1 (`dd.lifted[b]`) reads as
+    (class, n - b, mult).
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    born(dd, n)
+    layers = [born(dd, n), *reversed(dd.lifted[:n])]
     entries = tuple(
-        (cls, n - b, mult)
-        for b in range(n, -1, -1)
-        for cls, mult in dd._tables[b].items()
-        if b == n or cls not in dd.split
+        (cls, k, mult) for k, layer in enumerate(layers) for cls, mult in layer.items()
     )
     st = SpectrumTable(level=n, d=dd.d, entries=entries)
-    if st.eigenvalue_count() != dd.v_count(n):
-        raise InconsistentSpectrumError(
-            f"sum rule violated at level {n}: "
-            f"{st.eigenvalue_count()} != {dd.v_count(n)}"
-        )
+    count, v_n = st.eigenvalue_count(), dd.v_count(n)
+    if count != v_n:
+        raise InconsistentSpectrumError(f"sum rule violated at level {n}: {count} != {v_n}")
     return st
 
 
@@ -591,8 +592,9 @@ def _note_deep_hit(dd: DecimationData, e: AlgebraicClass, chain: ForwardChain, i
 
 
 def _advance(dd: DecimationData, n: int):
-    """Append the depth-0 families born at level n; the families born
-    earlier carry over one level deeper."""
+    """Append the depth-0 families born at level n, and record which of
+    those born at level n - 1 lift; the families born earlier carry over
+    one level deeper."""
     prev = dd._tables[n - 1]
 
     # walk every orbit as deep as the deepest family at level n - 1 asks
@@ -612,7 +614,7 @@ def _advance(dd: DecimationData, n: int):
         )
 
     new: dict = {}
-    v_prev = dd.v_count(n - 1)
+    scale, v_prev, v_n = dd.m ** (n - 1), dd.v_count(n - 1), dd.v_count(n)
 
     def put(cls, mult):
         if mult < 0:
@@ -636,7 +638,8 @@ def _advance(dd: DecimationData, n: int):
             mult_image = 1
         else:
             mult_image = prev.get(rec.image, 0)
-        put(e, rec.multiplicity(dd.m, n, v_prev, mult_image))
+        a, b, c = CASE_RULES[rec.case_id]
+        put(e, a * scale * rec.mult_d + b * v_prev + c * mult_image)
 
     # fresh preimages of the zero eigenvalue (plain lifts of mult 1)
     for cls in _zero_root_classes(dd):
@@ -644,7 +647,7 @@ def _advance(dd: DecimationData, n: int):
 
     # split the previous level's families at the images R(e); the rest
     # lift one preiterate deeper
-    removed = 0
+    removed, lifted = 0, {}
     for base, mult in prev.items():
         if base in dd.split:
             removed += mult * base.degree
@@ -657,7 +660,9 @@ def _advance(dd: DecimationData, n: int):
                         "multiplicity rules for critical points are not covered"
                     )
                 put(_certified(sub), mult)
-        elif base not in dd._first_lift:
+            continue
+        lifted[base] = mult
+        if base not in dd._first_lift:
             dd._first_lift[base] = n - 1
             for e, chain in dd._chains.items():
                 if base in chain.index:
@@ -667,11 +672,10 @@ def _advance(dd: DecimationData, n: int):
     count = 1 + dd.d * (v_prev - 1 - removed) + sum(
         mult * cls.degree for cls, mult in new.items()
     )
-    if count != dd.v_count(n):
-        raise InconsistentSpectrumError(
-            f"sum rule violated at level {n}: {count} != {dd.v_count(n)}"
-        )
+    if count != v_n:
+        raise InconsistentSpectrumError(f"sum rule violated at level {n}: {count} != {v_n}")
     dd._tables.append(dict(sorted(new.items(), key=lambda it: it[0].key())))
+    dd.lifted.append(lifted)
 
 
 # ---------------------------------------------------------------------------

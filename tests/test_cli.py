@@ -253,6 +253,33 @@ def test_verify_stops_at_the_first_level_past_the_oracle_cap(monkeypatch, capsys
     assert run(capsys, "verify", "sierpinski", "--max-level", "5") == (0, out, "")
 
 
+def test_verify_prints_an_assembly_failure_as_a_fail_line(monkeypatch, capsys):
+    # with Q(0) negated the hexagasket's level-2 product is negative (see
+    # test_counting); verify records that and still runs every other check
+    from fractal_trees import cli
+
+    passing = run(capsys, "verify", "hexagasket")[1].splitlines()
+    real = cli.derive
+
+    def negated(s):
+        dd = real(s)
+        dd.Q0 = -dd.Q0
+        return dd
+
+    monkeypatch.setattr(cli, "derive", negated)
+    code, out, err = run(capsys, "verify", "hexagasket")
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert [line.split("  ")[1] for line in lines] == [line.split("  ")[1] for line in passing]
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL  tau oracle vs closed form, level 2  (assembly mismatch at level 2: the product "
+        "is not a positive integer (sign -1, negative exponents at primes []))",
+        "FAIL  integer assembly at level 30  (assembly mismatch at level 30: the product "
+        "is not a positive integer (sign -1, negative exponents at primes []))",
+    ]
+
+
 def test_entropy_text(capsys):
     code, out, _ = run(capsys, "entropy", "diamond", "-n", "16", "--prec", "15")
     assert code == 0
@@ -270,6 +297,19 @@ def test_entropy_json(capsys):
     assert data["values"][0][0] == 2
 
 
+def test_entropy_text_prints_the_bounds(capsys):
+    code, out, _ = run(capsys, "entropy", "sierpinski", "-n", "5", "--prec", "10")
+    assert code == 0
+    # ln(3)/2 <= c <= ln((m-1)|V0|(|V0|-1)/(|V1|-|V0|)) = ln 4
+    assert "bounds: 0.5493061443 <= c <= 1.386294361\n" in out
+
+
+def test_entropy_precision_below_six_refused(capsys):
+    code, out, err = run(capsys, "entropy", "sierpinski", "-n", "5", "--prec", "5")
+    assert code == 1 and out == ""
+    assert err == "error: precision must be at least 6\n"
+
+
 def test_custom_fractal_file(tmp_path, capsys):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(to_json_dict(builtin("diamond"))))
@@ -285,6 +325,23 @@ def test_invalid_fractal_file(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "info", str(path))
     assert code == 1
+
+
+def test_info_lists_the_violations_of_a_fractal_file(tmp_path, capsys):
+    data = to_json_dict(builtin("diamond"))
+    data["edges"].append([0, 1])  # boundary-boundary edge
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 1 and err == ""
+    assert "valid:     False" in out
+    assert "  violation: boundary-boundary edge\n" in out
+    code, out, _ = run(capsys, "info", str(path), "--format", "json")
+    assert code == 1
+    assert "boundary-boundary edge" in json.loads(out)["violations"]
+    # the commands that compute still refuse the file with one error line
+    code, out, err = run(capsys, "count", str(path), "-n", "1")
+    assert code == 1 and out == "" and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -440,7 +440,8 @@ def test_derive_skips_roots_of_chi_d():
 def test_symmetry_check_reads_every_sample(monkeypatch, bad):
     # sierpinski has k = 3 interior vertices, so derive solves at k + 2 = 5
     # points; one perturbed entry at any of them, the last included, breaks
-    # the one-diagonal, one-off-diagonal shape of that sample
+    # the one-diagonal, one-off-diagonal shape of that sample, and derive
+    # refuses at that sample without solving the rest
     s = builtin("sierpinski")
     calls = []
 
@@ -454,4 +455,4 @@ def test_symmetry_check_reads_every_sample(monkeypatch, bad):
     monkeypatch.setattr(decimation, "solve_linear", perturbed)
     with pytest.raises(NotFullySymmetricError, match="does not factor"):
         derive(s)
-    assert len(calls) == 5
+    assert len(calls) == bad + 1

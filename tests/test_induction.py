@@ -4,12 +4,15 @@ import hashlib
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_trees import builtin, derive, spectrum, tau
 from fractal_trees import decimation
 from fractal_trees.decimation import ForwardChain, InconsistentSpectrumError
-from fractal_trees.polys import AlgebraicClass
+from fractal_trees.polys import AlgebraicClass, Polynomial
 from test_generalization import level3_gasket
 
 FOUR = ("sierpinski", "nonpcf_sg", "diamond", "hexagasket")
@@ -215,3 +218,50 @@ def test_escape_radius_refused_for_a_small_leading_coefficient():
     for num, den in ((poly(0, 0, 2), poly(0, 1)), (poly(0, 0, 1), poly(1, 1))):
         with pytest.raises(DecimationError, match="cannot certify an escape radius"):
             _escape_bound(num, den)
+
+
+# ---------------------------------------------------------------------------
+# escape certificates for irrational classes
+
+
+def _cls(*coeffs):
+    return AlgebraicClass(Polynomial([Fraction(c) for c in coeffs]), certified_irreducible=False)
+
+
+FAR_PAIR = _cls(1000001, -2000, 1)  # 1000 +- i
+
+
+def test_far_quadratic_class_is_escaped():
+    assert decimation._class_escaped(FAR_PAIR, Fraction(2))
+
+
+def test_quadratic_class_inside_the_bound_is_not_escaped():
+    # roots 3 +- i/sqrt(2), of modulus sqrt(19/2) ~ 3.08 < 81/16
+    assert not decimation._class_escaped(_cls(Fraction(19, 2), -6, 1), Fraction(81, 16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-200, 200), min_size=1, max_size=3),
+    st.integers(1, 10 ** 6),
+    st.booleans(),
+    st.fractions(2, 20, max_denominator=16),
+)
+def test_escape_certificate_is_sound(middle, a0, negative, bound):
+    try:
+        cls = _cls(-a0 if negative else a0, *middle, 1)
+    except ValueError:  # not squarefree
+        return
+    if decimation._class_escaped(cls, bound):
+        coeffs = [int(c) for c in reversed(cls.minpoly.coeffs)]
+        with mpmath.workdps(30):
+            roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=100)
+            assert min(abs(r) for r in roots) > mpmath.mpf(bound.numerator) / bound.denominator
+
+
+def test_orbit_into_a_far_irrational_class_escapes():
+    dd = derive(builtin("sierpinski"))
+    dd.image_of = lambda cls: FAR_PAIR
+    chain = ForwardChain(dd, next(iter(dd._chains)))
+    assert chain.class_at(1) is None
+    assert chain.status == "escaped" and len(chain.classes) == 1
