@@ -35,7 +35,6 @@ from .polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
-    rational_roots,
     resultant,
 )
 from .structures import (

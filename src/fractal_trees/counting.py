@@ -31,7 +31,6 @@ from math import prod
 from .decimation import DecimationData, InconsistentSpectrumError, born, derive
 from .decimation import spectrum  # noqa: F401 - perfbench's self-test reads counting.spectrum
 from .factored import FactoredInteger, Factorization, factorize
-from .levels import edge_count_formula
 from .polys import AlgebraicClass
 from .structures import SelfSimilarStructure
 
@@ -81,6 +80,7 @@ class LevelWalk:
         self.fixed = self._add(self._add({}, s.v0_size - 1, s.v0_size - 1), s.v0_size, -1)
         self.interior, self.inner_count, self.inner_sum = {}, 0, 0  # H_n
         self.lifts = self.weight = 0  # L_n and W_n
+        self.m_power = 1  # m^n
 
     def _add(self, acc: Factorization, q, e: int) -> Factorization:
         """acc += e * (prime exponents of the nonzero int or Fraction q)."""
@@ -119,10 +119,12 @@ class LevelWalk:
             self._add(self.interior, d, 1)
             self.inner_sum += d
         self.corner = [k * c for k, c in zip(self.kappa, self.corner)]
+        self.m_power *= s.m
         self._add(self.fixed, Fraction(prod(self.kappa), s.m), 1)
         if s.v0_size + self.inner_count != v_n:
             raise AssertionError("degree recursion vertex count mismatch")
-        if sum(self.corner) + self.inner_sum != 2 * edge_count_formula(s, n):
+        # twice the edge count of G_n, m^n |V0|(|V0|-1)
+        if sum(self.corner) + self.inner_sum != self.m_power * s.v0_size * (s.v0_size - 1):
             raise AssertionError("degree recursion handshake mismatch")
 
     def factors(self) -> FactoredInteger:

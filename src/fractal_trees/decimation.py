@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Optional
 
-from .levels import build_level, vertex_count_formula
+from .levels import build_level
 from .kirchhoff import prob_laplacian_charpoly
 from .matrices import charpoly, solve_linear
 from .polys import (
@@ -92,17 +92,6 @@ class UnclassifiableError(DecimationError):
 
 class InconsistentSpectrumError(DecimationError):
     pass
-
-
-def _certified(cls: AlgebraicClass) -> AlgebraicClass:
-    """Refuse a class that may split further: the per-class bookkeeping
-    assumes every class is one full conjugate family."""
-    if not cls.certified_irreducible:
-        raise UnclassifiableError(
-            f"class {cls} of degree {cls.degree} is not certified "
-            "irreducible; classwise bookkeeping would be unsound"
-        )
-    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +262,18 @@ class DecimationData:
     _zero_roots: Optional[list] = field(default=None, repr=False)
     _first_lift: dict = field(default_factory=dict, repr=False)
     _deep_hit: Optional[tuple] = field(default=None, repr=False)
+    _v_counts: list = field(default_factory=list, repr=False)  # |V_0|, |V_1|, ...
 
     @property
     def m(self) -> int:
         return self.structure.m
 
     def v_count(self, n: int) -> int:
-        return vertex_count_formula(self.structure, n)
+        """|V_n|, carried level to level as m |V_{n-1}| - m |V0| + |V1|."""
+        s, v = self.structure, self._v_counts
+        while len(v) <= n:
+            v.append(s.m * (v[-1] - s.v0_size) + s.v1_size)
+        return v[n]
 
     @property
     def ratio(self) -> Fraction:
@@ -322,8 +316,7 @@ class DecimationData:
         if cls.is_rational():
             out = AlgebraicClass.from_rational(self.R(cls.rational_value()))
         else:
-            poly = image_class_poly(cls.minpoly, self.R.num, self.R.den)
-            out = AlgebraicClass(poly, certified_irreducible=cls.certified_irreducible)
+            out = AlgebraicClass(image_class_poly(cls.minpoly, self.R.num, self.R.den))
         self._image_cache[cls] = out
         return out
 
@@ -410,10 +403,10 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     sigma = tuple(factor_classes(chi_d.monic()))
     zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
     seen = {cls for cls, _ in sigma}
-    exceptional = [_certified(cls) for cls, _ in sigma]
+    exceptional = [cls for cls, _ in sigma]
     for cls, _ in zero_classes:
         if cls not in seen:
-            exceptional.append(_certified(cls))
+            exceptional.append(cls)
             seen.add(cls)
     exceptional.sort(key=lambda c: c.key())
 
@@ -430,6 +423,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
         escape_bound=_escape_bound(r.num, r.den),
         # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
         _tables=[{AlgebraicClass.from_rational(Q(v0, v0 - 1)): v0 - 1}],
+        _v_counts=[v0],
     )
     for cls in dd.exceptional:
         dd.case_records[cls] = classify(dd, cls)
@@ -568,7 +562,7 @@ def _zero_root_classes(dd: DecimationData) -> list[AlgebraicClass]:
                     "repeated regular preimage of the zero eigenvalue; "
                     "multiplicity rules for critical points are not covered"
                 )
-            out.append(_certified(cls))
+            out.append(cls)
         dd._zero_roots = out
     return dd._zero_roots
 
@@ -659,7 +653,7 @@ def _advance(dd: DecimationData, n: int):
                         "repeated regular preimage inside a split family; "
                         "multiplicity rules for critical points are not covered"
                     )
-                put(_certified(sub), mult)
+                put(sub, mult)
             continue
         lifted[base] = mult
         if base not in dd._first_lift:

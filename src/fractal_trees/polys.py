@@ -7,23 +7,23 @@ deterministic.  On top of plain polynomial arithmetic the module provides
 the number-theoretic utilities the decimation pipeline needs:
 
   * gcd / squarefree decomposition (Yun's algorithm),
-  * rational root extraction with multiplicities,
-  * splitting squarefree polynomials into irreducible factors up to
-    degree 4 (linear scan, cubic test, quartic resolvent),
+  * factorization of squarefree polynomials into irreducible factors over
+    Q, of any degree, by Zassenhaus's algorithm (factoring modulo a
+    prime, Hensel lifting, recombination),
   * resultants, used to push algebraic numbers through rational maps,
   * Newton interpolation from values at rational points,
-  * `AlgebraicClass`, a monic squarefree polynomial standing for a full
+  * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
-
-Factors of degree > 4 are left unsplit; callers that rely on classwise
-bookkeeping must treat such classes as potentially reducible (see
-`AlgebraicClass.certified_irreducible`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, count, zip_longest
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -224,14 +224,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def shift_scale(self, a, b) -> "Polynomial":
-        """The polynomial p(a*z + b)."""
-        arg = Polynomial([_as_fraction(b), _as_fraction(a)])
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Polynomial.const(c)
-        return acc
-
     # -- display -----------------------------------------------------------
 
     def __str__(self):
@@ -291,76 +283,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic product of the distinct irreducible factors of p."""
     g = p.gcd(p.derivative())
     return (p // g).monic()
-
-
-def rational_roots(p: Polynomial) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities.
-
-    After dividing the returned linear factors out of p, the remaining
-    factor has no rational roots.  Raises on the zero polynomial.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has every root")
-    roots = []
-    # root at 0: multiplicity = number of trailing zero coefficients
-    k = 0
-    cs = list(p.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    if k:
-        roots.append((Q(0), k))
-    q = Polynomial(cs)
-    if q.degree < 1:
-        return roots
-    for cand in _root_candidates(q):
-        if q(cand) == 0:
-            mult = 0
-            lin = Polynomial.from_root(cand)
-            while True:
-                quo, rem = q.divmod(lin)
-                if not rem.is_zero():
-                    break
-                q = quo
-                mult += 1
-            roots.append((cand, mult))
-            if q.degree < 1:
-                break
-    roots.sort(key=lambda rm: rm[0])
-    return roots
-
-
-def _root_candidates(p: Polynomial):
-    """Candidate rational roots r/s by the rational root theorem."""
-    from math import lcm
-
-    den = lcm(*[c.denominator for c in p.coeffs])
-    ints = [int(c * den) for c in p.coeffs]
-    a0, ad = abs(ints[0]), abs(ints[-1])
-    nums = _divisors(a0)
-    dens = _divisors(ad)
-    seen = set()
-    for n in nums:
-        for d in dens:
-            c = Q(n, d)
-            if c not in seen:
-                seen.add(c)
-                yield c
-                yield -c
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
 
 
 def resultant(p: Polynomial, q: Polynomial) -> Fraction:
@@ -489,15 +411,14 @@ class RationalFunction:
 class AlgebraicClass:
     """A Galois-conjugate family of algebraic numbers.
 
-    Represented by its monic squarefree minimal-candidate polynomial.  For
-    degree <= 4 the factor splitting below guarantees irreducibility, so
-    the class really is one conjugacy family; higher-degree leftovers are
-    flagged via `certified_irreducible=False` and must be treated with
-    care by classwise algorithms.
+    Represented by its monic minimal polynomial over Q.  The constructor
+    checks that it is monic and squarefree; irreducibility holds by
+    construction, as every class comes from `split_squarefree`, from a
+    rational value or from `DecimationData.image_of`, which maps one
+    conjugate family onto another.
     """
 
     minpoly: Polynomial
-    certified_irreducible: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         mp = self.minpoly
@@ -547,88 +468,170 @@ class AlgebraicClass:
 
 
 def split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
-    """Split a squarefree polynomial into conjugate classes.
+    """The irreducible factors over Q of a squarefree p, as classes sorted by key.
 
-    Rational roots become degree-1 classes; the remainder is split into
-    irreducible pieces when its degree is at most 4 (a quadratic or cubic
-    with no rational root is irreducible; a quartic is checked for a
-    rational 2+2 factorization via its resolvent cubic).  Degree > 4
-    remainders are returned whole with certified_irreducible=False.
+    Zassenhaus's algorithm (von zur Gathen-Gerhard, *Modern Computer
+    Algebra*, ch. 14-15) on the monic integer F(y) = D^deg p(y/D), D the
+    lcm of the denominators of the monic p: factor F modulo the smallest
+    odd prime q at which it stays squarefree (a `random.Random` seeded
+    from q makes runs reproducible), Hensel-lift the factors above twice
+    Mignotte's bound 2^deg sum |F_i| on the coefficients of a monic factor
+    of F, and recombine; each factor G of F gives the class G(Dz)/D^deg G.
     """
     p = p.monic()
-    out = []
-    rest = p
-    for r, mult in rational_roots(p):
-        if mult != 1:
-            raise ValueError("split_squarefree expects a squarefree input")
-        out.append(AlgebraicClass.from_rational(r))
-        rest = rest // Polynomial.from_root(r)
-    rest = rest.monic()
-    if rest.degree == 0:
-        pass
-    elif rest.degree in (2, 3):
-        out.append(AlgebraicClass(rest))
-    elif rest.degree == 4:
-        split = _split_quartic(rest)
-        out.extend(AlgebraicClass(f) for f in split)
-    else:
-        out.append(AlgebraicClass(rest, certified_irreducible=False))
-    out.sort(key=lambda c: c.key())
+    if p.is_zero() or p.gcd(p.derivative()).degree > 0:
+        raise ValueError("split_squarefree expects a squarefree input")
+    n, den = p.degree, lcm(*(c.denominator for c in p.coeffs))
+    big = [int(c * den ** (n - i)) for i, c in enumerate(p.coeffs)]
+
+    def good(q):  # q is an odd prime and F stays squarefree mod q
+        if any(q % r == 0 for r in range(3, isqrt(q) + 1, 2)):
+            return False
+        deriv = _trim([i * c % q for i, c in enumerate(big)][1:])
+        return len(_xgcd([c % q for c in big], deriv, q)[0]) == 1
+
+    q = next(filter(good, count(3, 2)))
+    rng = random.Random(q)
+    modular = [g for f, k in _ddf([c % q for c in big], q) for g in _edf(f, k, q, rng)]
+    bound, modulus = 2 ** (n + 1) * sum(abs(c) for c in big), q
+    while modulus <= bound:
+        modulus *= modulus
+    lifted = _hensel(big, modular, q, modulus)
+
+    # the smallest subset whose product divides F is an irreducible factor
+    rest, found, size = Polynomial(big), [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = _prod([lifted[i] for i in subset], modulus)
+            g = Polynomial(c - modulus if 2 * c > modulus else c for c in g)  # symmetric residues
+            quo, rem = rest.divmod(g)
+            if rem.is_zero():
+                found.append(g)
+                rest = quo
+                lifted = [f for i, f in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    if rest.degree > 0:
+        found.append(rest)
+    classes = [
+        AlgebraicClass(Polynomial([c / den ** (g.degree - i) for i, c in enumerate(g.coeffs)]))
+        for g in found
+    ]
+    return sorted(classes, key=AlgebraicClass.key)
+
+
+# polynomials modulo m: int lists, lowest degree first, no trailing zeros
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _add(a: list, b: list, m: int, sign: int = 1) -> list:
+    """a + sign * b modulo m."""
+    return _trim([(x + sign * y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _mul(a: list, b: list, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % m for c in out])
+
+
+def _prod(polys: list, m: int) -> list:
+    return reduce(lambda a, b: _mul(a, b, m), polys, [1])
+
+
+def _divmod(a: list, b: list, m: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b modulo m; lc(b) must be a unit."""
+    rem, inv, db = [c % m for c in a], pow(b[-1], -1, m), len(b) - 1
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + db] * inv % m
+        for j, y in enumerate(b):
+            rem[k + j] = (rem[k + j] - c * y) % m
+    return _trim(quo), _trim(rem[:db])
+
+
+def _xgcd(a: list, b: list, q: int) -> tuple[list, list, list]:
+    """Extended Euclid modulo the prime q, for a nonzero a: the monic gcd g
+    and s, t with s a + t b = g, deg s < deg b and deg t < deg a."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        quo, rem = _divmod(r0, r1, q)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _add(s0, _mul(quo, s1, q), q, -1)
+        t0, t1 = t1, _add(t0, _mul(quo, t1, q), q, -1)
+    inv = pow(r0[-1], -1, q)
+    return tuple([c * inv % q for c in x] for x in (r0, s0, t0))
+
+
+def _powmod(a: list, e: int, f: list, q: int) -> list:
+    """a^e modulo f and q."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, q), f, q)[1]
+        a = _divmod(_mul(a, a, q), f, q)[1]
+        e >>= 1
     return out
 
 
-def _split_quartic(p: Polynomial) -> list[Polynomial]:
-    """Monic squarefree quartic with no rational roots: try a 2+2 split.
-
-    Over Q such a quartic is reducible iff it splits into two monic
-    rational quadratics, which after depressing corresponds to a rational
-    root U = u^2 of the resolvent cubic U^3 + 2aU^2 + (a^2-4c)U - b^2
-    (u = 0 allowed when b = 0).  Returns the factors, or [p] if
-    irreducible.
-    """
-    a3 = p.coeffs[3]
-    shift = -a3 / 4
-    dep = p.shift_scale(1, shift)  # t^4 + a t^2 + b t + c
-    a, b, c = dep.coeffs[2], dep.coeffs[1], dep.coeffs[0]
-
-    def undo(q: Polynomial) -> Polynomial:
-        return q.shift_scale(1, -shift).monic()
-
-    if b == 0:
-        # biquadratic: t^4 + a t^2 + c = (t^2 + u)(t^2 + v)
-        disc = a * a - 4 * c
-        s = _fraction_sqrt(disc)
-        if s is not None:
-            u, v = (a + s) / 2, (a - s) / 2
-            return [undo(Polynomial([u, 0, 1])), undo(Polynomial([v, 0, 1]))]
-        # fall through: may still split with u != 0 via the resolvent
-    resolvent = Polynomial([-b * b, a * a - 4 * c, 2 * a, 1])
-    for U, _ in rational_roots(resolvent):
-        if U <= 0:
-            continue
-        u = _fraction_sqrt(U)
-        if u is None:
-            continue
-        w = (a + U + b / u) / 2
-        v = (a + U - b / u) / 2
-        f1 = Polynomial([v, u, 1])
-        f2 = Polynomial([w, -u, 1])
-        if (f1 * f2) == dep:
-            return [undo(f1), undo(f2)]
-    return [p]
+def _ddf(f: list, q: int) -> list[tuple[list, int]]:
+    """Distinct-degree factorization of a monic squarefree f modulo q:
+    pairs (the product of its irreducible factors of degree k, k)."""
+    out, h, k = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _powmod(h, q, f, q)  # z^(q^k) mod f
+        g = _xgcd(f, _add(h, [0, 1], q, -1), q)[0]
+        if len(g) > 1:
+            out.append((g, k))
+            f = _divmod(f, g, q)[0]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
 
 
-def _fraction_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    from math import isqrt
+def _edf(f: list, k: int, q: int, rng: random.Random) -> list[list]:
+    """Cantor-Zassenhaus: split f, a product of distinct monic irreducible
+    factors of degree k modulo the odd prime q, into those factors."""
+    if len(f) - 1 == k:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(q) for _ in range(len(f) - 1)])
+        g = _xgcd(f, _add(_powmod(a, (q ** k - 1) // 2, f, q), [1], q, -1), q)[0]
+        if 1 < len(g) < len(f):
+            return _edf(g, k, q, rng) + _edf(_divmod(f, g, q)[0], k, q, rng)
 
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Q(rn, rd)
-    return None
+
+def _hensel(f: list, factors: list[list], q: int, modulus: int) -> list[list]:
+    """Lift the monic factors of the monic f modulo q to monic factors of f
+    modulo `modulus`, a power q^(2^j): split them in two halves, lift the
+    pair of products quadratically (von zur Gathen-Gerhard, Algorithm
+    15.10), then each half in turn."""
+    if len(factors) < 2:
+        return [f]
+    half = len(factors) // 2
+    g, h = _prod(factors[:half], q), _prod(factors[half:], q)
+    _, s, t = _xgcd(g, h, q)
+    m = q
+    while m < modulus:
+        m *= m
+        e = _add(f, _mul(g, h, m), m, -1)
+        quo, rem = _divmod(_mul(s, e, m), h, m)
+        g = _add(g, _add(_mul(t, e, m), _mul(quo, g, m), m), m)
+        h = _add(h, rem, m)
+        b = _add(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m, -1)
+        c, d = _divmod(_mul(s, b, m), h, m)
+        s = _add(s, d, m, -1)
+        t = _add(t, _add(_mul(t, b, m), _mul(c, g, m), m), m, -1)
+    return _hensel(g, factors[:half], q, modulus) + _hensel(h, factors[half:], q, modulus)
 
 
 def factor_classes(p: Polynomial) -> list[tuple[AlgebraicClass, int]]:

@@ -14,13 +14,12 @@ from fractal_trees import decimation
 from fractal_trees.decimation import (
     BoundaryAdjacencyError,
     NotFullySymmetricError,
-    UnclassifiableError,
     ZERO_CLASS,
     classify,
 )
 from fractal_trees.matrices import solve_linear
 from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction
-from test_generalization import level3_gasket
+from test_generalization import gasket2
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
 SQRT5_PAIR = AlgebraicClass(Polynomial([F(1, 4), F(-3, 2), 1]))
@@ -309,35 +308,6 @@ def test_negative_level_rejected(dds):
         spectrum(dds["sierpinski"], -1)
 
 
-def _mark_uncertified(factor):
-    """factor_classes, but every class comes back as if it were an unsplit
-    factor of degree >= 5."""
-    def wrapped(p):
-        return [(AlgebraicClass(c.minpoly, certified_irreducible=False), mult)
-                for c, mult in factor(p)]
-    return wrapped
-
-
-def test_uncertified_class_refused(monkeypatch, capsys):
-    import fractal_trees.decimation as dec
-    from fractal_trees.cli import main
-
-    fresh = {name: derive(builtin(name)) for name in ("sierpinski", "diamond")}
-    monkeypatch.setattr(dec, "factor_classes", _mark_uncertified(dec.factor_classes))
-    # exceptional values, as derive classifies them
-    with pytest.raises(UnclassifiableError, match="not certified irreducible"):
-        derive(builtin("sierpinski"))
-    assert main(["count", "sierpinski", "-n", "3"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: class ") and err.count("\n") == 1
-    # the nonzero root 2 of R's numerator, a fresh preimage of 0
-    with pytest.raises(UnclassifiableError, match="class 2 of degree 1"):
-        spectrum(fresh["diamond"], 1)
-    # the family 3/4 split off 3/2 = R(1/2) at level 2
-    with pytest.raises(UnclassifiableError, match="class 3/4 of degree 1"):
-        spectrum(fresh["sierpinski"], 3)
-
-
 # ---------------------------------------------------------------------------
 # derive's outputs, pinned
 
@@ -411,7 +381,7 @@ def _schur_at(s, z):
 
 @pytest.mark.parametrize("name", sorted(PINNED_DERIVE))
 def test_derive_outputs_pinned(name):
-    s = level3_gasket() if name == "sg3" else builtin(name)
+    s = gasket2(3) if name == "sg3" else builtin(name)
     dd = derive(s)
     phi_n, phi_d, r_n, r_d, chi = PINNED_DERIVE[name]
     assert (dd.phi.num, dd.phi.den) == (_p(phi_n), _p(phi_d))

@@ -1,12 +1,18 @@
-"""Structures beyond the builtins: one that must work, one that must not.
+"""Structures beyond the builtins: ones that must work, one that must not.
 
-The level-3 gasket (six triangular cells in a triangle, |V1| = 10) is a
-fully symmetric structure the engine was not tuned on; every exactness
-gate has to certify it from scratch.  The pentagasket's symmetry group
-is transitive but not doubly transitive on its five boundary points, so
-the scalar decimation identity genuinely fails and derivation must
-refuse rather than produce numbers.
+The gaskets SG_{2,b} (a triangle cut into b parts per side, the upward
+triangles as cells) are fully symmetric structures the engine was not
+tuned on; every exactness gate has to certify them from scratch.  SG_{2,3}
+(sg3, six cells, |V1| = 10) is checked in depth; SG_{2,4}, SG_{2,5} and
+SG_{2,6} carry exceptional classes of degree 5 and 7, which only a
+factorization of every degree can split.  The pentagasket's symmetry
+group is transitive but not doubly transitive on its five boundary
+points, so the scalar decimation identity genuinely fails and derivation
+must refuse rather than produce numbers.
 """
+
+import json
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -22,28 +28,21 @@ from fractal_trees import (
     tau_bruteforce,
 )
 from fractal_trees.decimation import NotFullySymmetricError
-from fractal_trees.structures import SelfSimilarStructure, validate
+from fractal_trees.structures import SelfSimilarStructure, to_json_dict, validate
 
 
-def level3_gasket() -> SelfSimilarStructure:
-    # triangle subdivided into 9 small triangles; the six upward ones are
-    # the cells.  Lattice points row by row: 0 / 1 2 / 3 4 5 / 6 7 8 9.
-    cells = [
-        [0, 1, 2],
-        [1, 3, 4],
-        [2, 4, 5],
-        [3, 6, 7],
-        [4, 7, 8],
-        [5, 8, 9],
-    ]
-    edges = []
-    for cm in cells:
-        for a in range(3):
-            for b in range(a + 1, 3):
-                edges.append([cm[a], cm[b]])
+def gasket2(b: int) -> SelfSimilarStructure:
+    # triangle subdivided into b^2 small triangles; the b(b+1)/2 upward ones
+    # are the cells and the three apexes the boundary.  Lattice points row
+    # by row, point c of row r at r(r+1)/2 + c: for b = 3, 0 / 1 2 / 3 4 5 / 6 7 8 9.
+    def at(r, c):
+        return r * (r + 1) // 2 + c
+
+    cells = [[at(r, c), at(r + 1, c), at(r + 1, c + 1)] for r in range(b) for c in range(r + 1)]
+    edges = [[cm[i], cm[j]] for cm in cells for i in range(3) for j in range(i + 1, 3)]
     return SelfSimilarStructure.create(
-        name="sg3", m=6, v0_size=3, v1_size=10,
-        edges1=edges, boundary=[0, 6, 9], cell_maps=cells,
+        name=f"sg{b}", m=len(cells), v0_size=3, v1_size=at(b + 1, 0),
+        edges1=edges, boundary=[0, at(b, 0), at(b, b)], cell_maps=cells,
     )
 
 
@@ -71,11 +70,16 @@ def pentagasket() -> SelfSimilarStructure:
 
 @pytest.fixture(scope="module")
 def sg3_dd():
-    return derive(level3_gasket())
+    return derive(gasket2(3))
 
 
 def test_sg3_structure_valid():
-    assert validate(level3_gasket()).ok
+    s = gasket2(3)
+    assert validate(s).ok
+    assert [list(cm) for cm in s.cell_maps] == [
+        [0, 1, 2], [1, 3, 4], [2, 4, 5], [3, 6, 7], [4, 7, 8], [5, 8, 9]
+    ]
+    assert list(s.boundary) == [0, 6, 9]
 
 
 def test_sg3_decimation_data(sg3_dd):
@@ -85,7 +89,7 @@ def test_sg3_decimation_data(sg3_dd):
 
 
 def test_sg3_oracle_agreement(sg3_dd):
-    s = level3_gasket()
+    s = gasket2(3)
     for n in (0, 1, 2):
         assert tau(s, n, sg3_dd) == tau_bruteforce(build_level(s, n)), n
     assert tau(s, 1, sg3_dd) == 5292  # 2^2 * 3^3 * 7^2
@@ -101,12 +105,32 @@ def test_sg3_spectrum_certified(sg3_dd):
 
 
 def test_sg3_entropy_in_bounds(sg3_dd):
-    rep = entropy(level3_gasket(), n_max=30, precision=30, dd=sg3_dd)
+    rep = entropy(gasket2(3), n_max=30, precision=30, dd=sg3_dd)
     assert rep.within_bounds() is True
     assert rep.diffs_decreasing
     # denser than the ordinary gasket, as expected
     sg = entropy(builtin("sierpinski"), n_max=30, precision=30)
     assert rep.extrapolated > sg.extrapolated
+
+
+# tau(G_1) of SG_{2,b}, from the Kirchhoff oracle
+GASKET_TAU_G1 = {4: 2723220, 5: 7242690816, 6: 98719805835000}
+
+
+@pytest.mark.parametrize("b, top", [(4, 2), (5, 2), (6, 1)])
+def test_larger_gaskets_match_kirchhoff(b, top):
+    s = gasket2(b)
+    dd = derive(s)
+    for n in range(top + 1):
+        assert tau(s, n, dd) == tau_bruteforce(build_level(s, n)), (b, n)
+    assert tau(s, 1, dd) == GASKET_TAU_G1[b]
+    assert spectrum(dd, 30).eigenvalue_count() == dd.v_count(30)
+
+
+@pytest.mark.parametrize("b", [4, 5])
+def test_committed_gasket_files(b):
+    path = Path(__file__).parent / "data" / f"sg_2_{b}.json"
+    assert json.loads(path.read_text()) == to_json_dict(gasket2(b))
 
 
 def test_pentagasket_valid_but_refused():
@@ -117,13 +141,10 @@ def test_pentagasket_valid_but_refused():
 
 
 def test_cli_verify_on_custom_structures(tmp_path, capsys):
-    import json
-
     from fractal_trees.cli import main
-    from fractal_trees.structures import to_json_dict
 
     good = tmp_path / "sg3.json"
-    good.write_text(json.dumps(to_json_dict(level3_gasket())))
+    good.write_text(json.dumps(to_json_dict(gasket2(3))))
     code = main(["verify", str(good), "--max-level", "2"])
     out, _ = capsys.readouterr()
     assert code == 0

@@ -13,7 +13,7 @@ from fractal_trees import builtin, derive, spectrum, tau
 from fractal_trees import decimation
 from fractal_trees.decimation import ForwardChain, InconsistentSpectrumError
 from fractal_trees.polys import AlgebraicClass, Polynomial
-from test_generalization import level3_gasket
+from test_generalization import gasket2
 
 FOUR = ("sierpinski", "nonpcf_sg", "diamond", "hexagasket")
 
@@ -52,7 +52,7 @@ def test_closed_forms_hold_deep(name):
 
 
 def test_spectrum_factors_each_polynomial_once(monkeypatch):
-    for s in [builtin(name) for name in FOUR] + [level3_gasket()]:
+    for s in [builtin(name) for name in FOUR] + [gasket2(3)]:
         dd = derive(s)
         calls = []
 
@@ -67,7 +67,7 @@ def test_spectrum_factors_each_polynomial_once(monkeypatch):
 
 
 def test_incremental_reads_match_a_deep_first_build():
-    for s in [builtin(name) for name in FOUR] + [level3_gasket()]:
+    for s in [builtin(name) for name in FOUR] + [gasket2(3)]:
         dd, dd2 = derive(s), derive(s)
         upward = [spectrum(dd, n).entries for n in range(61)]
         spectrum(dd2, 60)
@@ -95,7 +95,7 @@ SG3_TABLES_TAU_0_60 = "7768ba253f277516dbbba71c6dd4169e31b0252d5cf8773bd0ac2fd19
 
 
 def test_sg3_tables_and_tau_unchanged_to_level_60():
-    s = level3_gasket()
+    s = gasket2(3)
     dd = derive(s)
     h = hashlib.sha256()
     for n in range(61):
@@ -225,7 +225,7 @@ def test_escape_radius_refused_for_a_small_leading_coefficient():
 
 
 def _cls(*coeffs):
-    return AlgebraicClass(Polynomial([Fraction(c) for c in coeffs]), certified_irreducible=False)
+    return AlgebraicClass(Polynomial([Fraction(c) for c in coeffs]))
 
 
 FAR_PAIR = _cls(1000001, -2000, 1)  # 1000 +- i

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,6 @@ from fractal_trees.polys import (
     image_class_poly,
     interpolate,
     preimage_poly,
-    rational_roots,
     resultant,
     split_squarefree,
     squarefree_decomposition,
@@ -156,17 +157,18 @@ def test_resultant_vanishes_iff_common_factor(p, q):
 def test_rational_roots_with_multiplicity():
     # x (3/2 - x)^2, lowest-first coefficients of -x^3 + 3x^2 - 9/4 x
     p = poly(0, F(9, 4), -3, 1) * -1
-    assert rational_roots(p) == [(F(0), 1), (F(3, 2), 2)]
+    out = factor_classes(p)
+    assert sorted((c.rational_value(), m) for c, m in out) == [(F(0), 1), (F(3, 2), 2)]
 
 
 def test_rational_roots_none_for_conjugate_pair():
-    assert rational_roots(poly(7, -24, 16)) == []
+    assert [(c.degree, m) for c, m in factor_classes(poly(7, -24, 16))] == [(2, 1)]
 
 
 def test_rational_roots_preiterate_quadratic():
     # 4z^2 - 5z + 3/4 has no rational roots; its root product is 3/16
     p = poly(F(3, 4), -5, 4)
-    assert rational_roots(p) == []
+    assert [(c.degree, m) for c, m in factor_classes(p)] == [(2, 1)]
     cls = split_squarefree(p.monic())
     assert len(cls) == 1 and cls[0].degree == 2
     assert cls[0].norm() == F(3, 16)
@@ -174,7 +176,7 @@ def test_rational_roots_preiterate_quadratic():
 
 def test_rational_roots_zero_poly_raises():
     with pytest.raises(ValueError):
-        rational_roots(Polynomial())
+        factor_classes(Polynomial())
 
 
 def test_class_norms():
@@ -218,7 +220,6 @@ def test_quartic_irreducible_stays_whole():
     # z^4 - z - 1 is irreducible over Q
     classes = split_squarefree(poly(-1, -1, 0, 0, 1))
     assert len(classes) == 1 and classes[0].degree == 4
-    assert classes[0].certified_irreducible
 
 
 def test_quartic_biquadratic_split():
@@ -233,15 +234,11 @@ def _is_rational_square(x):
     return x >= 0 and all(isqrt(k) ** 2 == k for k in (x.numerator, x.denominator))
 
 
-# halves keep the rational-root search of each product cheap
-halves = st.fractions(min_value=F(-6), max_value=F(6), max_denominator=2)
-
-
 @settings(max_examples=150, deadline=None)
-@given(halves, halves, halves, halves)
+@given(small_rationals, small_rationals, small_rationals, small_rationals)
 def test_quartic_splits_into_its_two_quadratics(b1, c1, b2, c2):
     # two distinct monic irreducible quadratics: the product is squarefree
-    # with no rational root, and it generally needs the resolvent with b != 0
+    # with no rational root
     assume((b1, c1) != (b2, c2))
     assume(not _is_rational_square(b1 * b1 - 4 * c1))
     assume(not _is_rational_square(b2 * b2 - 4 * c2))
@@ -255,7 +252,6 @@ def test_biquadratic_with_no_rational_split_stays_whole():
     # = 96 is no square and the resolvent roots 0, 8, 12 give no square u^2
     classes = split_squarefree(poly(1, 0, -10, 0, 1))
     assert len(classes) == 1 and classes[0].degree == 4
-    assert classes[0].certified_irreducible
 
 
 def test_factor_classes_with_multiplicity():
@@ -264,6 +260,54 @@ def test_factor_classes_with_multiplicity():
     assert len(out) == 2
     mults = {cls.degree: m for cls, m in out}
     assert mults == {1: 2, 2: 1}
+
+
+def test_quintic_splits_two_plus_three():
+    # SG_{2,4}'s degree-5 exceptional class, over Q
+    # 4608^-1 (24z^2 - 34z + 3)(192z^3 - 416z^2 + 260z - 41)
+    p = poly(F(-41, 1536), F(1087, 2304), F(-173, 72), F(655, 144), F(-43, 12), 1)
+    classes = split_squarefree(p)
+    assert [c.minpoly for c in classes] == [poly(3, -34, 24).monic(), poly(-41, 260, -416, 192).monic()]
+
+
+def test_irreducible_quintic_stays_whole():
+    # SG_{2,5}'s degree-5 class, irreducible modulo 5
+    p = poly(F(-1663, 4608), F(6131, 2304), F(-1999, 288), F(299, 36), F(-14, 3), 1)
+    assert [c.minpoly for c in split_squarefree(p)] == [p]
+
+
+@pytest.mark.parametrize("p", [poly(-2, 0, 1) ** 2, poly(F(-1, 2), 1) ** 2 * poly(3, 1)])
+def test_split_squarefree_refuses_a_repeated_factor(p):
+    # no prime makes a repeated factor squarefree, so the prime search would never end
+    with pytest.raises(ValueError, match="split_squarefree expects a squarefree input"):
+        split_squarefree(p)
+
+
+@st.composite
+def irreducible_factors(draw):
+    """2-4 distinct monic irreducible polynomials of degree 1-6: Eisenstein
+    polynomials at 2 or 3 under a rational affine change of variable."""
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        k, prime = draw(st.integers(1, 6)), draw(st.sampled_from([2, 3]))
+        lower = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+        c0 = draw(st.integers(-4, 4).filter(lambda c: c % prime))
+        eisenstein = poly(*(prime * c for c in [c0, *lower]), 1)
+        arg = poly(draw(small_rationals), draw(small_rationals.filter(bool)))
+        f = Polynomial()
+        for c in reversed(eisenstein.coeffs):
+            f = f * arg + c
+        out.append(f.monic())
+    assume(len(set(out)) == len(out))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_factors())
+def test_factor_classes_returns_the_irreducible_factors(factors):
+    out = factor_classes(reduce(mul, factors))
+    assert sorted(c.minpoly.coeffs for c, m in out if m == 1) == sorted(f.coeffs for f in factors)
+    assert len(out) == len(factors)
 
 
 # ---------------------------------------------------------------------------
