@@ -207,10 +207,10 @@ def cmd_verify(args) -> int:
     def record(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail))
 
-    def attempt(name: str, check, detail: str = ""):
-        """Record check()'s verdict; an exactness failure it raises is a FAIL."""
+    def attempt(name: str, check):
+        """Record check()'s (verdict, detail); a raised exactness failure is a FAIL."""
         try:
-            ok = check()
+            ok, detail = check()
         except (AssemblyError, InconsistentSpectrumError) as e:
             ok, detail = False, str(e)
         record(name, ok, detail)
@@ -239,7 +239,7 @@ def cmd_verify(args) -> int:
     brute = {n: tau_bruteforce(g) for n, g in graphs.items()}
     for n in oracle_levels:
         attempt(f"tau oracle vs closed form, level {n}",
-                lambda: tau(s, n, dd) == brute[n], f"{brute[n]}")
+                lambda: (tau(s, n, dd) == brute[n], f"{brute[n]}"))
 
     # the first two nonempty levels; each charpoly serves both checks
     spectral_levels = [n for n in oracle_levels if n >= 1][:2]
@@ -249,12 +249,12 @@ def cmd_verify(args) -> int:
         record(f"matrix-tree identity on G_{n}", ok, f"tau={t}")
 
     for n in spectral_levels:
-        ok, detail = crosscheck_spectrum(dd, n, chi=chis[n])
-        record(f"spectrum charpoly crosscheck, level {n}", ok, detail)
+        attempt(f"spectrum charpoly crosscheck, level {n}",
+                lambda: crosscheck_spectrum(dd, n, chi=chis[n]))
 
     # these two pass unless the induction or the assembly refuses
-    attempt("spectrum sum rule, levels 0..30", lambda: spectrum(dd, 30) is not None)
-    attempt("integer assembly at level 30", lambda: tau(s, 30, dd) is not None)
+    attempt("spectrum sum rule, levels 0..30", lambda: (spectrum(dd, 30) is not None, ""))
+    attempt("integer assembly at level 30", lambda: (tau(s, 30, dd) is not None, ""))
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

@@ -30,10 +30,14 @@ The pipeline, all in exact arithmetic:
      lifted wholesale: at depth one the preimage polynomial is factored
      and only the regular factors are kept (the exceptional members are
      owned by the case rules).  The classes that split this way are the
-     images R(e) of the exceptional values e; they depend on R alone, so
-     `derive` fixes them once (`DecimationData.split`, `CaseRecord.image`)
-     together with each e's forward orbit.  The level step that reads
-     them decides, once per family, whether it lifts or splits, and
+     images R(e) of the exceptional values; they depend on R alone, so
+     `derive` fixes them once (`DecimationData.split`, `CaseRecord.image`).
+     The zero eigenvalue splits the same way at every level, into the
+     roots of R.  The first level step walks each e's forward orbit to its
+     end once and records, per class, the least depth i >= 2 at which an
+     orbit reaches it; a family of that class that lifts at level b would
+     hold e at depth i at level b + i, where the induction refuses.  Each
+     level step decides once per family whether it lifts or splits, and
      records the lifting families (`DecimationData.lifted`); `spectrum`
      and `counting.LevelWalk` read that record.  The eigenvalue-count sum
      rule is asserted at every level, and `crosscheck_spectrum` compares
@@ -124,55 +128,46 @@ CASE_RULES = {
 # forward orbits of exceptional values
 
 
-class ForwardChain:
-    """Classes of R(e), R(R(e)), ... for one exceptional class e.
-
-    Iteration stops once the orbit provably never meets the spectrum
-    again: at a pole of R, or once every conjugate has modulus above the
-    escape bound (|R(z)| >= 2|z| there, so the orbit diverges).  Cycles
-    are detected so arbitrary depths can be answered.
-    """
-
-    def __init__(self, dd: "DecimationData", start: AlgebraicClass):
-        self.dd = dd
-        self.classes: list[AlgebraicClass] = [start]
-        self.index = {start: 0}  # class -> its position in `classes`
-        self.status = "active"  # active | pole | escaped | cycle
-        self.cycle_start = 0
-
-    def class_at(self, k: int) -> Optional[AlgebraicClass]:
-        """Class of R^k(e), or None if the orbit left the spectrum."""
-        while self.status == "active" and len(self.classes) <= k:
-            self._step()
-        if k < len(self.classes):
-            return self.classes[k]
-        if self.status == "cycle":
-            period = len(self.classes) - self.cycle_start
-            return self.classes[self.cycle_start + (k - self.cycle_start) % period]
-        return None
-
-    def _step(self):
-        dd = self.dd
-        cur = self.classes[-1]
+def _orbit(dd: "DecimationData", e: AlgebraicClass) -> tuple[list[AlgebraicClass], str | int]:
+    """The classes of e, R(e), R(R(e)), ... to the orbit's end, and how it
+    ends: "pole" at a pole of R, "escaped" once every conjugate of the next
+    class has modulus above the escape bound (|R(z)| >= 2|z| there, so the
+    orbit diverges and never meets the spectrum again), or the position
+    at which the next class repeats an earlier one."""
+    classes, index = [e], {e: 0}
+    while True:
+        cur = classes[-1]
         if cur.minpoly.divides(dd.R.den):
-            self.status = "pole"
-            return
+            return classes, "pole"
         nxt = dd.image_of(cur)
         if _class_escaped(nxt, dd.escape_bound):
-            self.status = "escaped"
-            return
+            return classes, "escaped"
         _guard_height(nxt)
-        if nxt in self.index:
-            self.status = "cycle"
-            self.cycle_start = self.index[nxt]
-            return
-        self.index[nxt] = len(self.classes)
-        self.classes.append(nxt)
-        if len(self.classes) > 4096:
+        if nxt in index:
+            return classes, index[nxt]
+        index[nxt] = len(classes)
+        classes.append(nxt)
+        if len(classes) > 4096:
             raise InconsistentSpectrumError(
                 "forward orbit of an exceptional value neither escapes nor "
                 "cycles; cannot certify the spectrum bookkeeping"
             )
+
+
+def _orbit_depths(dd: "DecimationData") -> dict:
+    """class -> (i, e): the least depth i >= 2 at which the forward orbit
+    of an exceptional value e reaches the class.  A family of the class
+    that lifts at level b holds e among its depth-i preiterates at level
+    b + i, where the induction refuses.  A cycle counts its repeats."""
+    depths: dict = {}
+    for e in dd.exceptional:
+        classes, end = _orbit(dd, e)
+        if not isinstance(end, str):
+            classes += classes[end:] * 2  # each cycle class recurs at a depth >= 2
+        for i, cls in enumerate(classes[2:], 2):
+            if cls not in depths or i < depths[cls][0]:
+                depths[cls] = (i, classes[0])
+    return depths
 
 
 def _guard_height(cls: AlgebraicClass):
@@ -244,8 +239,6 @@ class DecimationData:
     # classes split at the next level instead of lifting
     split: frozenset = frozenset()
     escape_bound: Fraction = Q(2)
-    # the forward orbit of each exceptional value, keyed by the value
-    _chains: dict = field(default_factory=dict, repr=False)
     _image_cache: dict = field(default_factory=dict, repr=False)
     _preimage_cache: dict = field(default_factory=dict, repr=False)
     # the depth-0 families born at level b that lift to level b + 1, in
@@ -253,14 +246,12 @@ class DecimationData:
     # others are the ones in `split`
     lifted: list = field(default_factory=list, repr=False)
     # spectrum induction state: _tables[b] holds the depth-0 families born
-    # at level b; _first_lift maps a class to the first level at which a
-    # family of that class was born and then lifted; _deep_hit is the
-    # earliest (level, exceptional, base, depth) at which an exceptional
-    # orbit meets a lifted family at depth 2 or more, where the induction
-    # refuses
+    # at level b; _reach is `_orbit_depths(self)`, walked once at the
+    # first level step; _deep_hit is the earliest (level, exceptional,
+    # base, depth) at which an exceptional orbit meets a lifted family at
+    # depth 2 or more, where the induction refuses
     _tables: list = field(default_factory=list, repr=False)
-    _zero_roots: Optional[list] = field(default=None, repr=False)
-    _first_lift: dict = field(default_factory=dict, repr=False)
+    _reach: Optional[dict] = field(default=None, repr=False)
     _deep_hit: Optional[tuple] = field(default=None, repr=False)
     _v_counts: list = field(default_factory=list, repr=False)  # |V_0|, |V_1|, ...
 
@@ -427,7 +418,6 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     )
     for cls in dd.exceptional:
         dd.case_records[cls] = classify(dd, cls)
-        dd._chains[cls] = ForwardChain(dd, cls)
     dd.split = frozenset(
         rec.image for rec in dd.case_records.values() if rec.image is not None
     )
@@ -550,56 +540,15 @@ def born(dd: DecimationData, n: int) -> dict:
     return dd._tables[n]
 
 
-def _zero_root_classes(dd: DecimationData) -> list[AlgebraicClass]:
-    """Nonzero, non-exceptional R-preimages of the zero eigenvalue."""
-    if dd._zero_roots is None:
-        out = []
-        for cls, mult in factor_classes(dd.R.num.monic()):
-            if cls == ZERO_CLASS or cls in dd.exceptional:
-                continue
-            if mult != 1:
-                raise InconsistentSpectrumError(
-                    "repeated regular preimage of the zero eigenvalue; "
-                    "multiplicity rules for critical points are not covered"
-                )
-            out.append(cls)
-        dd._zero_roots = out
-    return dd._zero_roots
-
-
-def _note_deep_hit(dd: DecimationData, e: AlgebraicClass, chain: ForwardChain, i: int):
-    """Record when the lifted families of chain[i]'s class first meet e's
-    orbit `chain` at a depth of at least 2, which is the earliest level at
-    which they would need a deep split."""
-    cls = chain.classes[i]
-    birth = dd._first_lift.get(cls)
-    if birth is None:
-        return
-    if i < 2:
-        # orbit classes are distinct, so only a cycle revisits this one
-        if chain.status != "cycle" or i < chain.cycle_start:
-            return
-        period = len(chain.classes) - chain.cycle_start
-        i += period * -(-(2 - i) // period)
-    if dd._deep_hit is None or birth + i < dd._deep_hit[0]:
-        dd._deep_hit = (birth + i, e, cls, i)
-
-
 def _advance(dd: DecimationData, n: int):
     """Append the depth-0 families born at level n, and record which of
     those born at level n - 1 lift; the families born earlier carry over
     one level deeper."""
-    prev = dd._tables[n - 1]
-
-    # walk every orbit as deep as the deepest family at level n - 1 asks
-    depth = n - min(dd._first_lift.values(), default=n - 1)
-    for e, chain in dd._chains.items():
-        known, cycled = len(chain.classes), chain.status == "cycle"
-        chain.class_at(depth)
-        if chain.status == "cycle" and not cycled:
-            known = min(known, chain.cycle_start)
-        for i in range(known, len(chain.classes)):
-            _note_deep_hit(dd, e, chain, i)
+    # the families born at level n - 1, and the zero eigenvalue as one more
+    # that always splits (into the roots of R)
+    prev = {ZERO_CLASS: 1, **dd._tables[n - 1]}
+    if n == 1:
+        dd._reach = _orbit_depths(dd)
     if dd._deep_hit is not None and dd._deep_hit[0] <= n:
         _, e, base, k = dd._deep_hit
         raise InconsistentSpectrumError(
@@ -624,26 +573,17 @@ def _advance(dd: DecimationData, n: int):
         new[cls] = mult
 
     # exceptional values by their case rules; the multiplicity of R(e) at
-    # level n - 1 is a depth-0 one (a deeper match was refused above)
+    # level n - 1 is a depth-0 one (a deeper match was refused above), or
+    # 0 where R has a pole (image None)
     for e, rec in dd.case_records.items():
-        if rec.image is None:
-            mult_image = 0
-        elif rec.image == ZERO_CLASS:
-            mult_image = 1
-        else:
-            mult_image = prev.get(rec.image, 0)
         a, b, c = CASE_RULES[rec.case_id]
-        put(e, a * scale * rec.mult_d + b * v_prev + c * mult_image)
+        put(e, a * scale * rec.mult_d + b * v_prev + c * prev.get(rec.image, 0))
 
-    # fresh preimages of the zero eigenvalue (plain lifts of mult 1)
-    for cls in _zero_root_classes(dd):
-        put(cls, 1)
-
-    # split the previous level's families at the images R(e); the rest
-    # lift one preiterate deeper
+    # split the families at the images R(e) and at 0; the rest lift one
+    # preiterate deeper
     removed, lifted = 0, {}
     for base, mult in prev.items():
-        if base in dd.split:
+        if base == ZERO_CLASS or base in dd.split:
             removed += mult * base.degree
             for sub, root_mult in dd.preimage_classes(base):
                 if sub in dd.exceptional or sub == ZERO_CLASS:
@@ -656,14 +596,14 @@ def _advance(dd: DecimationData, n: int):
                 put(sub, mult)
             continue
         lifted[base] = mult
-        if base not in dd._first_lift:
-            dd._first_lift[base] = n - 1
-            for e, chain in dd._chains.items():
-                if base in chain.index:
-                    _note_deep_hit(dd, e, chain, chain.index[base])
+        # e sits among this family's depth-k preiterates at level n - 1 + k
+        if base in dd._reach:
+            k, e = dd._reach[base]
+            if dd._deep_hit is None or n - 1 + k < dd._deep_hit[0]:
+                dd._deep_hit = (n - 1 + k, e, base, k)
 
     # sum rule: lifts multiply the eigenvalue count by d
-    count = 1 + dd.d * (v_prev - 1 - removed) + sum(
+    count = 1 + dd.d * (v_prev - removed) + sum(
         mult * cls.degree for cls, mult in new.items()
     )
     if count != v_n:

@@ -428,6 +428,16 @@ class AlgebraicClass:
             raise ValueError("minimal polynomial must be monic")
         if mp.gcd(mp.derivative()).degree != 0:
             raise ValueError("minimal polynomial must be squarefree")
+        # classes key every induction table: hash the coefficients once
+        object.__setattr__(self, "_hash", hash(mp.coeffs))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraicClass):
+            return NotImplemented
+        return self._hash == other._hash and self.minpoly == other.minpoly
 
     @classmethod
     def from_rational(cls, r) -> "AlgebraicClass":

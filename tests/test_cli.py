@@ -380,22 +380,54 @@ def test_negative_max_level_rejected(capsys):
 def test_count_refused_by_the_induction_exits_2(monkeypatch, capsys):
     # an injected orbit 1/2 -> 3/2 -> 3/4 meets sierpinski's lifted 3/4
     # family at depth 2, so the induction refuses at level 3
-    from fractal_trees import counting
     from test_induction import _inject_orbit, rat
 
-    real_derive = counting.derive
-
-    def derive_with_orbit(s):
-        dd = real_derive(s)
-        _inject_orbit(dd, rat("1/2"), [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
-        return dd
-
-    monkeypatch.setattr(counting, "derive", derive_with_orbit)
+    _inject_orbit(monkeypatch, [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
     code, out, err = run(capsys, "count", "sierpinski", "-n", "5")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "deep family splitting" in err
+
+
+def _repeated_zero_root(monkeypatch):
+    """Make 7/3 a double root of R, as the zero eigenvalue's preimages."""
+    from fractal_trees.decimation import ZERO_CLASS, DecimationData
+    from test_induction import rat
+
+    real = DecimationData.preimage_classes
+
+    def preimage_classes(dd, base):
+        out = real(dd, base)
+        return out + [(rat("7/3"), 2)] if base == ZERO_CLASS else out
+
+    monkeypatch.setattr(DecimationData, "preimage_classes", preimage_classes)
+
+
+def test_count_refuses_a_repeated_root_of_r(monkeypatch, capsys):
+    _repeated_zero_root(monkeypatch)
+    code, out, err = run(capsys, "count", "sierpinski", "-n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "repeated regular preimage" in err
+
+
+def test_verify_prints_a_repeated_root_of_r_as_fail_lines(monkeypatch, capsys):
+    _repeated_zero_root(monkeypatch)
+    code, out, err = run(capsys, "verify", "sierpinski", "--max-level", "2")
+    assert code == 2
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "PASS  schur identity S = phi (P0 - R)  (verified during derivation)",
+        "PASS  tau oracle vs closed form, level 0  (3)",
+    ]
+    failed = [line for line in lines if line.startswith("FAIL")]
+    # every check that runs the induction fails: two oracle levels, two
+    # crosschecks, the sum rule and the assembly
+    assert len(failed) == 6
+    assert all("repeated regular preimage" in line for line in failed)
 
 
 def test_output_deterministic(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fractal_trees import builtin, derive, spectrum, tau
 from fractal_trees import decimation
-from fractal_trees.decimation import ForwardChain, InconsistentSpectrumError
+from fractal_trees.decimation import InconsistentSpectrumError
 from fractal_trees.polys import AlgebraicClass, Polynomial
 from test_generalization import gasket2
 
@@ -105,20 +105,22 @@ def test_sg3_tables_and_tau_unchanged_to_level_60():
     assert h.hexdigest() == SG3_TABLES_TAU_0_60
 
 
-def _inject_orbit(dd, e, classes, status, cycle_start=0):
-    chain = ForwardChain(dd, e)
-    chain.classes = list(classes)
-    chain.index = {cls: i for i, cls in enumerate(chain.classes)}
-    chain.status = status
-    chain.cycle_start = cycle_start
-    dd._chains[e] = chain
+def _inject_orbit(monkeypatch, classes, end):
+    """Replace the forward orbit of the first exceptional value by
+    `classes`, ending as `end` ("escaped", "pole" or a cycle's start)."""
+    real = decimation._orbit
+
+    def orbit(dd, e):
+        return (list(classes), end) if e == dd.exceptional[0] else real(dd, e)
+
+    monkeypatch.setattr(decimation, "_orbit", orbit)
 
 
-def test_orbit_reaching_a_lifted_family_is_refused_at_its_level():
+def test_orbit_reaching_a_lifted_family_is_refused_at_its_level(monkeypatch):
     # sierpinski: the 3/4 family is born at level 1 and lifts; an orbit
     # 1/2 -> 3/2 -> 3/4 meets it at depth 2, which is level 1 + 2
+    _inject_orbit(monkeypatch, [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
     dd = derive(builtin("sierpinski"))
-    _inject_orbit(dd, rat("1/2"), [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
     with pytest.raises(InconsistentSpectrumError, match="deep family splitting"):
         spectrum(dd, 10)
     assert len(dd._tables) == 3
@@ -127,19 +129,123 @@ def test_orbit_reaching_a_lifted_family_is_refused_at_its_level():
         spectrum(dd, 3)
 
 
-def test_periodic_orbit_is_refused_where_it_returns():
+def test_periodic_orbit_is_refused_where_it_returns(monkeypatch):
     # diamond: 1 is born at level 1 and lifts; the orbit 1 -> 2 -> 1 -> ...
     # (cycle of period 2 from position 0) meets it again at depth 2
+    _inject_orbit(monkeypatch, [rat(1), rat(2)], 0)
     dd = derive(builtin("diamond"))
-    _inject_orbit(dd, rat(1), [rat(1), rat(2)], "cycle", cycle_start=0)
     for n in range(3):
         spectrum(dd, n)
     with pytest.raises(InconsistentSpectrumError, match="depth-2 preiterates of 1"):
         spectrum(dd, 3)
 
 
+def test_fixed_point_orbit_is_refused_at_depth_2(monkeypatch):
+    # diamond: an orbit that starts at a fixed point 1 of R returns to it
+    # at every depth, so the lifted 1 family first holds it at depth 2
+    _inject_orbit(monkeypatch, [rat(1)], 0)
+    dd = derive(builtin("diamond"))
+    spectrum(dd, 2)
+    with pytest.raises(InconsistentSpectrumError, match="depth-2 preiterates of 1"):
+        spectrum(dd, 3)
+
+
 # ---------------------------------------------------------------------------
-# orbit guards: each refusal names its error
+# exceptional orbits: each one pinned to its end, and each refusal named
+
+# every exceptional value's forward orbit R(e), R^2(e), ... as class
+# labels, and how it ends: "escaped", "pole", or the position (e at 0) of
+# the class the orbit returns to
+ORBITS = {
+    "sierpinski": [
+        ("3/2", ["-3/2"], "escaped"),
+        ("5/4", ["0"], 1),
+        ("1/2", ["3/2", "-3/2"], "escaped"),
+    ],
+    "nonpcf_sg": [
+        ("3/2", ["0"], 1),
+        ("15/14", [], "pole"),
+        ("1", ["0"], 1),
+        ("1/2", ["3/2", "0"], 2),
+    ],
+    "diamond": [("1", ["2", "0"], 2)],
+    "hexagasket": [
+        ("3/2", [], "escaped"),
+        ("1/2", [], "pole"),
+        ("root of z^2 - 3/2*z + 1/4", ["3/2"], "escaped"),
+        ("root of z^2 - 3/2*z + 7/16", ["0"], 1),
+    ],
+    "interval": [("1", ["2", "0"], 2)],
+    "tree3": [
+        ("3/2", [], "escaped"),
+        ("1", ["0"], 1),
+        ("1/2", ["3/2"], "escaped"),
+    ],
+    "sg3": [
+        ("3/2", ["27/4"], "escaped"),
+        ("5/4", ["0"], 1),
+        ("7/6", [], "pole"),
+        ("3/4", ["0"], 1),
+        ("root of z^2 - 3/2*z + 1/4", ["3/2", "27/4"], "escaped"),
+    ],
+    "sg4": [
+        ("3/2", [], "escaped"),
+        ("5/4", ["0"], 1),
+        ("1", ["3/2"], "escaped"),
+        ("root of z^2 - 17/12*z + 1/8", ["3/2"], "escaped"),
+        ("root of z^2 - 79/36*z + 41/36", [], "pole"),
+        ("root of z^3 - 8/3*z^2 + 35/16*z - 103/192", ["0"], 1),
+    ],
+    "sg5": [
+        ("3/2", ["1023/7"], "escaped"),
+        ("1", ["0"], 1),
+        ("root of z^4 - 19/6*z^3 + 119/36*z^2 - 19/16*z + 1/18", ["3/2", "1023/7"], "escaped"),
+        ("root of z^4 - 119/27*z^3 + 4597/648*z^2 - 6359/1296*z + 197/162", [], "pole"),
+        (
+            "root of z^5 - 14/3*z^4 + 299/36*z^3 - 1999/288*z^2 + 6131/2304*z - 1663/4608",
+            ["0"],
+            1,
+        ),
+    ],
+}
+
+
+def _orbit_structures():
+    return [builtin(name) for name in ORBITS if not name.startswith("sg")] + [
+        gasket2(b) for b in (3, 4, 5)
+    ]
+
+
+def _walk(dd, e):
+    """e, R(e), R^2(e), ... by `image_of`, to a pole of R, a certified
+    escape or the first repeated class."""
+    classes = [e]
+    while True:
+        if classes[-1].minpoly.divides(dd.R.den):
+            return classes, "pole"
+        nxt = dd.image_of(classes[-1])
+        if decimation._class_escaped(nxt, dd.escape_bound):
+            return classes, "escaped"
+        if nxt in classes:
+            return classes, classes.index(nxt)
+        classes.append(nxt)
+
+
+def _labels(orbits):
+    return [(str(classes[0]), [str(c) for c in classes[1:]], end) for classes, end in orbits]
+
+
+def test_exceptional_orbits_are_pinned():
+    for s in _orbit_structures():
+        dd = derive(s)
+        assert _labels(_walk(dd, e) for e in dd.exceptional) == ORBITS[s.name], s.name
+
+
+def test_induction_walks_the_pinned_orbits():
+    for s in _orbit_structures():
+        dd = derive(s)
+        orbits = [decimation._orbit(dd, e) for e in dd.exceptional]
+        assert _labels(orbits) == ORBITS[s.name], s.name
 
 
 def _new_class_each_call():
@@ -149,45 +255,43 @@ def _new_class_each_call():
     return lambda cls: rat(Fraction(next(calls), 10 ** 6))
 
 
-def _long_orbit_derive(real_derive):
-    """derive, with every exceptional orbit already 4,096 classes long and
-    still active, and an image map that never closes it."""
+def _endless_orbit_derive(real_derive):
+    """derive, with an image map under which no exceptional orbit closes."""
     def wrapped(s):
         dd = real_derive(s)
         dd.image_of = _new_class_each_call()
-        for e, chain in dd._chains.items():
-            chain.classes = [e] + [dd.image_of(e) for _ in range(4095)]
-            chain.index = {cls: i for i, cls in enumerate(chain.classes)}
         return dd
     return wrapped
 
 
 def test_orbit_longer_than_the_class_cap_is_refused():
-    dd = _long_orbit_derive(derive)(builtin("sierpinski"))
-    chain = next(iter(dd._chains.values()))
-    assert len(chain.classes) == 4096 and chain.status == "active"
+    # the induction's first step walks every orbit to its end
+    dd = _endless_orbit_derive(derive)(builtin("sierpinski"))
+    spectrum(dd, 0)
     with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
-        chain.class_at(4096)
+        spectrum(dd, 1)
+    assert len(dd._tables) == 1
 
 
 def test_orbit_reaches_the_class_cap_from_one_class_quickly():
     # the cycle check is one dict lookup per step, so growing an orbit of
     # fresh classes from its start up to the cap takes linear time
     dd = derive(builtin("sierpinski"))
-    dd.image_of = _new_class_each_call()
-    chain = ForwardChain(dd, next(iter(dd._chains)))
+    fresh, seen = _new_class_each_call(), []
+    dd.image_of = lambda cls: seen.append(cls) or fresh(cls)
     start = time.perf_counter()
     with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
-        chain.class_at(5000)
+        decimation._orbit(dd, dd.exceptional[0])
     assert time.perf_counter() - start < 2
-    assert len(chain.classes) == 4097 == len(chain.index)
+    # the orbit held 4,097 distinct classes when it was refused
+    assert len(seen) == 4096 == len(set(seen))
 
 
 def test_count_refused_by_the_class_cap_exits_2(monkeypatch, capsys):
     from fractal_trees import counting
     from fractal_trees.cli import main
 
-    monkeypatch.setattr(counting, "derive", _long_orbit_derive(counting.derive))
+    monkeypatch.setattr(counting, "derive", _endless_orbit_derive(counting.derive))
     assert main(["count", "sierpinski", "-n", "4100"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -199,10 +303,11 @@ def test_orbit_coefficient_past_a_million_bits_is_refused():
     dd = derive(builtin("sierpinski"))
     huge = rat(Fraction(1, 2 ** 1_000_001))  # in (0, 1): it does not escape
     dd.image_of = lambda cls: huge
-    chain = next(iter(dd._chains.values()))
     with pytest.raises(InconsistentSpectrumError, match="coefficients blew up"):
-        chain.class_at(1)
-    assert chain.classes[1:] == []
+        decimation._orbit(dd, dd.exceptional[0])
+    with pytest.raises(InconsistentSpectrumError, match="coefficients blew up"):
+        spectrum(dd, 1)
+    assert len(dd._tables) == 1
 
 
 def test_escape_radius_refused_for_a_small_leading_coefficient():
@@ -262,6 +367,5 @@ def test_escape_certificate_is_sound(middle, a0, negative, bound):
 def test_orbit_into_a_far_irrational_class_escapes():
     dd = derive(builtin("sierpinski"))
     dd.image_of = lambda cls: FAR_PAIR
-    chain = ForwardChain(dd, next(iter(dd._chains)))
-    assert chain.class_at(1) is None
-    assert chain.status == "escaped" and len(chain.classes) == 1
+    e = dd.exceptional[0]
+    assert decimation._orbit(dd, e) == ([e], "escaped")
