@@ -31,12 +31,7 @@ from .kirchhoff import (
     wedge_check,
 )
 from .levels import DegreeStats, LevelGraph, build_level, degree_stats, export
-from .polys import (
-    AlgebraicClass,
-    Polynomial,
-    RationalFunction,
-    resultant,
-)
+from .polys import AlgebraicClass, Polynomial, RationalFunction
 from .structures import (
     BUILTIN_NAMES,
     InvalidStructureError,

@@ -4,8 +4,8 @@ run the level-by-level multiplicity induction.
 The pipeline, all in exact arithmetic:
 
   1. Block the level-1 probabilistic Laplacian as [[A, B], [C, D]] with A
-     indexed by the boundary.  Full symmetry forces A = I (no edge joins
-     two boundary vertices).
+     indexed by the boundary.  A = I, as validation refuses every edge
+     joining two boundary vertices and G1 has exactly the edges of edges1.
   2. Compute the Schur complement S(z) = (A - zI) - B (D - zI)^-1 C: its
      entries have denominator chi_D(z) = det(D - zI), so chi_D(z) S(z) is
      a polynomial matrix of degree <= k + 1 (k = |V1| - |V0|), which is
@@ -60,16 +60,16 @@ from itertools import count, islice
 from typing import Optional
 
 from .levels import build_level
-from .kirchhoff import prob_laplacian_charpoly
+from .kirchhoff import prob_laplacian, prob_laplacian_charpoly
 from .matrices import charpoly, solve_linear
 from .polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
     factor_classes,
-    image_class_poly,
     interpolate,
     preimage_poly,
+    squarefree_part,
 )
 from .structures import SelfSimilarStructure, validated
 
@@ -80,10 +80,6 @@ ZERO_CLASS = AlgebraicClass.from_rational(0)
 
 class DecimationError(ValueError):
     """Base class for failures of the decimation pipeline."""
-
-
-class BoundaryAdjacencyError(DecimationError):
-    pass
 
 
 class NotFullySymmetricError(DecimationError):
@@ -299,7 +295,17 @@ class DecimationData:
         return self.d, den.constant_term(), num.leading()
 
     def image_of(self, cls: AlgebraicClass) -> AlgebraicClass:
-        """Class of R(alpha) for alpha in cls; cls must avoid poles of R."""
+        """Class of R(alpha) for alpha in cls; cls must avoid poles of R.
+
+        A rational class maps to the value R(r).  For a class of degree
+        g >= 2 with minimal polynomial f, R(alpha) is an element of
+        Q(alpha) = Q[z]/(f), and the characteristic polynomial of
+        multiplication by it is a power of its minimal polynomial (Cohen,
+        *A Course in Computational Algebraic Number Theory*, 4.3): the
+        class is the squarefree part of charpoly(M_den^-1 M_num), M_p the
+        g x g matrix of multiplication by p on 1, z, ..., z^(g-1) modulo f.
+        M_den is invertible because den(alpha) != 0 off the poles.
+        """
         if cls in self._image_cache:
             return self._image_cache[cls]
         if cls.minpoly.divides(self.R.den):
@@ -307,7 +313,17 @@ class DecimationData:
         if cls.is_rational():
             out = AlgebraicClass.from_rational(self.R(cls.rational_value()))
         else:
-            out = AlgebraicClass(image_class_poly(cls.minpoly, self.R.num, self.R.den))
+            f = cls.minpoly
+
+            def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
+                rows, v = [], p % f
+                for _ in range(f.degree):
+                    rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
+                    v = (v * Polynomial.x()) % f
+                return rows
+
+            m_r = solve_linear(times(self.R.den), times(self.R.num))
+            out = AlgebraicClass(squarefree_part(charpoly(m_r)))
         self._image_cache[cls] = out
         return out
 
@@ -328,24 +344,8 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     s = validated(s)
     g1 = build_level(s, 1)
     v0, v1 = s.v0_size, g1.vertex_count
-    degs = g1.degrees()
-
-    # probabilistic Laplacian of G1, boundary rows first (ids 0..v0-1)
-    p1 = [[Q(0)] * v1 for _ in range(v1)]
-    for i in range(v1):
-        p1[i][i] = Q(1)
-    for u, v, mult in g1.edges:
-        p1[u][v] -= Q(mult, degs[u])
-        p1[v][u] -= Q(mult, degs[v])
-
-    for i in range(v0):
-        for j in range(v0):
-            expected = Q(1) if i == j else Q(0)
-            if p1[i][j] != expected:
-                raise BoundaryAdjacencyError(
-                    "boundary block of P1 is not the identity "
-                    "(edge joining two boundary vertices?)"
-                )
+    # boundary rows first (ids 0..v0-1); the boundary block is I (module docstring, step 1)
+    p1 = prob_laplacian(g1)
 
     interior = range(v0, v1)
     d_mat = [[p1[i][j] for j in interior] for i in interior]
@@ -586,7 +586,7 @@ def _advance(dd: DecimationData, n: int):
         if base == ZERO_CLASS or base in dd.split:
             removed += mult * base.degree
             for sub, root_mult in dd.preimage_classes(base):
-                if sub in dd.exceptional or sub == ZERO_CLASS:
+                if sub in dd.case_records or sub == ZERO_CLASS:
                     continue
                 if root_mult != 1:
                     raise InconsistentSpectrumError(

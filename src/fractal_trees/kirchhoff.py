@@ -79,11 +79,14 @@ def tau_bruteforce(g) -> int:
     return int(det)
 
 
+def prob_laplacian(g) -> list[list[Fraction]]:
+    """The probabilistic Laplacian P = D^-1 (D - A) as a Fraction matrix."""
+    return [[Q(x, d) for x in row] for row, d in zip(laplacian(g), g.degrees())]
+
+
 def prob_laplacian_charpoly(g) -> Polynomial:
     """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A)."""
-    return charpoly(
-        [[Q(x, d) for x in row] for row, d in zip(laplacian(g), g.degrees())]
-    )
+    return charpoly(prob_laplacian(g))
 
 
 def det_star_P(g, chi: Polynomial | None = None) -> Fraction:

@@ -2,7 +2,9 @@
 
 Matrices are plain lists of lists of `Fraction`.  The decimation engine
 evaluates the Schur complement at rational points with `solve_linear`
-and interpolates the numerators (see `decimation.derive`).
+and interpolates the numerators (see `decimation.derive`); it maps a
+conjugate class through R with one `solve_linear` and one `charpoly`
+(see `DecimationData.image_of`).
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ the number-theoretic utilities the decimation pipeline needs:
   * factorization of squarefree polynomials into irreducible factors over
     Q, of any degree, by Zassenhaus's algorithm (factoring modulo a
     prime, Hensel lifting, recombination),
-  * resultants, used to push algebraic numbers through rational maps,
   * Newton interpolation from values at rational points,
   * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
@@ -283,32 +282,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic product of the distinct irreducible factors of p."""
     g = p.gcd(p.derivative())
     return (p // g).monic()
-
-
-def resultant(p: Polynomial, q: Polynomial) -> Fraction:
-    """Sylvester resultant of p and q, computed by the euclidean recurrence.
-
-    resultant(p, q) = lc(p)^deg(q) * prod q(alpha) over the roots alpha of p.
-    Raises if either input is zero or both are constant.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ValueError("resultant of the zero polynomial")
-    if p.is_constant() and q.is_constant():
-        raise ValueError("resultant needs a nonconstant input")
-    return _res(p, q)
-
-
-def _res(p: Polynomial, q: Polynomial) -> Fraction:
-    dp, dq = p.degree, q.degree
-    if dp == 0:
-        return p.leading() ** dq
-    if dq == 0:
-        return q.leading() ** dp
-    r = p % q
-    if r.is_zero():
-        return Q(0)
-    sign = Q(-1) ** (dp * dq)
-    return sign * q.leading() ** (dp - r.degree) * _res(q, r)
 
 
 def interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
@@ -656,32 +629,6 @@ def factor_classes(p: Polynomial) -> list[tuple[AlgebraicClass, int]]:
             out.append((cls, mult))
     out.sort(key=lambda cm: cm[0].key())
     return out
-
-
-def image_class_poly(src: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:
-    """Monic squarefree polynomial whose roots are R(alpha) over roots of src.
-
-    R = num/den; every root of src must avoid the poles of R (checked by
-    the caller).  Computed as the resultant Res_z(src(z), num(z) - w*den(z)),
-    a polynomial in w of degree <= deg(src), obtained by interpolation at
-    deg(src)+1 rational points.
-    """
-    g = src.degree
-    pts = []
-    vals = []
-    w = 0
-    while len(pts) < g + 1:
-        probe = num - Q(w) * den
-        if probe.is_zero() or probe.is_constant():
-            w += 1
-            continue
-        pts.append(Q(w))
-        vals.append(resultant(src, probe))
-        w += 1
-    q = interpolate(pts, vals)
-    if q.is_zero():
-        raise ValueError("image polynomial vanished; pole inside the class?")
-    return squarefree_part(q)
 
 
 def preimage_poly(base: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:

@@ -1,6 +1,8 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from fractal_trees import (
     SelfSimilarStructure,
@@ -12,14 +14,15 @@ from fractal_trees import (
 )
 from fractal_trees import decimation
 from fractal_trees.decimation import (
-    BoundaryAdjacencyError,
     NotFullySymmetricError,
     ZERO_CLASS,
     classify,
 )
 from fractal_trees.matrices import solve_linear
-from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction
+from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction, preimage_poly
+from fractal_trees.structures import InvalidStructureError
 from test_generalization import gasket2
+from test_polys import irreducible_factors
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
 SQRT5_PAIR = AlgebraicClass(Polynomial([F(1, 4), F(-3, 2), 1]))
@@ -157,7 +160,8 @@ def test_probe_zero_never_exceptional(dds):
 
 
 def test_image_class_resultant_against_numeric_roots(dds):
-    # high-precision numeric cross-check of the exact resultant route:
+    # high-precision numeric cross-check of the exact image route (the
+    # charpoly of multiplication by R(alpha) on Q[z]/(f)):
     # both conjugates (3 +- sqrt2)/4 are mapped to 0 by the hexagasket map
     import mpmath
 
@@ -169,6 +173,31 @@ def test_image_class_resultant_against_numeric_roots(dds):
             num = mpmath.polyval([mpmath.mpf(str(c)) for c in reversed(dd.R.num.coeffs)], root)
             den = mpmath.polyval([mpmath.mpf(str(c)) for c in reversed(dd.R.den.coeffs)], root)
             assert abs(num / den) < mpmath.mpf("1e-50")
+
+
+def test_image_of_quadratic_through_square(dds):
+    # z^2 - 2 under R(z) = z^2 maps to the single value 2
+    dd = dataclasses.replace(dds["sierpinski"], R=rf([0, 0, 1]), _image_cache={})
+    assert dd.image_of(AlgebraicClass(Polynomial([F(-2), F(0), F(1)]))) == rat(2)
+
+
+@pytest.fixture(scope="module")
+def image_dds(dds):
+    return [*dds.values(), derive(gasket2(3))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(irreducible_factors())
+def test_image_of_is_a_class_under_every_R(image_dds, factors):
+    # exact and independent of charpoly: each alpha is a preimage of R(alpha),
+    # and Q(R(alpha)) is a subfield of Q(alpha)
+    for f in factors:
+        for dd in image_dds:
+            if f.divides(dd.R.den):
+                continue  # a pole class has no image
+            h = dd.image_of(AlgebraicClass(f))
+            assert f.divides(preimage_poly(h.minpoly, dd.R.num, dd.R.den))
+            assert f.degree % h.degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +328,7 @@ def test_boundary_edge_rejected_by_derive():
         boundary=[0, 1],
         cell_maps=[[0, 1], [1, 2]],
     )
-    with pytest.raises((BoundaryAdjacencyError, ValueError)):
+    with pytest.raises(InvalidStructureError, match="boundary-boundary edge"):
         derive(bad)
 
 

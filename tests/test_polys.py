@@ -13,10 +13,8 @@ from fractal_trees.polys import (
     Polynomial,
     RationalFunction,
     factor_classes,
-    image_class_poly,
     interpolate,
     preimage_poly,
-    resultant,
     split_squarefree,
     squarefree_decomposition,
 )
@@ -115,39 +113,6 @@ def test_reduce_preserves_values(p, q, x):
     if f.den(x) == 0:
         return
     assert f(x) == p(x) / q(x)
-
-
-# ---------------------------------------------------------------------------
-# resultants
-
-
-def test_resultant_linear_pair():
-    assert resultant(poly(-2, 1), poly(-3, 1)) == -1
-
-
-def test_resultant_quadratic():
-    # (1 - sqrt2)(1 + sqrt2) = -1
-    assert resultant(poly(-2, 0, 1), poly(-1, 1)) == -1
-
-
-def test_resultant_both_constant_raises():
-    with pytest.raises(ValueError):
-        resultant(poly(2), poly(3))
-
-
-def test_resultant_zero_raises():
-    with pytest.raises(ValueError):
-        resultant(Polynomial(), poly(1, 1))
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_polys, small_polys)
-def test_resultant_vanishes_iff_common_factor(p, q):
-    if p.is_zero() or q.is_zero() or (p.is_constant() and q.is_constant()):
-        return
-    r = resultant(p, q)
-    common = p.gcd(q).degree > 0
-    assert (r == 0) == common
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +277,6 @@ def test_factor_classes_returns_the_irreducible_factors(factors):
 
 # ---------------------------------------------------------------------------
 # pushing classes through rational maps
-
-
-def test_image_class_poly_quadratic_through_square():
-    # z^2 - 2 under R(z) = z^2 maps to the single value 2
-    img = image_class_poly(poly(-2, 0, 1), poly(0, 0, 1), poly(1))
-    assert img == poly(-2, 1)
 
 
 def test_preimage_poly_counts_all_branches():
