@@ -81,7 +81,8 @@ def tau_bruteforce(g) -> int:
 
 def prob_laplacian(g) -> list[list[Fraction]]:
     """The probabilistic Laplacian P = D^-1 (D - A) as a Fraction matrix."""
-    return [[Q(x, d) for x in row] for row, d in zip(laplacian(g), g.degrees())]
+    zero = Q(0)  # one shared Fraction for the zero entries
+    return [[Q(x, d) if x else zero for x in row] for row, d in zip(laplacian(g), g.degrees())]
 
 
 def prob_laplacian_charpoly(g) -> Polynomial:

@@ -14,7 +14,7 @@ from fractal_trees import (
     wedge,
     wedge_check,
 )
-from fractal_trees.kirchhoff import laplacian
+from fractal_trees.kirchhoff import laplacian, prob_laplacian
 from fractal_trees.matrices import bareiss_det_int
 
 
@@ -28,6 +28,14 @@ def test_four_cycle():
 
 def test_sierpinski_g1():
     assert tau_bruteforce(build_level(builtin("sierpinski"), 1)) == 54
+
+
+def test_prob_laplacian_entries_are_fractions():
+    # the zeros share one Q(0) but stay Fractions, like every other entry
+    g = build_level(builtin("hexagasket"), 1)
+    p = prob_laplacian(g)
+    assert all(type(x) is F for row in p for x in row)
+    assert p == [[F(x, d) for x in row] for row, d in zip(laplacian(g), g.degrees())]
 
 
 def test_cayley_on_complete_graphs():

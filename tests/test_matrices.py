@@ -1,12 +1,92 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractal_trees.matrices import bareiss_det_int, charpoly, det_gauss, solve_linear
+from fractal_trees import matrices
+from fractal_trees.kirchhoff import prob_laplacian
+from fractal_trees.levels import build_level
+from fractal_trees.matrices import bareiss_det_int, charpoly, solve_linear
 from fractal_trees.polys import Polynomial
+from fractal_trees.structures import BUILTIN_NAMES, builtin, load_json
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def det_gauss(a):
+    """Determinant of a Fraction matrix by exact Gaussian elimination."""
+    n = len(a)
+    m = [list(row) for row in a]
+    det = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                m[r] = [er - f * ec for er, ec in zip(m[r], m[col])]
+    return det
+
+
+def hessenberg_charpoly_q(a):
+    """det(M - xI) by Hessenberg reduction and recurrence in Fractions."""
+    n = len(a)
+    h = [[F(e) for e in row] for row in a]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue  # column k already has a zero subdiagonal
+        if piv != k + 1:
+            h[k + 1], h[piv] = h[piv], h[k + 1]
+            for row in h:
+                row[k + 1], row[piv] = row[piv], row[k + 1]
+        top = h[k + 1]
+        # the column steps below change row k+1 only in column k+1
+        cols = [j for j in range(k + 2, n) if top[j]]
+        for i in range(k + 2, n):
+            hi = h[i]
+            if not hi[k]:
+                continue
+            u = hi[k] / top[k]
+            # row i -= u * row k+1, then column k+1 += u * column i
+            hi[k] = F(0)
+            if top[k + 1]:
+                hi[k + 1] -= u * top[k + 1]
+            for j in cols:
+                hi[j] -= u * top[j]
+            for row in h:
+                if row[i]:
+                    row[k + 1] += u * row[i]
+    # p[m] = det(xI - H_m) for the leading m x m block, lowest degree first
+    p = [[F(1)]]
+    for m in range(1, n + 1):
+        col = m - 1
+        nxt = [F(0)] + p[m - 1]
+        c = h[col][col]
+        if c:
+            for j, v in enumerate(p[m - 1]):
+                nxt[j] -= c * v
+        sub = F(1)
+        for i in range(m - 1, 0, -1):
+            sub *= h[i][i - 1]
+            if not sub:
+                break
+            coef = h[i - 1][col] * sub
+            if coef:
+                for j, v in enumerate(p[i - 1]):
+                    nxt[j] -= coef * v
+        p.append(nxt)
+    chi = Polynomial(p[n])
+    return -chi if n % 2 else chi
 
 
 def test_charpoly_identity_2x2():
@@ -65,6 +145,105 @@ def test_charpoly_matches_eliminated_determinant(dim, seed, density):
             [m[i][j] - (x if i == j else 0) for j in range(dim)] for i in range(dim)
         ]
         assert chi(x) == det_gauss(shifted)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from([1.0, 0.3]),
+    st.sampled_from([3, 10 ** 4, 10 ** 40]),
+)
+def test_charpoly_matches_fraction_hessenberg(dim, seed, density, height):
+    # exact equality with the Fraction reference, ints and Fractions mixed,
+    # from single-digit entries up to bounds past the smaller table primes
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        num = rng.randint(-height, height)
+        return num if rng.random() < 0.3 else F(num, rng.randint(1, height))
+
+    m = [[entry() for _ in range(dim)] for _ in range(dim)]
+    assert charpoly(m) == hessenberg_charpoly_q(m)
+
+
+def _structure(name):
+    return load_json(str(ROOT / name)) if name.endswith(".json") else builtin(name)
+
+
+@pytest.mark.parametrize(
+    "name", list(BUILTIN_NAMES) + ["perfbench/structures/sg3.json", "tests/data/sg_2_4.json"]
+)
+@pytest.mark.parametrize("n", [1, 2])
+def test_charpoly_of_level_graphs_matches_fraction_hessenberg(name, n):
+    p = prob_laplacian(build_level(_structure(name), n))
+    assert charpoly(p) == hessenberg_charpoly_q(p)
+
+
+def test_charpoly_empty_and_one_by_one():
+    assert charpoly([]) == Polynomial([1])
+    assert charpoly([[F(3, 7)]]) == Polynomial([F(3, 7), -1])
+    assert charpoly([[0]]) == Polynomial([0, -1])
+
+
+def test_charpoly_int_matrix():
+    m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    chi = charpoly(m)
+    assert chi == hessenberg_charpoly_q(m)
+    # tridiagonal Toeplitz: eigenvalues 2 - sqrt 2, 2, 2 + sqrt 2
+    assert chi == Polynomial([2, -1]) * Polynomial([2, -4, 1])
+    assert all(isinstance(c, F) for c in chi.coeffs)
+
+
+def test_charpoly_large_denominator_lcm():
+    # denominators 1009, 1013, 1019, 1021: lcm above 10^12
+    m = [
+        [F(1, 1009), F(-2, 1013), F(0), F(5, 1021)],
+        [F(3, 1019), F(1), F(-1, 1009), F(0)],
+        [F(0), F(7, 1021), F(2, 1013), F(-1, 1019)],
+        [F(1, 1013), F(0), F(4, 1009), F(-3, 1021)],
+    ]
+    chi = charpoly(m)
+    assert chi == hessenberg_charpoly_q(m)
+    for x in (F(0), F(1, 3), F(-5, 2)):
+        assert chi(x) == det_gauss([[e - (x if i == j else 0) for j, e in enumerate(row)]
+                                    for i, row in enumerate(m)])
+
+
+def test_charpoly_huge_entries_use_a_large_table_prime(monkeypatch):
+    rng = random.Random(2203)
+    m = [[F(rng.getrandbits(3000) - (1 << 2999), rng.getrandbits(20) + 1)
+          for _ in range(3)] for _ in range(3)]
+    assert charpoly(m) == hessenberg_charpoly_q(m)
+    # the bound is past every table prime up to 2^2203 - 1
+    table = matrices._MERSENNE
+    monkeypatch.setattr(matrices, "_MERSENNE", table[:table.index(2203) + 1])
+    with pytest.raises(ValueError, match="past the largest table prime 2\\^2203 - 1"):
+        charpoly(m)
+
+
+def test_charpoly_bound_past_the_table_raises(monkeypatch):
+    monkeypatch.setattr(matrices, "_MERSENNE", (61, 89))
+    assert charpoly([[1 << 80]]) == Polynomial([1 << 80, -1])
+    with pytest.raises(ValueError, match="coefficient bound of 91 bits"):
+        charpoly([[1 << 90]])
+
+
+def _lucas_lehmer(e):
+    m, s = (1 << e) - 1, 4
+    for _ in range(e - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_table_moduli_are_mersenne_primes():
+    exps = matrices._MERSENNE
+    assert list(exps) == sorted(set(exps)) and exps[0] == 61
+    assert all(_lucas_lehmer(e) for e in exps if e <= 4423)
+    # prime exponents left out of the table give composites, so the check can fail
+    assert not any(_lucas_lehmer(e) for e in (67, 71, 101, 131, 613))
 
 
 @settings(max_examples=60, deadline=None)
