@@ -17,10 +17,12 @@ The pipeline, all in exact arithmetic:
      S_11 and every off-diagonal entry S_12 at the same point; the first
      sample that fails falsifies full symmetry and aborts, before the
      remaining samples are solved.
-  3. Classify every exceptional value (eigenvalues of D and zeros of phi)
-     by exact polynomial divisibility and map it to one of the eight
-     multiplicity rules (`CASE_RULES`, linear in m^(n-1), |V_{n-1}| and
-     the multiplicity of R(e) at level n - 1).
+  3. Classify every exceptional value (the irreducible factors of chi_D
+     and of the numerator of phi): read its multiplicity in sigma(D) from
+     the factorization of chi_D, decide the pole and zero predicates by
+     exact divisibility, and map it to one of the eight multiplicity
+     rules (`CASE_RULES`, linear in m^(n-1), |V_{n-1}| and the
+     multiplicity of R(e) at level n - 1).
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families, stored by
@@ -176,9 +178,8 @@ def _guard_height(cls: AlgebraicClass):
 
 
 def _class_escaped(cls: AlgebraicClass, bound: Fraction) -> bool:
-    """True when every root of the class provably has modulus > bound."""
-    if cls.is_rational():
-        return abs(cls.rational_value()) > bound
+    """True when every root of the class provably has modulus > bound;
+    exact for a rational class r, where the test reads |r| > bound."""
     coeffs = cls.minpoly.coeffs
     if coeffs[0] == 0:
         return False
@@ -297,33 +298,30 @@ class DecimationData:
     def image_of(self, cls: AlgebraicClass) -> AlgebraicClass:
         """Class of R(alpha) for alpha in cls; cls must avoid poles of R.
 
-        A rational class maps to the value R(r).  For a class of degree
-        g >= 2 with minimal polynomial f, R(alpha) is an element of
-        Q(alpha) = Q[z]/(f), and the characteristic polynomial of
-        multiplication by it is a power of its minimal polynomial (Cohen,
-        *A Course in Computational Algebraic Number Theory*, 4.3): the
-        class is the squarefree part of charpoly(M_den^-1 M_num), M_p the
-        g x g matrix of multiplication by p on 1, z, ..., z^(g-1) modulo f.
-        M_den is invertible because den(alpha) != 0 off the poles.
+        For a class of degree g with minimal polynomial f, R(alpha) is an
+        element of Q(alpha) = Q[z]/(f), and the characteristic polynomial
+        of multiplication by it is a power of its minimal polynomial
+        (Cohen, *A Course in Computational Algebraic Number Theory*, 4.3):
+        the class is the squarefree part of charpoly(M_den^-1 M_num), M_p
+        the g x g matrix of multiplication by p on 1, z, ..., z^(g-1)
+        modulo f.  M_den is invertible because den(alpha) != 0 off the
+        poles.  A rational class r (g = 1) gets the 1 x 1 matrix [R(r)].
         """
         if cls in self._image_cache:
             return self._image_cache[cls]
         if cls.minpoly.divides(self.R.den):
             raise DecimationError(f"image of a pole class {cls}")
-        if cls.is_rational():
-            out = AlgebraicClass.from_rational(self.R(cls.rational_value()))
-        else:
-            f = cls.minpoly
+        f = cls.minpoly
 
-            def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
-                rows, v = [], p % f
-                for _ in range(f.degree):
-                    rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
-                    v = (v * Polynomial.x()) % f
-                return rows
+        def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
+            rows, v = [], p % f
+            for _ in range(f.degree):
+                rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
+                v = (v * Polynomial.x()) % f
+            return rows
 
-            m_r = solve_linear(times(self.R.den), times(self.R.num))
-            out = AlgebraicClass(squarefree_part(charpoly(m_r)))
+        m_r = solve_linear(times(self.R.den), times(self.R.num))
+        out = AlgebraicClass(squarefree_part(charpoly(m_r)))
         self._image_cache[cls] = out
         return out
 
@@ -424,28 +422,14 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     return dd
 
 
-def _division_multiplicity(p: Polynomial, divisor: Polynomial) -> int:
-    """Largest e with divisor^e | p; also requires the cofactor coprime."""
-    e = 0
-    rest = p
-    while True:
-        quo, rem = rest.divmod(divisor)
-        if not rem.is_zero():
-            break
-        rest = quo
-        e += 1
-    if e and rest.gcd(divisor).degree > 0:
-        raise UnclassifiableError(
-            "eigenvalue class shares only part of its conjugates with "
-            "sigma(D); classwise bookkeeping would be unsound"
-        )
-    return e
-
-
 def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
-    """Decide the multiplicity rule for a (probe or exceptional) class."""
+    """Decide the multiplicity rule for an irreducible class.
+
+    The class divides chi_D exactly to its multiplicity in sigma(D) or is
+    coprime to it, so mult_D is read from `dd.sigma_d` (0 when absent).
+    """
     mp = v.minpoly
-    mult_d = _division_multiplicity(dd.charpoly_d.monic(), mp)
+    mult_d = dict(dd.sigma_d).get(v, 0)
     phi_zero = mp.divides(dd.phi.num) if not dd.phi.num.is_zero() else False
     phi_pole = mp.divides(dd.phi.den)
     r_pole = mp.divides(dd.R.den)

@@ -20,7 +20,6 @@ import mpmath
 
 from .counting import exponent_table, tau  # noqa: F401 - perfbench's tracer wraps tau here
 from .decimation import DecimationData, DecimationError, derive
-from .levels import vertex_count_formula
 from .structures import SelfSimilarStructure
 
 Q = Fraction
@@ -36,14 +35,6 @@ class EntropyReport:
     upper_bound: Optional[object]
     bounds_applicable: bool
     diffs_decreasing: bool
-
-    def within_bounds(self) -> Optional[bool]:
-        if not self.bounds_applicable:
-            return None
-        return bool(
-            self.lower_bound <= self.extrapolated
-            and self.extrapolated <= self.upper_bound
-        )
 
 
 def g1_is_tree(s: SelfSimilarStructure) -> bool:
@@ -96,7 +87,7 @@ def entropy(
             acc = mpmath.mpf(0)
             for p, exponents in table.items():
                 acc += exponents[n] * logs[p]
-            values.append((n, acc / vertex_count_formula(s, n)))
+            values.append((n, acc / dd.v_count(n)))
         diffs = [abs(values[i + 1][1] - values[i][1]) for i in range(len(values) - 1)]
         tail = diffs[-5:]
         decreasing = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))

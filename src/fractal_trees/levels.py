@@ -68,15 +68,6 @@ class LevelGraph:
             deg[v] += m
         return deg
 
-    def edge_total(self) -> int:
-        return sum(m for _, _, m in self.edges)
-
-    def degree_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for d in self.degrees():
-            hist[d] = hist.get(d, 0) + 1
-        return hist
-
 
 def vertex_count_formula(s: SelfSimilarStructure, n: int) -> int:
     """|V_n|, the closed form of |V_n| = m |V_{n-1}| - m |V_0| + |V_1|.
@@ -163,12 +154,6 @@ class DegreeStats:
         return sum(self.corner_degrees) + sum(
             d * c for d, c in self.interior_histogram.items()
         )
-
-    def full_histogram(self) -> dict[int, int]:
-        hist = dict(self.interior_histogram)
-        for d in self.corner_degrees:
-            hist[d] = hist.get(d, 0) + 1
-        return hist
 
 
 def degree_stats(s: SelfSimilarStructure, n: int) -> DegreeStats:

@@ -79,9 +79,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def leading(self) -> Fraction:
         if not self.coeffs:
             return Q(0)

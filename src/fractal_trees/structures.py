@@ -74,9 +74,6 @@ class SelfSimilarStructure:
             cell_maps=tuple(tuple(c) for c in cell_maps),
         )
 
-    def degree_in_g1(self, v: int) -> int:
-        return sum(m for (a, b, m) in self.edges1 if a == v or b == v)
-
     def gluing_sites(self) -> dict[int, list[tuple[int, int]]]:
         """Non-boundary V1 vertices -> list of (cell, corner-slot) covering them."""
         sites: dict[int, list[tuple[int, int]]] = {}
@@ -202,15 +199,8 @@ def validate(s: SelfSimilarStructure) -> ValidationReport:
     if covered != set(range(s.v1_size)):
         bad.append("uncovered V1 vertex (not any cell corner image)")
 
-    # G1 must be the union of one complete graph per cell
-    expect: dict[tuple[int, int], int] = {}
-    for cm in s.cell_maps:
-        for a in range(len(cm)):
-            for b in range(a + 1, len(cm)):
-                u, v = sorted((cm[a], cm[b]))
-                expect[(u, v)] = expect.get((u, v), 0) + 1
-    got = {(u, v): m for u, v, m in s.edges1}
-    if expect != got:
+    # G1 must be the union of one complete graph per cell (`create` normalized edges1)
+    if _normalize_edges(_edges_from_cells(s.cell_maps)) != s.edges1:
         bad.append("edges inconsistent with cell maps (G1 != glued complete graph copies)")
 
     return ValidationReport(tuple(bad))
@@ -359,8 +349,10 @@ def from_json_dict(d: dict) -> SelfSimilarStructure:
 
 def load_json(path: str) -> SelfSimilarStructure:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise _malformed(f"cannot read {path}: {e.strerror}") from None
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
+        raise _malformed(f"cannot parse {path}: {e}") from None
     return from_json_dict(data)

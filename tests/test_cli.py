@@ -345,23 +345,30 @@ def test_info_lists_the_violations_of_a_fractal_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mutate, field",
+    "mutate, expect",
     [
         (lambda d: [d], None),
-        (lambda d: {**d, "edges": [["0", 2, 1]] + d["edges"][1:]}, "edges"),
-        (lambda d: {**d, "cell_maps": None}, "cell_maps"),
-        (lambda d: {**d, "boundary": [0, 2.5]}, "boundary"),
+        (lambda d: {**d, "edges": [["0", 2, 1]] + d["edges"][1:]}, "field 'edges'"),
+        (lambda d: {**d, "cell_maps": None}, "field 'cell_maps'"),
+        (lambda d: {**d, "boundary": [0, 2.5]}, "field 'boundary'"),
+        (lambda d: b"[" * 200_000 + b"]" * 200_000, "cannot parse {path}: "),
+        (lambda d: json.dumps(d).encode().replace(b"diamond", b"diam\xffond"), "cannot parse {path}: "),
     ],
-    ids=["top-level-list", "string-vertex-id", "null-cell-maps", "float-vertex-id"],
+    ids=[
+        "top-level-list", "string-vertex-id", "null-cell-maps", "float-vertex-id",
+        "nested-200000-deep", "not-utf-8",
+    ],
 )
-def test_malformed_fractal_file_one_error_line(tmp_path, capsys, mutate, field):
+def test_malformed_fractal_file_one_error_line(tmp_path, capsys, mutate, expect):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(mutate(to_json_dict(builtin("diamond")))))
-    code, out, err = run(capsys, "count", str(path), "-n", "2")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if field:
-        assert f"field '{field}'" in err
+    content = mutate(to_json_dict(builtin("diamond")))
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    for argv in (["count", str(path), "-n", "2"], ["info", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if expect:
+            assert expect.format(path=path) in err
 
 
 def test_negative_level_rejected(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from fractal_trees.decimation import (
 )
 from fractal_trees.matrices import solve_linear
 from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction, preimage_poly
-from fractal_trees.structures import InvalidStructureError
+from fractal_trees.structures import InvalidStructureError, load_json
 from test_generalization import gasket2
 from test_polys import irreducible_factors
 
@@ -198,6 +199,26 @@ def test_image_of_is_a_class_under_every_R(image_dds, factors):
             h = dd.image_of(AlgebraicClass(f))
             assert f.divides(preimage_poly(h.minpoly, dd.R.num, dd.R.den))
             assert f.degree % h.degree == 0
+            if f.degree == 1:  # the general path gives the class of R(r)
+                assert h == AlgebraicClass.from_rational(dd.R(-f.coeffs[0]))
+
+
+@pytest.fixture(scope="module")
+def nine_dds(image_dds):
+    data = Path(__file__).parent / "data"
+    return [*image_dds, *(derive(load_json(str(data / f))) for f in ("sg_2_4.json", "sg_2_5.json"))]
+
+
+def test_sigma_d_is_the_complete_factorization_of_chi_d(nine_dds):
+    # classify reads mult_D from sigma(D), so the classes must be distinct
+    # and their powers must multiply back to chi_D
+    for dd in nine_dds:
+        classes = [cls for cls, _ in dd.sigma_d]
+        assert len(set(classes)) == len(classes), dd.structure.name
+        product = Polynomial.const(1)
+        for cls, mult in dd.sigma_d:
+            product = product * cls.minpoly ** mult
+        assert product == dd.charpoly_d.monic(), dd.structure.name
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def test_bounds_inapplicable_for_diamond_and_interval():
 def test_bounds_bracket_level_30():
     for name in ("sierpinski", "nonpcf_sg", "hexagasket"):
         rep = entropy(builtin(name), n_max=30, precision=30)
-        assert rep.within_bounds() is True
+        assert rep.bounds_applicable
+        assert rep.lower_bound <= rep.extrapolated <= rep.upper_bound
 
 
 def test_g1_tree_detection():

@@ -106,7 +106,8 @@ def test_sg3_spectrum_certified(sg3_dd):
 
 def test_sg3_entropy_in_bounds(sg3_dd):
     rep = entropy(gasket2(3), n_max=30, precision=30, dd=sg3_dd)
-    assert rep.within_bounds() is True
+    assert rep.bounds_applicable
+    assert rep.lower_bound <= rep.extrapolated <= rep.upper_bound
     assert rep.diffs_decreasing
     # denser than the ordinary gasket, as expected
     sg = entropy(builtin("sierpinski"), n_max=30, precision=30)

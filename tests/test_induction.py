@@ -364,6 +364,18 @@ def test_escape_certificate_is_sound(middle, a0, negative, bound):
             assert min(abs(r) for r in roots) > mpmath.mpf(bound.numerator) / bound.denominator
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(-50, 50, max_denominator=40),
+    st.fractions(2, 20, max_denominator=16),
+    st.sampled_from(["r", "0", "B", "-B"]),
+)
+def test_escape_certificate_is_exact_on_rational_classes(r, bound, pick):
+    # with g = 1 Fujiwara's test reads |r| > B, so r = 0 and |r| = B stay
+    r = {"r": r, "0": Fraction(0), "B": bound, "-B": -bound}[pick]
+    assert decimation._class_escaped(AlgebraicClass.from_rational(r), bound) == (abs(r) > bound)
+
+
 def test_orbit_into_a_far_irrational_class_escapes():
     dd = derive(builtin("sierpinski"))
     dd.image_of = lambda cls: FAR_PAIR
