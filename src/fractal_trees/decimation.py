@@ -6,17 +6,20 @@ The pipeline, all in exact arithmetic:
   1. Block the level-1 probabilistic Laplacian as [[A, B], [C, D]] with A
      indexed by the boundary.  A = I, as validation refuses every edge
      joining two boundary vertices and G1 has exactly the edges of edges1.
-  2. Compute the Schur complement S(z) = (A - zI) - B (D - zI)^-1 C: its
-     entries have denominator chi_D(z) = det(D - zI), so chi_D(z) S(z) is
-     a polynomial matrix of degree <= k + 1 (k = |V1| - |V0|), which is
-     evaluated over Q at k + 2 integers off the roots of chi_D and
-     Newton-interpolated.  Full symmetry makes S(z) = phi(z) (P0 - R(z)),
-     one function on the diagonal and one off it, so only S_11 and S_12
-     are interpolated: phi(z) = -(|V0|-1) S_12(z) and
-     R(z) = 1 - S_11(z)/phi(z).  Every sampled diagonal entry must equal
-     S_11 and every off-diagonal entry S_12 at the same point; the first
-     sample that fails falsifies full symmetry and aborts, before the
-     remaining samples are solved.
+  2. Compute the Schur complement S(z) = (A - zI) - B (D - zI)^-1 C from
+     the moments M_t = B D^t C.  Write chi_D(z) = det(D - zI) =
+     sum_s c_s z^s (k = |V1| - |V0|).  By Cayley-Hamilton (the adjugate
+     expansion, Cohen, *A Course in Computational Algebraic Number
+     Theory*, 2.2), (D - zI)^-1 = -sum_{t<k} D^t q_t(z) / chi_D(z) with
+     q_t(z) = sum_{s>t} c_s z^(s-t-1), so exactly
+     chi_D(z) S(z) = chi_D(z) (1 - z) I + sum_{t<k} M_t q_t(z), and the
+     moments cost k sparse mat-vecs per boundary column.  Full symmetry
+     makes S(z) = phi(z) (P0 - R(z)), one function on the diagonal and one
+     off it: phi(z) = -(|V0|-1) S_12(z) and R(z) = 1 - S_11(z)/phi(z).
+     The q_t have the distinct degrees k - t - 1, so this holds iff every
+     moment has one diagonal value and one off-diagonal value.  The
+     moments are checked t by t; the first that fails falsifies full
+     symmetry and aborts before the rest are computed.
   3. Classify every exceptional value (the irreducible factors of chi_D
      and of the numerator of phi): read its multiplicity in sigma(D) from
      the factorization of chi_D, decide the pole and zero predicates by
@@ -58,7 +61,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .levels import build_level
@@ -69,7 +73,6 @@ from .polys import (
     Polynomial,
     RationalFunction,
     factor_classes,
-    interpolate,
     preimage_poly,
     squarefree_part,
 )
@@ -256,6 +259,16 @@ class DecimationData:
     def m(self) -> int:
         return self.structure.m
 
+    @cached_property
+    def _sigma_mult(self) -> dict:
+        return dict(self.sigma_d)
+
+    @cached_property
+    def _dr_num(self) -> Polynomial:
+        """num' den - num den', the numerator of R' = (num/den)'."""
+        num, den = self.R.num, self.R.den
+        return num.derivative() * den - num * den.derivative()
+
     def v_count(self, n: int) -> int:
         """|V_n|, carried level to level as m |V_{n-1}| - m |V0| + |V1|."""
         s, v = self.structure, self._v_counts
@@ -337,6 +350,26 @@ class DecimationData:
 # derivation
 
 
+def _moments(p1: list, v0: int):
+    """Yield (scale, M) for t = 0, 1, ..., k - 1: M is the integer matrix
+    scale * B D^t C of P1 = [[A, B], [C, D]] (A the v0 x v0 boundary block),
+    scale = delta^(t+2) with delta the lcm of the entry denominators.  Each
+    step is one sparse integer mat-vec with delta D per boundary column."""
+    interior = range(v0, len(p1))
+    delta = lcm(*(e.denominator for row in p1 for e in row))
+
+    def scaled(i):  # row i of delta P1 on the interior columns, sparse
+        return [(j - v0, int(delta * p1[i][j])) for j in interior if p1[i][j]]
+
+    b_rows, d_rows = [scaled(i) for i in range(v0)], [scaled(i) for i in interior]
+    cols = [[int(delta * p1[i][j]) for i in interior] for j in range(v0)]  # delta^(t+1) D^t C
+    scale = delta * delta
+    for _ in interior:
+        yield scale, [[sum(e * col[c] for c, e in row) for col in cols] for row in b_rows]
+        cols = [[sum(e * col[c] for c, e in row) for row in d_rows] for col in cols]
+        scale *= delta
+
+
 def derive(s: SelfSimilarStructure) -> DecimationData:
     """Compute the full decimation data of a validated structure."""
     s = validated(s)
@@ -347,35 +380,20 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
 
     interior = range(v0, v1)
     d_mat = [[p1[i][j] for j in interior] for i in interior]
-    c_mat = [[p1[i][j] for j in range(v0)] for i in interior]
 
-    # chi_D(z) S(z) at k + 2 integers off the roots of chi_D (module docstring, step 2)
+    # chi_D(z) S(z) from the moments B D^t C, checked t by t (module docstring, step 2)
     chi_d = charpoly(d_mat)
-    points = list(islice((Q(z) for z in count() if chi_d(Q(z))), len(d_mat) + 2))
-    s11, s12 = [], []
-    for z in points:
-        c = chi_d(z)
-        x_mat = solve_linear(
-            [[e - z * (i == j) for j, e in enumerate(row)] for i, row in enumerate(d_mat)], c_mat
-        )
-        smp = [
-            [c * (p1[i][j] - z * (i == j)
-                  - sum(p1[i][t] * x_mat[t - v0][j] for t in interior if p1[i][t]))
-             for j in range(v0)]
-            for i in range(v0)
-        ]
-        # S = phi (P0 - R) holds iff every diagonal entry is S_11 and every
-        # off-diagonal entry is S_12; chi_D S_ij has degree <= k + 1, so
-        # agreement at the k + 2 samples is agreement as rational functions
-        diag, off = smp[0][0], smp[0][1]
-        if any(smp[i][j] != (diag if i == j else off) for i in range(v0) for j in range(v0)):
+    n11, n12 = chi_d * Polynomial([1, -1]), Polynomial()
+    for t, (scale, mom) in enumerate(_moments(p1, v0)):
+        diag, off = mom[0][0], mom[0][1]
+        if any(mom[i][j] != (diag if i == j else off) for i in range(v0) for j in range(v0)):
             raise NotFullySymmetricError(
                 "Schur complement does not factor through the boundary "
                 "Laplacian; structure is not fully symmetric"
             )
-        s11.append(diag)
-        s12.append(off)
-    n11, n12 = interpolate(points, s11), interpolate(points, s12)
+        q_t = Polynomial(chi_d.coeffs[t + 1:])
+        n11 += q_t * Q(diag, scale)
+        n12 += q_t * Q(off, scale)
 
     phi = RationalFunction(n12 * -(v0 - 1), chi_d)
     if phi.is_zero():
@@ -429,13 +447,14 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
     coprime to it, so mult_D is read from `dd.sigma_d` (0 when absent).
     """
     mp = v.minpoly
-    mult_d = dict(dd.sigma_d).get(v, 0)
+    mult_d = dd._sigma_mult.get(v, 0)
     phi_zero = mp.divides(dd.phi.num) if not dd.phi.num.is_zero() else False
     phi_pole = mp.divides(dd.phi.den)
     r_pole = mp.divides(dd.R.den)
-    num, den = dd.R.num, dd.R.den  # R' = (num' den - num den') / den^2
-    dr = RationalFunction(num.derivative() * den - num * den.derivative(), den * den)
-    dr_nonzero = not mp.divides(dr.num) if not dr.num.is_zero() else False
+    # R' = w / den^2 with w = num' den - num den'.  Off the poles of R, mp
+    # divides R''s reduced numerator iff it divides w; at a pole of order e
+    # w has mp-valuation e - 1 < 2e, so the reduced numerator is prime to mp
+    dr_nonzero = r_pole or not mp.divides(dd._dr_num)
 
     image: Optional[AlgebraicClass]
     image = None if r_pole else dd.image_of(v)

@@ -1,10 +1,10 @@
 """Dense exact linear algebra over Q.
 
 Matrices are plain lists of lists of `Fraction`.  The decimation engine
-evaluates the Schur complement at rational points with `solve_linear`
-and interpolates the numerators (see `decimation.derive`); it maps a
-conjugate class through R with one `solve_linear` and one `charpoly`
-(see `DecimationData.image_of`).  `charpoly` is one Hessenberg pass in
+takes chi_D from `charpoly` and builds the Schur complement from integer
+moments without a solve (see `decimation.derive`); it maps a conjugate
+class through R with one `solve_linear` and one `charpoly` (see
+`DecimationData.image_of`).  `charpoly` is one Hessenberg pass in
 Z/p, p a Mersenne prime above the Hadamard bound on the coefficients, so
 it is exact, not probabilistic.
 """

@@ -10,7 +10,6 @@ the number-theoretic utilities the decimation pipeline needs:
   * factorization of squarefree polynomials into irreducible factors over
     Q, of any degree, by Zassenhaus's algorithm (factoring modulo a
     prime, Hensel lifting, recombination),
-  * Newton interpolation from values at rational points,
   * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
 """
@@ -23,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
 from math import isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Q = Fraction
 
@@ -279,26 +278,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """Monic product of the distinct irreducible factors of p."""
     g = p.gcd(p.derivative())
     return (p // g).monic()
-
-
-def interpolate(xs: Sequence, ys: Sequence) -> Polynomial:
-    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]).
-
-    Newton's divided differences; the xs must be distinct.
-    """
-    xs = [_as_fraction(x) for x in xs]
-    coef = [_as_fraction(y) for y in ys]
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    acc = [coef[-1]] if n else []
-    for i in range(n - 2, -1, -1):
-        # acc = acc * (z - xs[i]) + coef[i]
-        acc = [coef[i] - xs[i] * acc[0]] + [
-            a - xs[i] * b for a, b in zip(acc, acc[1:] + [Q(0)])
-        ]
-    return Polynomial(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from fractal_trees import (
     SelfSimilarStructure,
-    build_level,
     builtin,
     crosscheck_spectrum,
     derive,
@@ -19,10 +18,10 @@ from fractal_trees.decimation import (
     ZERO_CLASS,
     classify,
 )
-from fractal_trees.matrices import solve_linear
+from fractal_trees.kirchhoff import prob_laplacian
 from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction, preimage_poly
 from fractal_trees.structures import InvalidStructureError, load_json
-from test_generalization import gasket2
+from test_generalization import assert_schur_factors, gasket
 from test_polys import irreducible_factors
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
@@ -184,7 +183,7 @@ def test_image_of_quadratic_through_square(dds):
 
 @pytest.fixture(scope="module")
 def image_dds(dds):
-    return [*dds.values(), derive(gasket2(3))]
+    return [*dds.values(), derive(gasket(2, 3))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -408,71 +407,57 @@ PINNED_DERIVE = {
 }
 
 
-def _schur_at(s, z):
-    """S(z) = (A - zI) - B (D - zI)^-1 C of P1, by one Fraction solve at z."""
-    g1 = build_level(s, 1)
-    v0, v1 = s.v0_size, g1.vertex_count
-    degs = g1.degrees()
-    p1 = [[F(int(i == j)) for j in range(v1)] for i in range(v1)]
-    for u, v, mult in g1.edges:
-        p1[u][v] -= F(mult, degs[u])
-        p1[v][u] -= F(mult, degs[v])
-    interior = range(v0, v1)
-    x = solve_linear(
-        [[p1[i][j] - z * (i == j) for j in interior] for i in interior],
-        [[p1[i][j] for j in range(v0)] for i in interior],
-    )
-    return [
-        [p1[i][j] - z * (i == j) - sum(p1[i][t] * x[t - v0][j] for t in interior)
-         for j in range(v0)]
-        for i in range(v0)
-    ]
-
-
 @pytest.mark.parametrize("name", sorted(PINNED_DERIVE))
 def test_derive_outputs_pinned(name):
-    s = gasket2(3) if name == "sg3" else builtin(name)
+    s = gasket(2, 3) if name == "sg3" else builtin(name)
     dd = derive(s)
     phi_n, phi_d, r_n, r_d, chi = PINNED_DERIVE[name]
     assert (dd.phi.num, dd.phi.den) == (_p(phi_n), _p(phi_d))
     assert (dd.R.num, dd.R.den) == (_p(r_n), _p(r_d))
     assert dd.charpoly_d == _p(chi)
-    # derive samples S at integer points; check it at a point off that grid
-    z = F(7, 3)
-    assert dd.charpoly_d(z) != 0
-    v0 = s.v0_size
-    phi, r = dd.phi(z), dd.R(z)
-    expected = [
-        [phi * ((1 if i == j else F(-1, v0 - 1)) - (r if i == j else 0)) for j in range(v0)]
-        for i in range(v0)
-    ]
-    assert _schur_at(s, z) == expected
+    # S = phi (P0 - R), checked against one direct solve of S at a point
+    assert_schur_factors(s, dd, F(7, 3))
 
 
 def test_derive_skips_roots_of_chi_d():
-    # derive samples S(z) at z = 0, 1, 2, ...; z = 1 is an eigenvalue of D
-    # here, so it must be skipped (the pinned test above covers the result)
+    # chi_D vanishes at z = 1 here, so no solve can read S(1); derive reads
+    # S through the moments B D^t C and evaluates it at no point, and the
+    # pinned test above covers the result
     for name in ("nonpcf_sg", "diamond", "interval", "tree3"):
         assert _p(PINNED_DERIVE[name][4])(F(1)) == 0, name
 
 
-@pytest.mark.parametrize("bad", range(5))
-def test_symmetry_check_reads_every_sample(monkeypatch, bad):
-    # sierpinski has k = 3 interior vertices, so derive solves at k + 2 = 5
-    # points; one perturbed entry at any of them, the last included, breaks
-    # the one-diagonal, one-off-diagonal shape of that sample, and derive
-    # refuses at that sample without solving the rest
-    s = builtin("sierpinski")
-    calls = []
+@pytest.mark.parametrize("entry", [(2, 2), (2, 1)], ids=["diag", "off"])
+@pytest.mark.parametrize("bad", range(3))
+def test_symmetry_check_reads_every_moment(monkeypatch, bad, entry):
+    # sierpinski has k = 3 interior vertices, so derive reads the moments
+    # B D^t C for t = 0, 1, 2; one perturbed entry, diagonal or not, in any
+    # of them, the last included, breaks the one-diagonal, one-off-diagonal
+    # shape, and derive refuses at that moment without computing the rest
+    moments, drawn = decimation._moments, []
 
-    def perturbed(a, rhs):
-        x = solve_linear(a, rhs)
-        if len(calls) == bad:
-            x[0][0] += 1
-        calls.append(None)
-        return x
+    def perturbed(p1, v0):
+        for t, (scale, mom) in enumerate(moments(p1, v0)):
+            drawn.append(t)
+            if t == bad:
+                mom[entry[0]][entry[1]] += 1
+            yield scale, mom
 
-    monkeypatch.setattr(decimation, "solve_linear", perturbed)
+    monkeypatch.setattr(decimation, "_moments", perturbed)
     with pytest.raises(NotFullySymmetricError, match="does not factor"):
-        derive(s)
-    assert len(calls) == bad + 1
+        derive(builtin("sierpinski"))
+    assert drawn == list(range(bad + 1))
+
+
+@pytest.mark.parametrize("i, j", [(3, 4), (5, 3), (4, 4)])
+def test_perturbed_d_entry_is_refused(monkeypatch, i, j):
+    # sierpinski's interior block D is rows and columns 3..5 of P1; moving
+    # one entry of it breaks the boundary symmetry of some moment B D^t C
+    def perturbed(g):
+        p1 = prob_laplacian(g)
+        p1[i][j] += F(1, 7)
+        return p1
+
+    monkeypatch.setattr(decimation, "prob_laplacian", perturbed)
+    with pytest.raises(NotFullySymmetricError, match="does not factor"):
+        derive(builtin("sierpinski"))

@@ -26,9 +26,9 @@ def test_vertex_counts_match_closed_form():
 
 
 def test_vertex_count_closed_form_divides_exactly():
-    from test_generalization import gasket2
+    from test_generalization import gasket
 
-    for s in [builtin(name) for name in BUILTIN_NAMES] + [gasket2(3)]:
+    for s in [builtin(name) for name in BUILTIN_NAMES] + [gasket(2, 3)]:
         count = s.v1_size
         for n in range(1, 51):
             numerator = s.m ** n * (s.v1_size - s.v0_size) + s.m * s.v0_size - s.v1_size
@@ -180,13 +180,13 @@ BUILD_DIGESTS = {
 def test_build_output_pinned(name, tmp_path, capsys):
     from fractal_trees.cli import main
     from fractal_trees.structures import to_json_dict
-    from test_generalization import gasket2
+    from test_generalization import gasket
 
     fractal = name
     if name == "sg3":
         fractal = str(tmp_path / "sg3.json")
         with open(fractal, "w") as f:
-            json.dump(to_json_dict(gasket2(3)), f)
+            json.dump(to_json_dict(gasket(2, 3)), f)
     digest = hashlib.sha256()
     for n in range(4):
         assert main(["build", fractal, "-n", str(n), "--format", "json"]) == 0
