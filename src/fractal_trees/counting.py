@@ -11,10 +11,11 @@ norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
 with 10^14 digits tractable.
 
 `LevelWalk` advances per-prime exponent sums from level n - 1 to n, so
-all levels up to n cost O(n) steps; each step runs the spectrum
-induction one level (`decimation.born`), which checks its sum rule.  The
-families born at level n - 1 that lift (`DecimationData.lifted`, decided
-by the induction) add their norm once; the others split and drop out.
+all levels up to n cost O(n) steps; each step takes one level from the
+spectrum induction (`decimation.induction`), which checks its sum rule,
+and keeps that level's born families.  The families born at level n - 1
+that lift (decided by the induction) add their norm once; the others
+split and drop out.
 The ratio exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg
 over the lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1)
 + 1 (also for d = 1).  Corners gain the factors of kappa_j; interior
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .decimation import DecimationData, InconsistentSpectrumError, born, derive
+from .decimation import DecimationData, InconsistentSpectrumError, derive, induction
 from .decimation import spectrum  # noqa: F401 - perfbench's self-test reads counting.spectrum
 from .factored import FactoredInteger, Factorization, factorize
 from .polys import AlgebraicClass
@@ -73,6 +74,8 @@ class LevelWalk:
 
     def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
         self.s, self.dd, self.level = s, dd, 0
+        self._levels = induction(dd)
+        _, self.born, _ = next(self._levels)  # the depth-0 families at self.level
         self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
         self._cache: dict[int, Factorization] = {}
         self.corner = [s.v0_size - 1] * s.v0_size
@@ -96,8 +99,8 @@ class LevelWalk:
 
     def step(self):
         s, dd, n = self.s, self.dd, self.level + 1
-        table, v_n = born(dd, n), dd.v_count(n)
-        for cls, mult in dd.lifted[n - 1].items():
+        v_n, self.born, lifted = next(self._levels)
+        for cls, mult in lifted.items():
             if cls.contains_zero():
                 raise ValueError("the zero eigenvalue is never lifted to preiterates")
             self.weight += mult * cls.degree
@@ -106,7 +109,7 @@ class LevelWalk:
         self.level = n
         # the lifted families hold sum mult * deg * d^k = (d - 1) L_n + W_n roots
         count = 1 + (dd.d - 1) * self.lifts + self.weight
-        count += sum(m * c.degree for c, m in table.items())
+        count += sum(m * c.degree for c, m in self.born.items())
         if count != v_n:
             raise InconsistentSpectrumError(f"sum rule violated at level {n}: {count} != {v_n}")
 
@@ -130,7 +133,7 @@ class LevelWalk:
     def factors(self) -> FactoredInteger:
         """tau(G_n) at the current level, checked to be a positive integer."""
         out = dict(self.fixed)
-        for cls, mult in born(self.dd, self.level).items():
+        for cls, mult in self.born.items():
             if cls.contains_zero():
                 raise ValueError("class norm of a class containing 0 vanishes")
             self._add(out, cls.norm(), mult)

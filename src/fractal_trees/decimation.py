@@ -28,9 +28,11 @@ The pipeline, all in exact arithmetic:
      multiplicity of R(e) at level n - 1).
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
-     symbolically as (base class, depth) preiterate families, stored by
-     the level at which each family was born, so a level step touches
-     only the newest families and spectrum(dd, n) costs O(n).  A family
+     symbolically as (base class, depth) preiterate families.  Each
+     multiplicity at level n depends on level n - 1 alone, so `induction`
+     is one generator that holds only the previous level: a level step
+     touches only the newest families, spectrum(dd, n) costs O(n), and a
+     walk to level n runs in O(n) memory.  A family
      whose next preimage set would contain an exceptional value cannot be
      lifted wholesale: at depth one the preimage polynomial is factored
      and only the regular factors are kept (the exceptional members are
@@ -43,8 +45,9 @@ The pipeline, all in exact arithmetic:
      orbit reaches it; a family of that class that lifts at level b would
      hold e at depth i at level b + i, where the induction refuses.  Each
      level step decides once per family whether it lifts or splits, and
-     records the lifting families (`DecimationData.lifted`); `spectrum`
-     and `counting.LevelWalk` read that record.  The eigenvalue-count sum
+     yields the lifting ones with the families born at the level;
+     `spectrum` collects them and `counting.LevelWalk` takes one level
+     per step.  The eigenvalue-count sum
      rule is asserted at every level, and `crosscheck_spectrum` compares
      the predicted spectrum against the characteristic polynomial of an
      explicitly built level graph.
@@ -62,10 +65,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Optional
+from itertools import count, islice
+from math import gcd, lcm
+from typing import Iterator, Optional
 
-from .levels import build_level
+from .levels import build_level, vertex_count_formula
 from .kirchhoff import prob_laplacian, prob_laplacian_charpoly
 from .matrices import charpoly, solve_linear
 from .polys import (
@@ -241,19 +245,6 @@ class DecimationData:
     escape_bound: Fraction = Q(2)
     _image_cache: dict = field(default_factory=dict, repr=False)
     _preimage_cache: dict = field(default_factory=dict, repr=False)
-    # the depth-0 families born at level b that lift to level b + 1, in
-    # birth order: at level n they read as (class, n - b, mult); the
-    # others are the ones in `split`
-    lifted: list = field(default_factory=list, repr=False)
-    # spectrum induction state: _tables[b] holds the depth-0 families born
-    # at level b; _reach is `_orbit_depths(self)`, walked once at the
-    # first level step; _deep_hit is the earliest (level, exceptional,
-    # base, depth) at which an exceptional orbit meets a lifted family at
-    # depth 2 or more, where the induction refuses
-    _tables: list = field(default_factory=list, repr=False)
-    _reach: Optional[dict] = field(default=None, repr=False)
-    _deep_hit: Optional[tuple] = field(default=None, repr=False)
-    _v_counts: list = field(default_factory=list, repr=False)  # |V_0|, |V_1|, ...
 
     @property
     def m(self) -> int:
@@ -264,17 +255,19 @@ class DecimationData:
         return dict(self.sigma_d)
 
     @cached_property
+    def _reach(self) -> dict:
+        """`_orbit_depths(self)`, walked once at the first level step."""
+        return _orbit_depths(self)
+
+    @cached_property
     def _dr_num(self) -> Polynomial:
         """num' den - num den', the numerator of R' = (num/den)'."""
         num, den = self.R.num, self.R.den
         return num.derivative() * den - num * den.derivative()
 
     def v_count(self, n: int) -> int:
-        """|V_n|, carried level to level as m |V_{n-1}| - m |V0| + |V1|."""
-        s, v = self.structure, self._v_counts
-        while len(v) <= n:
-            v.append(s.m * (v[-1] - s.v0_size) + s.v1_size)
-        return v[n]
+        """|V_n|, in closed form."""
+        return vertex_count_formula(self.structure, n)
 
     @property
     def ratio(self) -> Fraction:
@@ -292,8 +285,6 @@ class DecimationData:
         denominator coefficient), from which the conventional Q(0) and
         P_d values are read off.
         """
-        from math import gcd, lcm
-
         coeffs = list(self.R.num.coeffs) + list(self.R.den.coeffs)
         scale = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
         ints = [int(c * scale) for c in coeffs]
@@ -428,9 +419,6 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
         sigma_d=sigma,
         exceptional=tuple(exceptional),
         escape_bound=_escape_bound(r.num, r.den),
-        # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
-        _tables=[{AlgebraicClass.from_rational(Q(v0, v0 - 1)): v0 - 1}],
-        _v_counts=[v0],
     )
     for cls in dd.exceptional:
         dd.case_records[cls] = classify(dd, cls)
@@ -520,99 +508,105 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """Exact spectrum of P_n as preiterate families, by forward induction.
 
     The families born at level n read at depth 0; a family born at level
-    b < n that lifts to level b + 1 (`dd.lifted[b]`) reads as
-    (class, n - b, mult).
+    b < n that lifts to level b + 1 reads as (class, n - b, mult).
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    layers = [born(dd, n), *reversed(dd.lifted[:n])]
+    lifts = []  # the families that lifted to levels 0, 1, ..., n
+    for v_n, born, lifted in islice(induction(dd), n + 1):
+        lifts.append(lifted)
+    layers = [born, *reversed(lifts)]
     entries = tuple(
         (cls, k, mult) for k, layer in enumerate(layers) for cls, mult in layer.items()
     )
     st = SpectrumTable(level=n, d=dd.d, entries=entries)
-    count, v_n = st.eigenvalue_count(), dd.v_count(n)
-    if count != v_n:
-        raise InconsistentSpectrumError(f"sum rule violated at level {n}: {count} != {v_n}")
+    total = st.eigenvalue_count()
+    if total != v_n:
+        raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
     return st
 
 
-def born(dd: DecimationData, n: int) -> dict:
-    """The depth-0 families {class: mult} born at level n."""
-    while len(dd._tables) <= n:
-        _advance(dd, len(dd._tables))
-    return dd._tables[n]
+def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
+    """Yield (|V_n|, born_n, lifted_(n-1)) for n = 0, 1, 2, ...: the
+    depth-0 families {class: mult} born at level n, and those born at
+    level n - 1 that lift to level n ({} at n = 0; the others split).
+    Only level n - 1 is held; the families born earlier carry over one
+    level deeper."""
+    s = dd.structure
+    # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
+    v_prev = s.v0_size
+    born = {AlgebraicClass.from_rational(Q(v_prev, v_prev - 1)): v_prev - 1}
+    yield v_prev, born, {}
+    reach = dd._reach
+    # the earliest (level, exceptional, base, depth) at which an exceptional
+    # orbit meets a lifted family at depth 2 or more, where the induction refuses
+    deep_hit = None
+    scale = 1  # m^(n-1)
+    for n in count(1):
+        if deep_hit is not None and deep_hit[0] <= n:
+            _, e, base, k = deep_hit
+            raise InconsistentSpectrumError(
+                f"exceptional value {e} sits inside the depth-{k} "
+                f"preiterates of {base}; deep family splitting is not supported"
+            )
+        # the families born at level n - 1, and the zero eigenvalue as one
+        # more that always splits (into the roots of R)
+        prev = {ZERO_CLASS: 1, **born}
+        v_n = s.m * (v_prev - s.v0_size) + s.v1_size
+        new: dict = {}
 
+        def put(cls, mult):
+            if mult < 0:
+                raise InconsistentSpectrumError(
+                    f"negative multiplicity for {cls} at level {n}"
+                )
+            if mult == 0:
+                return
+            if cls in new:
+                raise InconsistentSpectrumError(
+                    f"duplicate spectrum entry for {cls} at depth 0"
+                )
+            new[cls] = mult
 
-def _advance(dd: DecimationData, n: int):
-    """Append the depth-0 families born at level n, and record which of
-    those born at level n - 1 lift; the families born earlier carry over
-    one level deeper."""
-    # the families born at level n - 1, and the zero eigenvalue as one more
-    # that always splits (into the roots of R)
-    prev = {ZERO_CLASS: 1, **dd._tables[n - 1]}
-    if n == 1:
-        dd._reach = _orbit_depths(dd)
-    if dd._deep_hit is not None and dd._deep_hit[0] <= n:
-        _, e, base, k = dd._deep_hit
-        raise InconsistentSpectrumError(
-            f"exceptional value {e} sits inside the depth-{k} "
-            f"preiterates of {base}; deep family splitting is not supported"
+        # exceptional values by their case rules; the multiplicity of R(e)
+        # at level n - 1 is a depth-0 one (a deeper match was refused
+        # above), or 0 where R has a pole (image None)
+        for e, rec in dd.case_records.items():
+            a, b, c = CASE_RULES[rec.case_id]
+            put(e, a * scale * rec.mult_d + b * v_prev + c * prev.get(rec.image, 0))
+
+        # split the families at the images R(e) and at 0; the rest lift one
+        # preiterate deeper
+        removed, lifted = 0, {}
+        for base, mult in prev.items():
+            if base == ZERO_CLASS or base in dd.split:
+                removed += mult * base.degree
+                for sub, root_mult in dd.preimage_classes(base):
+                    if sub in dd.case_records or sub == ZERO_CLASS:
+                        continue
+                    if root_mult != 1:
+                        raise InconsistentSpectrumError(
+                            "repeated regular preimage inside a split family; "
+                            "multiplicity rules for critical points are not covered"
+                        )
+                    put(sub, mult)
+                continue
+            lifted[base] = mult
+            # e sits among this family's depth-k preiterates at level n - 1 + k
+            if base in reach:
+                k, e = reach[base]
+                if deep_hit is None or n - 1 + k < deep_hit[0]:
+                    deep_hit = (n - 1 + k, e, base, k)
+
+        # sum rule: lifts multiply the eigenvalue count by d
+        total = 1 + dd.d * (v_prev - removed) + sum(
+            mult * cls.degree for cls, mult in new.items()
         )
-
-    new: dict = {}
-    scale, v_prev, v_n = dd.m ** (n - 1), dd.v_count(n - 1), dd.v_count(n)
-
-    def put(cls, mult):
-        if mult < 0:
-            raise InconsistentSpectrumError(
-                f"negative multiplicity for {cls} at level {n}"
-            )
-        if mult == 0:
-            return
-        if cls in new:
-            raise InconsistentSpectrumError(
-                f"duplicate spectrum entry for {cls} at depth 0"
-            )
-        new[cls] = mult
-
-    # exceptional values by their case rules; the multiplicity of R(e) at
-    # level n - 1 is a depth-0 one (a deeper match was refused above), or
-    # 0 where R has a pole (image None)
-    for e, rec in dd.case_records.items():
-        a, b, c = CASE_RULES[rec.case_id]
-        put(e, a * scale * rec.mult_d + b * v_prev + c * prev.get(rec.image, 0))
-
-    # split the families at the images R(e) and at 0; the rest lift one
-    # preiterate deeper
-    removed, lifted = 0, {}
-    for base, mult in prev.items():
-        if base == ZERO_CLASS or base in dd.split:
-            removed += mult * base.degree
-            for sub, root_mult in dd.preimage_classes(base):
-                if sub in dd.case_records or sub == ZERO_CLASS:
-                    continue
-                if root_mult != 1:
-                    raise InconsistentSpectrumError(
-                        "repeated regular preimage inside a split family; "
-                        "multiplicity rules for critical points are not covered"
-                    )
-                put(sub, mult)
-            continue
-        lifted[base] = mult
-        # e sits among this family's depth-k preiterates at level n - 1 + k
-        if base in dd._reach:
-            k, e = dd._reach[base]
-            if dd._deep_hit is None or n - 1 + k < dd._deep_hit[0]:
-                dd._deep_hit = (n - 1 + k, e, base, k)
-
-    # sum rule: lifts multiply the eigenvalue count by d
-    count = 1 + dd.d * (v_prev - removed) + sum(
-        mult * cls.degree for cls, mult in new.items()
-    )
-    if count != v_n:
-        raise InconsistentSpectrumError(f"sum rule violated at level {n}: {count} != {v_n}")
-    dd._tables.append(dict(sorted(new.items(), key=lambda it: it[0].key())))
-    dd.lifted.append(lifted)
+        if total != v_n:
+            raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
+        born = dict(sorted(new.items(), key=lambda it: it[0].key()))
+        yield v_n, born, lifted
+        v_prev, scale = v_n, scale * s.m
 
 
 # ---------------------------------------------------------------------------
