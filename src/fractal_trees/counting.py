@@ -10,16 +10,18 @@ preimages of every conjugate of beta equals
 norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
 with 10^14 digits tractable.
 
-`LevelWalk` advances per-prime exponent sums from level n - 1 to n, so
-all levels up to n cost O(n) steps; each step takes one level from the
-spectrum induction (`decimation.induction`), which checks its sum rule,
-and keeps that level's born families.  The families born at level n - 1
-that lift (decided by the induction) add their norm once; the others
-split and drop out.
+`LevelWalk` advances its sums from level n - 1 to n, so all levels up
+to n cost O(n) steps; each step takes one level from the spectrum
+induction (`decimation.induction`), which checks its sum rule, and
+keeps that level's born families.  The families born at level n - 1
+that lift (decided by the induction) add their norm once, so the walk
+sums their multiplicities per class; the others split and drop out.
 The ratio exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg
 over the lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1)
-+ 1 (also for d = 1).  Corners gain the factors of kappa_j; interior
-degrees follow H_n = m H_{n-1} + the factors of the new site degrees.
++ 1 (also for d = 1).  Corners gain kappa_j and m^-1 once per level, so
+the walk counts levels; interior degrees follow H_n = m H_{n-1} + the
+factors of the new site degrees.  `factors` expands the summed norms and
+the level count into primes, each norm factored once per walk.
 `preiterate_product` and `levels.degree_stats` give the same pieces at
 one level from scratch.
 """
@@ -67,10 +69,12 @@ def preiterate_product(
 
 
 class LevelWalk:
-    """Per-prime exponent sums of tau(G_n), one level per `step`, which
-    checks the spectrum sum rule and the degree recursion's counts;
-    `factors` checks that the level's product is a positive integer.  Key
-    -1 of a sum counts the negative bases."""
+    """The pieces of tau(G_n), one level per `step`, which checks the
+    spectrum sum rule and the degree recursion's counts: a summed
+    multiplicity per lifted class, the level count and the per-prime
+    interior sums.  `factors` expands them into primes and checks that the
+    level's product is a positive integer.  Key -1 of a sum counts the
+    negative bases."""
 
     def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
         self.s, self.dd, self.level = s, dd, 0
@@ -79,8 +83,9 @@ class LevelWalk:
         self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
         self._cache: dict[int, Factorization] = {}
         self.corner = [s.v0_size - 1] * s.v0_size
-        # corner degrees, carried norms, m^-n and the degree sum's |V0|(|V0|-1)
+        # corner degrees and the degree sum's |V0|(|V0|-1) at level 0
         self.fixed = self._add(self._add({}, s.v0_size - 1, s.v0_size - 1), s.v0_size, -1)
+        self.norms: dict[AlgebraicClass, int] = {}  # lifted class -> summed mult
         self.interior, self.inner_count, self.inner_sum = {}, 0, 0  # H_n
         self.lifts = self.weight = 0  # L_n and W_n
         self.m_power = 1  # m^n
@@ -100,11 +105,13 @@ class LevelWalk:
     def step(self):
         s, dd, n = self.s, self.dd, self.level + 1
         v_n, self.born, lifted = next(self._levels)
+        norms = self.norms
         for cls, mult in lifted.items():
-            if cls.contains_zero():
+            total = norms.get(cls)
+            if total is None and cls.contains_zero():
                 raise ValueError("the zero eigenvalue is never lifted to preiterates")
+            norms[cls] = (total or 0) + mult
             self.weight += mult * cls.degree
-            self._add(self.fixed, cls.norm(), mult)
         self.lifts = dd.d * self.lifts + self.weight
         self.level = n
         # the lifted families hold sum mult * deg * d^k = (d - 1) L_n + W_n roots
@@ -123,7 +130,6 @@ class LevelWalk:
             self.inner_sum += d
         self.corner = [k * c for k, c in zip(self.kappa, self.corner)]
         self.m_power *= s.m
-        self._add(self.fixed, Fraction(prod(self.kappa), s.m), 1)
         if s.v0_size + self.inner_count != v_n:
             raise AssertionError("degree recursion vertex count mismatch")
         # twice the edge count of G_n, m^n |V0|(|V0|-1)
@@ -133,6 +139,10 @@ class LevelWalk:
     def factors(self) -> FactoredInteger:
         """tau(G_n) at the current level, checked to be a positive integer."""
         out = dict(self.fixed)
+        # carried norms, and the corners' kappa_j with m^-1 once per level
+        for cls, mult in self.norms.items():
+            self._add(out, cls.norm(), mult)
+        self._add(out, Fraction(prod(self.kappa), self.s.m), self.level)
         for cls, mult in self.born.items():
             if cls.contains_zero():
                 raise ValueError("class norm of a class containing 0 vanishes")

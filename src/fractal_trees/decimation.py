@@ -43,14 +43,21 @@ The pipeline, all in exact arithmetic:
      roots of R.  The first level step walks each e's forward orbit to its
      end once and records, per class, the least depth i >= 2 at which an
      orbit reaches it; a family of that class that lifts at level b would
-     hold e at depth i at level b + i, where the induction refuses.  Each
-     level step decides once per family whether it lifts or splits, and
-     yields the lifting ones with the families born at the level;
-     `spectrum` collects them and `counting.LevelWalk` takes one level
-     per step.  The eigenvalue-count sum
-     rule is asserted at every level, and `crosscheck_spectrum` compares
-     the predicted spectrum against the characteristic polynomial of an
-     explicitly built level graph.
+     hold e at depth i at level b + i, where the induction refuses.  It
+     also interns every class that can be born into one table, read in
+     key order: 0, the level-0 class, the exceptional values, their
+     images, and the regular preimages of a split base, added when that
+     base first has a nonzero multiplicity (the preimages of a split
+     class that is never born are never factored).  The case rules and
+     the splits are then fixed index lists, and a level step, one step of
+     the affine map from level n - 1 to level n, is integer work on table
+     indices.  Each level step decides once per family whether it lifts
+     or splits, and yields the lifting ones with the families born at the
+     level; `spectrum` collects them and `counting.LevelWalk` takes one
+     level per step.  The eigenvalue-count sum rule is asserted at every
+     level, and `crosscheck_spectrum` compares the predicted spectrum
+     against the characteristic polynomial of an explicitly built level
+     graph.
 
 One deliberate deviation from the literal wording of the case rules: the
 rule for eigenvalues of D at which phi has a pole nominally also requires
@@ -535,9 +542,33 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
     s = dd.structure
     # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
     v_prev = s.v0_size
-    born = {AlgebraicClass.from_rational(Q(v_prev, v_prev - 1)): v_prev - 1}
-    yield v_prev, born, {}
+    first = AlgebraicClass.from_rational(Q(v_prev, v_prev - 1))
+    yield v_prev, {first: v_prev - 1}, {}
     reach = dd._reach
+    # the class table (module docstring, step 4): index 0 is the zero family;
+    # per index the class, its degree, its reach and whether it splits
+    table, index, keys = [], {}, []
+
+    def intern(cls) -> int:
+        if cls not in index:
+            index[cls] = len(table)
+            table.append((cls, cls.degree, reach.get(cls), cls == ZERO_CLASS or cls in dd.split))
+            keys.append(cls.key())
+        return index[cls]
+
+    for cls in (ZERO_CLASS, first, *dd.case_records, *dd.split):
+        intern(cls)
+    order: list = []  # the table's indices in key order
+    # each case rule as (e, a mult_D, b, c, R(e)), with R(e) None at a pole of R
+    rules = [
+        (index[e], a * rec.mult_d, b, c, index.get(rec.image))
+        for e, rec in dd.case_records.items()
+        for a, b, c in [CASE_RULES[rec.case_id]]
+    ]
+    subs: dict = {}  # split base -> [(regular preimage, root multiplicity)]
+    # the families born at level n - 1, and the zero eigenvalue as one more
+    # that always splits (into the roots of R)
+    prev = {0: 1, index[first]: v_prev - 1}
     # the earliest (level, exceptional, base, depth) at which an exceptional
     # orbit meets a lifted family at depth 2 or more, where the induction refuses
     deep_hit = None
@@ -549,63 +580,65 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
                 f"exceptional value {e} sits inside the depth-{k} "
                 f"preiterates of {base}; deep family splitting is not supported"
             )
-        # the families born at level n - 1, and the zero eigenvalue as one
-        # more that always splits (into the roots of R)
-        prev = {ZERO_CLASS: 1, **born}
         v_n = s.m * (v_prev - s.v0_size) + s.v1_size
         new: dict = {}
 
-        def put(cls, mult):
+        def put(i, mult):
             if mult < 0:
                 raise InconsistentSpectrumError(
-                    f"negative multiplicity for {cls} at level {n}"
+                    f"negative multiplicity for {table[i][0]} at level {n}"
                 )
             if mult == 0:
                 return
-            if cls in new:
+            if i in new:
                 raise InconsistentSpectrumError(
-                    f"duplicate spectrum entry for {cls} at depth 0"
+                    f"duplicate spectrum entry for {table[i][0]} at depth 0"
                 )
-            new[cls] = mult
+            new[i] = mult
 
         # exceptional values by their case rules; the multiplicity of R(e)
         # at level n - 1 is a depth-0 one (a deeper match was refused
         # above), or 0 where R has a pole (image None)
-        for e, rec in dd.case_records.items():
-            a, b, c = CASE_RULES[rec.case_id]
-            put(e, a * scale * rec.mult_d + b * v_prev + c * prev.get(rec.image, 0))
+        for i, a, b, c, image in rules:
+            put(i, a * scale + b * v_prev + c * prev.get(image, 0))
 
         # split the families at the images R(e) and at 0; the rest lift one
         # preiterate deeper
         removed, lifted = 0, {}
-        for base, mult in prev.items():
-            if base == ZERO_CLASS or base in dd.split:
-                removed += mult * base.degree
-                for sub, root_mult in dd.preimage_classes(base):
-                    if sub in dd.case_records or sub == ZERO_CLASS:
-                        continue
+        for i, mult in prev.items():
+            cls, degree, reach_at, splits = table[i]
+            if splits:
+                removed += mult * degree
+                if i not in subs:  # the first split of this base indexes its preimages
+                    subs[i] = [
+                        (intern(sub), root_mult)
+                        for sub, root_mult in dd.preimage_classes(cls)
+                        if sub not in dd.case_records and sub != ZERO_CLASS
+                    ]
+                for j, root_mult in subs[i]:
                     if root_mult != 1:
                         raise InconsistentSpectrumError(
                             "repeated regular preimage inside a split family; "
                             "multiplicity rules for critical points are not covered"
                         )
-                    put(sub, mult)
+                    put(j, mult)
                 continue
-            lifted[base] = mult
+            lifted[cls] = mult
             # e sits among this family's depth-k preiterates at level n - 1 + k
-            if base in reach:
-                k, e = reach[base]
+            if reach_at is not None:
+                k, e = reach_at
                 if deep_hit is None or n - 1 + k < deep_hit[0]:
-                    deep_hit = (n - 1 + k, e, base, k)
+                    deep_hit = (n - 1 + k, e, cls, k)
 
         # sum rule: lifts multiply the eigenvalue count by d
-        total = 1 + dd.d * (v_prev - removed) + sum(
-            mult * cls.degree for cls, mult in new.items()
-        )
+        total = 1 + dd.d * (v_prev - removed) + sum(m * table[i][1] for i, m in new.items())
         if total != v_n:
             raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
-        born = dict(sorted(new.items(), key=lambda it: it[0].key()))
-        yield v_n, born, lifted
+        if len(order) < len(table):  # the first level, or a split base added classes
+            order = sorted(range(len(table)), key=keys.__getitem__)
+        born = {i: new[i] for i in order if i in new}
+        yield v_n, {table[i][0]: mult for i, mult in born.items()}, lifted
+        prev = {0: 1, **born}
         v_prev, scale = v_n, scale * s.m
 
 

@@ -379,6 +379,7 @@ class AlgebraicClass:
             raise ValueError("minimal polynomial must be squarefree")
         # classes key every induction table: hash the coefficients once
         object.__setattr__(self, "_hash", hash(mp.coeffs))
+        object.__setattr__(self, "degree", mp.degree)  # read at every level step
 
     def __hash__(self):
         return self._hash
@@ -391,10 +392,6 @@ class AlgebraicClass:
     @classmethod
     def from_rational(cls, r) -> "AlgebraicClass":
         return cls(Polynomial.from_root(_as_fraction(r)))
-
-    @property
-    def degree(self) -> int:
-        return self.minpoly.degree
 
     def is_rational(self) -> bool:
         return self.degree == 1
