@@ -109,7 +109,7 @@ class LevelWalk:
         for cls, mult in lifted.items():
             total = norms.get(cls)
             if total is None and cls.contains_zero():
-                raise ValueError("the zero eigenvalue is never lifted to preiterates")
+                raise InconsistentSpectrumError("the zero eigenvalue is never lifted to preiterates")
             norms[cls] = (total or 0) + mult
             self.weight += mult * cls.degree
         self.lifts = dd.d * self.lifts + self.weight
@@ -145,7 +145,7 @@ class LevelWalk:
         self._add(out, Fraction(prod(self.kappa), self.s.m), self.level)
         for cls, mult in self.born.items():
             if cls.contains_zero():
-                raise ValueError("class norm of a class containing 0 vanishes")
+                raise InconsistentSpectrumError("class norm of a class containing 0 vanishes")
             self._add(out, cls.norm(), mult)
         for p, e in self.interior.items():
             out[p] = out.get(p, 0) + e

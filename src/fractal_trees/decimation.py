@@ -22,10 +22,11 @@ The pipeline, all in exact arithmetic:
      symmetry and aborts before the rest are computed.
   3. Classify every exceptional value (the irreducible factors of chi_D
      and of the numerator of phi): read its multiplicity in sigma(D) from
-     the factorization of chi_D, decide the pole and zero predicates by
-     exact divisibility, and map it to one of the eight multiplicity
-     rules (`CASE_RULES`, linear in m^(n-1), |V_{n-1}| and the
-     multiplicity of R(e) at level n - 1).
+     the factorization of chi_D, decide the zero and pole predicates of
+     phi by exact divisibility, read R(e) from `image_of` (None at a pole
+     of R, the one place that tests for it), and map it to one of the
+     eight multiplicity rules (`CASE_RULES`, linear in m^(n-1),
+     |V_{n-1}| and the multiplicity of R(e) at level n - 1).
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families.  Each
@@ -48,7 +49,9 @@ The pipeline, all in exact arithmetic:
      key order: 0, the level-0 class, the exceptional values, their
      images, and the regular preimages of a split base, added when that
      base first has a nonzero multiplicity (the preimages of a split
-     class that is never born are never factored).  The case rules and
+     class that is never born are never factored).  A repeated regular
+     preimage (a critical point of R) is refused there, once per base,
+     as no case rule covers it.  The case rules and
      the splits are then fixed index lists, and a level step, one step of
      the affine map from level n - 1 to level n, is integer work on table
      indices.  Each level step decides once per family whether it lifts
@@ -74,7 +77,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 from math import gcd, lcm
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .levels import build_level, vertex_count_formula
 from .kirchhoff import prob_laplacian, prob_laplacian_charpoly
@@ -123,9 +126,12 @@ class CaseRecord:
     mult_d: int              # multiplicity of the class in sigma(D)
     phi_zero: bool
     phi_pole: bool
-    r_pole: bool
     dr_nonzero: bool
     image: Optional[AlgebraicClass]  # class of R(value); None when R has a pole
+
+    @property
+    def r_pole(self) -> bool:
+        return self.image is None
 
 
 # the case rules: case id -> coefficients of (m^(n-1) mult_D, |V_{n-1}|, the
@@ -148,10 +154,9 @@ def _orbit(dd: "DecimationData", e: AlgebraicClass) -> tuple[list[AlgebraicClass
     at which the next class repeats an earlier one."""
     classes, index = [e], {e: 0}
     while True:
-        cur = classes[-1]
-        if cur.minpoly.divides(dd.R.den):
+        nxt = dd.image_of(classes[-1])
+        if nxt is None:
             return classes, "pole"
-        nxt = dd.image_of(cur)
         if _class_escaped(nxt, dd.escape_bound):
             return classes, "escaped"
         _guard_height(nxt)
@@ -253,10 +258,6 @@ class DecimationData:
     _image_cache: dict = field(default_factory=dict, repr=False)
     _preimage_cache: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def m(self) -> int:
-        return self.structure.m
-
     @cached_property
     def _sigma_mult(self) -> dict:
         return dict(self.sigma_d)
@@ -306,8 +307,9 @@ class DecimationData:
         num, den = self.primitive_R()
         return self.d, den.constant_term(), num.leading()
 
-    def image_of(self, cls: AlgebraicClass) -> AlgebraicClass:
-        """Class of R(alpha) for alpha in cls; cls must avoid poles of R.
+    def image_of(self, cls: AlgebraicClass) -> Optional[AlgebraicClass]:
+        """Class of R(alpha) for alpha in cls, or None when cls is a pole
+        of R (its minimal polynomial divides the denominator of R).
 
         For a class of degree g with minimal polynomial f, R(alpha) is an
         element of Q(alpha) = Q[z]/(f), and the characteristic polynomial
@@ -317,12 +319,14 @@ class DecimationData:
         the g x g matrix of multiplication by p on 1, z, ..., z^(g-1)
         modulo f.  M_den is invertible because den(alpha) != 0 off the
         poles.  A rational class r (g = 1) gets the 1 x 1 matrix [R(r)].
+        Either answer is cached, so each class takes the pole test once.
         """
         if cls in self._image_cache:
             return self._image_cache[cls]
-        if cls.minpoly.divides(self.R.den):
-            raise DecimationError(f"image of a pole class {cls}")
         f = cls.minpoly
+        if f.divides(self.R.den):
+            self._image_cache[cls] = None
+            return None
 
         def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
             rows, v = [], p % f
@@ -407,13 +411,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
 
     sigma = tuple(factor_classes(chi_d.monic()))
     zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
-    seen = {cls for cls, _ in sigma}
-    exceptional = [cls for cls, _ in sigma]
-    for cls, _ in zero_classes:
-        if cls not in seen:
-            exceptional.append(cls)
-            seen.add(cls)
-    exceptional.sort(key=lambda c: c.key())
+    exceptional = sorted({cls for cls, _ in (*sigma, *zero_classes)}, key=AlgebraicClass.key)
 
     dd = DecimationData(
         structure=s,
@@ -443,16 +441,14 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
     """
     mp = v.minpoly
     mult_d = dd._sigma_mult.get(v, 0)
-    phi_zero = mp.divides(dd.phi.num) if not dd.phi.num.is_zero() else False
+    phi_zero = mp.divides(dd.phi.num)  # derive refuses a phi that vanishes identically
     phi_pole = mp.divides(dd.phi.den)
-    r_pole = mp.divides(dd.R.den)
+    image = dd.image_of(v)
+    r_pole = image is None
     # R' = w / den^2 with w = num' den - num den'.  Off the poles of R, mp
     # divides R''s reduced numerator iff it divides w; at a pole of order e
     # w has mp-valuation e - 1 < 2e, so the reduced numerator is prime to mp
     dr_nonzero = r_pole or not mp.divides(dd._dr_num)
-
-    image: Optional[AlgebraicClass]
-    image = None if r_pole else dd.image_of(v)
 
     def rec(case_id: int) -> CaseRecord:
         return CaseRecord(
@@ -461,7 +457,6 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
             mult_d=mult_d,
             phi_zero=phi_zero,
             phi_pole=phi_pole,
-            r_pole=r_pole,
             dr_nonzero=dr_nonzero,
             image=image,
         )
@@ -503,7 +498,7 @@ class SpectrumTable:
     level: int
     d: int
     entries: tuple[tuple[AlgebraicClass, int, int], ...]
-    zero_mult: int = 1
+    zero_mult: ClassVar[int] = 1
 
     def eigenvalue_count(self) -> int:
         return self.zero_mult + sum(
@@ -538,7 +533,8 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
     depth-0 families {class: mult} born at level n, and those born at
     level n - 1 that lift to level n ({} at n = 0; the others split).
     Only level n - 1 is held; the families born earlier carry over one
-    level deeper."""
+    level deeper.  A split base's regular preimages are factored, checked
+    to be simple roots and interned at the first level the base splits."""
     s = dd.structure
     # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
     v_prev = s.v0_size
@@ -565,7 +561,7 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
         for e, rec in dd.case_records.items()
         for a, b, c in [CASE_RULES[rec.case_id]]
     ]
-    subs: dict = {}  # split base -> [(regular preimage, root multiplicity)]
+    subs: dict = {}  # split base -> its regular preimages
     # the families born at level n - 1, and the zero eigenvalue as one more
     # that always splits (into the roots of R)
     prev = {0: 1, index[first]: v_prev - 1}
@@ -609,18 +605,19 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
             cls, degree, reach_at, splits = table[i]
             if splits:
                 removed += mult * degree
-                if i not in subs:  # the first split of this base indexes its preimages
-                    subs[i] = [
-                        (intern(sub), root_mult)
+                if i not in subs:  # the first split of this base checks and indexes its preimages
+                    regular = [
+                        (sub, root_mult)
                         for sub, root_mult in dd.preimage_classes(cls)
                         if sub not in dd.case_records and sub != ZERO_CLASS
                     ]
-                for j, root_mult in subs[i]:
-                    if root_mult != 1:
+                    if any(root_mult != 1 for _, root_mult in regular):
                         raise InconsistentSpectrumError(
                             "repeated regular preimage inside a split family; "
                             "multiplicity rules for critical points are not covered"
                         )
+                    subs[i] = [intern(sub) for sub, _ in regular]
+                for j in subs[i]:
                     put(j, mult)
                 continue
             lifted[cls] = mult

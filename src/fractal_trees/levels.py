@@ -20,9 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .structures import SelfSimilarStructure, connected
-
-Edge = tuple[int, int, int]
+from .structures import SelfSimilarStructure, _normalize_edges, connected
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class LevelGraph:
     """
 
     vertex_count: int
-    edges: tuple[Edge, ...]  # (u, v, mult), u < v, sorted
+    edges: tuple[tuple[int, int, int], ...]  # (u, v, mult), u < v, sorted
     level: int = 0
     corners: tuple[int, ...] = ()
 
@@ -47,18 +45,12 @@ class LevelGraph:
         level: int = 0,
         corners: tuple[int, ...] = (),
     ) -> "LevelGraph":
-        """Graph from (u, v) or (u, v, mult) edges: loops are refused and
-        parallel edges merge into one edge with the summed multiplicity."""
-        acc: dict[tuple[int, int], int] = {}
-        for e in edges:
-            u, v = e[0], e[1]
-            m = e[2] if len(e) > 2 else 1
-            if u == v:
-                raise ValueError("loop edge")
-            if u > v:
-                u, v = v, u
-            acc[(u, v)] = acc.get((u, v), 0) + m
-        merged = tuple((u, v, m) for (u, v), m in sorted(acc.items()))
+        """Graph from (u, v) or (u, v, mult) edges in the structures' edge
+        normal form (parallel edges merge into one edge with the summed
+        multiplicity); loops are refused."""
+        merged = _normalize_edges(edges)
+        if any(u == v for u, v, _ in merged):
+            raise ValueError("loop edge")
         return cls(vertex_count, merged, level, corners)
 
     def degrees(self) -> list[int]:
@@ -100,9 +92,14 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if vertex_count_formula(s, n) > BUILD_VERTEX_CAP:
+    # step |V_k| = m (|V_{k-1}| - |V0|) + |V1| only until it passes the cap
+    # (at most 21 steps for m >= 2), so a huge n never forms m^n
+    v_k, k = s.v0_size, 0
+    while k < n and v_k <= BUILD_VERTEX_CAP:
+        v_k, k = s.m * (v_k - s.v0_size) + s.v1_size, k + 1
+    if v_k > BUILD_VERTEX_CAP:
         raise ValueError(
-            f"G_{n} of {s.name} has {vertex_count_formula(s, n)} vertices; "
+            f"G_{n} of {s.name} has more than {BUILD_VERTEX_CAP} vertices; "
             "explicit construction is capped (use the decimation pipeline)"
         )
     v0 = s.v0_size

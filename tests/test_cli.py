@@ -442,3 +442,57 @@ def test_output_deterministic(capsys):
     code2, out2, _ = run(capsys, "decimate", "hexagasket", "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("name", ["sierpinski", "interval"])
+def test_build_refuses_a_level_above_the_cap_without_forming_it(capsys, name):
+    # interval grows slowest (|V_n| = 2^n + 1), so its first level above
+    # the cap is the 21st; n = 10^8 used to form m^n and never finish
+    import time
+
+    from fractal_trees.levels import BUILD_VERTEX_CAP
+
+    s, first = builtin(name), 0
+    v = s.v0_size
+    while v <= BUILD_VERTEX_CAP:
+        v, first = s.m * (v - s.v0_size) + s.v1_size, first + 1
+    for n in (first, 10 ** 8):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", name, "-n", str(n))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than {BUILD_VERTEX_CAP} vertices" in err
+
+
+def _with_zero_class(monkeypatch, where):
+    """Make the induction's level 1 carry the zero class: lifted, or born
+    in place of one root of a rational born class (so the sum rule holds)."""
+    from fractal_trees import counting
+    from fractal_trees.decimation import ZERO_CLASS
+
+    real = counting.induction
+
+    def induction(dd):
+        for n, (v_n, born, lifted) in enumerate(real(dd)):
+            if n == 1 and where == "lifted":
+                lifted[ZERO_CLASS] = 1
+            elif n == 1:
+                cls = next(c for c in born if c.degree == 1)
+                born[cls] -= 1
+                born[ZERO_CLASS] = 1
+            yield v_n, born, lifted
+
+    monkeypatch.setattr(counting, "induction", induction)
+
+
+@pytest.mark.parametrize("where, message", [
+    ("lifted", "the zero eigenvalue is never lifted to preiterates"),
+    ("born", "class norm of a class containing 0 vanishes"),
+])
+def test_level_walk_zero_class_exits_2(monkeypatch, capsys, where, message):
+    # a zero class reaching the walk is a failed exactness check, not bad input
+    _with_zero_class(monkeypatch, where)
+    code, out, err = run(capsys, "count", "sierpinski", "-n", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
