@@ -192,8 +192,8 @@ def cmd_count(args) -> int:
             print(t.digits10())
         elif args.factored:
             print(str(t))
-        elif t.digits10() > 10_000:
-            print(f"# value has {t.digits10()} digits; factored form:")
+        elif (digits := t.digits10()) > 10_000:
+            print(f"# value has {digits} digits; factored form:")
             print(str(t))
         else:
             print(t.value())

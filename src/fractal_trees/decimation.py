@@ -57,10 +57,13 @@ The pipeline, all in exact arithmetic:
      indices.  Each level step decides once per family whether it lifts
      or splits, and yields the lifting ones with the families born at the
      level; `spectrum` collects them and `counting.LevelWalk` takes one
-     level per step.  The eigenvalue-count sum rule is asserted at every
-     level, and `crosscheck_spectrum` compares the predicted spectrum
-     against the characteristic polynomial of an explicitly built level
-     graph.
+     level per step.  `Induction.fixed_roots` says when the map stops
+     changing and gives, per class that can still be born, the roots of
+     a polynomial that annihilates its multiplicity from then on, which
+     the walk turns into a jump over many levels.  The eigenvalue-count
+     sum rule is asserted at every level, and `crosscheck_spectrum`
+     compares the predicted spectrum against the characteristic
+     polynomial of an explicitly built level graph.
 
 One deliberate deviation from the literal wording of the case rules: the
 rule for eigenvalues of D at which phi has a pole nominally also requires
@@ -75,9 +78,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import islice
 from math import gcd, lcm
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Optional
 
 from .levels import build_level, vertex_count_formula
 from .kirchhoff import prob_laplacian, prob_laplacian_charpoly
@@ -528,48 +531,72 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     return st
 
 
-def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
-    """Yield (|V_n|, born_n, lifted_(n-1)) for n = 0, 1, 2, ...: the
+def induction(dd: DecimationData) -> "Induction":
+    """The spectrum induction from level 0, as an `Induction` iterator."""
+    return Induction(dd)
+
+
+class Induction:
+    """Yields (|V_n|, born_n, lifted_(n-1)) for n = 0, 1, 2, ...: the
     depth-0 families {class: mult} born at level n, and those born at
     level n - 1 that lift to level n ({} at n = 0; the others split).
     Only level n - 1 is held; the families born earlier carry over one
     level deeper.  A split base's regular preimages are factored, checked
-    to be simple roots and interned at the first level the base splits."""
-    s = dd.structure
-    # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
-    v_prev = s.v0_size
-    first = AlgebraicClass.from_rational(Q(v_prev, v_prev - 1))
-    yield v_prev, {first: v_prev - 1}, {}
-    reach = dd._reach
-    # the class table (module docstring, step 4): index 0 is the zero family;
-    # per index the class, its degree, its reach and whether it splits
-    table, index, keys = [], {}, []
+    to be simple roots and interned at the first level the base splits.
+    `fixed_roots` says when the level map has stopped changing."""
 
-    def intern(cls) -> int:
-        if cls not in index:
-            index[cls] = len(table)
-            table.append((cls, cls.degree, reach.get(cls), cls == ZERO_CLASS or cls in dd.split))
-            keys.append(cls.key())
-        return index[cls]
+    def __init__(self, dd: DecimationData):
+        s = dd.structure
+        self.dd, self.level = dd, -1
+        # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
+        self.first = AlgebraicClass.from_rational(Q(s.v0_size, s.v0_size - 1))
+        self.v_prev, self.scale = s.v0_size, 1  # |V_(n-1)| and m^(n-1)
+        self.table = None  # built by the first level step
 
-    for cls in (ZERO_CLASS, first, *dd.case_records, *dd.split):
-        intern(cls)
-    order: list = []  # the table's indices in key order
-    # each case rule as (e, a mult_D, b, c, R(e)), with R(e) None at a pole of R
-    rules = [
-        (index[e], a * rec.mult_d, b, c, index.get(rec.image))
-        for e, rec in dd.case_records.items()
-        for a, b, c in [CASE_RULES[rec.case_id]]
-    ]
-    subs: dict = {}  # split base -> its regular preimages
-    # the families born at level n - 1, and the zero eigenvalue as one more
-    # that always splits (into the roots of R)
-    prev = {0: 1, index[first]: v_prev - 1}
-    # the earliest (level, exceptional, base, depth) at which an exceptional
-    # orbit meets a lifted family at depth 2 or more, where the induction refuses
-    deep_hit = None
-    scale = 1  # m^(n-1)
-    for n in count(1):
+    def __iter__(self):
+        return self
+
+    def _intern(self, cls) -> int:
+        if cls not in self.index:
+            self.index[cls] = len(self.table)
+            splits = cls == ZERO_CLASS or cls in self.dd.split
+            self.table.append((cls, cls.degree, self.reach.get(cls), splits))
+            self.keys.append(cls.key())
+        return self.index[cls]
+
+    def _start(self):
+        """The class table (module docstring, step 4): index 0 is the zero
+        family; per index the class, its degree, its reach and whether it
+        splits.  Each case rule becomes (e, a mult_D, b, c, R(e)), with
+        R(e) None at a pole of R."""
+        dd = self.dd
+        self.reach = dd._reach
+        self.table, self.index, self.keys = [], {}, []
+        for cls in (ZERO_CLASS, self.first, *dd.case_records, *dd.split):
+            self._intern(cls)
+        self.order: list = []  # the table's indices in key order
+        self.rules = [
+            (self.index[e], a * rec.mult_d, b, c, self.index.get(rec.image))
+            for e, rec in dd.case_records.items()
+            for a, b, c in [CASE_RULES[rec.case_id]]
+        ]
+        self.subs: dict = {}  # split base -> its regular preimages
+        # the families born at level n - 1, and the zero eigenvalue as one
+        # more that always splits (into the roots of R)
+        self.prev = {0: 1, self.index[self.first]: self.v_prev - 1}
+        # the earliest (level, exceptional, base, depth) at which an exceptional
+        # orbit meets a lifted family at depth 2 or more, where the induction refuses
+        self.deep_hit = None
+
+    def __next__(self) -> tuple[int, dict, dict]:
+        dd, s = self.dd, self.dd.structure
+        if self.level < 0:
+            self.level = 0
+            return self.v_prev, {self.first: self.v_prev - 1}, {}
+        if self.table is None:
+            self._start()
+        table, prev, subs, v_prev, scale = self.table, self.prev, self.subs, self.v_prev, self.scale
+        n, deep_hit = self.level + 1, self.deep_hit
         if deep_hit is not None and deep_hit[0] <= n:
             _, e, base, k = deep_hit
             raise InconsistentSpectrumError(
@@ -595,7 +622,7 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
         # exceptional values by their case rules; the multiplicity of R(e)
         # at level n - 1 is a depth-0 one (a deeper match was refused
         # above), or 0 where R has a pole (image None)
-        for i, a, b, c, image in rules:
+        for i, a, b, c, image in self.rules:
             put(i, a * scale + b * v_prev + c * prev.get(image, 0))
 
         # split the families at the images R(e) and at 0; the rest lift one
@@ -616,7 +643,7 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
                             "repeated regular preimage inside a split family; "
                             "multiplicity rules for critical points are not covered"
                         )
-                    subs[i] = [intern(sub) for sub, _ in regular]
+                    subs[i] = [self._intern(sub) for sub, _ in regular]
                 for j in subs[i]:
                     put(j, mult)
                 continue
@@ -626,17 +653,85 @@ def induction(dd: DecimationData) -> Iterator[tuple[int, dict, dict]]:
                 k, e = reach_at
                 if deep_hit is None or n - 1 + k < deep_hit[0]:
                     deep_hit = (n - 1 + k, e, cls, k)
+        self.deep_hit = deep_hit
 
         # sum rule: lifts multiply the eigenvalue count by d
         total = 1 + dd.d * (v_prev - removed) + sum(m * table[i][1] for i, m in new.items())
         if total != v_n:
             raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
-        if len(order) < len(table):  # the first level, or a split base added classes
-            order = sorted(range(len(table)), key=keys.__getitem__)
-        born = {i: new[i] for i in order if i in new}
-        yield v_n, {table[i][0]: mult for i, mult in born.items()}, lifted
-        prev = {0: 1, **born}
-        v_prev, scale = v_n, scale * s.m
+        if len(self.order) < len(table):  # the first level, or a split base added classes
+            self.order = sorted(range(len(table)), key=self.keys.__getitem__)
+        born = {i: new[i] for i in self.order if i in new}
+        self.level, self.prev, self.v_prev, self.scale = n, {0: 1, **born}, v_n, scale * s.m
+        return v_n, {table[i][0]: mult for i, mult in born.items()}, lifted
+
+    def fixed_roots(self) -> Optional[dict]:
+        """{class: roots} for every class that can still be born, once the
+        level map has stopped changing; None before.
+
+        The map is fixed from the current level n on when no deep hit is
+        pending, and every split base that can still have a nonzero
+        multiplicity has its preimages interned, so no later level adds a
+        class.  A class can still be born when it is born at level n, its
+        rule's forcing term a m^k + b |V_k| + c [R(e) = 0] is not zero for
+        every k > n, or it reads such a class (a rule's R(e), a split's
+        base).  Its multiplicity from level n on is then annihilated by
+        prod (z - r) over its roots, with multiplicity: its own coefficient
+        (c where R(e) = e, else 0) on top of the roots of its forcing term
+        (m and 1) and of what it reads.  A class read by a cycle through
+        two or more classes, a negative own coefficient or a class with
+        two sources (a duplicate entry) is not certified.  That no later
+        multiplicity is negative or meets a deep hit is left to the caller,
+        which sees the levels after n.
+        """
+        if self.table is None or self.deep_hit is not None:
+            return None
+        s, table, subs = self.dd.structure, self.table, self.subs
+        grow_v = s.v1_size - s.v0_size  # |V_(k+1)| - |V_k| = m^k (|V1| - |V0|)
+        forcing = {}  # rule class -> the roots of its forcing term
+        for i, a, b, c, image in self.rules:
+            now = a * self.scale + b * self.v_prev + (c if image == 0 else 0)
+            rise = a * (s.m - 1) + b * grow_v  # the forcing term grows by m^(k-1) rise
+            forcing[i] = (s.m, 1) if now or rise else ()
+        can = {i for i in self.prev if i} | {i for i, roots in forcing.items() if roots}
+        size = 0
+        while size < len(can):  # close under reading
+            size = len(can)
+            can |= {i for i, _, _, c, image in self.rules if c and image in can}
+            for j in (0, *can):
+                if table[j][3]:
+                    if j not in subs:
+                        return None
+                    can.update(subs[j])
+        # (class born at the next level, own coefficient, classes read, forcing roots)
+        entries = []
+        for i, _, _, c, image in self.rules:
+            if i in can:
+                read = c if image in can else 0
+                own, src = (read, []) if image == i else (0, [image] if read else [])
+                entries.append((i, own, src, forcing[i]))
+        for j in (0, *can):
+            if table[j][3]:  # the zero family's multiplicity is 1 at every level
+                entries += [(t, 0, [j], ()) if j else (t, 0, [], (1,)) for t in subs[j]]
+        reads = {i: (0, [], ()) for i in can}
+        reads.update((i, rest) for i, *rest in entries)
+        duplicate = len({i for i, *_ in entries}) < len(entries)
+        if 0 in can or duplicate or any(own < 0 for own, _, _ in reads.values()):
+            return None
+        done: dict = {}
+        while reads:
+            ready = [i for i, (_, src, _) in reads.items() if all(j in done for j in src)]
+            if not ready:
+                return None
+            for i in ready:
+                own, src, roots = reads.pop(i)
+                roots = dict.fromkeys(roots, 1)
+                for j in src:  # the least common multiple of what it reads
+                    for r, e in done[j].items():
+                        roots[r] = max(roots.get(r, 0), e)
+                roots[own] = roots.get(own, 0) + 1
+                done[i] = roots
+        return {table[i][0]: roots for i, roots in done.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,27 @@ def test_build_refuses_a_level_above_the_cap_without_forming_it(capsys, name):
         assert f"more than {BUILD_VERTEX_CAP} vertices" in err
 
 
+@pytest.mark.parametrize("name", ["sierpinski", "hexagasket"])
+def test_count_refuses_a_level_above_the_cap_before_stepping(capsys, name):
+    # the exponents of tau(G_n) grow like m^n; 10^23 used to step until killed
+    import math
+    import time
+
+    from fractal_trees.counting import COUNT_DIGIT_CAP
+
+    s = builtin(name)
+    first = math.ceil(COUNT_DIGIT_CAP / math.log10(s.m))
+    # m^n has more than COUNT_DIGIT_CAP digits from the first refused level on
+    assert s.m ** (first - 1) < 10 ** COUNT_DIGIT_CAP <= s.m ** first
+    for n in (first, 10 ** 23):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", name, "-n", str(n), "--factored")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"more than {COUNT_DIGIT_CAP} digits" in err
+
+
 def _with_zero_class(monkeypatch, where):
     """Make the induction's level 1 carry the zero class: lifted, or born
     in place of one root of a rational born class (so the sum rule holds)."""
