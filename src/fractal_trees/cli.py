@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import mpmath
 
@@ -303,7 +304,9 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built at the first call of the process."""
     p = argparse.ArgumentParser(
         prog="fractal-trees",
         description="Exact spanning-tree counts on self-similar fractal graphs",
@@ -353,8 +356,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     if getattr(args, "level", 0) < 0 or getattr(args, "max_level", 0) < 0:
         print("error: level must be nonnegative", file=sys.stderr)
         return EXIT_INVALID

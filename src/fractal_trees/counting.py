@@ -11,7 +11,7 @@ norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
 with 10^14 digits tractable.
 
 `LevelWalk` advances its sums from level n - 1 to n; each step takes
-one level from the spectrum induction (`decimation.induction`), which
+one level from the spectrum induction (`decimation.Induction`), which
 checks its sum rule, and keeps that level's born families.  The
 families born at level n - 1 that lift (decided by the induction) add
 their norm once, so the walk sums their multiplicities per class; the
@@ -41,8 +41,8 @@ level-n exponents from z^(n - k) mod the annihilator: `tau` costs a few
 levels and O(log n) polynomial products, and `exponent_table` one
 combination per level.  Every produced level is still checked to be a
 positive integer.  Where no certificate can be given (unequal corner
-counts, a cycle in the born block, a pending deep hit, a level source
-without tables) the walk keeps stepping.
+counts, a cycle in the born block, a pending deep hit) the walk keeps
+stepping.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import log10, prod
 from typing import Optional
 
-from .decimation import DecimationData, Induction, InconsistentSpectrumError, derive, induction
+from .decimation import DecimationData, Induction, InconsistentSpectrumError, derive
 from .decimation import spectrum  # noqa: F401 - perfbench's self-test reads counting.spectrum
 from .factored import FactoredInteger, Factorization, factorize
 from .polys import AlgebraicClass
@@ -100,7 +100,7 @@ class LevelWalk:
 
     def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
         self.s, self.dd, self.level = s, dd, 0
-        self._levels = induction(dd)
+        self._levels = Induction(dd)
         _, self.born, _ = next(self._levels)  # the depth-0 families at self.level
         self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
         self._corner_ratio, self._ratio = Fraction(prod(self.kappa), s.m), dd.ratio
@@ -225,7 +225,7 @@ class LevelWalk:
         and so for good.
         """
         if not self.states:
-            if isinstance(self._levels, Induction) and len(set(self.kappa)) == 1:
+            if len(set(self.kappa)) == 1:
                 self.roots = self._levels.fixed_roots()
             if self.roots is None:
                 return

@@ -30,8 +30,8 @@ The pipeline, all in exact arithmetic:
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families.  Each
-     multiplicity at level n depends on level n - 1 alone, so `induction`
-     is one generator that holds only the previous level: a level step
+     multiplicity at level n depends on level n - 1 alone, so `Induction`
+     is one iterator that holds only the previous level: a level step
      touches only the newest families, spectrum(dd, n) costs O(n), and a
      walk to level n runs in O(n) memory.  A family
      whose next preimage set would contain an exceptional value cannot be
@@ -509,6 +509,12 @@ class SpectrumTable:
         )
 
 
+# sigma(P_n) lists families born at every level, with multiplicities of about
+# n log10(m) digits, so its size grows like n^2; levels above this are refused
+# (near there a table takes a second or two to build and print)
+SPECTRUM_LEVEL_CAP = 2_000
+
+
 def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """Exact spectrum of P_n as preiterate families, by forward induction.
 
@@ -517,8 +523,13 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if n > SPECTRUM_LEVEL_CAP:
+        raise ValueError(
+            f"sigma(P_{n}) of {dd.structure.name} is out of reach: levels above "
+            f"{SPECTRUM_LEVEL_CAP} are refused"
+        )
     lifts = []  # the families that lifted to levels 0, 1, ..., n
-    for v_n, born, lifted in islice(induction(dd), n + 1):
+    for v_n, born, lifted in islice(Induction(dd), n + 1):
         lifts.append(lifted)
     layers = [born, *reversed(lifts)]
     entries = tuple(
@@ -529,11 +540,6 @@ def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
     if total != v_n:
         raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
     return st
-
-
-def induction(dd: DecimationData) -> "Induction":
-    """The spectrum induction from level 0, as an `Induction` iterator."""
-    return Induction(dd)
 
 
 class Induction:

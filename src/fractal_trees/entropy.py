@@ -26,6 +26,11 @@ from .structures import SelfSimilarStructure
 
 Q = Fraction
 
+# c_n converges geometrically, while a level costs more the more digits its
+# exponents and the precision have; the run to both caps takes a few seconds
+ENTROPY_LEVEL_CAP = 5_000
+ENTROPY_PRECISION_CAP = 2_000
+
 
 @dataclass(frozen=True)
 class EntropyReport:
@@ -80,6 +85,16 @@ def entropy(
                 f"{e}; spectral decimation unavailable for {s.name!r} - use the "
                 "brute-force oracle at small levels instead"
             ) from e
+    if n_max > ENTROPY_LEVEL_CAP:
+        raise ValueError(
+            f"the entropy of {s.name} at level {n_max} is out of reach: levels above "
+            f"{ENTROPY_LEVEL_CAP} are refused"
+        )
+    if precision > ENTROPY_PRECISION_CAP:
+        raise ValueError(
+            f"the entropy of {s.name} at {precision} digits is out of reach: precisions "
+            f"above {ENTROPY_PRECISION_CAP} digits are refused"
+        )
     dps = precision + 10
     table = exponent_table(s, n_max, dd)
     with mpmath.workdps(dps):

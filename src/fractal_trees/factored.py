@@ -18,6 +18,10 @@ from typing import Dict, Mapping
 
 Factorization = Dict[int, int]
 
+# `FactoredInteger.value` refuses integers with more decimal digits than this
+VALUE_DIGIT_CAP = 100_000
+
+
 def factorize(n: int) -> Factorization:
     """Prime factorization of a positive integer by trial division."""
     if n <= 0:
@@ -64,9 +68,9 @@ class FactoredInteger:
     def exponent(self, p: int) -> int:
         return self.factors.get(p, 0)
 
-    def value(self, digit_cap: int = 100_000) -> int:
-        """Materialize the integer; refuses beyond digit_cap digits."""
-        if self.digits10() > digit_cap:
+    def value(self) -> int:
+        """Materialize the integer; refuses beyond `VALUE_DIGIT_CAP` digits."""
+        if self.digits10() > VALUE_DIGIT_CAP:
             raise OverflowError(
                 f"value has about {self.digits10()} digits; use the factored form"
             )

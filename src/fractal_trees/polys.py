@@ -6,10 +6,11 @@ degree first with no trailing zeros, so every computation is exact and
 deterministic.  On top of plain polynomial arithmetic the module provides
 the number-theoretic utilities the decimation pipeline needs:
 
-  * gcd / squarefree decomposition (Yun's algorithm),
-  * factorization of squarefree polynomials into irreducible factors over
-    Q, of any degree, by Zassenhaus's algorithm (factoring modulo a
-    prime, Hensel lifting, recombination),
+  * gcd and squarefree decomposition (Yun's algorithm),
+  * `factor_classes`: irreducible factors over Q, of any degree, with
+    multiplicities.  Yun's algorithm alone decides squarefreeness; each
+    of its squarefree parts is split by Zassenhaus's algorithm (factoring
+    modulo a prime, Hensel lifting, recombination),
   * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
 """
@@ -362,7 +363,7 @@ class AlgebraicClass:
 
     Represented by its monic minimal polynomial over Q.  The constructor
     checks that it is monic and squarefree; irreducibility holds by
-    construction, as every class comes from `split_squarefree`, from a
+    construction, as every class comes from `factor_classes`, from a
     rational value or from `DecimationData.image_of`, which maps one
     conjugate family onto another.
     """
@@ -423,20 +424,19 @@ class AlgebraicClass:
         return self.label
 
 
-def split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
-    """The irreducible factors over Q of a squarefree p, as classes sorted by key.
+def _split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
+    """The irreducible factors over Q of a monic squarefree p, as classes.
 
     Zassenhaus's algorithm (von zur Gathen-Gerhard, *Modern Computer
     Algebra*, ch. 14-15) on the monic integer F(y) = D^deg p(y/D), D the
-    lcm of the denominators of the monic p: factor F modulo the smallest
-    odd prime q at which it stays squarefree (a `random.Random` seeded
-    from q makes runs reproducible), Hensel-lift the factors above twice
-    Mignotte's bound 2^deg sum |F_i| on the coefficients of a monic factor
-    of F, and recombine; each factor G of F gives the class G(Dz)/D^deg G.
+    lcm of the denominators of p: factor F modulo the smallest odd prime q
+    at which it stays squarefree (a `random.Random` seeded from q makes
+    runs reproducible), Hensel-lift the factors above twice Mignotte's
+    bound 2^deg sum |F_i| on the coefficients of a monic factor of F, and
+    recombine; each factor G of F gives the class G(Dz)/D^deg G.  The
+    prime search ends because p is one part of Yun's decomposition in
+    `factor_classes`, so squarefree.
     """
-    p = p.monic()
-    if p.is_zero() or p.gcd(p.derivative()).degree > 0:
-        raise ValueError("split_squarefree expects a squarefree input")
     n, den = p.degree, lcm(*(c.denominator for c in p.coeffs))
     big = [int(c * den ** (n - i)) for i, c in enumerate(p.coeffs)]
 
@@ -470,11 +470,10 @@ def split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
             size += 1
     if rest.degree > 0:
         found.append(rest)
-    classes = [
+    return [
         AlgebraicClass(Polynomial([c / den ** (g.degree - i) for i, c in enumerate(g.coeffs)]))
         for g in found
     ]
-    return sorted(classes, key=AlgebraicClass.key)
 
 
 # polynomials modulo m: int lists, lowest degree first, no trailing zeros
@@ -593,15 +592,11 @@ def _hensel(f: list, factors: list[list], q: int, modulus: int) -> list[list]:
 def factor_classes(p: Polynomial) -> list[tuple[AlgebraicClass, int]]:
     """Factor p into algebraic classes with multiplicities.
 
-    Combines Yun's squarefree decomposition with `split_squarefree`; the
-    result is sorted deterministically by class key.
+    Yun's squarefree decomposition, then Zassenhaus on each squarefree
+    part; the result is sorted deterministically by class key.
     """
-    out: list[tuple[AlgebraicClass, int]] = []
-    for g, mult in squarefree_decomposition(p):
-        for cls in split_squarefree(g):
-            out.append((cls, mult))
-    out.sort(key=lambda cm: cm[0].key())
-    return out
+    out = [(cls, k) for g, k in squarefree_decomposition(p) for cls in _split_squarefree(g)]
+    return sorted(out, key=lambda cm: cm[0].key())
 
 
 def preimage_poly(base: Polynomial, num: Polynomial, den: Polynomial) -> Polynomial:

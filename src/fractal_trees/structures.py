@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int, int]  # (u, v, multiplicity), u < v
@@ -250,40 +251,31 @@ def _edges_from_cells(cells) -> list[list[int]]:
     return out
 
 
-def _builtin_defs() -> dict[str, SelfSimilarStructure]:
-    defs = {}
+# name -> (m, |V0|, |V1|, cell maps); the boundary is 0..|V0|-1 and G1 is
+# one complete graph per cell
+_BUILTINS = {
+    "sierpinski": (3, 3, 6, _K3_CELLS_SIERPINSKI),
+    "nonpcf_sg": (6, 3, 7, _NONPCF_CELLS),
+    "diamond": (4, 2, 4, [[0, 2], [2, 1], [0, 3], [3, 1]]),
+    "hexagasket": (6, 3, 12, _HEXAGASKET_CELLS),
+    "interval": (2, 2, 3, [[0, 2], [2, 1]]),
+    "tree3": (3, 3, 7, _TREE3_CELLS),
+}
 
-    def add(name, m, v0, v1, cells):
-        defs[name] = SelfSimilarStructure.create(
-            name=name,
-            m=m,
-            v0_size=v0,
-            v1_size=v1,
-            edges1=_edges_from_cells(cells),
-            boundary=list(range(v0)),
-            cell_maps=cells,
-        )
-
-    add("sierpinski", 3, 3, 6, _K3_CELLS_SIERPINSKI)
-    add("nonpcf_sg", 6, 3, 7, _NONPCF_CELLS)
-    add("diamond", 4, 2, 4, [[0, 2], [2, 1], [0, 3], [3, 1]])
-    add("hexagasket", 6, 3, 12, _HEXAGASKET_CELLS)
-    add("interval", 2, 2, 3, [[0, 2], [2, 1]])
-    add("tree3", 3, 3, 7, _TREE3_CELLS)
-    return defs
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
-BUILTIN_NAMES = ("sierpinski", "nonpcf_sg", "diamond", "hexagasket", "interval", "tree3")
-
-
+@cache
 def builtin(name: str) -> SelfSimilarStructure:
-    """Return a validated builtin structure by name."""
-    defs = _builtin_defs()
-    if name not in defs:
+    """Return a validated builtin structure by name, built and validated
+    once per process."""
+    if name not in _BUILTINS:
         raise KeyError(
             f"unknown fractal {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    return validated(defs[name])
+    m, v0, v1, cells = _BUILTINS[name]
+    edges = _edges_from_cells(cells)
+    return validated(SelfSimilarStructure.create(name, m, v0, v1, edges, range(v0), cells))
 
 
 # ---------------------------------------------------------------------------

@@ -486,25 +486,80 @@ def test_count_refuses_a_level_above_the_cap_before_stepping(capsys, name):
         assert f"more than {COUNT_DIGIT_CAP} digits" in err
 
 
+def _refusals():
+    from fractal_trees.decimation import SPECTRUM_LEVEL_CAP
+    from fractal_trees.entropy import ENTROPY_LEVEL_CAP, ENTROPY_PRECISION_CAP
+
+    level = "levels above {} are refused"
+    digits = "precisions above {} digits are refused"
+    return [
+        pytest.param(("decimate", "sierpinski"), SPECTRUM_LEVEL_CAP + 1,
+                     level.format(SPECTRUM_LEVEL_CAP), id="decimate-first-refused-level"),
+        pytest.param(("decimate", "hexagasket", "--format", "json"), 10 ** 23,
+                     level.format(SPECTRUM_LEVEL_CAP), id="decimate-level-1e23"),
+        pytest.param(("entropy", "sierpinski"), ENTROPY_LEVEL_CAP + 1,
+                     level.format(ENTROPY_LEVEL_CAP), id="entropy-first-refused-level"),
+        pytest.param(("entropy", "nonpcf_sg", "--format", "json"), 10 ** 23,
+                     level.format(ENTROPY_LEVEL_CAP), id="entropy-level-1e23"),
+        pytest.param(("entropy", "sierpinski", "--prec", str(ENTROPY_PRECISION_CAP + 1)), 10,
+                     digits.format(ENTROPY_PRECISION_CAP), id="entropy-first-refused-precision"),
+        pytest.param(("entropy", "diamond", "--prec", str(10 ** 23)), 10,
+                     digits.format(ENTROPY_PRECISION_CAP), id="entropy-precision-1e23"),
+    ]
+
+
+@pytest.mark.parametrize("argv, n, message", _refusals())
+def test_decimate_and_entropy_refuse_unreachable_inputs_before_stepping(capsys, argv, n, message):
+    # n = 10^8 or a precision of 10^6 digits used to run until killed
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "-n", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is out of reach" in err and message in err
+
+
+def test_decimate_and_entropy_allow_their_caps(capsys):
+    from fractal_trees.decimation import SPECTRUM_LEVEL_CAP
+    from fractal_trees.entropy import ENTROPY_LEVEL_CAP, ENTROPY_PRECISION_CAP
+
+    # the interval is the cheapest structure to run to each cap
+    for argv in (
+        ("decimate", "interval", "-n", str(SPECTRUM_LEVEL_CAP), "--format", "json"),
+        ("entropy", "interval", "-n", str(ENTROPY_LEVEL_CAP), "--format", "json"),
+        ("entropy", "interval", "-n", "2", "--prec", str(ENTROPY_PRECISION_CAP)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
+def test_the_parser_is_built_once():
+    from fractal_trees.cli import make_parser
+
+    assert make_parser() is make_parser()
+
+
 def _with_zero_class(monkeypatch, where):
-    """Make the induction's level 1 carry the zero class: lifted, or born
-    in place of one root of a rational born class (so the sum rule holds)."""
-    from fractal_trees import counting
-    from fractal_trees.decimation import ZERO_CLASS
+    """Make every level of the induction from 1 on carry the zero class:
+    lifted, or born in place of one root of a rational born class (so the
+    sum rule holds)."""
+    from fractal_trees.decimation import ZERO_CLASS, Induction
 
-    real = counting.induction
+    real = Induction.__next__
 
-    def induction(dd):
-        for n, (v_n, born, lifted) in enumerate(real(dd)):
-            if n == 1 and where == "lifted":
-                lifted[ZERO_CLASS] = 1
-            elif n == 1:
-                cls = next(c for c in born if c.degree == 1)
-                born[cls] -= 1
-                born[ZERO_CLASS] = 1
-            yield v_n, born, lifted
+    def __next__(self):
+        v_n, born, lifted = real(self)
+        if self.level and where == "lifted":
+            lifted[ZERO_CLASS] = 1
+        elif self.level:
+            cls = next(c for c in born if c.degree == 1)
+            born[cls] -= 1
+            born[ZERO_CLASS] = 1
+        return v_n, born, lifted
 
-    monkeypatch.setattr(counting, "induction", induction)
+    monkeypatch.setattr(Induction, "__next__", __next__)
 
 
 @pytest.mark.parametrize("where, message", [

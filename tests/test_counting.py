@@ -23,7 +23,7 @@ from fractal_trees import (
     tau,
     tau_bruteforce,
 )
-from fractal_trees.factored import FactoredInteger, factorize
+from fractal_trees.factored import VALUE_DIGIT_CAP, FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass, Polynomial
 
 
@@ -105,11 +105,18 @@ def test_factored_integer_render_and_value():
     assert t.to_json() == {"factors": {"2": "1", "3": "3"}, "digits": 2}
 
 
-def test_factored_integer_digit_count_without_materializing():
+def test_factored_integer_digit_count_without_materializing(dds):
     t = FactoredInteger({2: 10 ** 6})
     assert t.digits10() == 301030
     with pytest.raises(OverflowError):
-        t.value(digit_cap=1000)
+        t.value()
+    # tau(G_10) of the gasket has 40,000 digits and tau(G_11) 121,000
+    s = builtin("sierpinski")
+    assert tau(s, 10, dds["sierpinski"]).value() > 0
+    count = tau(s, 11, dds["sierpinski"])
+    assert count.digits10() > VALUE_DIGIT_CAP
+    with pytest.raises(OverflowError, match="use the factored form"):
+        count.value()
 
 
 def test_factored_integer_equals_int_without_factoring_it():

@@ -21,7 +21,7 @@ from fractal_trees.decimation import (
     ZERO_CLASS,
     DecimationData,
     InconsistentSpectrumError,
-    induction,
+    Induction,
 )
 from fractal_trees.factored import FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass
@@ -183,7 +183,7 @@ def _structures():
 @pytest.mark.parametrize("s", _structures(), ids=lambda s: s.name)
 def test_level_step_matches_the_dict_reference(s):
     dd = derive(s)
-    pairs = zip(islice(induction(dd), LEVELS + 1), islice(ref_induction(dd), LEVELS + 1))
+    pairs = zip(islice(Induction(dd), LEVELS + 1), islice(ref_induction(dd), LEVELS + 1))
     for n, ((v, born, lifted), (v_ref, born_ref, lifted_ref)) in enumerate(pairs):
         assert v == v_ref, n
         assert list(born.items()) == list(born_ref.items()), n
@@ -235,7 +235,7 @@ def test_refusals_match_the_dict_reference(case, monkeypatch):
     inject(monkeypatch)
     s = builtin(name)
     dd = derive(s)
-    got = _outcome(induction(dd))
+    got = _outcome(Induction(dd))
     assert got == _outcome(ref_induction(dd))
     assert got[1] is InconsistentSpectrumError
     walked = _outcome(LevelWalk(s, dd))

@@ -14,7 +14,6 @@ from fractal_trees.polys import (
     RationalFunction,
     factor_classes,
     preimage_poly,
-    split_squarefree,
     squarefree_decomposition,
 )
 
@@ -23,6 +22,13 @@ P = Polynomial
 
 def poly(*coeffs):
     return Polynomial([F(c) if not isinstance(c, F) else c for c in coeffs])
+
+
+def irreducible_factors_of(p):
+    """The irreducible factors of a squarefree p, as classes sorted by key."""
+    out = factor_classes(p)
+    assert all(mult == 1 for _, mult in out)
+    return [cls for cls, _ in out]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +139,7 @@ def test_rational_roots_preiterate_quadratic():
     # 4z^2 - 5z + 3/4 has no rational roots; its root product is 3/16
     p = poly(F(3, 4), -5, 4)
     assert [(c.degree, m) for c, m in factor_classes(p)] == [(2, 1)]
-    cls = split_squarefree(p.monic())
+    cls = irreducible_factors_of(p)
     assert len(cls) == 1 and cls[0].degree == 2
     assert cls[0].norm() == F(3, 16)
 
@@ -174,7 +180,7 @@ def test_quartic_split_into_conjugate_pairs():
     # (z^2 - 3/2 z + 7/16)(z^2 - 3/2 z + 1/4): both irrational pairs
     q1 = poly(F(7, 16), F(-3, 2), 1)
     q2 = poly(F(1, 4), F(-3, 2), 1)
-    classes = split_squarefree(q1 * q2)
+    classes = irreducible_factors_of(q1 * q2)
     assert sorted(c.minpoly.coeffs for c in classes) == sorted(
         [q1.coeffs, q2.coeffs]
     )
@@ -182,13 +188,13 @@ def test_quartic_split_into_conjugate_pairs():
 
 def test_quartic_irreducible_stays_whole():
     # z^4 - z - 1 is irreducible over Q
-    classes = split_squarefree(poly(-1, -1, 0, 0, 1))
+    classes = irreducible_factors_of(poly(-1, -1, 0, 0, 1))
     assert len(classes) == 1 and classes[0].degree == 4
 
 
 def test_quartic_biquadratic_split():
     # z^4 - 5 z^2 + 4 = (z^2-1)(z^2-4) -> four rational roots
-    classes = split_squarefree(poly(4, 0, -5, 0, 1))
+    classes = irreducible_factors_of(poly(4, 0, -5, 0, 1))
     assert sorted(c.rational_value() for c in classes) == [-2, -1, 1, 2]
 
 
@@ -207,14 +213,14 @@ def test_quartic_splits_into_its_two_quadratics(b1, c1, b2, c2):
     assume(not _is_rational_square(b1 * b1 - 4 * c1))
     assume(not _is_rational_square(b2 * b2 - 4 * c2))
     q1, q2 = poly(c1, b1, 1), poly(c2, b2, 1)
-    classes = split_squarefree(q1 * q2)
+    classes = irreducible_factors_of(q1 * q2)
     assert sorted(c.minpoly.coeffs for c in classes) == sorted([q1.coeffs, q2.coeffs])
 
 
 def test_biquadratic_with_no_rational_split_stays_whole():
     # z^4 - 10 z^2 + 1, the minimal polynomial of sqrt(2) + sqrt(3): a^2 - 4c
     # = 96 is no square and the resolvent roots 0, 8, 12 give no square u^2
-    classes = split_squarefree(poly(1, 0, -10, 0, 1))
+    classes = irreducible_factors_of(poly(1, 0, -10, 0, 1))
     assert len(classes) == 1 and classes[0].degree == 4
 
 
@@ -230,21 +236,31 @@ def test_quintic_splits_two_plus_three():
     # SG_{2,4}'s degree-5 exceptional class, over Q
     # 4608^-1 (24z^2 - 34z + 3)(192z^3 - 416z^2 + 260z - 41)
     p = poly(F(-41, 1536), F(1087, 2304), F(-173, 72), F(655, 144), F(-43, 12), 1)
-    classes = split_squarefree(p)
+    classes = irreducible_factors_of(p)
     assert [c.minpoly for c in classes] == [poly(3, -34, 24).monic(), poly(-41, 260, -416, 192).monic()]
 
 
 def test_irreducible_quintic_stays_whole():
     # SG_{2,5}'s degree-5 class, irreducible modulo 5
     p = poly(F(-1663, 4608), F(6131, 2304), F(-1999, 288), F(299, 36), F(-14, 3), 1)
-    assert [c.minpoly for c in split_squarefree(p)] == [p]
+    assert [c.minpoly for c in irreducible_factors_of(p)] == [p]
 
 
-@pytest.mark.parametrize("p", [poly(-2, 0, 1) ** 2, poly(F(-1, 2), 1) ** 2 * poly(3, 1)])
-def test_split_squarefree_refuses_a_repeated_factor(p):
-    # no prime makes a repeated factor squarefree, so the prime search would never end
-    with pytest.raises(ValueError, match="split_squarefree expects a squarefree input"):
-        split_squarefree(p)
+def test_factor_classes_decides_squarefreeness_once(monkeypatch):
+    # Yun's decomposition makes two gcds and each class checks its own
+    # minimal polynomial; no squarefree test runs again before Zassenhaus
+    calls = []
+    real = Polynomial.gcd
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "gcd", counted)
+    q1, q2 = poly(F(7, 16), F(-3, 2), 1), poly(-2, 0, 1)
+    out = factor_classes(q1 * q2)
+    assert len(calls) == 4
+    assert [(cls.minpoly, mult) for cls, mult in out] == [(q2, 1), (q1, 1)]
 
 
 @st.composite
@@ -272,6 +288,14 @@ def test_factor_classes_returns_the_irreducible_factors(factors):
     out = factor_classes(reduce(mul, factors))
     assert sorted(c.minpoly.coeffs for c, m in out if m == 1) == sorted(f.coeffs for f in factors)
     assert len(out) == len(factors)
+
+
+@settings(max_examples=50, deadline=None)
+@given(irreducible_factors(), st.lists(st.integers(1, 3), min_size=4, max_size=4))
+def test_factor_classes_returns_each_factor_with_its_multiplicity(factors, mults):
+    powers = list(zip(factors, mults))
+    out = factor_classes(reduce(mul, (f ** k for f, k in powers)))
+    assert sorted((c.minpoly.coeffs, m) for c, m in out) == sorted((f.coeffs, k) for f, k in powers)
 
 
 # ---------------------------------------------------------------------------

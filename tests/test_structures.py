@@ -46,6 +46,11 @@ def test_nonpcf_multigraph():
     assert sum(m for u, v, m in s.edges1 if 6 in (u, v)) == 12  # the center
 
 
+def test_builtins_are_built_once():
+    for name in BUILTIN_NAMES:
+        assert builtin(name) is builtin(name)
+
+
 def test_unknown_builtin():
     with pytest.raises(KeyError):
         builtin("menger")
