@@ -78,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, zip_longest
 from math import gcd, lcm
 from typing import ClassVar, Optional
 
@@ -89,6 +89,7 @@ from .polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
+    _integer_product,
     factor_classes,
     preimage_poly,
     squarefree_part,
@@ -758,22 +759,31 @@ def crosscheck_spectrum(
     """Compare the predicted sigma(P_n) with a built graph, exactly.
 
     Asserts char(P_n) = +- x * prod family_polynomial(base, k)^mult as an
-    identity of rational polynomials.  Exponential in n (builds G_n).
-    `chi` is `prob_laplacian_charpoly(build_level(dd.structure, n))` when
-    the caller already has it.
+    identity of rational polynomials, checked in integers: with F the
+    integer multiple D_f f of each (monic) family polynomial f, lead =
+    prod D_f^mult and den the lcm of chi's denominators, it compares
+    lead * den chi with +- den * x * prod F^mult coefficient by
+    coefficient.  Exponential in n (builds G_n).  `chi` is
+    `prob_laplacian_charpoly(build_level(dd.structure, n))` when the
+    caller already has it.
     """
     table = spectrum(dd, n)
     if chi is None:
         chi = prob_laplacian_charpoly(build_level(dd.structure, n))
-    predicted = Polynomial.x()
-    for cls, k, mult in table.entries:
-        predicted = predicted * family_polynomial(dd, cls, k) ** mult
-    if chi.degree % 2 == 1:
-        predicted = -predicted
-    if chi == predicted:
+    product, lead = _integer_product(
+        (family_polynomial(dd, cls, k), mult) for cls, k, mult in table.entries
+    )
+    left, den = _integer_product([(chi, 1)])
+    signed_den = -den if chi.degree % 2 == 1 else den
+    left = [c * lead for c in left]
+    right = [0, *(signed_den * c for c in product)]
+    if left == right:
         return True, "charpoly matches spectrum table"
-    diff = chi - predicted
+    # chi - predicted is this difference over den * lead: same degree and support
+    diff = [a - b for a, b in zip_longest(left, right, fillvalue=0)]
+    while diff and not diff[-1]:
+        diff.pop()
     return False, (
-        f"charpoly mismatch at level {n}: difference has degree {diff.degree} "
-        f"and {sum(1 for c in diff.coeffs if c)} nonzero coefficients"
+        f"charpoly mismatch at level {n}: difference has degree {len(diff) - 1} "
+        f"and {sum(1 for c in diff if c)} nonzero coefficients"
     )

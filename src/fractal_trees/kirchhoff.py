@@ -1,16 +1,19 @@
 """Ground-truth spanning-tree counting via the Matrix-Tree theorem.
 
 `tau_bruteforce` evaluates a cofactor of the integer graph Laplacian by
-exact sparse elimination, so it is exact for any graph this package can
-build.  The probabilistic-Laplacian variant (tau = prod d_j / sum d_j
-times the product of nonzero eigenvalues of P = D^-1 (D - A)) is verified
-against it exactly; the eigenvalue product is read off the exact
+sparse elimination on integer rows (each with a rational scale kept as a
+pair of ints), so it is exact for any graph this package can build.  The
+probabilistic-Laplacian variant (tau = prod d_j / sum d_j times the
+product of nonzero eigenvalues of P = D^-1 (D - A)) is verified against
+it exactly; the eigenvalue product is read off the exact
 characteristic polynomial of P, never from floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .levels import LevelGraph
 from .matrices import charpoly
@@ -40,17 +43,21 @@ def tau_bruteforce(g) -> int:
     Row and column 0 are deleted (by the matrix-tree theorem any choice
     gives the same value).  The minor of a connected graph is positive
     definite, so symmetric elimination never meets a zero pivot and needs
-    no pivoting: the rows are kept sparse and vertices are eliminated in
-    minimum-degree order, which keeps the fill small on the level graphs.
-    The determinant is the product of the pivots.
+    no pivoting.  The rows are kept sparse and hold integers: row i holds
+    snum_i/sden_i times its row of the current Schur complement, a positive
+    rational scale kept as a pair of ints.  Eliminating v replaces each
+    neighbour row by pivot * r_i - a_iv * r_v and divides it by the gcd of
+    its entries, so no entry is ever a fraction.  The determinant is the
+    product of the true pivots pivot * sden_v / snum_v.  Vertices are taken
+    in minimum-degree order from a lazy heap of (row length, vertex), which
+    keeps the fill small on the level graphs.
     """
     n = g.vertex_count
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not connected(n, g.edges):
         raise ValueError("disconnected")
-    # Fraction diagonals make every pivot a Fraction, so divisions stay exact
-    rows: dict[int, dict[int, Fraction]] = {v: {v: Q(0)} for v in range(1, n)}
+    rows: dict[int, dict[int, int]] = {v: {v: 0} for v in range(1, n)}
     for u, v, m in g.edges:
         for a, b in ((u, v), (v, u)):
             if a != 0:
@@ -58,25 +65,41 @@ def tau_bruteforce(g) -> int:
                 row[a] += m
                 if b != 0:
                     row[b] = row.get(b, 0) - m
-    det = Q(1)
-    while rows:
-        v = min(rows, key=lambda w: len(rows[w]))
-        row = rows.pop(v)
+    snum, sden = dict.fromkeys(rows, 1), dict.fromkeys(rows, 1)
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapify(heap)
+    num = den = 1
+    while heap:
+        length, v = heappop(heap)
+        row = rows.get(v)
+        if row is None or len(row) != length:
+            continue  # eliminated, or pushed again with its new length
+        del rows[v]
         pivot = row.pop(v)
-        det *= pivot
-        for i, a_iv in row.items():
+        num *= pivot * sden[v]
+        den *= snum[v]
+        for i in row:
             ri = rows[i]
-            del ri[v]
-            f = a_iv / pivot
+            a_iv = ri.pop(v)  # not row[i]: the rows carry different scales
+            ri = {j: pivot * x for j, x in ri.items()}
             for j, a_vj in row.items():
-                x = ri.get(j, 0) - f * a_vj
+                x = ri.get(j, 0) - a_iv * a_vj
                 if x:
                     ri[j] = x
                 else:
                     ri.pop(j, None)
-    if det.denominator != 1 or det < 1:
+            k = gcd(*ri.values())
+            if k > 1:
+                ri = {j: x // k for j, x in ri.items()}
+            rows[i] = ri
+            s, t = snum[i] * pivot, sden[i] * k
+            h = gcd(s, t)
+            snum[i], sden[i] = s // h, t // h
+            heappush(heap, (len(ri), i))
+    det, rem = divmod(num, den)
+    if rem or det < 1:
         raise AssertionError("spanning tree count must be a positive integer")
-    return int(det)
+    return det
 
 
 def prob_laplacian(g) -> list[list[Fraction]]:

@@ -43,6 +43,7 @@ COMMANDS = [
         )
     ),
     *(["verify", s, "--max-level", "2"] for s in STRUCTURES[:4]),
+    *(["verify", s, "--max-level", "3"] for s in (*STRUCTURES[:4], STRUCTURES[6])),
     ["decimate", PENTAGASKET],
     ["count", PENTAGASKET, "-n", "0"],
     ["count", PENTAGASKET, "-n", "3"],

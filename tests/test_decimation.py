@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from fractal_trees import (
     SelfSimilarStructure,
+    build_level,
     builtin,
     crosscheck_spectrum,
     derive,
@@ -18,7 +19,7 @@ from fractal_trees.decimation import (
     ZERO_CLASS,
     classify,
 )
-from fractal_trees.kirchhoff import prob_laplacian
+from fractal_trees.kirchhoff import prob_laplacian, prob_laplacian_charpoly
 from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction, preimage_poly
 from fractal_trees.structures import InvalidStructureError, load_json
 from test_generalization import assert_schur_factors, gasket
@@ -331,6 +332,35 @@ def test_crosscheck_level_three_small_graphs(dds):
     for name in ("sierpinski", "diamond"):
         ok, msg = crosscheck_spectrum(dds[name], 3)
         assert ok, (name, msg)
+
+
+@pytest.mark.parametrize(
+    "name, n, chi_degree, chi_terms, mult_degree, mult_terms",
+    [("sierpinski", 1, 3, 1, 7, 7), ("hexagasket", 2, 3, 1, 67, 67)],
+)
+def test_crosscheck_reports_a_mismatch(
+    dds, monkeypatch, name, n, chi_degree, chi_terms, mult_degree, mult_terms
+):
+    dd = dds[name]
+    chi = prob_laplacian_charpoly(build_level(dd.structure, n))
+    # one coefficient of the charpoly off by one
+    coeffs = list(chi.coeffs)
+    coeffs[3] += 1
+    assert crosscheck_spectrum(dd, n, chi=Polynomial(coeffs)) == (
+        False,
+        f"charpoly mismatch at level {n}: difference has degree {chi_degree} "
+        f"and {chi_terms} nonzero coefficients",
+    )
+    # one multiplicity of the spectrum table off by one
+    table = spectrum(dd, n)
+    (cls, k, mult), *rest = table.entries
+    bumped = dataclasses.replace(table, entries=((cls, k, mult + 1), *rest))
+    monkeypatch.setattr(decimation, "spectrum", lambda dd_, n_: bumped)
+    assert crosscheck_spectrum(dd, n, chi=chi) == (
+        False,
+        f"charpoly mismatch at level {n}: difference has degree {mult_degree} "
+        f"and {mult_terms} nonzero coefficients",
+    )
 
 
 # ---------------------------------------------------------------------------

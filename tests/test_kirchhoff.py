@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
 from fractal_trees import (
+    BUILTIN_NAMES,
     LevelGraph,
     build_level,
     builtin,
@@ -15,7 +18,42 @@ from fractal_trees import (
     wedge_check,
 )
 from fractal_trees.kirchhoff import laplacian, prob_laplacian
+from fractal_trees.levels import vertex_count_formula
 from fractal_trees.matrices import bareiss_det_int
+from fractal_trees.structures import connected, load_json
+from test_generalization import gasket
+
+
+def tau_fraction(g) -> int:
+    """Reference: the Laplacian cofactor by sparse minimum-degree
+    elimination in Fractions, each pivot divided out of every update."""
+    n = g.vertex_count
+    rows = {v: {v: F(0)} for v in range(1, n)}
+    for u, v, m in g.edges:
+        for a, b in ((u, v), (v, u)):
+            if a != 0:
+                row = rows[a]
+                row[a] += m
+                if b != 0:
+                    row[b] = row.get(b, 0) - m
+    det = F(1)
+    while rows:
+        v = min(rows, key=lambda w: len(rows[w]))
+        row = rows.pop(v)
+        pivot = row.pop(v)
+        det *= pivot
+        for i, a_iv in row.items():
+            ri = rows[i]
+            del ri[v]
+            f = a_iv / pivot
+            for j, a_vj in row.items():
+                x = ri.get(j, 0) - f * a_vj
+                if x:
+                    ri[j] = x
+                else:
+                    ri.pop(j, None)
+    assert det.denominator == 1
+    return int(det)
 
 
 def test_k3():
@@ -86,6 +124,50 @@ def test_all_cofactors_equal():
             # the dense Bareiss determinant is an independent reference
             minor = [[lap[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
             assert bareiss_det_int(minor) == value
+
+
+def test_integer_elimination_matches_the_fraction_reference():
+    data = Path(__file__).parent / "data"
+    structures = [builtin(name) for name in BUILTIN_NAMES]
+    structures += [gasket(2, 3), load_json(str(data / "sg_2_4.json"))]
+    for s in structures:
+        n = 0
+        while vertex_count_formula(s, n) <= 400:
+            g = build_level(s, n)
+            value = tau_bruteforce(g)
+            assert type(value) is int
+            assert value == tau_fraction(g), (s.name, n)
+            n += 1
+
+
+def random_connected_multigraph(rng: random.Random, max_vertices: int) -> LevelGraph:
+    """A random spanning tree plus random extra edges, multiplicities 1-3."""
+    n = rng.randint(2, max_vertices)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))}
+    return LevelGraph.from_edges(n, [(u, v, rng.randint(1, 3)) for u, v in sorted(pairs)])
+
+
+def test_random_multigraphs_against_a_random_cofactor():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        g = random_connected_multigraph(rng, 25)
+        lap = laplacian(g)
+        n = g.vertex_count
+        i = rng.randrange(n)
+        minor = [[lap[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        assert tau_bruteforce(g) == bareiss_det_int(minor), g.edges
+
+
+def test_refusals_keep_their_type_and_message():
+    with pytest.raises(ValueError, match="need at least 2 vertices"):
+        tau_bruteforce(LevelGraph.from_edges(1, []))
+    # stand-ins no level graph can be: a negative and a half edge weight
+    for m in (-1, F(1, 2)):
+        g = SimpleNamespace(vertex_count=2, edges=((0, 1, m),))
+        assert connected(2, g.edges)
+        with pytest.raises(AssertionError, match="spanning tree count must be a positive integer"):
+            tau_bruteforce(g)
 
 
 def test_relabeling_invariance():

@@ -12,6 +12,7 @@ from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
+    _integer_product,
     factor_classes,
     preimage_poly,
     squarefree_decomposition,
@@ -54,6 +55,16 @@ small_polys = st.lists(small_rationals, min_size=0, max_size=5).map(Polynomial)
 def test_poly_ring_commutes(p, q):
     assert p + q == q + p
     assert p * q == q * p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_polys.filter(bool), st.integers(1, 4)), min_size=1, max_size=4))
+def test_kronecker_product_matches_the_fraction_product(factors):
+    # the Fraction product is the reference; digits of both signs carry
+    coeffs, scale = _integer_product(factors)
+    want = reduce(mul, (p ** e for p, e in factors))
+    assert len(coeffs) == want.degree + 1
+    assert Polynomial([F(c, scale) for c in coeffs]) == want
 
 
 @settings(max_examples=300, deadline=None)
