@@ -25,30 +25,34 @@ the level count into primes, each norm factored once per walk.
 `preiterate_product` and `levels.degree_stats` give the same pieces at
 one level from scratch.
 
-The walk does not step to n.  Once the induction's level map is fixed
-(`Induction.fixed_roots`: no class left to intern, no deep hit pending)
-every piece above is linear in a state that the map advances, so every
-exponent obeys one linear recurrence.  Its annihilator is built from the
-map's tables: the roots of the born block (each class's own coefficient,
-m and 1) times the roots 1, m, d and kappa that the sums add
-(`LevelWalk._annihilator`).  The walk steps one level more than its
-degree, checks in integers that the last level is the recurrence of the
-others, and proves by differences that no multiplicity turns negative
-later.  A linear check (the sum rules, the degree recursion's counts)
-that holds at that many consecutive levels holds at every later one, so
-none is dropped.  Then `step` follows the recurrence and `jump` sets the
-level-n exponents from z^(n - k) mod the annihilator: `tau` costs a few
-levels and O(log n) polynomial products, and `exponent_table` one
-combination per level.  Every produced level is still checked to be a
-positive integer.  Where no certificate can be given (unequal corner
-counts, a cycle in the born block, a pending deep hit) the walk keeps
-stepping.
+The walk does not step to n.  From the level where the induction's map
+is fixed on (`Induction.needs_zero` names the multiplicities that must stay
+0 for that), and with one kappa for every corner (a new site's degree is
+then a constant times kappa^(n-1)), `step` is one linear map of the walk's
+whole state (`LevelWalk._vector`).  Such a sequence obeys the first linear
+relation among its consecutive states, the minimal polynomial of a Krylov
+sequence (Wiedemann, IEEE Trans. Inf. Theory 32, 1986).  The walk reduces
+each new state against the kept ones by fraction-free elimination
+(`_reduce`) and follows the first dependency once its monic form has
+integer coefficients and roots >= 0 (`_integer_roots`), it proves every
+born multiplicity nonnegative for good (`_never_negative`), and what
+`needs_zero` names is 0 at the kept levels, so at as many consecutive
+levels as its degree, and for good.  Every exponent is linear in the state
+and follows the relation, and so does each linear check that held at the
+kept levels (the sum rules, the vertex and handshake counts), so none is
+dropped.  `jump` sets the level-n exponents from z^(n - k) mod the
+relation's polynomial: `tau` costs a few levels and O(log n) polynomial
+products, and `exponent_table` one combination per level.  Every produced
+level is still checked to be a positive integer.  Where no certificate
+can be given (unequal corner counts, a pending deep hit, a class with two
+sources, roots that are not integers >= 0) the walk keeps stepping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log10, prod
+from itertools import zip_longest
+from math import gcd, log10, prod
 from typing import Optional
 
 from .decimation import DecimationData, Induction, InconsistentSpectrumError, derive
@@ -112,17 +116,17 @@ class LevelWalk:
         self.interior, self.inner_count, self.inner_sum = {}, 0, 0  # H_n
         self.lifts = self.weight = 0  # L_n and W_n
         self.m_power = 1  # m^n
-        self.roots: Optional[dict] = None  # class -> roots, once the level map is fixed
-        # the annihilator, low coefficient first and monic, and its recurrence
-        # x_k = sum _next[j] x_(k - size + j)
+        # the recurrence's polynomial, monic with the low coefficient first,
+        # and its step x_k = sum _next[j] x_(k - size + j)
         self.recurrence: list[int] = []
         self._next: list[int] = []
-        # the walk's state at consecutive levels up to this one, from the
-        # level where the map was fixed on, and the exponents of those levels
-        # (assembled only once there are enough levels to check)
-        self.states: list[tuple] = []
-        self.rows: list[Factorization] = []
-        self.jumps = False  # the rows check the recurrence: levels follow it
+        # per level from the one where the map is fixed on: (state vector, what
+        # its exponents are assembled from); None once no jump can be certified
+        self.states: Optional[list[tuple]] = []
+        self._basis: list[tuple] = []  # the vectors' echelon form (`_reduce`)
+        self._coords: dict = {}  # a vector's positions past the fixed ones
+        self.rows: list[Factorization] = []  # once jumping, the last levels' exponents
+        self.jumps = False  # the states' first relation is certified: levels follow it
 
     def _add(self, acc: Factorization, q, e: int) -> Factorization:
         """acc += e * (prime exponents of the nonzero int or Fraction q, or
@@ -178,78 +182,62 @@ class LevelWalk:
             raise AssertionError("degree recursion handshake mismatch")
         self._watch()
 
-    def _annihilator(self) -> list[int]:
-        """The monic integer polynomial, low coefficient first, whose
-        recurrence every exponent of tau(G_k) obeys from the level where
-        the map was fixed on.
-
-        Each piece of the walk is linear in the born multiplicities, whose
-        roots the induction gives (m and 1 come with |V_n| and m^n).  The
-        lifted norms and W_n sum them (root 1), L_n = d L_(n-1) + W_n adds
-        d, and the level count is 1 twice.  The interior degrees are
-        H_n = m H_(n-1) + (new sites): with one kappa for every corner a
-        site's degree is a constant times kappa^(n-1), whose exponents are
-        linear in n (roots m, 1, 1).  The corners (kappa) and the degree
-        sum of the sites (m, kappa) carry the handshake count.  With
-        unequal kappas the site degrees are sums of powers, which the
-        walk keeps stepping.
-        """
-        m, kappa = self.s.m, self.kappa[0]
-        roots = {m: 1, 1: 1}
-        for part in self.roots.values():
-            for r, e in part.items():
-                roots[r] = max(roots.get(r, 0), e)
-        roots[1] += 1  # the sums of born multiplicities
-        roots[self.dd.d] = roots.get(self.dd.d, 0) + 1  # L_n
-        # the level count and the interior degrees need (z - 1)^2 (z - m),
-        # which divides the roots so far; the handshake count (z - m)(z - kappa)
-        roots[kappa] = max(roots.get(kappa, 0), 2 if kappa == m else 1)
-        poly = [1]
-        for r, e in roots.items():
-            for _ in range(e):  # times (z - r)
-                poly = [a - r * b for a, b in zip([0, *poly], [*poly, 0])]
-        return poly
-
     def _watch(self):
-        """Keep the levels from the one where the map was fixed on.  With
-        one more than the annihilator's degree, jump if the last is the
-        recurrence of the others and they prove every born multiplicity
-        nonnegative for good (`_never_negative`); else drop the first and
-        wait for the next level.
-
-        A linear identity of the walk (the sum rules, the vertex and
-        handshake counts) obeys the recurrence too, so holding at as many
-        consecutive levels as its degree it holds at every later level.
-        A deep hit would have been set at one of these levels, so a class
-        with an exceptional orbit is 0 at as many of them as its degree,
-        and so for good.
-        """
-        if not self.states:
-            if len(set(self.kappa)) == 1:
-                self.roots = self._levels.fixed_roots()
-            if self.roots is None:
-                return
-            self.recurrence = self._annihilator()
-            self._next = [-c for c in self.recurrence[:-1]]
-        norms, *rest = self._state()
-        self.states.append((dict(norms), *rest))
-        if len(self.states) < len(self.recurrence):
+        """Keep the state from the level where the map is fixed on, and
+        jump once the first linear relation of the kept states is certified
+        (module docstring).  If a multiplicity that `needs_zero` names is not
+        0 at the kept levels, or the relation does not prove the born ones
+        nonnegative for good, drop the oldest state: at most one more than
+        the dimension are kept.  Else one linear map made the kept levels,
+        and its roots that are not integers >= 0 stay: the walk steps on."""
+        if self.states is None:
             return
-        self.rows += [self._assemble(*state) for state in self.states[len(self.rows):]]
-        if (
-            _nonzero(_combine(self._next, self.rows[:-1])) == _nonzero(self.rows[-1])
-            and self._levels.deep_hit is None
-            and all(
-                _never_negative([state[2].get(cls, 0) for state in self.states], roots)
-                for cls, roots in self.roots.items()
-            )
-        ):
-            self.jumps = True
-        del self.states[0], self.rows[0]
+        zeros = self._levels.needs_zero() if len(set(self.kappa)) == 1 else None
+        if zeros is None:
+            self.states, self._basis = [], []
+            return
+        norms, *rest = self._state()
+        self.states.append((self._vector(), (dict(norms), *rest)))
+        relation = _reduce(self._basis, self.states[-1][0])
+        while relation is not None:
+            born = [inputs[2] for _, inputs in self.states]
+            if not any(b.get(cls) for cls in zeros for b in born):
+                lead = relation[-1]
+                poly = [c // lead for c in relation]
+                roots = None if any(c % lead for c in relation) else _integer_roots(poly)
+                if roots is None:
+                    self.states = None
+                    return
+                classes = {cls for b in born for cls in b}
+                if all(_never_negative([b.get(cls, 0) for b in born], roots) for cls in classes):
+                    self.recurrence, self._next = poly, [-c for c in poly[:-1]]
+                    self.rows = [self._assemble(*inputs) for _, inputs in self.states[1:]]
+                    self.states, self._basis, self.jumps = [], [], True
+                    return
+            # the states left are independent, but for the last one maybe
+            del self.states[0]
+            self._basis = []
+            for vector, _ in self.states:
+                relation = _reduce(self._basis, vector)
+
+    def _vector(self) -> list[int]:
+        """The walk's whole state as one integer vector: L_n, W_n, n, 1, m^n,
+        the interior count and degree sum, the corner degrees, then per class
+        the born and the summed lifted multiplicity and per prime the
+        interior exponent, each at the position it first took."""
+        coords, tail = self._coords, {}
+        for kind, part in enumerate((self.born, self.norms, self.interior)):
+            for key, x in part.items():
+                tail[coords.setdefault((kind, key), len(coords))] = x
+        return [
+            self.lifts, self.weight, self.level, 1, self.m_power,
+            self.inner_count, self.inner_sum, *self.corner,
+            *(tail.get(i, 0) for i in range(len(coords))),
+        ]
 
     def jump(self, n: int):
         """Move to a level n above this one along the recurrence: each kept
-        row moves k levels up as z^k mod the annihilator applied to the
+        row moves k levels up as z^k mod its polynomial applied to the
         rows."""
         if not self.jumps or n <= self.level:
             raise ValueError("the walk jumps forward along a checked recurrence only")
@@ -297,10 +285,6 @@ class LevelWalk:
         return FactoredInteger({p: e for p, e in out.items() if e and p != -1})
 
 
-def _nonzero(row: Factorization) -> Factorization:
-    return {p: e for p, e in row.items() if e}
-
-
 def _combine(coeffs: list[int], rows: list[Factorization]) -> Factorization:
     """sum coeffs[j] * rows[j], key by key."""
     out: Factorization = {}
@@ -334,6 +318,58 @@ def _power_of_z(k: int, mod: list[int]) -> list[int]:
         if bit == "1":
             out = _mulmod(out, [0, 1], mod)
     return out
+
+
+def _reduce(basis: list, vector: list[int]) -> Optional[list[int]]:
+    """Reduce state k against basis, the echelon form of the independent
+    states 0..k - 1, by fraction-free elimination (a shorter vector ends in
+    zeros).  Return the integers c_0..c_k, c_k != 0, of the dependency
+    sum c_j state_j = 0, or None after adding the reduced state to the
+    basis.  Rows are divided by their content and pivot on their least
+    entry (every state holds 1)."""
+    row, combo = vector, [0] * len(basis) + [1]
+    for other, other_combo, pivot in basis:
+        x = row[pivot] if pivot < len(row) else 0
+        if x:  # row = y row - x other, 0 at the pivot
+            y = other[pivot]
+            row = [y * a - x * b for a, b in zip_longest(row, other, fillvalue=0)]
+            combo = [y * a - x * b for a, b in zip_longest(combo, other_combo, fillvalue=0)]
+    content = gcd(*row, *combo)
+    combo = [c // content for c in combo]
+    if not any(row):
+        return combo
+    row = [x // content for x in row]
+    basis.append((row, combo, min((i for i, x in enumerate(row) if x), key=lambda i: abs(row[i]))))
+    return None
+
+
+def _integer_roots(poly: list[int]) -> Optional[dict[int, int]]:
+    """{root: multiplicity} of the monic integer polynomial poly, low
+    coefficient first, if its roots are all integers >= 0; else None.
+
+    0 is tried first, then the divisors r of the constant term upward: the
+    roots left are at least r, so r^deg is at most the constant's size."""
+    roots: dict[int, int] = {}
+    r = 0
+    while len(poly) > 2:
+        quotient, carry = [], 0
+        for c in poly[:0:-1]:  # Horner: poly = (z - r) quotient + remainder
+            carry = c + r * carry
+            quotient.append(carry)
+        if poly[0] + r * carry == 0:
+            roots[r] = roots.get(r, 0) + 1
+            poly = quotient[::-1]
+            continue
+        r += 1
+        while poly[0] % r and r ** (len(poly) - 1) < abs(poly[0]):
+            r += 1
+        if r ** (len(poly) - 1) > abs(poly[0]):
+            return None
+    if len(poly) == 2:
+        if poly[0] > 0:
+            return None
+        roots[-poly[0]] = roots.get(-poly[0], 0) + 1
+    return roots
 
 
 def _never_negative(values: list[int], roots: dict) -> bool:

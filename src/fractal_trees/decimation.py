@@ -57,13 +57,13 @@ The pipeline, all in exact arithmetic:
      indices.  Each level step decides once per family whether it lifts
      or splits, and yields the lifting ones with the families born at the
      level; `spectrum` collects them and `counting.LevelWalk` takes one
-     level per step.  `Induction.fixed_roots` says when the map stops
-     changing and gives, per class that can still be born, the roots of
-     a polynomial that annihilates its multiplicity from then on, which
-     the walk turns into a jump over many levels.  The eigenvalue-count
-     sum rule is asserted at every level, and `crosscheck_spectrum`
-     compares the predicted spectrum against the characteristic
-     polynomial of an explicitly built level graph.
+     level per step.  `Induction.needs_zero` names the multiplicities that
+     must stay 0 for the step to stay one fixed linear map; the walk checks
+     them on the levels it keeps and turns the first linear relation among
+     those levels into a jump over many.  The eigenvalue-count sum rule is
+     asserted at every level, and `crosscheck_spectrum` compares the
+     predicted spectrum against the characteristic polynomial of an
+     explicitly built level graph.
 
 One deliberate deviation from the literal wording of the case rules: the
 rule for eigenvalues of D at which phi has a pole nominally also requires
@@ -550,7 +550,7 @@ class Induction:
     Only level n - 1 is held; the families born earlier carry over one
     level deeper.  A split base's regular preimages are factored, checked
     to be simple roots and interned at the first level the base splits.
-    `fixed_roots` says when the level map has stopped changing."""
+    `needs_zero` says what keeps the level map fixed."""
 
     def __init__(self, dd: DecimationData):
         s = dd.structure
@@ -672,73 +672,27 @@ class Induction:
         self.level, self.prev, self.v_prev, self.scale = n, {0: 1, **born}, v_n, scale * s.m
         return v_n, {table[i][0]: mult for i, mult in born.items()}, lifted
 
-    def fixed_roots(self) -> Optional[dict]:
-        """{class: roots} for every class that can still be born, once the
-        level map has stopped changing; None before.
+    def needs_zero(self) -> Optional[list[AlgebraicClass]]:
+        """The classes whose multiplicity must stay 0 for the level step to
+        stay the one linear map it is now; None while the map may still
+        change: before the first step, while a deep hit is pending, or when
+        a class has two sources (two rules or split bases write it).
 
-        The map is fixed from the current level n on when no deep hit is
-        pending, and every split base that can still have a nonzero
-        multiplicity has its preimages interned, so no later level adds a
-        class.  A class can still be born when it is born at level n, its
-        rule's forcing term a m^k + b |V_k| + c [R(e) = 0] is not zero for
-        every k > n, or it reads such a class (a rule's R(e), a split's
-        base).  Its multiplicity from level n on is then annihilated by
-        prod (z - r) over its roots, with multiplicity: its own coefficient
-        (c where R(e) = e, else 0) on top of the roots of its forcing term
-        (m and 1) and of what it reads.  A class read by a cycle through
-        two or more classes, a negative own coefficient or a class with
-        two sources (a duplicate entry) is not certified.  That no later
-        multiplicity is negative or meets a deep hit is left to the caller,
-        which sees the levels after n.
+        They are the split bases whose preimages are not interned (a nonzero
+        multiplicity adds classes), the unsplit classes an exceptional orbit
+        reaches (lifting one sets a deep hit), and the zero class if a rule
+        writes it (the zero family splits with multiplicity 1).  Whether they
+        are 0 is left to the caller, which sees the levels.
         """
         if self.table is None or self.deep_hit is not None:
             return None
-        s, table, subs = self.dd.structure, self.table, self.subs
-        grow_v = s.v1_size - s.v0_size  # |V_(k+1)| - |V_k| = m^k (|V1| - |V0|)
-        forcing = {}  # rule class -> the roots of its forcing term
-        for i, a, b, c, image in self.rules:
-            now = a * self.scale + b * self.v_prev + (c if image == 0 else 0)
-            rise = a * (s.m - 1) + b * grow_v  # the forcing term grows by m^(k-1) rise
-            forcing[i] = (s.m, 1) if now or rise else ()
-        can = {i for i in self.prev if i} | {i for i, roots in forcing.items() if roots}
-        size = 0
-        while size < len(can):  # close under reading
-            size = len(can)
-            can |= {i for i, _, _, c, image in self.rules if c and image in can}
-            for j in (0, *can):
-                if table[j][3]:
-                    if j not in subs:
-                        return None
-                    can.update(subs[j])
-        # (class born at the next level, own coefficient, classes read, forcing roots)
-        entries = []
-        for i, _, _, c, image in self.rules:
-            if i in can:
-                read = c if image in can else 0
-                own, src = (read, []) if image == i else (0, [image] if read else [])
-                entries.append((i, own, src, forcing[i]))
-        for j in (0, *can):
-            if table[j][3]:  # the zero family's multiplicity is 1 at every level
-                entries += [(t, 0, [j], ()) if j else (t, 0, [], (1,)) for t in subs[j]]
-        reads = {i: (0, [], ()) for i in can}
-        reads.update((i, rest) for i, *rest in entries)
-        duplicate = len({i for i, *_ in entries}) < len(entries)
-        if 0 in can or duplicate or any(own < 0 for own, _, _ in reads.values()):
+        writes = [i for i, *_ in self.rules] + [j for sub in self.subs.values() for j in sub]
+        if len(set(writes)) < len(writes):
             return None
-        done: dict = {}
-        while reads:
-            ready = [i for i, (_, src, _) in reads.items() if all(j in done for j in src)]
-            if not ready:
-                return None
-            for i in ready:
-                own, src, roots = reads.pop(i)
-                roots = dict.fromkeys(roots, 1)
-                for j in src:  # the least common multiple of what it reads
-                    for r, e in done[j].items():
-                        roots[r] = max(roots.get(r, 0), e)
-                roots[own] = roots.get(own, 0) + 1
-                done[i] = roots
-        return {table[i][0]: roots for i, roots in done.items()}
+        return [
+            cls for i, (cls, _, reach_at, splits) in enumerate(self.table)
+            if (i not in self.subs if splits else reach_at is not None) or (i == 0 and 0 in writes)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,20 @@ def test_verify_prints_an_assembly_failure_as_a_fail_line(monkeypatch, capsys):
     ]
 
 
+def test_verify_takes_tau_from_one_level_walk(monkeypatch, capsys):
+    # the oracle levels 1..3 and level 30 are read from one walk, in order;
+    # only level 0 (Cayley's formula) is asked of tau
+    from fractal_trees import cli
+
+    walks, levels = [], []
+    real_walk, real_tau = cli.LevelWalk, cli.tau
+    monkeypatch.setattr(cli, "LevelWalk", lambda *args: walks.append(args) or real_walk(*args))
+    monkeypatch.setattr(cli, "tau", lambda s, n, *args: levels.append(n) or real_tau(s, n, *args))
+    code, out, _ = run(capsys, "verify", "sierpinski", "--max-level", "3")
+    assert code == 0 and out.count("PASS") == 11
+    assert (len(walks), levels) == (1, [0])
+
+
 def test_entropy_text(capsys):
     code, out, _ = run(capsys, "entropy", "diamond", "-n", "16", "--prec", "15")
     assert code == 0

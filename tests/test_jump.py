@@ -2,18 +2,19 @@
 
 Once the induction's level map is certified fixed, `LevelWalk.step`
 follows the recurrence of the exponents and `tau` jumps to level n.  With
-the certificate switched off (`Induction.fixed_roots` returning None) the
+the certificate switched off (`Induction.needs_zero` returning None) the
 same walk steps every level: the reference here.
 """
 
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fractal_trees import builtin, derive, exponent_table, tau
-from fractal_trees import decimation
-from fractal_trees.counting import LevelWalk, _never_negative
+from fractal_trees import counting, decimation
+from fractal_trees.counting import LevelWalk, _integer_roots, _never_negative, _reduce
 from fractal_trees.decimation import ZERO_CLASS, DecimationData, Induction
 from fractal_trees.factored import FactoredInteger
 from fractal_trees.structures import BUILTIN_NAMES, load_json
@@ -48,7 +49,7 @@ def _stepped(monkeypatch, s, dd, n_max):
     `factors`, and the outcome of the step that refused (None if none did),
     after which no level is listed."""
     with monkeypatch.context() as mp:
-        mp.setattr(Induction, "fixed_roots", lambda self: None)
+        mp.setattr(Induction, "needs_zero", lambda self: None)
         walk, levels = LevelWalk(s, dd), []
         while walk.level < n_max:
             refused = _outcome(walk.step)
@@ -129,6 +130,29 @@ def _negated_ratio(monkeypatch):
     monkeypatch.setattr(DecimationData, "ratio", property(lambda dd: -real.fget(dd)))
 
 
+def _late_second_source(monkeypatch):
+    # a delay line of split classes: 3/4, born from 3/2 at level 1, splits
+    # into x1 and a partner, x1 into x2, x2 into x3 (born at level 4), and
+    # x3 into 3/4 again, which 3/2 writes too: from level 5 on 3/4 has two
+    # sources, and the duplicate entry is refused there.  Each split keeps
+    # the degree count, so the sum rule holds up to it.
+    line = [rat("3/4"), *(rat(f"{k}/1000") for k in (1, 2, 3))]
+    real_start, real_preimages = Induction._start, DecimationData.preimage_classes
+
+    def _start(self):
+        self.dd.split |= frozenset(line)
+        real_start(self)
+
+    def preimage_classes(dd, base):
+        if base not in line:
+            return real_preimages(dd, base)
+        k = line.index(base)
+        return [(line[(k + 1) % len(line)], 1), (rat(f"{k + 11}/1000"), 1)]
+
+    monkeypatch.setattr(Induction, "_start", _start)
+    monkeypatch.setattr(DecimationData, "preimage_classes", preimage_classes)
+
+
 REFUSALS = {
     "deep hit": ("sierpinski", lambda mp: _inject_orbit(
         mp, [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")),
@@ -140,6 +164,7 @@ REFUSALS = {
     "negative multiplicity": ("sierpinski", lambda mp: mp.setitem(
         decimation.CASE_RULES, 3, (0, -1, 0))),
     "duplicate entry": ("sierpinski", _duplicate_entry),
+    "late second source": ("sierpinski", _late_second_source),
     "repeated preimage": ("sierpinski", _repeated_zero_root),
     "assembly sign": ("nonpcf_sg", _negated_ratio),
 }
@@ -187,23 +212,86 @@ def _closed_form(n):
     return FactoredInteger({p: e for p, e in CLOSED_FORMS["sierpinski"](n).items() if e})
 
 
-@pytest.mark.parametrize("name, roots, start", [
-    # z^2 from the born block's chains, (z - 1)^2 (z - m) from the sums and
-    # the interior degrees, z - d from L_n; kappa = 2 adds z - 2 on nonpcf_sg
-    ("sierpinski", [0, 0, 1, 1, 2, 3], 7),
-    ("nonpcf_sg", [0, 0, 1, 1, 2, 3, 6], 8),
-    ("diamond", [0, 0, 1, 1, 2, 4], 7),
-])
-def test_annihilator_from_the_tables(name, roots, start):
-    s = builtin(name)
-    dd = derive(s)
+def _with_roots(roots):
+    """prod (z - r) over roots, low coefficient first."""
     poly = [1]
     for r in roots:
         poly = [a - r * b for a, b in zip([0, *poly], [*poly, 0])]
-    walk = LevelWalk(s, dd)
+    return poly
+
+
+@pytest.mark.parametrize("name, roots, start", [
+    # (z - 1)^2 (z - m): the sums, n and 1, and m^n with all that grows like it
+    ("sierpinski", [1, 1, 3], 4),
+    # kappa = 2 adds z - 2, and z a transient at level 1
+    ("nonpcf_sg", [0, 1, 1, 2, 6], 6),
+    ("diamond", [1, 1, 2, 4], 5),
+])
+def test_recurrence_from_the_states(name, roots, start):
+    s = builtin(name)
+    walk = LevelWalk(s, derive(s))
     while not walk.jumps:
         walk.step()
-    assert (walk.recurrence, walk.level) == (poly, start)
+    assert (walk.recurrence, walk.level) == (_with_roots(roots), start)
+
+
+def test_integer_roots():
+    assert _integer_roots(_with_roots([0, 1, 1, 2, 6])) == {0: 1, 1: 2, 2: 1, 6: 1}
+    assert _integer_roots(_with_roots([0, 0, 5, 5, 5])) == {0: 2, 5: 3}
+    assert _integer_roots([1]) == {}
+    for poly in (
+        _with_roots([1, -2]),  # a negative root
+        _with_roots([-3]),
+        [1, 0, 1],  # z^2 + 1
+        [1, -3, 1],  # z^2 - 3z + 1, irrational roots
+        [-3, 4, -2, 1],  # (z - 1)(z^2 - z + 3), a complex pair
+    ):
+        assert _integer_roots(poly) is None, poly
+    # a constant term near 10^9: the divisor scan stops at its square root
+    start = time.perf_counter()
+    assert _integer_roots(_with_roots([31607, 31627])) == {31607: 1, 31627: 1}
+    assert _integer_roots([999_999_937, -(10 ** 9), 1]) is None  # a prime constant
+    assert time.perf_counter() - start < 0.1
+
+
+def test_reduce_finds_the_first_dependency():
+    basis = []
+    states = [[1, 2], [3, 0, 1], [5, 4, 1]]  # a shorter state ends in zeros
+    assert _reduce(basis, states[0]) is None
+    assert _reduce(basis, states[1]) is None  # independent
+    relation = _reduce(basis, states[2])  # 2 s0 + s1 - s2 = 0
+    assert [Fraction(c, relation[-1]) for c in relation] == [-2, -1, 1]
+    assert len(basis) == 2
+    # s1 = s0 / 2: the relation's monic form is not integral
+    basis = []
+    assert _reduce(basis, [2, 6]) is None
+    relation = _reduce(basis, [1, 3])
+    assert [Fraction(c, relation[-1]) for c in relation] == [Fraction(-1, 2), 1]
+    assert relation[0] % relation[-1]
+
+
+def test_a_withheld_certificate_keeps_at_most_dim_plus_one_states(monkeypatch):
+    # every relation fails the sign proof, so the oldest state is dropped
+    monkeypatch.setattr(counting, "_never_negative", lambda values, roots: False)
+    s = builtin("sierpinski")
+    walk = LevelWalk(s, derive(s))
+    for _ in range(2000):
+        walk.step()
+        assert not walk.jumps
+        assert 1 <= len(walk.states) <= len(walk.states[-1][0]) + 1
+    assert walk.factors() == _closed_form(2000)
+
+
+def test_roots_the_jump_cannot_take_stop_keeping_states(monkeypatch):
+    # the kept levels pass the zero checks, so one linear map made them and
+    # its roots stay: the walk keeps no more states and steps
+    monkeypatch.setattr(counting, "_integer_roots", lambda poly: None)
+    s = builtin("nonpcf_sg")
+    walk = LevelWalk(s, derive(s))
+    for _ in range(40):
+        walk.step()
+    assert (walk.jumps, walk.states) == (False, None)
+    assert dict(walk.factors().factors) == CLOSED_FORMS["nonpcf_sg"](40)
 
 
 def test_sign_proof_by_differences():
