@@ -192,27 +192,27 @@ def _orbit_depths(dd: "DecimationData") -> dict:
 
 
 def _guard_height(cls: AlgebraicClass):
-    for c in cls.minpoly.coeffs:
-        if c.numerator.bit_length() > 1_000_000 or c.denominator.bit_length() > 1_000_000:
-            raise InconsistentSpectrumError(
-                "forward orbit coefficients blew up; cannot certify the "
-                "spectrum bookkeeping"
-            )
+    mp = cls.minpoly
+    if max(c.bit_length() for c in (*mp.numerators, mp.denominator)) > 1_000_000:
+        raise InconsistentSpectrumError(
+            "forward orbit coefficients blew up; cannot certify the "
+            "spectrum bookkeeping"
+        )
 
 
 def _class_escaped(cls: AlgebraicClass, bound: Fraction) -> bool:
     """True when every root of the class provably has modulus > bound;
     exact for a rational class r, where the test reads |r| > bound."""
-    coeffs = cls.minpoly.coeffs
-    if coeffs[0] == 0:
+    nums = cls.minpoly.numerators
+    if nums[0] == 0:
         return False
     # Fujiwara's bound on the reversed polynomial, whose roots are the
     # reciprocals: every root z has |z| > B when |a_i/a_0| < (2B)^-i for
     # i = 1..g, with the i = g term halved
-    g = len(coeffs) - 1
+    g = len(nums) - 1
     return all(
-        abs(c / coeffs[0]) / (2 if i == g else 1) < (2 * bound) ** -i
-        for i, c in enumerate(coeffs[1:], 1)
+        abs(c) * (2 * bound) ** i < abs(nums[0]) * (2 if i == g else 1)
+        for i, c in enumerate(nums[1:], 1)
     )
 
 
@@ -291,20 +291,17 @@ class DecimationData:
     def primitive_R(self) -> tuple[Polynomial, Polynomial]:
         """R as an integer-primitive coprime pair (num, den).
 
-        The internal canonical form keeps the denominator monic; scaling
-        both parts by the least common denominator of the coefficients
-        gives the integer pair with joint content 1 (and positive leading
-        denominator coefficient), from which the conventional Q(0) and
-        P_d values are read off.
+        The internal canonical form keeps the denominator monic; bringing
+        both parts to their common denominator and dividing out the joint
+        content of the numerators gives the integer pair with content 1
+        (and positive leading denominator coefficient), from which the
+        conventional Q(0) and P_d values are read off.
         """
-        coeffs = list(self.R.num.coeffs) + list(self.R.den.coeffs)
-        scale = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
-        ints = [int(c * scale) for c in coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, abs(v))
-        factor = Q(scale, content or 1)
-        return self.R.num * factor, self.R.den * factor
+        num, den = self.R.num, self.R.den
+        scale = lcm(num.denominator, den.denominator)
+        ints = [[c * (scale // p.denominator) for c in p.numerators] for p in (num, den)]
+        content = gcd(*ints[0], *ints[1])
+        return tuple(Polynomial.from_integers([c // content for c in f]) for f in ints)
 
     def primitive_triple(self) -> tuple[int, Fraction, Fraction]:
         """(d, Q(0), P_d) in the integer-primitive normalization."""
@@ -397,7 +394,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
                 "Schur complement does not factor through the boundary "
                 "Laplacian; structure is not fully symmetric"
             )
-        q_t = Polynomial(chi_d.coeffs[t + 1:])
+        q_t = Polynomial.from_integers(chi_d.numerators[t + 1:], chi_d.denominator)
         n11 += q_t * Q(diag, scale)
         n12 += q_t * Q(off, scale)
 
@@ -579,7 +576,8 @@ class Induction:
         dd = self.dd
         self.reach = dd._reach
         self.table, self.index, self.keys = [], {}, []
-        for cls in (ZERO_CLASS, self.first, *dd.case_records, *dd.split):
+        split = sorted(dd.split, key=AlgebraicClass.key)  # hash-independent table order
+        for cls in (ZERO_CLASS, self.first, *dd.case_records, *split):
             self._intern(cls)
         self.order: list = []  # the table's indices in key order
         self.rules = [
@@ -714,8 +712,8 @@ def crosscheck_spectrum(
 
     Asserts char(P_n) = +- x * prod family_polynomial(base, k)^mult as an
     identity of rational polynomials, checked in integers: with F the
-    integer multiple D_f f of each (monic) family polynomial f, lead =
-    prod D_f^mult and den the lcm of chi's denominators, it compares
+    integer multiple D_f f of each (monic) family polynomial f, D_f its
+    denominator, lead = prod D_f^mult and den chi's denominator, it compares
     lead * den chi with +- den * x * prod F^mult coefficient by
     coefficient.  Exponential in n (builds G_n).  `chi` is
     `prob_laplacian_charpoly(build_level(dd.structure, n))` when the
@@ -727,9 +725,9 @@ def crosscheck_spectrum(
     product, lead = _integer_product(
         (family_polynomial(dd, cls, k), mult) for cls, k, mult in table.entries
     )
-    left, den = _integer_product([(chi, 1)])
+    den = chi.denominator
     signed_den = -den if chi.degree % 2 == 1 else den
-    left = [c * lead for c in left]
+    left = [c * lead for c in chi.numerators]
     right = [0, *(signed_den * c for c in product)]
     if left == right:
         return True, "charpoly matches spectrum table"

@@ -129,7 +129,7 @@ def det_star_P(g, chi: Polynomial | None = None) -> Fraction:
         chi = prob_laplacian_charpoly(g)
     if chi.constant_term() != 0:
         raise AssertionError("probabilistic Laplacian lost its zero eigenvalue")
-    c1 = chi.coeffs[1] if chi.degree >= 1 else Q(0)
+    c1 = Q(chi.numerators[1], chi.denominator) if chi.degree >= 1 else Q(0)
     if c1 == 0:
         raise ValueError("disconnected")  # zero eigenvalue multiplicity > 1
     value = -c1

@@ -11,13 +11,10 @@ it is exact, not probabilistic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt, lcm
 from typing import Sequence
 
 from .polys import Polynomial
-
-Q = Fraction
 
 Matrix = list  # list of rows
 
@@ -179,6 +176,6 @@ def charpoly(a: Matrix) -> Polynomial:
                     nxt[j] -= coef * v
         c.append([red(v) for v in nxt])
     sign = -1 if n % 2 else 1
-    return Polynomial(
-        Q(sign * (v - p if 2 * v > p else v), delta ** (n - j)) for j, v in enumerate(c[n])
+    return Polynomial.from_integers(
+        [sign * (v - p if 2 * v > p else v) * delta ** j for j, v in enumerate(c[n])], delta ** n
     )

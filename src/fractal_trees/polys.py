@@ -1,16 +1,20 @@
 """Exact univariate polynomial arithmetic and reduced rational functions over Q.
 
 Everything in this package that touches an eigenvalue goes through the
-types defined here.  Coefficients are `fractions.Fraction`, stored lowest
-degree first with no trailing zeros, so every computation is exact and
-deterministic.  On top of plain polynomial arithmetic the module provides
-the number-theoretic utilities the decimation pipeline needs:
+types defined here.  A polynomial is stored as integer numerators, lowest
+degree first with no trailing zeros, over one positive denominator
+coprime to their content, so every computation is exact, deterministic
+and runs in Python integers.  On top of plain polynomial arithmetic the
+module provides the number-theoretic utilities the decimation pipeline
+needs:
 
-  * gcd and squarefree decomposition (Yun's algorithm),
+  * division by lazy pseudo-division in integers, and one gcd: the
+    primitive polynomial remainder sequence,
+  * squarefree decomposition (Yun's algorithm),
   * `factor_classes`: irreducible factors over Q, of any degree, with
     multiplicities.  Yun's algorithm alone decides squarefreeness; each
     of its squarefree parts is split by Zassenhaus's algorithm (factoring
-    modulo a prime, Hensel lifting, recombination),
+    modulo a prime, Hensel lifting, recombination in integers),
   * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
 """
@@ -22,34 +26,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
 Q = Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 class Polynomial:
-    """Dense univariate polynomial over Q, coefficients lowest degree first.
+    """Dense univariate polynomial over Q: sum numerators[i] z^i / denominator.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    Instances are immutable and hashable.
+    `numerators` is a tuple of ints with no trailing zeros and
+    `denominator` a positive int coprime to their content, so equal
+    polynomials have equal fields.  The zero polynomial has no numerators,
+    denominator 1 and degree -1.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list, den: int):
+        """Store nums / den (den nonzero) in canonical form."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        elif den != 1:
+            if den < 0:
+                nums, den = [-c for c in nums], -den
+            g = gcd(den, *nums)
+            if g > 1:
+                nums, den = [c // g for c in nums], den // g
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -57,8 +72,15 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_integers(cls, nums: Iterable[int], den: int = 1) -> "Polynomial":
+        """The polynomial sum nums[i] z^i / den, for ints nums and den != 0."""
+        p = cls.__new__(cls)
+        p._set(list(nums), den)
+        return p
+
+    @classmethod
     def const(cls, c) -> "Polynomial":
-        return cls([_as_fraction(c)])
+        return cls([c])
 
     @classmethod
     def x(cls) -> "Polynomial":
@@ -68,39 +90,41 @@ class Polynomial:
     @classmethod
     def from_root(cls, r) -> "Polynomial":
         """Monic linear polynomial z - r."""
-        return cls([-_as_fraction(r), 1])
+        return cls([-r, 1])
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        den = self.denominator
+        return tuple(Q(c, den) for c in self.numerators)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Q(0)
-        return self.coeffs[-1]
+        return Q(self.numerators[-1], self.denominator) if self.numerators else Q(0)
 
     def constant_term(self) -> Fraction:
-        if not self.coeffs:
-            return Q(0)
-        return self.coeffs[0]
+        return Q(self.numerators[0], self.denominator) if self.numerators else Q(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Polynomial.const(other)
+            other = Polynomial.const(other)
+        if isinstance(other, Polynomial):
+            return self.numerators == other.numerators and self.denominator == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     # -- ring operations ---------------------------------------------------
 
@@ -108,18 +132,21 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.numerators, self.denominator, other.numerators, other.denominator
+        if da != db:
+            den = lcm(da, db)
+            a, b, da = [c * (den // da) for c in a], [c * (den // db) for c in b], den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial.from_integers(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial.from_integers([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -134,15 +161,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [Q(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial.from_integers(
+            _mul_int(self.numerators, other.numerators), self.denominator * other.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -168,22 +189,20 @@ class Polynomial:
     # -- euclidean structure -----------------------------------------------
 
     def divmod(self, other: "Polynomial"):
-        """Exact quotient and remainder over Q; other must be nonzero."""
+        """Exact quotient and remainder over Q; other must be nonzero.
+
+        With self = A/a and other = B/b, pseudo-division gives s A = q B + r,
+        so the quotient is b q / (a s) and the remainder r / (a s)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = self.degree, other.degree
-        if dn < dd:
+        if self.degree < other.degree:
             return Polynomial(), self
-        inv_lead = 1 / other.leading()
-        quot = [Q(0)] * (dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            c = rem[k + dd] * inv_lead
-            if c:
-                quot[k] = c
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return Polynomial(quot), Polynomial(rem)
+        quo, rem, s = _pseudo_divmod(self.numerators, other.numerators)
+        db, scale = other.denominator, s * self.denominator
+        return (
+            Polynomial.from_integers([c * db for c in quo], scale),
+            Polynomial.from_integers(rem, scale),
+        )
 
     def __floordiv__(self, other):
         return self.divmod(self._coerce(other))[0]
@@ -195,30 +214,43 @@ class Polynomial:
         """True when self divides other exactly (self nonzero)."""
         if self.is_zero():
             return other.is_zero()
-        return other.divmod(self)[1].is_zero()
+        return not _pseudo_divmod(other.numerators, self.numerators)[1]
 
     def monic(self) -> "Polynomial":
-        if self.is_zero() or self.leading() == 1:
+        nums = self.numerators
+        if not nums or nums[-1] == self.denominator:
             return self
-        inv = 1 / self.leading()
-        return Polynomial([c * inv for c in self.coeffs])
+        return _monic(list(nums))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """Monic greatest common divisor, by the primitive polynomial
+        remainder sequence (Knuth, TAOCP vol. 2, section 4.6.1): each
+        pseudo-remainder is divided by its content before the next step,
+        which keeps its coefficients from growing exponentially along the
+        sequence."""
+        a, b = _primitive(self.numerators), _primitive(other.numerators)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        return _monic(a)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Polynomial.from_integers(
+            [i * c for i, c in enumerate(self.numerators)][1:], self.denominator
+        )
 
-    def __call__(self, x):
-        """Horner evaluation at a Fraction (or anything with +,*)."""
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        """The value at an int or Fraction x, by Horner's rule in integers."""
+        if not self.numerators:
+            return Q(0)
+        p, q = x.numerator, x.denominator
+        acc, q_pow = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * p + c * q_pow
+            q_pow *= q
+        # acc = sum_i c_i p^i q^(deg - i) and q_pow = q^(deg + 1)
+        return Q(acc, self.denominator * q_pow // q)
 
     # -- display -----------------------------------------------------------
 
@@ -229,8 +261,9 @@ class Polynomial:
         if self.is_zero():
             return "0"
         parts = []
+        coeffs = self.coeffs
         for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -246,6 +279,60 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+# integer polynomials: int lists, lowest degree first
+
+
+def _mul_int(a, b) -> list:
+    """The product of two integer polynomials."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out, n = [0] * (len(a) + len(b) - 1), len(a)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + n] = [o + x * y for o, x in zip(out[j:j + n], a)]
+    return out
+
+
+def _pseudo_divmod(a, b) -> tuple[list, list, int]:
+    """Lazy pseudo-division of the integer polynomial a by a nonzero b:
+    (q, r, s) with s a = q b + r, deg r < deg b and s > 0 a product of
+    divisors of lc(b).  Each step multiplies the running remainder by the
+    least factor that makes lc(b) divide its leading coefficient, so a
+    division with a quotient in Z[z], such as one by a monic b, never
+    scales at all."""
+    db, lc = len(b) - 1, b[-1]
+    low = b[:db]
+    rem, s = list(a), 1
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + db]
+        if not c:
+            continue
+        if c % lc:
+            m = abs(lc) // gcd(c, lc)
+            rem = [x * m for x in rem[:k + db]]
+            quo = [x * m for x in quo]
+            s, c = s * m, c * m
+        c //= lc
+        quo[k] = c
+        rem[k:k + db] = [x - c * y for x, y in zip(rem[k:k + db], low)]
+    return quo, _trim(rem[:db]), s
+
+
+def _primitive(a) -> list:
+    """a divided by its (positive) content; [] for the zero polynomial."""
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else list(a)
+
+
+def _monic(a: list) -> Polynomial:
+    """a divided by its leading coefficient, as a Polynomial (zero for [])."""
+    a = _primitive(a)
+    return Polynomial.from_integers(a, a[-1] if a else 1)
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -374,12 +461,12 @@ class AlgebraicClass:
         mp = self.minpoly
         if mp.degree < 1:
             raise ValueError("algebraic class needs a nonconstant polynomial")
-        if mp.leading() != 1:
+        if mp.numerators[-1] != mp.denominator:
             raise ValueError("minimal polynomial must be monic")
         if mp.gcd(mp.derivative()).degree != 0:
             raise ValueError("minimal polynomial must be squarefree")
         # classes key every induction table: hash the coefficients once
-        object.__setattr__(self, "_hash", hash(mp.coeffs))
+        object.__setattr__(self, "_hash", hash(mp))
         object.__setattr__(self, "degree", mp.degree)  # read at every level step
 
     def __hash__(self):
@@ -392,7 +479,7 @@ class AlgebraicClass:
 
     @classmethod
     def from_rational(cls, r) -> "AlgebraicClass":
-        return cls(Polynomial.from_root(_as_fraction(r)))
+        return cls(Polynomial.from_root(r))
 
     def is_rational(self) -> bool:
         return self.degree == 1
@@ -400,7 +487,7 @@ class AlgebraicClass:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("class of degree > 1 has no single rational value")
-        return -self.minpoly.coeffs[0]
+        return -self.minpoly.constant_term()
 
     def norm(self) -> Fraction:
         """Product of all conjugate roots: (-1)^deg * constant term."""
@@ -429,16 +516,19 @@ def _split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
 
     Zassenhaus's algorithm (von zur Gathen-Gerhard, *Modern Computer
     Algebra*, ch. 14-15) on the monic integer F(y) = D^deg p(y/D), D the
-    lcm of the denominators of p: factor F modulo the smallest odd prime q
-    at which it stays squarefree (a `random.Random` seeded from q makes
-    runs reproducible), Hensel-lift the factors above twice Mignotte's
-    bound 2^deg sum |F_i| on the coefficients of a monic factor of F, and
-    recombine; each factor G of F gives the class G(Dz)/D^deg G.  The
-    prime search ends because p is one part of Yun's decomposition in
-    `factor_classes`, so squarefree.
+    denominator of p: factor F modulo the smallest odd prime q at which
+    it stays squarefree (a `random.Random` seeded from q makes runs
+    reproducible), Hensel-lift the factors above twice Mignotte's bound
+    2^deg sum |F_i| on the coefficients of a monic factor of F, and
+    recombine in integers: a candidate whose constant term does not
+    divide the rest's is rejected before its product is formed, and the
+    others are tried by exact division.  Each factor G of F gives the
+    class G(Dz)/D^deg G.  The prime search ends because p is one part of
+    Yun's decomposition in `factor_classes`, so squarefree.
     """
-    n, den = p.degree, lcm(*(c.denominator for c in p.coeffs))
-    big = [int(c * den ** (n - i)) for i, c in enumerate(p.coeffs)]
+    nums, den = p.numerators, p.denominator  # nums[-1] = den, as p is monic
+    n = len(nums) - 1
+    big = [c * den ** (n - 1 - i) for i, c in enumerate(nums[:-1])] + [1]
 
     def good(q):  # q is an odd prime and F stays squarefree mod q
         if any(q % r == 0 for r in range(3, isqrt(q) + 1, 2)):
@@ -454,26 +544,29 @@ def _split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
         modulus *= modulus
     lifted = _hensel(big, modular, q, modulus)
 
+    def symmetric(c):  # the residue in (-modulus/2, modulus/2]
+        return c - modulus if 2 * c > modulus else c
+
     # the smallest subset whose product divides F is an irreducible factor
-    rest, found, size = Polynomial(big), [], 1
+    rest, found, size = big, [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
-            g = _prod([lifted[i] for i in subset], modulus)
-            g = Polynomial(c - modulus if 2 * c > modulus else c for c in g)  # symmetric residues
-            quo, rem = rest.divmod(g)
-            if rem.is_zero():
+            c0 = symmetric(reduce(lambda a, i: a * lifted[i][0] % modulus, subset, 1))
+            if rest[0] % c0 if c0 else rest[0]:
+                continue
+            g = [symmetric(c) for c in _prod([lifted[i] for i in subset], modulus)]
+            quo, rem, _ = _pseudo_divmod(rest, g)  # g is monic: no scaling
+            if not rem:
                 found.append(g)
                 rest = quo
                 lifted = [f for i, f in enumerate(lifted) if i not in subset]
                 break
         else:
             size += 1
-    if rest.degree > 0:
+    if len(rest) > 1:
         found.append(rest)
-    return [
-        AlgebraicClass(Polynomial([c / den ** (g.degree - i) for i, c in enumerate(g.coeffs)]))
-        for g in found
-    ]
+    scaled = ([c * den ** i for i, c in enumerate(g)] for g in found)  # G(Dz), lc D^deg G
+    return [AlgebraicClass(Polynomial.from_integers(f, f[-1])) for f in scaled]
 
 
 # polynomials modulo m: int lists, lowest degree first, no trailing zeros
@@ -613,21 +706,19 @@ def preimage_poly(base: Polynomial, num: Polynomial, den: Polynomial) -> Polynom
     den_pows = [Polynomial.const(1)]
     for _ in range(g):
         den_pows.append(den_pows[-1] * den)
-    for i in range(g + 1):
-        ci = base.coeffs[i] if i < len(base.coeffs) else Q(0)
+    for i, ci in enumerate(base.numerators):
         if ci:
-            acc = acc + Polynomial.const(ci) * num_pow * den_pows[g - i]
+            acc = acc + num_pow * den_pows[g - i] * ci
         if i < g:
             num_pow = num_pow * num
-    lead = num.leading() ** g
-    return (acc * (1 / lead))
+    return acc * (1 / (num.leading() ** g * base.denominator))
 
 
 def _integer_product(factors: Iterable[tuple[Polynomial, int]]) -> tuple[list[int], int]:
     """prod p^e over (p, e) in factors, each e >= 1, in integers.
 
-    Each p is scaled to the integer polynomial D_p p, D_p the lcm of its
-    denominators.  Returns the coefficients of prod (D_p p)^e, lowest
+    Each p is scaled to the integer polynomial D_p p, D_p its
+    denominator.  Returns the coefficients of prod (D_p p)^e, lowest
     degree first, and the scale prod D_p^e.  The product is formed by
     Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer
     Algebra*, section 8.4): each polynomial is packed into its value at
@@ -638,8 +729,7 @@ def _integer_product(factors: Iterable[tuple[Polynomial, int]]) -> tuple[list[in
     """
     ints, scale, bound, length = [], 1, 1, 1
     for p, e in factors:
-        den = lcm(*(c.denominator for c in p.coeffs))
-        f = [c.numerator * (den // c.denominator) for c in p.coeffs]
+        f, den = p.numerators, p.denominator
         ints.append((f, e))
         scale *= den ** e
         bound *= sum(map(abs, f)) ** e

@@ -5,13 +5,14 @@ sub-simplices as cells) are fully symmetric structures the engine was not
 tuned on; every exactness gate has to certify them from scratch.  SG_{2,3}
 (sg3, six cells, |V1| = 10) is checked in depth; SG_{2,4}, SG_{2,5} and
 SG_{2,6} carry exceptional classes of degree 5 and 7, which only a
-factorization of every degree can split, and SG_{2,8} (|V1| = 45) is the
-largest structure `derive` meets here.  The pentagasket's symmetry
+factorization of every degree can split, and SG_{2,8} (|V1| = 45) and
+SG_{2,10} (|V1| = 66) are the largest structures `derive` meets here.  The pentagasket's symmetry
 group is transitive but not doubly transitive on its five boundary
 points, so the scalar decimation identity genuinely fails and derivation
 must refuse rather than produce numbers.
 """
 
+import hashlib
 import json
 from fractions import Fraction as F
 from itertools import product
@@ -281,15 +282,125 @@ PINNED_GASKETS = {
 }
 
 
+# SG_{2,10} (|V1| = 66) in the same layout, recorded when gcds ran Euclid
+# over Q, and the sha256 of repr(sorted(tau(G_40).factors.items()))
+SG_2_10 = (
+    (
+        ('1376608164812089/638959998741245853696 -53344850604850351/958439998111868780544 '
+         '1266217087388806909/1916879996223737561088 '
+         '-9242736110798206639/1916879996223737561088 '
+         '46768145400988138403/1916879996223737561088 '
+         '-43758012265011283723/479219999055934390272 '
+         '15758131742830153873/59902499881991798784 '
+         '-143514865032365112701/239609999527967195136 '
+         '65721144632695804763/59902499881991798784 '
+         '-32673920354004319667/19967499960663932928 '
+         '1665996427978337843/831979165027663872 -1119690294127808729/554652776685109248 '
+         '155117348792115125/92442129447518208 -2946133241523103/2567836929097728 '
+         '1647374338284965/2567836929097728 -124296513347765/427972821516288 '
+         '467183392099/4458050224128 -349868474045/11888133931008 1023598373/165112971264 '
+         '-25358573/27518828544 592933/6879707136 -1/262144'),
+        ('5253876532492159/638959998741245853696 '
+         '-1207853192037962965/958439998111868780544 '
+         '11742883872783734207/212986666247081951232 '
+         '-2384024217447901961509/1916879996223737561088 '
+         '3781516131073731451927/212986666247081951232 '
+         '-42619797937548184782059/239609999527967195136 '
+         '19921692674986275429479/14975624970497949696 '
+         '-1853650527131692261795081/239609999527967195136 '
+         '539086738515598935569611/14975624970497949696 '
+         '-8198171251769926149700241/59902499881991798784 '
+         '6467170247169140135021357/14975624970497949696 '
+         '-5713420342203169164621073/4991874990165983232 '
+         '2139241832187597938485135/831979165027663872 '
+         '-18990666753403341959891/3851755393646592 '
+         '187441780689405264673961/23110532361879552 '
+         '-44246641055638250470243/3851755393646592 4506106211170540170509/320979616137216 '
+         '-176139933788102648281/11888133931008 40119560447157527657/2972033482752 '
+         '-2624871052787937763/247669456896 110634708037827089/15479341056 '
+         '-10628419841373899/2579890176 144435576208337/71663616 -1856157593779/2239488 '
+         '140711461261/497664 -19548328337/248832 13302823/768 -5037265/1728 12661/36 '
+         '-325/12 1'),
+    ),
+    (
+        ('0 288963209287068745/3656158440062976 -2790689569221039365/609359740010496 '
+         '436904206060912570981/3656158440062976 -1152282572353918963759/609359740010496 '
+         '75196475043281723360705/3656158440062976 '
+         '-301435316172829026459149/1828079220031488 '
+         '931413540356624260168415/914039610015744 '
+         '-1143958106359681105390009/228509902503936 '
+         '142769733349972820798195/7140934453248 '
+         '-7540800505000278924427579/114254951251968 '
+         '3473016285758217061978753/19042491875328 -675992241646810527704117/1586874322944 '
+         '149374304013630867722203/176319369216 -127158470252665957423301/88159684608 '
+         '15504172092724496036423/7346640384 -6513831248551224168325/2448880128 '
+         '43703141959891170649/15116544 -30713681216041250807/11337408 '
+         '688090102403026429/314928 -89281798007185823/59049 17585455294457266/19683 '
+         '-979057142529416/2187 412025373353344/2187 -15969718984192/243 4534020716288/243 '
+         '-113424016384/27 19479875584/27 -798982144/9 20905984/3 -262144'),
+        ('1376608164812089/3656158440062976 -8661373740006377/914039610015744 '
+         '398975365822918631/3656158440062976 -2814928459717456459/3656158440062976 '
+         '13712762827184408495/3656158440062976 -24601087234279386317/1828079220031488 '
+         '33821322236120614889/914039610015744 -9141128566353708151/114254951251968 '
+         '5270987499998709829/38084983750656 -2459105039334100001/12694994583552 '
+         '467208963619916819/2115832430592 -36248962805993995/176319369216 '
+         '3059978636301005/19591041024 -944095948915067/9795520512 '
+         '39071021631661/816293376 -5128274453827/272097792 260739979973/45349632 '
+         '-412631917/314928 22037171/104976 -553567/26244 1'),
+    ),
+    [
+        (
+            '-3/2 1',
+            5, 8, True, False, False, True,
+            '-74848127475/5858162 1',
+        ),
+        (
+            ('-114587/165888 80179/13824 -812681/41472 728459/20736 -15755/432 3179/144 '
+             '-29/4 1'),
+            4, 1, False, False, False, True,
+            '0 1',
+        ),
+        (
+            ('10417/8957952 -904061/6718464 18553555/8957952 -383292421/26873856 '
+             '1516794859/26873856 -639855445/4478976 182145221/746496 -8967253/31104 '
+             '4905779/20736 -114547/864 6977/144 -125/12 1'),
+            3, 1, False, True, False, True,
+            '-3/2 1',
+        ),
+        (
+            ('504356007727/71328803586048 -3156336316007/11888133931008 '
+             '12171171162215/2972033482752 -10033618899787/278628139008 '
+             '924375806912225/4458050224128 -626494582803559/743008370688 '
+             '176650995078583/69657034752 -59971847884463/10319560704 '
+             '20013747521717/1934917632 -24881938175113/1719926784 6876205539379/429981696 '
+             '-125196789641/8957952 14342272837/1492992 -319263887/62208 14429161/6912 '
+             '-269849/432 18667/144 -50/3 1'),
+            3, 2, False, True, False, True,
+            '0 1',
+        ),
+        (
+            ('1376608164812089/3656158440062976 -8661373740006377/914039610015744 '
+             '398975365822918631/3656158440062976 -2814928459717456459/3656158440062976 '
+             '13712762827184408495/3656158440062976 -24601087234279386317/1828079220031488 '
+             '33821322236120614889/914039610015744 -9141128566353708151/114254951251968 '
+             '5270987499998709829/38084983750656 -2459105039334100001/12694994583552 '
+             '467208963619916819/2115832430592 -36248962805993995/176319369216 '
+             '3059978636301005/19591041024 -944095948915067/9795520512 '
+             '39071021631661/816293376 -5128274453827/272097792 260739979973/45349632 '
+             '-412631917/314928 22037171/104976 -553567/26244 1'),
+            7, 0, True, False, True, True,
+            None,
+        ),
+    ],
+)
+SG_2_10_TAU_40_SHA256 = "cff745e1a85cfc19251adfeb1fc2d3cf99be49c1337c7bcecb4691cec4dc1850"
+
+
 def _p(text):
     return Polynomial([F(c) for c in text.split()])
 
 
-@pytest.mark.parametrize("d, b", sorted(PINNED_GASKETS))
-def test_derive_pinned_on_gaskets(d, b):
-    s = gasket(d, b)
-    dd = derive(s)
-    phi, r, records = PINNED_GASKETS[d, b]
+def assert_pinned(dd, phi, r, records):
     assert (dd.phi.num, dd.phi.den) == tuple(map(_p, phi))
     assert (dd.R.num, dd.R.den) == tuple(map(_p, r))
     assert [
@@ -297,6 +408,13 @@ def test_derive_pinned_on_gaskets(d, b):
          rec.r_pole, rec.dr_nonzero, rec.image and rec.image.minpoly)
         for rec in map(dd.case_records.get, dd.exceptional)
     ] == [(_p(v), *flags, img and _p(img)) for v, *flags, img in records]
+
+
+@pytest.mark.parametrize("d, b", sorted(PINNED_GASKETS))
+def test_derive_pinned_on_gaskets(d, b):
+    s = gasket(d, b)
+    dd = derive(s)
+    assert_pinned(dd, *PINNED_GASKETS[d, b])
     for z in (F(7, 3), F(-5, 11)):
         assert_schur_factors(s, dd, z)
 
@@ -307,6 +425,17 @@ def test_sg_2_8_derive():
     dd = derive(s)
     assert dd.primitive_triple() == (20, 1601710713, -35664401793024)
     assert_schur_factors(s, dd, F(-5, 11))
+
+
+def test_sg_2_10_derive_pinned():
+    # |V1| = 66: the degree-63 chi_D and its degree-60 cofactors are where
+    # gcds by Euclid over Q took about 6 s; the primitive remainder
+    # sequence takes about 0.3 s
+    s = gasket(2, 10)
+    dd = derive(s)
+    assert_pinned(dd, *SG_2_10)
+    factors = repr(sorted(tau(s, 40, dd).factors.items()))
+    assert hashlib.sha256(factors.encode()).hexdigest() == SG_2_10_TAU_40_SHA256
 
 
 @pytest.mark.parametrize("b", [4, 5])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import reduce
+from math import gcd
 from operator import mul
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals, small_rationals
+from fractal_trees import polys
 from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
@@ -328,3 +330,156 @@ def test_preimage_poly_of_quadratic_class():
     assert pre.degree == 4
     # product of all four preiterates: norm * (1/4)^2 per branch level
     assert pre.constant_term() == F(3, 16) * F(1, 16)
+
+
+def test_z4_plus_1_splits_modulo_every_prime_but_stays_whole():
+    # z^4 + 1 is irreducible over Q and factors modulo every prime, so
+    # every candidate subset of its modular factors is rejected
+    z = Polynomial.x()
+    assert [(c.minpoly, m) for c, m in factor_classes(z ** 4 + 1)] == [(z ** 4 + 1, 1)]
+
+
+def test_recombination_finds_a_factor_with_constant_term_zero():
+    # the candidate z passes the constant-term test only because the rest's
+    # constant term is 0 too; classes and their order as before the
+    # integer recombination
+    z = Polynomial.x()
+    p = z * (z ** 2 - 2) * (z ** 4 + 1) * (z - 3)
+    assert [(str(c.minpoly), m) for c, m in factor_classes(p)] == [
+        ("z - 3", 1), ("z", 1), ("z^2 - 2", 1), ("z^4 + 1", 1),
+    ]
+    q = (z ** 4 + 1) * (z ** 2 - 2) * (3 * z - 1)
+    assert [str(c.minpoly) for c, _ in factor_classes(q)] == ["z - 1/3", "z^2 - 2", "z^4 + 1"]
+
+
+def test_recombination_rejects_by_constant_term(monkeypatch):
+    # z^2 - 7 splits modulo 3; the lifted factors z -+ sqrt(7) have 3-adic
+    # constant terms that do not divide 7, so neither is tried by division:
+    # every division is one of the gcds, by a divisor with small coefficients
+    divisors = []
+    real = polys._pseudo_divmod
+
+    def counted(a, b):
+        divisors.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(polys, "_pseudo_divmod", counted)
+    p = poly(-7, 0, 1)
+    assert factor_classes(p) == [(AlgebraicClass(p), 1)]
+    assert divisors and all(abs(c) <= 7 for b in divisors for c in b)
+
+
+# ---------------------------------------------------------------------------
+# the integer core against Euclid over Q
+
+
+def ref_divmod(a, b):
+    """Quotient and remainder over Q by schoolbook division in Fractions."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, other = list(a.coeffs), b.coeffs
+    dn, dd = a.degree, b.degree
+    if dn < dd:
+        return Polynomial(), a
+    inv_lead = 1 / other[-1]
+    quot = [F(0)] * (dn - dd + 1)
+    for k in range(dn - dd, -1, -1):
+        c = rem[k + dd] * inv_lead
+        if c:
+            quot[k] = c
+            for j, oc in enumerate(other):
+                rem[k + j] -= c * oc
+    return Polynomial(quot), Polynomial(rem)
+
+
+def ref_monic(p):
+    return Polynomial([c / p.coeffs[-1] for c in p.coeffs]) if p else p
+
+
+def ref_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over Q."""
+    while not b.is_zero():
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_squarefree_decomposition(p):
+    """Yun's algorithm on the reference divmod and gcd."""
+    p = ref_monic(p)
+    if p.degree <= 0:
+        return []
+    dp = p.derivative()
+    a = ref_gcd(p, dp)
+    b, c = ref_monic(ref_divmod(p, a)[0]), ref_divmod(dp, a)[0]
+    out, i = [], 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = ref_gcd(b, d)
+        if g.degree > 0:
+            out.append((g, i))
+        b, c = ref_monic(ref_divmod(b, g)[0]), ref_divmod(d, g)[0]
+        i += 1
+    return out
+
+
+def assert_canonical(p):
+    # integer numerators, no trailing zero, a positive denominator coprime
+    # to their content, and the Fraction view agreeing with them
+    assert all(type(c) is int for c in p.numerators)
+    assert not p.numerators or p.numerators[-1] != 0
+    assert p.denominator > 0 and gcd(p.denominator, *p.numerators) == 1
+    assert Polynomial(p.coeffs) == p and p.coeffs == tuple(F(c, p.denominator) for c in p.numerators)
+
+
+# factors with rational, non-monic and non-primitive coefficients; constants
+# and the zero polynomial among them
+factor_polys = st.lists(small_rationals, min_size=0, max_size=4).map(Polynomial)
+scales = st.sampled_from([1, -1, 6, -12, F(2, 3), F(-10, 7), F(1, 30)])
+
+
+@st.composite
+def related_pairs(draw):
+    """shared^j a s, shared^k b t: two products with a common factor."""
+    shared = draw(factor_polys)
+    a = shared ** draw(st.integers(0, 3)) * draw(factor_polys) * draw(scales)
+    b = shared ** draw(st.integers(0, 2)) * draw(factor_polys) * draw(scales)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(related_pairs())
+def test_integer_core_matches_euclid_over_q(pair):
+    a, b = pair
+    g = a.gcd(b)
+    assert_canonical(g)
+    assert g == ref_gcd(a, b) == b.gcd(a)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+    else:
+        quo, rem = a.divmod(b)
+        assert_canonical(quo)
+        assert_canonical(rem)
+        assert (quo, rem) == ref_divmod(a, b)
+        assert b.divides(a) == rem.is_zero()
+    if a.is_zero():
+        with pytest.raises(ValueError):
+            squarefree_decomposition(a)
+    else:
+        assert squarefree_decomposition(a) == ref_squarefree_decomposition(a)
+
+
+def test_integer_core_edge_cases():
+    zero, three = Polynomial(), Polynomial.const(3)
+    assert zero.gcd(zero) == zero and zero.monic() == zero
+    assert three.gcd(zero) == three.gcd(poly(1, 1)) == Polynomial.const(1)
+    assert poly(F(1, 2), F(3, 4)).gcd(zero) == poly(F(2, 3), 1)
+    assert three.divmod(poly(0, 2)) == (zero, three)
+    assert poly(6, 9).divmod(three) == (poly(2, 3), zero)
+    assert squarefree_decomposition(three) == []
+    p = poly(F(-3, 4), 0, F(3, 2))
+    assert (p.numerators, p.denominator) == ((-3, 0, 6), 4)
+    assert (p.monic().numerators, p.monic().denominator) == ((-1, 0, 2), 2)
+    assert p(F(1, 3)) == F(-7, 12) and p(2) == F(21, 4)
+    with pytest.raises(TypeError):
+        Polynomial([0.5])
