@@ -33,11 +33,13 @@ The pipeline, all in exact arithmetic:
      multiplicity at level n depends on level n - 1 alone, so `Induction`
      is one iterator that holds only the previous level: a level step
      touches only the newest families, spectrum(dd, n) costs O(n), and a
-     walk to level n runs in O(n) memory.  A family
-     whose next preimage set would contain an exceptional value cannot be
-     lifted wholesale: at depth one the preimage polynomial is factored
-     and only the regular factors are kept (the exceptional members are
-     owned by the case rules).  The classes that split this way are the
+     walk to level n runs in O(n) memory.  A family whose next preimage
+     set would contain an exceptional value cannot be lifted wholesale: at
+     depth one the exceptional members of that set (the e with R(e) in
+     the family, and 0 in the zero family) are divided out of the
+     preimage polynomial, and only the cofactor is factored, into the
+     regular preimages that are kept (the exceptional members are owned
+     by the case rules).  The classes that split this way are the
      images R(e) of the exceptional values; they depend on R alone, so
      `derive` fixes them once (`DecimationData.split`, `CaseRecord.image`).
      The zero eigenvalue splits the same way at every level, into the
@@ -331,10 +333,11 @@ class DecimationData:
 
         def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
             rows, v = [], p % f
-            for _ in range(f.degree):
+            while True:
                 rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
+                if len(rows) == f.degree:
+                    return rows
                 v = (v * Polynomial.x()) % f
-            return rows
 
         m_r = solve_linear(times(self.R.den), times(self.R.num))
         out = AlgebraicClass(squarefree_part(charpoly(m_r)))
@@ -342,10 +345,31 @@ class DecimationData:
         return out
 
     def preimage_classes(self, base: AlgebraicClass) -> list[tuple[AlgebraicClass, int]]:
-        """Factor the degree d*deg(base) polynomial of R-preimages of base."""
+        """The irreducible factors, with multiplicities and sorted by class
+        key, of the degree d*deg(base) polynomial q(R(z)) of R-preimages of
+        base (q its minimal polynomial).
+
+        The exceptional factors are known without factoring: an exceptional
+        class e divides q(R(z)) iff R(e) is a root of q, iff its case
+        record's image is base (off the poles of R, num - w den = den (R - w);
+        at a pole it is num, prime to den), and the zero class divides it
+        when base is the zero class, as R(0) = 0.  Each is divided out to its
+        full multiplicity by exact division, and only the cofactor is
+        factored."""
         if base not in self._preimage_cache:
-            poly = preimage_poly(base.minpoly, self.R.num, self.R.den)
-            self._preimage_cache[base] = factor_classes(poly)
+            rest = preimage_poly(base.minpoly, self.R.num, self.R.den)
+            known = [e for e, rec in self.case_records.items() if rec.image == base]
+            if base == ZERO_CLASS and ZERO_CLASS not in self.case_records:
+                known.append(ZERO_CLASS)
+            out = []
+            for cls in known:
+                k = 0
+                while not (divided := rest.divmod(cls.minpoly))[1]:
+                    rest, k = divided[0], k + 1
+                out.append((cls, k))
+            if rest.degree > 0:
+                out += factor_classes(rest)
+            self._preimage_cache[base] = sorted(out, key=lambda cm: cm[0].key())
         return self._preimage_cache[base]
 
 

@@ -13,8 +13,9 @@ needs:
   * squarefree decomposition (Yun's algorithm),
   * `factor_classes`: irreducible factors over Q, of any degree, with
     multiplicities.  Yun's algorithm alone decides squarefreeness; each
-    of its squarefree parts is split by Zassenhaus's algorithm (factoring
-    modulo a prime, Hensel lifting, recombination in integers),
+    of its squarefree parts of degree 2 or more is split by Zassenhaus's
+    algorithm (factoring modulo a prime, Hensel lifting, recombination in
+    integers), and one of degree 1 is its own class,
   * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
 """
@@ -524,10 +525,14 @@ def _split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
     divide the rest's is rejected before its product is formed, and the
     others are tried by exact division.  Each factor G of F gives the
     class G(Dz)/D^deg G.  The prime search ends because p is one part of
-    Yun's decomposition in `factor_classes`, so squarefree.
+    Yun's decomposition in `factor_classes`, so squarefree and
+    nonconstant.  A p of degree 1 is irreducible and is returned as its own
+    class before any of this.
     """
     nums, den = p.numerators, p.denominator  # nums[-1] = den, as p is monic
     n = len(nums) - 1
+    if n == 1:
+        return [AlgebraicClass(p)]
     big = [c * den ** (n - 1 - i) for i, c in enumerate(nums[:-1])] + [1]
 
     def good(q):  # q is an odd prime and F stays squarefree mod q

@@ -12,16 +12,24 @@ from fractal_trees import (
     crosscheck_spectrum,
     derive,
     spectrum,
+    tau,
 )
 from fractal_trees import decimation
 from fractal_trees.decimation import (
+    DecimationData,
     NotFullySymmetricError,
     ZERO_CLASS,
     classify,
 )
 from fractal_trees.kirchhoff import prob_laplacian, prob_laplacian_charpoly
-from fractal_trees.polys import AlgebraicClass, Polynomial, RationalFunction, preimage_poly
-from fractal_trees.structures import InvalidStructureError, load_json
+from fractal_trees.polys import (
+    AlgebraicClass,
+    Polynomial,
+    RationalFunction,
+    factor_classes,
+    preimage_poly,
+)
+from fractal_trees.structures import BUILTIN_NAMES, InvalidStructureError, load_json
 from test_generalization import assert_schur_factors, gasket
 from test_polys import irreducible_factors
 
@@ -219,6 +227,48 @@ def test_sigma_d_is_the_complete_factorization_of_chi_d(nine_dds):
         for cls, mult in dd.sigma_d:
             product = product * cls.minpoly ** mult
         assert product == dd.charpoly_d.monic(), dd.structure.name
+
+
+def ref_preimage_classes(dd, base):
+    """The full factorization of q(R(z)), q the minimal polynomial of base,
+    by one `factor_classes` call with no class divided out first: the
+    reference `preimage_classes` must match."""
+    return factor_classes(preimage_poly(base.minpoly, dd.R.num, dd.R.den))
+
+
+PREIMAGE_STRUCTURES = {
+    **{name: lambda name=name: builtin(name) for name in BUILTIN_NAMES},
+    **{f"sg_2_{b}": lambda b=b: gasket(2, b) for b in (3, 4, 5, 8)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREIMAGE_STRUCTURES))
+def test_preimage_classes_match_the_full_factorization(name, monkeypatch):
+    # every split base that tau(G_40) reaches factors as before, and the
+    # classes divided out first never reach Zassenhaus: after derive, the
+    # only factor_classes calls are preimage_classes' cofactors
+    s = PREIMAGE_STRUCTURES[name]()
+    dd = derive(s)
+    factored, bases = [], []
+    real_factor, real_preimages = decimation.factor_classes, DecimationData.preimage_classes
+
+    def spy_factor(p):
+        out = real_factor(p)
+        factored.extend(cls for cls, _ in out)
+        return out
+
+    def spy_preimages(self, base):
+        bases.append(base)
+        return real_preimages(self, base)
+
+    monkeypatch.setattr(decimation, "factor_classes", spy_factor)
+    monkeypatch.setattr(DecimationData, "preimage_classes", spy_preimages)
+    tau(s, 40, dd)
+    monkeypatch.undo()
+    assert (ZERO_CLASS, 1) in dd.preimage_classes(ZERO_CLASS)  # divided out, not factored
+    assert not (set(dd.case_records) | {ZERO_CLASS}) & set(factored)
+    for base in set(bases):
+        assert dd.preimage_classes(base) == ref_preimage_classes(dd, base), base
 
 
 # ---------------------------------------------------------------------------

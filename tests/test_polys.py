@@ -276,6 +276,24 @@ def test_factor_classes_decides_squarefreeness_once(monkeypatch):
     assert [(cls.minpoly, mult) for cls, mult in out] == [(q2, 1), (q1, 1)]
 
 
+def test_degree_one_parts_skip_zassenhaus(monkeypatch):
+    # a squarefree part of degree 1 is its own class: no prime search,
+    # distinct-degree factorization or lift runs for it.  Yun's parts
+    # collect the factors of equal multiplicity, so each multiplicity here
+    # is distinct to make every part linear
+    def refuse(*args):
+        raise AssertionError("distinct-degree factorization ran")
+
+    monkeypatch.setattr(polys, "_ddf", refuse)
+    z = Polynomial.x()
+    p = z * (z - F(1, 3)) ** 2 * (z + F(7, 2)) ** 3
+    assert [(str(c.minpoly), m) for c, m in factor_classes(p)] == [
+        ("z - 1/3", 2), ("z", 1), ("z + 7/2", 3),
+    ]
+    with pytest.raises(AssertionError, match="distinct-degree"):
+        factor_classes(z ** 2 - 2)
+
+
 @st.composite
 def irreducible_factors(draw):
     """2-4 distinct monic irreducible polynomials of degree 1-6: Eisenstein
