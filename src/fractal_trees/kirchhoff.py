@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from .levels import LevelGraph
-from .matrices import charpoly
+from .matrices import scaled_charpoly
 from .polys import Polynomial
 from .structures import connected
 
@@ -109,8 +109,21 @@ def prob_laplacian(g) -> list[list[Fraction]]:
 
 
 def prob_laplacian_charpoly(g) -> Polynomial:
-    """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A)."""
-    return charpoly(prob_laplacian(g))
+    """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A).
+
+    Row v of P is row v of the integer Laplacian over its diagonal d_v,
+    so B = delta P, delta the lcm of the nonzero degrees, is built in
+    integers by scaling each Laplacian row by delta / d_v; the row of an
+    isolated vertex is zero in L, P and B alike.  No Fraction is formed.
+    """
+    lap = laplacian(g)
+    degs = [row[v] for v, row in enumerate(lap)]
+    delta = lcm(*(d for d in degs if d))
+    for row, d in zip(lap, degs):
+        if d and d != delta:
+            s = delta // d
+            row[:] = [x * s for x in row]
+    return scaled_charpoly(lap, delta)
 
 
 def det_star_P(g, chi: Polynomial | None = None) -> Fraction:

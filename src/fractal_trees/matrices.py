@@ -4,9 +4,11 @@ Matrices are plain lists of lists of `Fraction`.  The decimation engine
 takes chi_D from `charpoly` and builds the Schur complement from integer
 moments without a solve (see `decimation.derive`); it maps a conjugate
 class through R with one `solve_linear` and one `charpoly` (see
-`DecimationData.image_of`).  `charpoly` is one Hessenberg pass in
-Z/p, p a Mersenne prime above the Hadamard bound on the coefficients, so
-it is exact, not probabilistic.
+`DecimationData.image_of`).  `charpoly` scales its input to integers and
+hands it to `scaled_charpoly`, which `kirchhoff.prob_laplacian_charpoly`
+calls directly with the integer matrix delta * P.  That is one Hessenberg
+pass in Z/p, p the smallest table prime 2^k - c above twice the Hadamard
+bound on the coefficients, so it is exact, not probabilistic.
 """
 
 from __future__ import annotations
@@ -18,13 +20,29 @@ from .polys import Polynomial
 
 Matrix = list  # list of rows
 
-# the exponents e of the known Mersenne primes 2^e - 1 from 2^61 - 1 on: `charpoly`'s moduli
-_MERSENNE = (
-    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
-    21701, 23209, 44497, 86243, 110503, 132049, 216091, 756839, 859433, 1257787, 1398269,
-    2976221, 3021377, 6972593, 13466917, 20996011, 24036583, 25964951, 30402457, 32582657,
-    37156667, 42643801, 43112609, 57885161, 74207281, 77232917, 82589933, 136279841,
-)
+# `charpoly`'s moduli, as pairs (k, c) for the prime 2^k - c: the least such c
+# every 32 bits from 64 to 1024 bits and every 64 bits from 1024 to 4096
+# (Miller-Rabin), then the Mersenne primes 2^e - 1 past 4096 bits.  Only the
+# chosen modulus is ever built; the largest has 136,279,841 bits.
+_PRIMES = (
+    (64, 59), (96, 17), (128, 159), (160, 47), (192, 237), (224, 63), (256, 189), (288, 167),
+    (320, 197), (352, 657), (384, 317), (416, 435), (448, 203), (480, 47), (512, 569), (544, 759),
+    (576, 789), (608, 527), (640, 305), (672, 399), (704, 245), (736, 509), (768, 825), (800, 105),
+    (832, 143), (864, 243), (896, 213), (928, 645), (960, 167), (992, 1779), (1024, 105),
+    (1088, 89), (1152, 927), (1216, 563), (1280, 1175), (1344, 1175), (1408, 413), (1472, 5309),
+    (1536, 3453), (1600, 2273), (1664, 1233), (1728, 1115), (1792, 963), (1856, 1767),
+    (1920, 1503), (1984, 815), (2048, 1557), (2112, 887), (2176, 1833), (2240, 99), (2304, 1857),
+    (2368, 5), (2432, 3723), (2496, 257), (2560, 75), (2624, 149), (2688, 2529), (2752, 2693),
+    (2816, 2247), (2880, 2499), (2944, 89), (3008, 3057), (3072, 47), (3136, 2507), (3200, 1683),
+    (3264, 1703), (3328, 2639), (3392, 1079), (3456, 695), (3520, 6063), (3584, 429), (3648, 1335),
+    (3712, 3449), (3776, 2753), (3840, 4953), (3904, 2253), (3968, 3723), (4032, 2375),
+    (4096, 2549),
+) + tuple((e, 1) for e in (
+    4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+    756839, 859433, 1257787, 1398269, 2976221, 3021377, 6972593, 13466917, 20996011, 24036583,
+    25964951, 30402457, 32582657, 37156667, 42643801, 43112609, 57885161, 74207281, 77232917,
+    82589933, 136279841,
+))
 
 
 def solve_linear(a: Matrix, rhs: Matrix) -> Matrix:
@@ -96,43 +114,72 @@ def charpoly(a: Matrix) -> Polynomial:
     """Characteristic polynomial det(M - x I) of a square matrix over Q.
 
     Entries may be ints or Fractions.  M is scaled to the integer matrix
-    B = delta M, delta the lcm of the entry denominators.  The coefficient
-    of y^(n-k) in det(yI - B) is a signed sum of k x k principal minors,
-    so Hadamard's inequality bounds it by prod_i (1 + ||row_i||).  One
-    pass modulo the smallest table prime p = 2^e - 1 above twice that
-    bound reduces B to upper Hessenberg form H by similarity transforms
-    (Gaussian elimination below the subdiagonal, row swaps mirrored by
-    column swaps) and expands det(yI - H) along the last column with the
-    Hessenberg recurrence (Cohen, *A Course in Computational Algebraic
-    Number Theory*, 2.2.4); both stages are O(n^3) operations in Z/p.
-    Lifted to (-p/2, p/2), the residues are the integer coefficients
-    themselves, so the result is exact, not probabilistic (the "big prime"
-    method, von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5);
-    the coefficient of x^j is that of y^j over delta^(n-j).  The table
-    covers every bound below 2^136279840; past it a ValueError names the
-    bound's bit length.  Note the sign convention: this is det(M - xI),
-    i.e. (-1)^n times the monic characteristic polynomial.
+    B = delta M, delta the lcm of the entry denominators, and
+    `scaled_charpoly(B, delta)` does the rest.  Note the sign convention:
+    this is det(M - xI), i.e. (-1)^n times the monic characteristic
+    polynomial.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("charpoly needs a square matrix")
     delta = lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (delta // x.denominator) for x in row] for row in a]
+    return scaled_charpoly(
+        [[x.numerator * (delta // x.denominator) for x in row] for row in a], delta
+    )
+
+
+def _modulus(bound: int) -> int:
+    """The smallest table prime above 2 * bound; a ValueError past the table."""
+    twice = 2 * bound
+    bits = twice.bit_length()
+    for k, c in _PRIMES:
+        if k >= bits and (1 << k) - c > twice:  # k < bits gives 2^k - c < twice
+            return (1 << k) - c
+    k, c = _PRIMES[-1]
+    raise ValueError(f"charpoly: coefficient bound of {bound.bit_length()} bits "
+                     f"is past the largest table prime 2^{k} - {c}")
+
+
+def scaled_charpoly(b: Sequence[Sequence[int]], delta: int = 1) -> Polynomial:
+    """det(B / delta - x I) for a square integer matrix B and an int delta >= 1.
+
+    The coefficient of y^(n-i) in det(yI - B) is a signed sum of i x i
+    principal minors, so Hadamard's inequality bounds it by
+    prod_i (1 + ||row_i||).  One pass modulo the smallest table prime p
+    above twice that bound (`_modulus`) reduces B to upper Hessenberg form
+    H by similarity transforms and expands det(yI - H) along the last
+    column with the Hessenberg recurrence (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.2.4); both stages are
+    O(n^3) operations in Z/p.  Step k swaps a row with a nonzero entry
+    in column k into row k+1 (mirroring the swap on the columns) and
+    applies G = I - u e_(k+1)^T, u_i = h_ik / h_(k+1)k for i > k+1.  The
+    Gauss transforms of one step commute, so G H G^-1 is every row step
+    (row i minus u_i times the unchanged row k+1) followed by a single
+    pass adding sum_i u_i column_i to column k+1.  Lifted to (-p/2, p/2),
+    the residues are the integer coefficients themselves, so the result
+    is exact, not probabilistic (the "big prime" method, von zur Gathen
+    and Gerhard, *Modern Computer Algebra*, ch. 5); the coefficient of
+    x^j is that of y^j over delta^(n-j).  Exactness needs only p above
+    twice the bound: primality only ensures that no pivot inverse fails.
+    The table covers every bound below 2^136279840; past it a ValueError
+    names the bound's bit length and the last prime.
+    """
+    n = len(b)
+    if any(len(row) != n for row in b):
+        raise ValueError("charpoly needs a square matrix")
     bound = 1
     for row in b:
         bound *= 2 + isqrt(sum(x * x for x in row))  # 2 + isqrt(s) > 1 + sqrt(s)
-    e = next((e for e in _MERSENNE if (1 << e) - 1 > 2 * bound), None)
-    if e is None:
-        raise ValueError(f"charpoly: coefficient bound of {bound.bit_length()} bits "
-                         f"is past the largest table prime 2^{_MERSENNE[-1]} - 1")
-    p = (1 << e) - 1
+    p = _modulus(bound)
+    e = p.bit_length()
+    mask, fold = (1 << e) - 1, (1 << e) - p
 
-    def red(x):  # x mod p: 2^e = 1 (mod p), so folding the high bits onto the low ones first
-        return ((x & p) + (x >> e)) % p
+    def red(x):  # x mod p: 2^e = fold (mod p), so the bits above e are folded down first
+        return ((x & mask) + (x >> e) * fold) % p
 
     h = [[x % p for x in row] for row in b]
     for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        # the sparsest row with a nonzero in column k becomes row k+1: that
+        # about halves the row operations on the level graphs
+        piv = max((i for i in range(k + 1, n) if h[i][k]), key=lambda i: h[i].count(0),
+                  default=None)
         if piv is None:
             continue  # column k already has a zero subdiagonal
         if piv != k + 1:
@@ -141,21 +188,25 @@ def charpoly(a: Matrix) -> Polynomial:
                 row[k + 1], row[piv] = row[piv], row[k + 1]
         top = h[k + 1]
         inv = pow(top[k], -1, p)
-        # the column steps below change row k+1 only in column k+1
-        cols = [j for j in range(k + 2, n) if top[j]]
+        # the rows below row k+1 are zero left of column k, like row k+1
+        tops = [(j, top[j]) for j in range(k + 1, n) if top[j]]
+        us = []
         for i in range(k + 2, n):
             hi = h[i]
-            if not hi[k]:
-                continue
-            u = red(hi[k] * inv)
-            # row i -= u * row k+1, then column k+1 += u * column i
-            hi[k] = 0
-            hi[k + 1] = red(hi[k + 1] - u * top[k + 1])
-            for j in cols:
-                hi[j] = red(hi[j] - u * top[j])
+            if hi[k]:
+                u = red(hi[k] * inv)
+                hi[k] = 0
+                for j, t in tops:
+                    hi[j] = red(hi[j] - u * t)
+                us.append((i, u))
+        if us:
             for row in h:
-                if row[i]:
-                    row[k + 1] = red(row[k + 1] + u * row[i])
+                acc = 0
+                for i, u in us:
+                    if row[i]:
+                        acc += u * row[i]
+                if acc:
+                    row[k + 1] = red(row[k + 1] + acc)
     # c[m] = det(yI - H_m) mod p for the leading m x m block, lowest degree first
     c = [[1]]
     for m in range(1, n + 1):
@@ -170,8 +221,8 @@ def charpoly(a: Matrix) -> Polynomial:
             sub = red(sub * h[i][i - 1])
             if not sub:
                 break
-            coef = red(h[i - 1][col] * sub)
-            if coef:
+            if h[i - 1][col]:
+                coef = red(h[i - 1][col] * sub)
                 for j, v in enumerate(c[i - 1]):
                     nxt[j] -= coef * v
         c.append([red(v) for v in nxt])

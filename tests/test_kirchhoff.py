@@ -4,6 +4,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
 from fractal_trees import (
@@ -17,11 +19,14 @@ from fractal_trees import (
     wedge,
     wedge_check,
 )
-from fractal_trees.kirchhoff import laplacian, prob_laplacian
+from fractal_trees.kirchhoff import laplacian, prob_laplacian, prob_laplacian_charpoly
 from fractal_trees.levels import vertex_count_formula
-from fractal_trees.matrices import bareiss_det_int
+from fractal_trees.matrices import bareiss_det_int, charpoly
+from fractal_trees.polys import Polynomial
 from fractal_trees.structures import connected, load_json
 from test_generalization import gasket
+
+SG3 = Path(__file__).resolve().parents[1] / "perfbench" / "structures" / "sg3.json"
 
 
 def tau_fraction(g) -> int:
@@ -215,6 +220,61 @@ def test_matrix_tree_on_builtin_levels():
         for n in (1, 2):
             ok, tau, rhs = verify_matrix_tree(build_level(s, n))
             assert ok, (name, n)
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """A random spanning tree plus random extra edges, multiplicities 1-4."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    return LevelGraph.from_edges(
+        n, [(u, v, draw(st.integers(min_value=1, max_value=4))) for u, v in sorted(pairs)]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_multigraphs())
+def test_integer_charpoly_matches_the_fraction_matrix(g):
+    # delta P built from the integer Laplacian, never from Fractions
+    assert prob_laplacian_charpoly(g) == charpoly(prob_laplacian(g))
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["sg3"])
+def test_integer_charpoly_on_builtin_levels(name):
+    s = load_json(str(SG3)) if name == "sg3" else builtin(name)
+    for n in (1, 2):
+        g = build_level(s, n)
+        assert prob_laplacian_charpoly(g) == charpoly(prob_laplacian(g)), (name, n)
+
+
+def test_integer_charpoly_with_an_isolated_vertex():
+    # vertex 2 has degree 0: delta is the lcm of the nonzero degrees only
+    g = LevelGraph.from_edges(3, [(0, 1, 2)])
+    chi = prob_laplacian_charpoly(g)
+    # P has eigenvalues 0, 0 and 2: det(P - xI) = x^2 (2 - x)
+    assert chi == charpoly(prob_laplacian(g)) == Polynomial([0, 0, 2, -1])
+    g = LevelGraph.from_edges(5, [(0, 1, 3), (1, 2), (2, 0, 2), (3, 1)])
+    assert prob_laplacian_charpoly(g) == charpoly(prob_laplacian(g))
+    with pytest.raises(ValueError, match="disconnected"):
+        det_star_P(g)
+
+
+def test_two_components_stay_refused():
+    g = LevelGraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4, 2)])
+    chi = prob_laplacian_charpoly(g)
+    assert chi == charpoly(prob_laplacian(g))
+    # one zero eigenvalue per component: no x^0 and no x^1 term
+    assert chi.numerators[:2] == (0, 0)
+    for refused in (
+        lambda: det_star_P(g),
+        lambda: det_star_P(g, chi),
+        lambda: verify_matrix_tree(g),
+        lambda: verify_matrix_tree(g, tau=1, chi=chi),
+    ):
+        with pytest.raises(ValueError, match="disconnected"):
+            refused()
 
 
 def test_wedge_of_triangles():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_trees import matrices
-from fractal_trees.kirchhoff import prob_laplacian
+from fractal_trees.kirchhoff import prob_laplacian, prob_laplacian_charpoly
 from fractal_trees.levels import build_level
 from fractal_trees.matrices import bareiss_det_int, charpoly, solve_linear
 from fractal_trees.polys import Polynomial
@@ -217,18 +217,20 @@ def test_charpoly_huge_entries_use_a_large_table_prime(monkeypatch):
     m = [[F(rng.getrandbits(3000) - (1 << 2999), rng.getrandbits(20) + 1)
           for _ in range(3)] for _ in range(3)]
     assert charpoly(m) == hessenberg_charpoly_q(m)
-    # the bound is past every table prime up to 2^2203 - 1
-    table = matrices._MERSENNE
-    monkeypatch.setattr(matrices, "_MERSENNE", table[:table.index(2203) + 1])
-    with pytest.raises(ValueError, match="past the largest table prime 2\\^2203 - 1"):
+    # the bound is past every table prime up to the last 4096-bit one
+    table = matrices._PRIMES
+    last = next(i for i, (k, _) in enumerate(table) if k == 4096)
+    monkeypatch.setattr(matrices, "_PRIMES", table[:last + 1])
+    with pytest.raises(ValueError, match=f"past the largest table prime 2\\^4096 - {table[last][1]}$"):
         charpoly(m)
 
 
 def test_charpoly_bound_past_the_table_raises(monkeypatch):
-    monkeypatch.setattr(matrices, "_MERSENNE", (61, 89))
+    monkeypatch.setattr(matrices, "_PRIMES", ((64, 59), (96, 17)))
     assert charpoly([[1 << 80]]) == Polynomial([1 << 80, -1])
-    with pytest.raises(ValueError, match="coefficient bound of 91 bits"):
-        charpoly([[1 << 90]])
+    with pytest.raises(ValueError, match="coefficient bound of 96 bits is past the largest "
+                                         "table prime 2\\^96 - 17$"):
+        charpoly([[1 << 95]])
 
 
 def _lucas_lehmer(e):
@@ -238,12 +240,79 @@ def _lucas_lehmer(e):
     return s == 0
 
 
-def test_table_moduli_are_mersenne_primes():
-    exps = matrices._MERSENNE
-    assert list(exps) == sorted(set(exps)) and exps[0] == 61
-    assert all(_lucas_lehmer(e) for e in exps if e <= 4423)
-    # prime exponents left out of the table give composites, so the check can fail
+def _miller_rabin(n, bases=(2, 3, 5, 7, 11, 13)):
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_table_moduli_are_primes():
+    table = matrices._PRIMES
+    # primality only keeps the pivot inverses from failing; base 2 alone would catch a mistyped c
+    # past 1024 bits, where each base costs a 4096-bit exponentiation per entry
+    assert all(_miller_rabin((1 << k) - c, (2,) if k > 1024 else (2, 3, 5, 7, 11, 13))
+               for k, c in table if c != 1)
+    assert all(_lucas_lehmer(k) for k, c in table if c == 1 and k <= 4423)
+    # one entry every 32 bits to 1024 bits and every 64 bits to 4096, then Mersenne primes
+    assert [k for k, c in table if c != 1] == list(range(64, 1024, 32)) + list(range(1024, 4097, 64))
+    assert all(c == 1 for k, c in table if k > 4096)
+    # c is the least: every smaller odd c gives a composite, so both checks can fail
+    for k, c in table[:7]:
+        assert not any(_miller_rabin((1 << k) - d) for d in range(1, c, 2)), k
     assert not any(_lucas_lehmer(e) for e in (67, 71, 101, 131, 613))
+
+
+def test_table_moduli_strictly_increase():
+    ks = [k for k, _ in matrices._PRIMES]
+    assert ks == sorted(set(ks))
+    # 2^(k-1) < 2^k - c for every entry, so increasing k means increasing moduli
+    assert all(1 <= c < 1 << (k - 1) for k, c in matrices._PRIMES)
+    moduli = [(1 << k) - c for k, c in matrices._PRIMES if k <= 4423]
+    assert moduli == sorted(set(moduli))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 4200))
+def test_modulus_is_the_smallest_entry_above_twice_the_bound(bound):
+    p = matrices._modulus(bound)
+    moduli = [(1 << k) - c for k, c in matrices._PRIMES if k <= 4423]
+    assert p in moduli and p > 2 * bound
+    assert all(q <= 2 * bound for q in moduli[:moduli.index(p)])
+
+
+def test_modulus_at_each_entry_edge():
+    for k, c in matrices._PRIMES[:40]:
+        p = (1 << k) - c
+        assert matrices._modulus((p - 1) // 2) == p
+        assert matrices._modulus((p + 1) // 2) > p
+
+
+@pytest.mark.parametrize("name", ["nonpcf_sg", "hexagasket", "perfbench/structures/sg3.json"])
+def test_level_two_moduli_stay_within_64_bits_of_the_bound(name, monkeypatch):
+    seen = []
+    choose = matrices._modulus
+
+    def spy(bound):
+        p = choose(bound)
+        seen.append((bound, p))
+        return p
+
+    monkeypatch.setattr(matrices, "_modulus", spy)
+    prob_laplacian_charpoly(build_level(_structure(name), 2))
+    [(bound, p)] = seen
+    # a Mersenne-only table gave 2^521 - 1 to bounds of 151, 171 and 203 bits
+    assert 2 * bound < p and p.bit_length() <= bound.bit_length() + 64
 
 
 @settings(max_examples=60, deadline=None)
