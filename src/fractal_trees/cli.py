@@ -321,10 +321,19 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error at exit status 1, as for any bad input;
+    argparse's own 2 is the status of a failed exactness check here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def make_parser() -> argparse.ArgumentParser:
     """The command-line grammar, built at the first call of the process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fractal-trees",
         description="Exact spanning-tree counts on self-similar fractal graphs",
     )

@@ -314,33 +314,38 @@ class DecimationData:
         """Class of R(alpha) for alpha in cls, or None when cls is a pole
         of R (its minimal polynomial divides the denominator of R).
 
-        For a class of degree g with minimal polynomial f, R(alpha) is an
+        A rational class r is a pole iff den(r) = 0, and otherwise maps to
+        the rational R(r) = num(r) / den(r), two Horner evaluations.  For a
+        class of degree g >= 2 with minimal polynomial f, R(alpha) is an
         element of Q(alpha) = Q[z]/(f), and the characteristic polynomial
         of multiplication by it is a power of its minimal polynomial
         (Cohen, *A Course in Computational Algebraic Number Theory*, 4.3):
         the class is the squarefree part of charpoly(M_den^-1 M_num), M_p
         the g x g matrix of multiplication by p on 1, z, ..., z^(g-1)
         modulo f.  M_den is invertible because den(alpha) != 0 off the
-        poles.  A rational class r (g = 1) gets the 1 x 1 matrix [R(r)].
-        Either answer is cached, so each class takes the pole test once.
+        poles.  Every answer is cached, so each class takes the pole test
+        once.
         """
         if cls in self._image_cache:
             return self._image_cache[cls]
         f = cls.minpoly
-        if f.divides(self.R.den):
-            self._image_cache[cls] = None
-            return None
+        if f.degree == 1:
+            r = cls.rational_value()
+            den = self.R.den(r)
+            out = AlgebraicClass.from_rational(self.R.num(r) / den) if den else None
+        elif f.divides(self.R.den):
+            out = None
+        else:
+            def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
+                rows, v = [], p % f
+                while True:
+                    rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
+                    if len(rows) == f.degree:
+                        return rows
+                    v = (v * Polynomial.x()) % f
 
-        def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
-            rows, v = [], p % f
-            while True:
-                rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
-                if len(rows) == f.degree:
-                    return rows
-                v = (v * Polynomial.x()) % f
-
-        m_r = solve_linear(times(self.R.den), times(self.R.num))
-        out = AlgebraicClass(squarefree_part(charpoly(m_r)))
+            m_r = solve_linear(times(self.R.den), times(self.R.num))
+            out = AlgebraicClass(squarefree_part(charpoly(m_r)))
         self._image_cache[cls] = out
         return out
 

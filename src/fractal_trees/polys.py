@@ -13,9 +13,10 @@ needs:
   * squarefree decomposition (Yun's algorithm),
   * `factor_classes`: irreducible factors over Q, of any degree, with
     multiplicities.  Yun's algorithm alone decides squarefreeness; each
-    of its squarefree parts of degree 2 or more is split by Zassenhaus's
+    of its squarefree parts of degree 3 or more is split by Zassenhaus's
     algorithm (factoring modulo a prime, Hensel lifting, recombination in
-    integers), and one of degree 1 is its own class,
+    integers), one of degree 2 by its discriminant, and one of degree 1
+    is its own class,
   * `AlgebraicClass`, a monic irreducible polynomial standing for a full
     Galois-conjugate family of eigenvalues.
 """
@@ -339,13 +340,14 @@ def _monic(a: list) -> Polynomial:
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: p = c * prod g_i^i with the g_i squarefree, coprime.
 
-    Returns [(g_i, i), ...] for the nonconstant g_i, each monic.
+    Returns [(g_i, i), ...] for the nonconstant g_i, each monic.  A p of
+    degree at most 1 is squarefree and takes no gcd.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
     p = p.monic()
-    if p.degree == 0:
-        return []
+    if p.degree < 2:
+        return [(p, 1)] if p.degree else []
     dp = p.derivative()
     a = p.gcd(dp)
     out = []
@@ -450,7 +452,8 @@ class AlgebraicClass:
     """A Galois-conjugate family of algebraic numbers.
 
     Represented by its monic minimal polynomial over Q.  The constructor
-    checks that it is monic and squarefree; irreducibility holds by
+    checks that it is monic, nonconstant and, from degree 2, squarefree
+    (a linear polynomial always is); irreducibility holds by
     construction, as every class comes from `factor_classes`, from a
     rational value or from `DecimationData.image_of`, which maps one
     conjugate family onto another.
@@ -464,7 +467,7 @@ class AlgebraicClass:
             raise ValueError("algebraic class needs a nonconstant polynomial")
         if mp.numerators[-1] != mp.denominator:
             raise ValueError("minimal polynomial must be monic")
-        if mp.gcd(mp.derivative()).degree != 0:
+        if mp.degree > 1 and mp.gcd(mp.derivative()).degree != 0:
             raise ValueError("minimal polynomial must be squarefree")
         # classes key every induction table: hash the coefficients once
         object.__setattr__(self, "_hash", hash(mp))
@@ -526,13 +529,21 @@ def _split_squarefree(p: Polynomial) -> list[AlgebraicClass]:
     others are tried by exact division.  Each factor G of F gives the
     class G(Dz)/D^deg G.  The prime search ends because p is one part of
     Yun's decomposition in `factor_classes`, so squarefree and
-    nonconstant.  A p of degree 1 is irreducible and is returned as its own
-    class before any of this.
+    nonconstant.  Zassenhaus starts at degree 3: a p of degree 1 is its
+    own class, and z^2 + bz + c splits over Q iff its discriminant
+    b^2 - 4c is the square of a rational, into the rational roots
+    (-b +- sqrt(b^2 - 4c)) / 2, and is its own class otherwise.
     """
     nums, den = p.numerators, p.denominator  # nums[-1] = den, as p is monic
     n = len(nums) - 1
     if n == 1:
         return [AlgebraicClass(p)]
+    if n == 2:  # discriminant disc / den^2: a rational square iff disc is a square
+        disc = nums[1] ** 2 - 4 * nums[0] * den
+        root = isqrt(disc) if disc > 0 else 0
+        if root * root != disc:
+            return [AlgebraicClass(p)]
+        return [AlgebraicClass.from_rational(Q(-nums[1] + s, 2 * den)) for s in (root, -root)]
     big = [c * den ** (n - 1 - i) for i, c in enumerate(nums[:-1])] + [1]
 
     def good(q):  # q is an odd prime and F stays squarefree mod q

@@ -586,3 +586,52 @@ def test_level_walk_zero_class_exits_2(monkeypatch, capsys, where, message):
     code, out, err = run(capsys, "count", "sierpinski", "-n", "1")
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+USAGE_ERRORS = [
+    (["list", "extra"], "unrecognized arguments: extra"),
+    (["count", "sierpinski"], "the following arguments are required: -n/--level"),
+    (["count", "sierpinski", "-n", "x"], "argument -n/--level: invalid int value: 'x'"),
+    (["frob"], "argument command: invalid choice: 'frob'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors_exit_1_with_argparse_text(capsys, monkeypatch, argv, message):
+    # a usage error is bad input (exit 1); argparse's own status, 2, is the
+    # status of a failed exactness check.  The stderr text is argparse's
+    import argparse
+
+    from fractal_trees import cli
+
+    with pytest.raises(SystemExit) as ours:
+        main(argv)
+    err = capsys.readouterr().err
+    assert ours.value.code == 1
+    assert err.startswith("usage: fractal-trees") and f"error: {message}" in err
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    with pytest.raises(SystemExit) as stock:
+        main(argv)
+    assert stock.value.code == 2 and capsys.readouterr().err == err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["count", "--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert done.value.code == 0 and out.startswith("usage: fractal-trees") and err == ""
+
+
+def test_usage_error_exit_status_from_the_shell():
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "fractal_trees", "count", "sierpinski"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.endswith("error: the following arguments are required: -n/--level\n")

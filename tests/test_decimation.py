@@ -22,12 +22,14 @@ from fractal_trees.decimation import (
     classify,
 )
 from fractal_trees.kirchhoff import prob_laplacian, prob_laplacian_charpoly
+from fractal_trees.matrices import charpoly, solve_linear
 from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
     factor_classes,
     preimage_poly,
+    squarefree_part,
 )
 from fractal_trees.structures import BUILTIN_NAMES, InvalidStructureError, load_json
 from test_generalization import assert_schur_factors, gasket
@@ -215,6 +217,85 @@ def test_image_of_is_a_class_under_every_R(image_dds, factors):
 def nine_dds(image_dds):
     data = Path(__file__).parent / "data"
     return [*image_dds, *(derive(load_json(str(data / f))) for f in ("sg_2_4.json", "sg_2_5.json"))]
+
+
+def ref_image(dd, cls):
+    """The class of R(alpha) for alpha in cls by the matrix route at every
+    degree, rational classes included: the squarefree part of the charpoly
+    of M_den^-1 M_num on Q[z]/(f), or None at a pole of R."""
+    f = cls.minpoly
+    if f.divides(dd.R.den):
+        return None
+
+    def times(p):
+        rows, v = [], p % f
+        for _ in range(f.degree):
+            rows.append(list(v.coeffs) + [F(0)] * (f.degree - len(v.coeffs)))
+            v = (v * Polynomial.x()) % f
+        return rows
+
+    return AlgebraicClass(squarefree_part(charpoly(solve_linear(times(dd.R.den), times(dd.R.num)))))
+
+
+@pytest.fixture(scope="module")
+def images_seen():
+    """Per structure (the six builtins, sg3, SG_{2,4} and SG_{2,5}), its
+    decimation data, the pairs (base, preimage) of the split bases
+    tau(G_40) reaches, and every class of those pairs or that `image_of`
+    is asked about by derive (case records and orbits) and tau(G_40)."""
+    data = Path(__file__).parent / "data"
+    structures = [*(builtin(name) for name in BUILTIN_NAMES), gasket(2, 3),
+                  *(load_json(str(data / f)) for f in ("sg_2_4.json", "sg_2_5.json"))]
+    real_image, real_preimages = DecimationData.image_of, DecimationData.preimage_classes
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for s in structures:
+            seen, pairs = set(), set()
+
+            def spy_image(self, cls):
+                seen.add(cls)
+                return real_image(self, cls)
+
+            def spy_preimages(self, base):
+                found = real_preimages(self, base)
+                pairs.update((base, cls) for cls, _ in found)
+                return found
+
+            mp.setattr(DecimationData, "image_of", spy_image)
+            mp.setattr(DecimationData, "preimage_classes", spy_preimages)
+            dd = derive(s)
+            tau(s, 40, dd)
+            out.append((dd, seen | {c for pair in pairs for c in pair}, pairs))
+    return out
+
+
+def test_image_of_matches_the_matrix_route_on_every_class_seen(images_seen):
+    degrees, poles = set(), 0
+    for dd, classes, pairs in images_seen:
+        for cls in classes:
+            image = dd.image_of(cls)
+            assert image == ref_image(dd, cls), (dd.structure.name, cls)
+            degrees.add(cls.degree)
+            poles += image is None
+        for base, cls in pairs:
+            assert dd.image_of(cls) == base, (dd.structure.name, cls)
+    assert {1, 2, 3, 4, 5} <= degrees and poles
+    assert all(pairs for _, _, pairs in images_seen)
+
+
+def test_rational_classes_never_reach_solve_linear(images_seen, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_linear ran")
+
+    monkeypatch.setattr(decimation, "solve_linear", refuse)
+    for dd, classes, _ in images_seen:
+        fresh = dataclasses.replace(dd, _image_cache={})
+        for cls in classes:
+            if cls.is_rational():
+                assert fresh.image_of(cls) == ref_image(dd, cls)
+    fresh = dataclasses.replace(images_seen[0][0], _image_cache={})
+    with pytest.raises(AssertionError, match="solve_linear"):
+        fresh.image_of(SQRT2_PAIR)  # a class of degree 2 still takes the matrix route
 
 
 def test_sigma_d_is_the_complete_factorization_of_chi_d(nine_dds):

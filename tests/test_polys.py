@@ -291,7 +291,66 @@ def test_degree_one_parts_skip_zassenhaus(monkeypatch):
         ("z - 1/3", 2), ("z", 1), ("z + 7/2", 3),
     ]
     with pytest.raises(AssertionError, match="distinct-degree"):
-        factor_classes(z ** 2 - 2)
+        factor_classes(z ** 3 - 2)
+
+
+_z = Polynomial.x()
+
+
+@pytest.mark.parametrize("p, expected", [
+    ((_z - F(1, 3)) * (_z + F(7, 2)), [("z - 1/3", 1), ("z + 7/2", 1)]),
+    (_z * (_z - F(3, 5)), [("z - 3/5", 1), ("z", 1)]),
+    (((_z - F(1, 3)) * (_z + F(7, 2))) ** 2 * (_z - 5),
+     [("z - 5", 1), ("z - 1/3", 2), ("z + 7/2", 2)]),
+    (_z ** 2 - 2, [("z^2 - 2", 1)]),
+    (_z ** 2 + _z + 1, [("z^2 + z + 1", 1)]),  # discriminant -3
+    (_z ** 2 + F(1, 4), [("z^2 + 1/4", 1)]),  # discriminant -1
+    (_z ** 2 - F(1, 8), [("z^2 - 1/8", 1)]),  # discriminant 1/2
+    (_z ** 2 - F(2, 9), [("z^2 - 2/9", 1)]),  # discriminant 8/9
+    (_z ** 2 - F(3, 2) * _z + F(7, 16), [("z^2 - 3/2*z + 7/16", 1)]),
+    ((_z ** 2 - 2) * (_z ** 2 + 1) ** 2, [("z^2 - 2", 1), ("z^2 + 1", 2)]),
+])
+def test_quadratic_parts_split_by_their_discriminant(monkeypatch, p, expected):
+    # a squarefree part of degree 2 splits exactly when its discriminant is
+    # a rational square, with no modular factoring; the classes and their
+    # order are those Zassenhaus's algorithm gives
+    def refuse(*args):
+        raise AssertionError("distinct-degree factorization ran")
+
+    monkeypatch.setattr(polys, "_ddf", refuse)
+    assert [(str(c.minpoly), m) for c, m in factor_classes(p)] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rationals, small_rationals)
+def test_quadratic_split_matches_its_roots(b, c):
+    # z^2 + bz + c, squarefree: two rational classes whose sum is -b and
+    # product c when it splits, else one class of degree 2
+    assume(b * b != 4 * c)
+    out = irreducible_factors_of(poly(c, b, 1))
+    if len(out) == 2:
+        r, s = (cls.rational_value() for cls in out)
+        assert (r + s, r * s) == (-b, c)
+    else:
+        assert [cls.minpoly for cls in out] == [poly(c, b, 1)]
+        assert not _is_rational_square(b * b - 4 * c)
+
+
+def test_algebraic_class_checks_every_degree():
+    for bad in (poly(1, 2), poly(3), Polynomial(), poly(1, 2, 1), poly(-1, 1) ** 2):
+        with pytest.raises(ValueError):
+            AlgebraicClass(bad)  # non-monic, constant, zero, (z + 1)^2, (z - 1)^2
+    assert AlgebraicClass(poly(F(-2, 3), 1)).rational_value() == F(2, 3)
+
+
+def test_linear_squarefree_decomposition_takes_no_gcd(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gcd ran")
+
+    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    assert squarefree_decomposition(poly(F(1, 2), 3)) == [(poly(F(1, 6), 1), 1)]
+    assert squarefree_decomposition(poly(F(5, 7))) == []
+    assert factor_classes(poly(2, -4)) == [(AlgebraicClass.from_rational(F(1, 2)), 1)]
 
 
 @st.composite
