@@ -40,12 +40,16 @@ born multiplicity nonnegative for good (`_never_negative`), and what
 levels as its degree, and for good.  Every exponent is linear in the state
 and follows the relation, and so does each linear check that held at the
 kept levels (the sum rules, the vertex and handshake counts), so none is
-dropped.  `jump` sets the level-n exponents from z^(n - k) mod the
-relation's polynomial: `tau` costs a few levels and O(log n) polynomial
-products, and `exponent_table` one combination per level.  Every produced
-level is still checked to be a positive integer.  Where no certificate
-can be given (unequal corner counts, a pending deep hit, a class with two
-sources, roots that are not integers >= 0) the walk keeps stepping.
+dropped.  The walk then fits each exponent once to its closed form
+sum_r P_r(n) r^n over the relation's nonzero roots r, deg P_r below r's
+multiplicity, in integers over one denominator per prime
+(`_closed_forms`; root 0 only adds to levels before the fitted ones).
+`step` and `jump` only set the level, and `exponents` evaluates the forms
+there and divides exactly: `tau` costs a few levels and a few powers r^n.
+Every produced level is still checked to be a positive integer.  Where
+no certificate can be given (unequal corner counts, a pending deep hit, a
+class with two sources, roots that are not integers >= 0) the walk keeps
+stepping.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, log10, prod
+from operator import mul
 from typing import Optional
 
 from .decimation import DecimationData, Induction, InconsistentSpectrumError, derive
@@ -99,8 +104,8 @@ class LevelWalk:
     interior sums.  `exponents` expands them into primes, and `factors`
     checks that the level's product is a positive integer.  Key -1 of a
     sum counts the negative bases.  Once the recurrence of the exponents
-    is checked (module docstring), `step` follows it and `jump` skips to
-    any later level."""
+    is checked (module docstring), their closed forms (`forms`) give every
+    later level, and `step` and `jump` only move the level."""
 
     def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
         self.s, self.dd, self.level = s, dd, 0
@@ -116,16 +121,17 @@ class LevelWalk:
         self.interior, self.inner_count, self.inner_sum = {}, 0, 0  # H_n
         self.lifts = self.weight = 0  # L_n and W_n
         self.m_power = 1  # m^n
-        # the recurrence's polynomial, monic with the low coefficient first,
-        # and its step x_k = sum _next[j] x_(k - size + j)
+        # the recurrence's polynomial, monic with the low coefficient first;
+        # its terms (r, i) stand for n^i r^n over the nonzero roots r, and
+        # each key's exponent is sum coefficient * term / denominator
         self.recurrence: list[int] = []
-        self._next: list[int] = []
+        self.terms: list[tuple[int, int]] = []
+        self.forms: dict[int, tuple[list[int], int]] = {}
         # per level from the one where the map is fixed on: (state vector, what
         # its exponents are assembled from); None once no jump can be certified
         self.states: Optional[list[tuple]] = []
         self._basis: list[tuple] = []  # the vectors' echelon form (`_reduce`)
         self._coords: dict = {}  # a vector's positions past the fixed ones
-        self.rows: list[Factorization] = []  # once jumping, the last levels' exponents
         self.jumps = False  # the states' first relation is certified: levels follow it
 
     def _add(self, acc: Factorization, q, e: int) -> Factorization:
@@ -145,7 +151,6 @@ class LevelWalk:
 
     def step(self):
         if self.jumps:
-            self.rows = self.rows[1:] + [_combine(self._next, self.rows)]
             self.level += 1
             return
         s, dd, n = self.s, self.dd, self.level + 1
@@ -210,9 +215,9 @@ class LevelWalk:
                     return
                 classes = {cls for b in born for cls in b}
                 if all(_never_negative([b.get(cls, 0) for b in born], roots) for cls in classes):
-                    self.recurrence, self._next = poly, [-c for c in poly[:-1]]
-                    self.rows = [self._assemble(*inputs) for _, inputs in self.states[1:]]
-                    self.states, self._basis, self.jumps = [], [], True
+                    rows = {inputs[3]: self._assemble(*inputs) for _, inputs in self.states[1:]}
+                    self.terms, self.forms = _closed_forms(roots, rows)
+                    self.recurrence, self.states, self._basis, self.jumps = poly, [], [], True
                     return
             # the states left are independent, but for the last one maybe
             del self.states[0]
@@ -236,22 +241,25 @@ class LevelWalk:
         ]
 
     def jump(self, n: int):
-        """Move to a level n above this one along the recurrence: each kept
-        row moves k levels up as z^k mod its polynomial applied to the
-        rows."""
+        """Move to a level n above this one: the closed forms hold there."""
         if not self.jumps or n <= self.level:
             raise ValueError("the walk jumps forward along a checked recurrence only")
-        mod, rows = self.recurrence, []
-        power = _power_of_z(n - self.level, mod)
-        for _ in self.rows:
-            rows.append(_combine(power, self.rows))
-            power = _mulmod(power, [0, 1], mod)
-        self.rows, self.level = rows, n
+        self.level = n
 
     def exponents(self) -> Factorization:
         """The prime exponents of tau(G_n) at the current level, key -1
         counting the negative bases."""
-        return self.rows[-1] if self.jumps else self._assemble(*self._state())
+        if not self.jumps:
+            return self._assemble(*self._state())
+        n, out = self.level, {}
+        values = [n ** i * r ** n for r, i in self.terms]
+        for key, (coeffs, den) in self.forms.items():
+            out[key], rest = divmod(sum(map(mul, coeffs, values)), den)
+            if rest:
+                raise AssemblyError(
+                    f"assembly mismatch at level {n}: the exponent of {key} is not an integer"
+                )
+        return out
 
     def _state(self) -> tuple:
         """What the exponents of the current level are assembled from."""
@@ -285,39 +293,26 @@ class LevelWalk:
         return FactoredInteger({p: e for p, e in out.items() if e and p != -1})
 
 
-def _combine(coeffs: list[int], rows: list[Factorization]) -> Factorization:
-    """sum coeffs[j] * rows[j], key by key."""
-    out: Factorization = {}
-    for c, row in zip(coeffs, rows):
-        if c:
-            for p, e in row.items():
-                out[p] = out.get(p, 0) + c * e
-    return out
-
-
-def _mulmod(a: list[int], b: list[int], mod: list[int]) -> list[int]:
-    """a b modulo the monic mod, each low coefficient first."""
-    size = len(mod) - 1
-    out = [0] * (len(a) + len(b) + size)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    for t in range(len(out) - 1, size - 1, -1):  # z^t = z^(t - size) (z^size - mod)
-        if out[t]:
-            c = out[t]
-            for j, y in enumerate(mod):
-                out[t - size + j] -= c * y
-    return out[:size]
-
-
-def _power_of_z(k: int, mod: list[int]) -> list[int]:
-    """z^k modulo the monic mod, by squaring."""
-    out = [1]
-    for bit in bin(k)[2:]:
-        out = _mulmod(out, out, mod)
-        if bit == "1":
-            out = _mulmod(out, [0, 1], mod)
-    return out
+def _closed_forms(roots: dict[int, int], rows: dict[int, Factorization]) -> tuple:
+    """The terms (r, i), n^i r^n for each root r != 0 and i below its
+    multiplicity, and {key: (coefficients, denominator)} with rows[n][key]
+    = sum coefficient * term / denominator, for sequences of consecutive
+    levels n that the roots annihilate.  Root 0 only adds to the first
+    levels, so the fit takes the last len(terms): there each key's row
+    depends on the terms' rows (`_reduce`), in integers over one positive
+    denominator."""
+    terms = [(r, i) for r in sorted(roots) if r for i in range(roots[r])]
+    levels = list(rows)[len(rows) - len(terms):]
+    basis: list = []
+    for r, i in terms:
+        _reduce(basis, [n ** i * r ** n for n in levels])
+    forms = {}
+    for key in sorted({key for n in levels for key in rows[n]}):
+        # sum combo[t] * term t + den * row = 0
+        *combo, den = _reduce(basis, [rows[n].get(key, 0) for n in levels])
+        sign = -1 if den > 0 else 1
+        forms[key] = ([sign * c for c in combo], -sign * den)
+    return terms, forms
 
 
 def _reduce(basis: list, vector: list[int]) -> Optional[list[int]]:

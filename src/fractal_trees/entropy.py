@@ -4,9 +4,9 @@ c_n = ln tau(G_n) / |V_n| is evaluated from the exact prime exponents of
 tau(G_n) with mpmath at a requested precision; the integer itself is
 never formed.  One level walk (`counting.LevelWalk`: L_n = d L_{n-1} +
 W_n, H_n = m H_{n-1} + new sites) gives the exponents of every level: it
-steps a few levels, then extends each prime's exponent by the walk's
-checked linear recurrence (see `counting`), one short integer
-combination per level.  The general bounds ln(3)/2 <= c <=
+steps a few levels, then evaluates each prime's closed form, fitted once
+from the walk's checked linear recurrence (see `counting`), at every
+later level.  The general bounds ln(3)/2 <= c <=
 ln((m-1)|V0|(|V0|-1) / (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a
 tree; the 3-branch tree structure (builtin `tree3`) attains the lower
 bound in the limit.

@@ -209,7 +209,7 @@ def test_image_of_is_a_class_under_every_R(image_dds, factors):
             h = dd.image_of(AlgebraicClass(f))
             assert f.divides(preimage_poly(h.minpoly, dd.R.num, dd.R.den))
             assert f.degree % h.degree == 0
-            if f.degree == 1:  # the general path gives the class of R(r)
+            if f.degree == 1:  # a rational class maps by the closed form R(r)
                 assert h == AlgebraicClass.from_rational(dd.R(-f.coeffs[0]))
 
 

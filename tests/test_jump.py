@@ -14,11 +14,13 @@ import pytest
 
 from fractal_trees import builtin, derive, exponent_table, tau
 from fractal_trees import counting, decimation
-from fractal_trees.counting import LevelWalk, _integer_roots, _never_negative, _reduce
+from fractal_trees.counting import (
+    AssemblyError, LevelWalk, _closed_forms, _integer_roots, _never_negative, _reduce,
+)
 from fractal_trees.decimation import ZERO_CLASS, DecimationData, Induction
 from fractal_trees.factored import FactoredInteger
 from fractal_trees.structures import BUILTIN_NAMES, load_json
-from test_cli import _with_zero_class
+from test_cli import _with_zero_class, run
 from test_generalization import gasket
 from test_induction import CLOSED_FORMS, _inject_orbit, _new_class_each_call, rat
 from test_level_tables import _repeated_zero_root
@@ -233,6 +235,99 @@ def test_recurrence_from_the_states(name, roots, start):
     while not walk.jumps:
         walk.step()
     assert (walk.recurrence, walk.level) == (_with_roots(roots), start)
+
+
+class _Terms(dict):
+    """A sum of coefficient * n^i r^n, keyed (r, i), with exact rational
+    coefficients: a closed form evaluated at _N gives its coefficients."""
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Terms) else _Terms({(1, 0): Fraction(x)})
+
+    def __add__(self, other):
+        out = dict(self)
+        for term, c in _Terms.of(other).items():
+            out[term] = out.get(term, 0) + c
+        return _Terms({term: c for term, c in out.items() if c})
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -1 * _Terms.of(other)
+
+    def __rmul__(self, k):
+        return _Terms({term: k * c for term, c in self.items()})
+
+    def __floordiv__(self, k):
+        return _Terms({term: Fraction(c) / k for term, c in self.items()})
+
+    def __rpow__(self, r):  # r^(n + c) = r^c r^n
+        c = self.get((1, 0), 0)
+        assert self - c == _N
+        return _Terms({(r, 0): Fraction(r) ** c})
+
+
+_N = _Terms({(1, 1): 1})
+
+
+def _certified(name):
+    s = builtin(name)
+    walk = LevelWalk(s, derive(s))
+    while not walk.jumps:
+        walk.step()
+    return walk
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_forms_are_the_published_ones(name):
+    # the hexagasket's power of 2 is the corrected 2(6^n - 1)/5
+    walk = _certified(name)
+    fitted = {
+        key: _Terms({t: Fraction(c, den) for t, c in zip(walk.terms, coeffs) if c})
+        for key, (coeffs, den) in walk.forms.items()
+    }
+    assert {key: form for key, form in fitted.items() if form} == CLOSED_FORMS[name](_N)
+
+
+def test_closed_forms_skip_a_root_zero_transient():
+    # annihilated by z^2 (z - 1)(z - 5) from level 10: the levels 10 and 11
+    # are a transient, then both keys are a + b 5^n
+    def x(n):
+        return {2: (5 ** n + 3) // 4, 3: 2 - 5 ** (n - 10)}
+
+    rows = {10: {2: 1000, 3: -7}, 11: {2: 0, 3: 5}, **{n: x(n) for n in range(12, 15)}}
+    terms, forms = _closed_forms({0: 2, 1: 1, 5: 1}, rows)
+    assert terms == [(1, 0), (5, 0)]
+    assert forms == {2: ([3, 1], 4), 3: ([2 * 5 ** 10, -1], 5 ** 10)}
+    for n in range(12, 100):
+        for key, (coeffs, den) in forms.items():
+            value, rest = divmod(sum(c * n ** i * r ** n for c, (r, i) in zip(coeffs, terms)), den)
+            assert (value, rest) == (x(n)[key], 0), (n, key)
+
+
+def _perturbed(forms):
+    coeffs, den = forms[3]  # sierpinski's (1 + 2n + 3^(n+1)) / 4, off by 1/4
+    forms[3] = ([coeffs[0] + 1, *coeffs[1:]], den)
+    return forms
+
+
+def test_a_form_that_leaves_a_remainder_is_an_assembly_error(monkeypatch, capsys):
+    walk = _certified("sierpinski")
+    _perturbed(walk.forms)
+    walk.jump(50)
+    with pytest.raises(AssemblyError, match="at level 50: the exponent of 3 is not an integer"):
+        walk.factors()
+    real = counting._closed_forms
+
+    def perturbed(*args):
+        terms, forms = real(*args)
+        return terms, _perturbed(forms)
+
+    monkeypatch.setattr(counting, "_closed_forms", perturbed)
+    code, out, err = run(capsys, "count", "sierpinski", "-n", "50")
+    assert (code, out) == (2, "")
+    assert err == "error: assembly mismatch at level 50: the exponent of 3 is not an integer\n"
 
 
 def test_integer_roots():
