@@ -244,9 +244,9 @@ def cmd_verify(args) -> int:
         nonlocal refused
         if n == 0:
             return tau(s, 0)
-        while refused is None and walk.level < n:
+        if refused is None:
             try:
-                walk.step()
+                walk.jump(n)
             except (AssemblyError, InconsistentSpectrumError) as e:
                 refused = e
         if refused is not None:

@@ -44,9 +44,10 @@ dropped.  The walk then fits each exponent once to its closed form
 sum_r P_r(n) r^n over the relation's nonzero roots r, deg P_r below r's
 multiplicity, in integers over one denominator per prime
 (`_closed_forms`; root 0 only adds to levels before the fitted ones).
-`step` and `jump` only set the level, and `exponents` evaluates the forms
-there and divides exactly: `tau` costs a few levels and a few powers r^n.
-Every produced level is still checked to be a positive integer.  Where
+From then on `step` and `jump` only set the level (`jump`, the one route
+to a level, steps until then), and `exponents` evaluates the forms there,
+divides exactly and checks every level, stepped or jumped, to be a
+positive integer: `tau` costs a few levels and a few powers r^n.  Where
 no certificate can be given (unequal corner counts, a pending deep hit, a
 class with two sources, roots that are not integers >= 0) the walk keeps
 stepping.
@@ -101,11 +102,11 @@ class LevelWalk:
     """The pieces of tau(G_n), one level per `step`, which checks the
     spectrum sum rule and the degree recursion's counts: a summed
     multiplicity per lifted class, the level count and the per-prime
-    interior sums.  `exponents` expands them into primes, and `factors`
-    checks that the level's product is a positive integer.  Key -1 of a
-    sum counts the negative bases.  Once the recurrence of the exponents
-    is checked (module docstring), their closed forms (`forms`) give every
-    later level, and `step` and `jump` only move the level."""
+    interior sums.  `exponents` expands them into primes and checks that
+    the level's product is a positive integer; key -1 of a sum counts the
+    negative bases.  Once the recurrence of the exponents is checked
+    (module docstring), their closed forms (`forms`) give every later
+    level, and `step` and `jump` only move the level."""
 
     def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
         self.s, self.dd, self.level = s, dd, 0
@@ -241,24 +242,32 @@ class LevelWalk:
         ]
 
     def jump(self, n: int):
-        """Move to a level n above this one: the closed forms hold there."""
-        if not self.jumps or n <= self.level:
+        """Move to level n >= this one, stepping while no relation is certified."""
+        if n < self.level:
             raise ValueError("the walk jumps forward along a checked recurrence only")
+        while self.level < n and not self.jumps:
+            self.step()
         self.level = n
 
     def exponents(self) -> Factorization:
-        """The prime exponents of tau(G_n) at the current level, key -1
-        counting the negative bases."""
-        if not self.jumps:
-            return self._assemble(*self._state())
-        n, out = self.level, {}
+        """The prime exponents of tau(G_n) at the current level, checked to
+        be those of a positive integer."""
+        n = self.level
+        out = {} if self.jumps else self._assemble(*self._state())
         values = [n ** i * r ** n for r, i in self.terms]
-        for key, (coeffs, den) in self.forms.items():
+        for key, (coeffs, den) in self.forms.items():  # none before the jump
             out[key], rest = divmod(sum(map(mul, coeffs, values)), den)
             if rest:
                 raise AssemblyError(
                     f"assembly mismatch at level {n}: the exponent of {key} is not an integer"
                 )
+        sign = -1 if out.pop(-1, 0) % 2 else 1
+        negative = sorted(p for p, e in out.items() if e < 0)
+        if sign != 1 or negative:
+            raise AssemblyError(
+                f"assembly mismatch at level {n}: the product is not a positive "
+                f"integer (sign {sign:+d}, negative exponents at primes {negative})"
+            )
         return out
 
     def _state(self) -> tuple:
@@ -281,16 +290,8 @@ class LevelWalk:
         return out
 
     def factors(self) -> FactoredInteger:
-        """tau(G_n) at the current level, checked to be a positive integer."""
-        out = self.exponents()
-        sign = -1 if out.get(-1, 0) % 2 else 1
-        negative = sorted(p for p, e in out.items() if e < 0 and p != -1)
-        if sign != 1 or negative:
-            raise AssemblyError(
-                f"assembly mismatch at level {self.level}: the product is not a positive "
-                f"integer (sign {sign:+d}, negative exponents at primes {negative})"
-            )
-        return FactoredInteger({p: e for p, e in out.items() if e and p != -1})
+        """tau(G_n) at the current level."""
+        return FactoredInteger({p: e for p, e in self.exponents().items() if e})
 
 
 def _closed_forms(roots: dict[int, int], rows: dict[int, Factorization]) -> tuple:
@@ -402,10 +403,7 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
         # complete graph on the boundary: Cayley's formula
         return FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
     walk = LevelWalk(s, dd if dd is not None else derive(s))
-    while walk.level < n and not walk.jumps:
-        walk.step()
-    if walk.level < n:
-        walk.jump(n)
+    walk.jump(n)
     return walk.factors()
 
 
@@ -416,9 +414,9 @@ def exponent_table(
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     walk = LevelWalk(s, dd if dd is not None else derive(s))
-    taus = [tau(s, 0)]
-    while walk.level < n_max:
-        walk.step()
-        taus.append(walk.factors())
-    primes = sorted({p for t in taus for p in t.factors})
-    return {p: [t.exponent(p) for t in taus] for p in primes}
+    rows = [dict(tau(s, 0).factors)]
+    for n in range(1, n_max + 1):
+        walk.jump(n)
+        rows.append(walk.exponents())
+    primes = sorted({p for row in rows for p, e in row.items() if e})
+    return {p: [row.get(p, 0) for row in rows] for p in primes}

@@ -12,8 +12,9 @@ The pipeline, all in exact arithmetic:
      expansion, Cohen, *A Course in Computational Algebraic Number
      Theory*, 2.2), (D - zI)^-1 = -sum_{t<k} D^t q_t(z) / chi_D(z) with
      q_t(z) = sum_{s>t} c_s z^(s-t-1), so exactly
-     chi_D(z) S(z) = chi_D(z) (1 - z) I + sum_{t<k} M_t q_t(z), and the
-     moments cost k sparse mat-vecs per boundary column.  Full symmetry
+     chi_D(z) S(z) = chi_D(z) (1 - z) I + sum_{t<k} M_t q_t(z).  chi_D and
+     the moments, k sparse mat-vecs per boundary column, read the integer
+     delta P1 of `kirchhoff.scaled_prob_laplacian`.  Full symmetry
      makes S(z) = phi(z) (P0 - R(z)), one function on the diagonal and one
      off it: phi(z) = -(|V0|-1) S_12(z) and R(z) = 1 - S_11(z)/phi(z).
      The q_t have the distinct degrees k - t - 1, so this holds iff every
@@ -85,8 +86,8 @@ from math import gcd, lcm
 from typing import ClassVar, Optional
 
 from .levels import build_level, vertex_count_formula
-from .kirchhoff import prob_laplacian, prob_laplacian_charpoly
-from .matrices import charpoly, solve_linear
+from .kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
+from .matrices import charpoly, scaled_charpoly, solve_linear
 from .polys import (
     AlgebraicClass,
     Polynomial,
@@ -382,19 +383,18 @@ class DecimationData:
 # derivation
 
 
-def _moments(p1: list, v0: int):
+def _moments(b: list, v0: int, delta: int):
     """Yield (scale, M) for t = 0, 1, ..., k - 1: M is the integer matrix
     scale * B D^t C of P1 = [[A, B], [C, D]] (A the v0 x v0 boundary block),
-    scale = delta^(t+2) with delta the lcm of the entry denominators.  Each
-    step is one sparse integer mat-vec with delta D per boundary column."""
-    interior = range(v0, len(p1))
-    delta = lcm(*(e.denominator for row in p1 for e in row))
+    scale = delta^(t+2), from the integer matrix b = delta P1.  Each step is
+    one sparse integer mat-vec with delta D per boundary column."""
+    interior = range(v0, len(b))
 
-    def scaled(i):  # row i of delta P1 on the interior columns, sparse
-        return [(j - v0, int(delta * p1[i][j])) for j in interior if p1[i][j]]
+    def sparse(i):  # row i of delta P1 on the interior columns
+        return [(j - v0, b[i][j]) for j in interior if b[i][j]]
 
-    b_rows, d_rows = [scaled(i) for i in range(v0)], [scaled(i) for i in interior]
-    cols = [[int(delta * p1[i][j]) for i in interior] for j in range(v0)]  # delta^(t+1) D^t C
+    b_rows, d_rows = [sparse(i) for i in range(v0)], [sparse(i) for i in interior]
+    cols = [[b[i][j] for i in interior] for j in range(v0)]  # delta^(t+1) D^t C
     scale = delta * delta
     for _ in interior:
         yield scale, [[sum(e * col[c] for c, e in row) for col in cols] for row in b_rows]
@@ -405,18 +405,14 @@ def _moments(p1: list, v0: int):
 def derive(s: SelfSimilarStructure) -> DecimationData:
     """Compute the full decimation data of a validated structure."""
     s = validated(s)
-    g1 = build_level(s, 1)
-    v0, v1 = s.v0_size, g1.vertex_count
+    v0 = s.v0_size
     # boundary rows first (ids 0..v0-1); the boundary block is I (module docstring, step 1)
-    p1 = prob_laplacian(g1)
-
-    interior = range(v0, v1)
-    d_mat = [[p1[i][j] for j in interior] for i in interior]
+    b, delta = scaled_prob_laplacian(build_level(s, 1))
 
     # chi_D(z) S(z) from the moments B D^t C, checked t by t (module docstring, step 2)
-    chi_d = charpoly(d_mat)
+    chi_d = scaled_charpoly([row[v0:] for row in b[v0:]], delta)
     n11, n12 = chi_d * Polynomial([1, -1]), Polynomial()
-    for t, (scale, mom) in enumerate(_moments(p1, v0)):
+    for t, (scale, mom) in enumerate(_moments(b, v0, delta)):
         diag, off = mom[0][0], mom[0][1]
         if any(mom[i][j] != (diag if i == j else off) for i in range(v0) for j in range(v0)):
             raise NotFullySymmetricError(

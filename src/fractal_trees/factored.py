@@ -69,8 +69,10 @@ class FactoredInteger:
         return self.factors.get(p, 0)
 
     def value(self) -> int:
-        """Materialize the integer; refuses beyond `VALUE_DIGIT_CAP` digits."""
-        if self.digits10() > VALUE_DIGIT_CAP:
+        """Materialize the integer; refuses beyond `VALUE_DIGIT_CAP` digits,
+        counted exactly only past the bound sum e bits(p) log10(2) + 1."""
+        bits = sum(e * p.bit_length() for p, e in self.factors.items())
+        if bits * 30103 // 100000 + 1 > VALUE_DIGIT_CAP and self.digits10() > VALUE_DIGIT_CAP:
             raise OverflowError(
                 f"value has about {self.digits10()} digits; use the factored form"
             )

@@ -5,8 +5,9 @@ sparse elimination on integer rows (each with a rational scale kept as a
 pair of ints), so it is exact for any graph this package can build.  The
 probabilistic-Laplacian variant (tau = prod d_j / sum d_j times the
 product of nonzero eigenvalues of P = D^-1 (D - A)) is verified against
-it exactly; the eigenvalue product is read off the exact
-characteristic polynomial of P, never from floating point.
+it exactly; the eigenvalue product is read off the exact characteristic
+polynomial of delta P (`scaled_prob_laplacian`, the integer builder that
+`decimation.derive` reads too), never from floating point.
 """
 
 from __future__ import annotations
@@ -108,14 +109,10 @@ def prob_laplacian(g) -> list[list[Fraction]]:
     return [[Q(x, d) if x else zero for x in row] for row, d in zip(laplacian(g), g.degrees())]
 
 
-def prob_laplacian_charpoly(g) -> Polynomial:
-    """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A).
-
-    Row v of P is row v of the integer Laplacian over its diagonal d_v,
-    so B = delta P, delta the lcm of the nonzero degrees, is built in
-    integers by scaling each Laplacian row by delta / d_v; the row of an
-    isolated vertex is zero in L, P and B alike.  No Fraction is formed.
-    """
+def scaled_prob_laplacian(g) -> tuple[list[list[int]], int]:
+    """(B, delta): B = delta P in integers, delta the lcm of the nonzero
+    degrees, is each Laplacian row scaled by delta / d_v (zero for an
+    isolated vertex, as in L and P), with no Fraction formed."""
     lap = laplacian(g)
     degs = [row[v] for v, row in enumerate(lap)]
     delta = lcm(*(d for d in degs if d))
@@ -123,7 +120,12 @@ def prob_laplacian_charpoly(g) -> Polynomial:
         if d and d != delta:
             s = delta // d
             row[:] = [x * s for x in row]
-    return scaled_charpoly(lap, delta)
+    return lap, delta
+
+
+def prob_laplacian_charpoly(g) -> Polynomial:
+    """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A)."""
+    return scaled_charpoly(*scaled_prob_laplacian(g))
 
 
 def det_star_P(g, chi: Polynomial | None = None) -> Fraction:

@@ -1,15 +1,16 @@
 """Dense exact linear algebra over Q.
 
 Matrices are plain lists of lists of `Fraction`.  The decimation engine
-takes chi_D from `charpoly` and builds the Schur complement from integer
-moments without a solve (see `decimation.derive`); it maps a conjugate
-class of degree 2 or more through R with one `solve_linear` and one
-`charpoly` (see `DecimationData.image_of`; a rational class takes two
-Horner evaluations instead).  `charpoly` scales its input to integers and
-hands it to `scaled_charpoly`, which `kirchhoff.prob_laplacian_charpoly`
-calls directly with the integer matrix delta * P.  That is one Hessenberg
-pass in Z/p, p the smallest table prime 2^k - c above twice the Hadamard
-bound on the coefficients, so it is exact, not probabilistic.
+takes chi_D and the Schur complement's moments from the integer matrix
+delta * P1 of `kirchhoff.scaled_prob_laplacian`, with no solve (see
+`decimation.derive`); it maps a conjugate class of degree 2 or more
+through R with one `solve_linear` and one `charpoly` (see
+`DecimationData.image_of`; a rational class takes two Horner evaluations
+instead).  `charpoly` scales its input to integers and hands it to
+`scaled_charpoly`, which `derive` and `kirchhoff.prob_laplacian_charpoly`
+call directly with delta * P.  That is one Hessenberg pass in Z/p, p the
+smallest table prime 2^k - c above twice the Hadamard bound on the
+coefficients, so it is exact, not probabilistic.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from fractal_trees import (
     tau,
     tau_bruteforce,
 )
+from fractal_trees.counting import LevelWalk
 from fractal_trees.factored import VALUE_DIGIT_CAP, FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass, Polynomial
 
@@ -117,6 +118,39 @@ def test_factored_integer_digit_count_without_materializing(dds):
     assert count.digits10() > VALUE_DIGIT_CAP
     with pytest.raises(OverflowError, match="use the factored form"):
         count.value()
+
+
+def test_value_below_the_cap_skips_the_digit_count(monkeypatch, dds):
+    s = builtin("sierpinski")
+    count, big = tau(s, 5, dds["sierpinski"]), tau(s, 11, dds["sierpinski"])
+    digits = big.digits10()
+
+    def refused(self):
+        raise AssertionError("value() counted the digits")
+
+    monkeypatch.setattr(FactoredInteger, "digits10", refused)
+    assert count.value() == 2 ** 121 * 3 ** 185 * 5 ** 58
+    # past the cap the exact count still decides, and names the size
+    monkeypatch.setattr(FactoredInteger, "digits10", lambda self: digits)
+    with pytest.raises(OverflowError) as info:
+        big.value()
+    assert str(info.value) == f"value has about {digits} digits; use the factored form"
+
+
+def test_jump_is_the_one_route_to_a_level(dds):
+    # a fresh walk steps to the certificate, then sets the level
+    for name, dd in dds.items():
+        s = builtin(name)
+        for n in [*range(1, 11), 200]:
+            walk = LevelWalk(s, dd)
+            walk.jump(n)
+            assert (walk.level, walk.factors()) == (n, tau(s, n, dd)), (name, n)
+        walk.jump(200)  # the level it is at
+        early = LevelWalk(s, dd)
+        early.jump(1)
+        for back, lower in ((walk, 199), (early, 0)):
+            with pytest.raises(ValueError, match="jumps forward along a checked recurrence only"):
+                back.jump(lower)
 
 
 def test_factored_integer_equals_int_without_factoring_it():

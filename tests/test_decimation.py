@@ -21,7 +21,7 @@ from fractal_trees.decimation import (
     ZERO_CLASS,
     classify,
 )
-from fractal_trees.kirchhoff import prob_laplacian, prob_laplacian_charpoly
+from fractal_trees.kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
 from fractal_trees.matrices import charpoly, solve_linear
 from fractal_trees.polys import (
     AlgebraicClass,
@@ -597,8 +597,8 @@ def test_symmetry_check_reads_every_moment(monkeypatch, bad, entry):
     # shape, and derive refuses at that moment without computing the rest
     moments, drawn = decimation._moments, []
 
-    def perturbed(p1, v0):
-        for t, (scale, mom) in enumerate(moments(p1, v0)):
+    def perturbed(b, v0, delta):
+        for t, (scale, mom) in enumerate(moments(b, v0, delta)):
             drawn.append(t)
             if t == bad:
                 mom[entry[0]][entry[1]] += 1
@@ -613,12 +613,12 @@ def test_symmetry_check_reads_every_moment(monkeypatch, bad, entry):
 @pytest.mark.parametrize("i, j", [(3, 4), (5, 3), (4, 4)])
 def test_perturbed_d_entry_is_refused(monkeypatch, i, j):
     # sierpinski's interior block D is rows and columns 3..5 of P1; moving
-    # one entry of it breaks the boundary symmetry of some moment B D^t C
+    # one entry of delta P1 breaks the boundary symmetry of some moment B D^t C
     def perturbed(g):
-        p1 = prob_laplacian(g)
-        p1[i][j] += F(1, 7)
-        return p1
+        b, delta = scaled_prob_laplacian(g)
+        b[i][j] += 1
+        return b, delta
 
-    monkeypatch.setattr(decimation, "prob_laplacian", perturbed)
+    monkeypatch.setattr(decimation, "scaled_prob_laplacian", perturbed)
     with pytest.raises(NotFullySymmetricError, match="does not factor"):
         derive(builtin("sierpinski"))

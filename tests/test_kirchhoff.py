@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,9 @@ from fractal_trees import (
     wedge,
     wedge_check,
 )
-from fractal_trees.kirchhoff import laplacian, prob_laplacian, prob_laplacian_charpoly
+from fractal_trees.kirchhoff import (
+    laplacian, prob_laplacian, prob_laplacian_charpoly, scaled_prob_laplacian,
+)
 from fractal_trees.levels import vertex_count_formula
 from fractal_trees.matrices import bareiss_det_int, charpoly
 from fractal_trees.polys import Polynomial
@@ -247,6 +250,16 @@ def test_integer_charpoly_on_builtin_levels(name):
     for n in (1, 2):
         g = build_level(s, n)
         assert prob_laplacian_charpoly(g) == charpoly(prob_laplacian(g)), (name, n)
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["sg3"])
+def test_scaled_prob_laplacian_is_delta_times_p(name):
+    s = load_json(str(SG3)) if name == "sg3" else builtin(name)
+    for n in (1, 2):
+        g = build_level(s, n)
+        b, delta = scaled_prob_laplacian(g)
+        assert delta == lcm(*(d for d in g.degrees() if d)), (name, n)
+        assert [[F(x, delta) for x in row] for row in b] == prob_laplacian(g), (name, n)
 
 
 def test_integer_charpoly_with_an_isolated_vertex():
