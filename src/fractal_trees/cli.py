@@ -193,7 +193,7 @@ def cmd_count(args) -> int:
             print(t.digits10())
         elif args.factored:
             print(str(t))
-        elif (digits := t.digits10()) > 10_000:
+        elif (digits := t.digits_past(10_000)) is not None:
             print(f"# value has {digits} digits; factored form:")
             print(str(t))
         else:

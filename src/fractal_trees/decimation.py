@@ -14,7 +14,11 @@ The pipeline, all in exact arithmetic:
      q_t(z) = sum_{s>t} c_s z^(s-t-1), so exactly
      chi_D(z) S(z) = chi_D(z) (1 - z) I + sum_{t<k} M_t q_t(z).  chi_D and
      the moments, k sparse mat-vecs per boundary column, read the integer
-     delta P1 of `kirchhoff.scaled_prob_laplacian`.  Full symmetry
+     delta P1 of `kirchhoff.scaled_prob_laplacian`, and both entries of
+     chi_D S are summed as integer coefficient lists over the one
+     denominator den(chi_D) delta^(k+1): M_t comes scaled by delta^(t+2)
+     and enters times delta^(k-1-t), its q_t's coefficients c_s at
+     position s - t - 1.  Full symmetry
      makes S(z) = phi(z) (P0 - R(z)), one function on the diagonal and one
      off it: phi(z) = -(|V0|-1) S_12(z) and R(z) = 1 - S_11(z)/phi(z).
      The q_t have the distinct degrees k - t - 1, so this holds iff every
@@ -316,8 +320,14 @@ class DecimationData:
         of R (its minimal polynomial divides the denominator of R).
 
         A rational class r is a pole iff den(r) = 0, and otherwise maps to
-        the rational R(r) = num(r) / den(r), two Horner evaluations.  For a
-        class of degree g >= 2 with minimal polynomial f, R(alpha) is an
+        the rational R(r) = num(r) / den(r), two Horner evaluations.  A
+        quadratic class f = z^2 + bz + c maps by its closed form
+        (`_quadratic_image`): num(alpha) = p0 + p1 alpha and den(alpha) =
+        q0 + q1 alpha by Horner's rule with alpha^2 = -b alpha - c, and
+        R(alpha) = h0 + h1 alpha after multiplying by den's conjugate; the
+        class is the rational h0 when h1 = 0, else the root class of
+        z^2 + (b h1 - 2 h0) z + (h0^2 - b h0 h1 + c h1^2).  For a class of
+        degree g >= 3 with minimal polynomial f, R(alpha) is an
         element of Q(alpha) = Q[z]/(f), and the characteristic polynomial
         of multiplication by it is a power of its minimal polynomial
         (Cohen, *A Course in Computational Algebraic Number Theory*, 4.3):
@@ -336,6 +346,8 @@ class DecimationData:
             out = AlgebraicClass.from_rational(self.R.num(r) / den) if den else None
         elif f.divides(self.R.den):
             out = None
+        elif f.degree == 2:
+            out = self._quadratic_image(f)
         else:
             def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
                 rows, v = [], p % f
@@ -349,6 +361,33 @@ class DecimationData:
             out = AlgebraicClass(squarefree_part(charpoly(m_r)))
         self._image_cache[cls] = out
         return out
+
+    def _quadratic_image(self, f: Polynomial) -> AlgebraicClass:
+        """`image_of`'s closed form on the quadratic f, in integers: with
+        f = (c0 + c1 z + D z^2) / D, beta = D alpha is a root of
+        z^2 + c1 z + c0 D, num(alpha) and den(alpha) are (x0 + x1 beta)
+        and (y0 + y1 beta) over integer scales, and den's norm is
+        y0^2 - c1 y0 y1 + c0 D y1^2 (Cohen, 4.3 and 5.1)."""
+        c0, c1, d = f.numerators
+        c0d = c0 * d
+
+        def reduce(p: Polynomial):  # (x0, x1, scale): p(alpha) = (x0 + x1 beta) / scale
+            x0 = x1 = 0
+            power = 1
+            for a in reversed(p.numerators):
+                x0, x1 = a * power - c0d * x1, x0 - c1 * x1
+                power *= d
+            return x0, x1, p.denominator * power // d
+
+        x0, x1, x_scale = reduce(self.R.num)
+        y0, y1, y_scale = reduce(self.R.den)
+        scale = Q(y_scale, x_scale * (y0 * y0 - c1 * y0 * y1 + c0d * y1 * y1))
+        h0 = scale * (x0 * (y0 - c1 * y1) + c0d * x1 * y1)
+        h1 = scale * (x1 * y0 - x0 * y1) * d
+        if not h1:
+            return AlgebraicClass.from_rational(h0)
+        b, c = Q(c1, d), Q(c0, d)
+        return AlgebraicClass(Polynomial([h0 * h0 - b * h0 * h1 + c * h1 * h1, b * h1 - 2 * h0, 1]))
 
     def preimage_classes(self, base: AlgebraicClass) -> list[tuple[AlgebraicClass, int]]:
         """The irreducible factors, with multiplicities and sorted by class
@@ -411,7 +450,11 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
 
     # chi_D(z) S(z) from the moments B D^t C, checked t by t (module docstring, step 2)
     chi_d = scaled_charpoly([row[v0:] for row in b[v0:]], delta)
-    n11, n12 = chi_d * Polynomial([1, -1]), Polynomial()
+    c, k = chi_d.numerators, len(b) - v0
+    # summed in integers over den(chi_D) delta^(k+1): M_t carries delta^(t+2)
+    top = delta ** (k + 1)
+    s11 = [top * (x - y) for x, y in zip_longest(c, [0, *c], fillvalue=0)]  # chi_D (1 - z)
+    s12 = [0] * k
     for t, (scale, mom) in enumerate(_moments(b, v0, delta)):
         diag, off = mom[0][0], mom[0][1]
         if any(mom[i][j] != (diag if i == j else off) for i in range(v0) for j in range(v0)):
@@ -419,9 +462,13 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
                 "Schur complement does not factor through the boundary "
                 "Laplacian; structure is not fully symmetric"
             )
-        q_t = Polynomial.from_integers(chi_d.numerators[t + 1:], chi_d.denominator)
-        n11 += q_t * Q(diag, scale)
-        n12 += q_t * Q(off, scale)
+        w = top // scale  # delta^(k-1-t)
+        diag, off = diag * w, off * w
+        for j, c_s in enumerate(c[t + 1:]):  # q_t(z) = sum_{s>t} c_s z^(s-t-1)
+            s11[j] += diag * c_s
+            s12[j] += off * c_s
+    n11 = Polynomial.from_integers(s11, chi_d.denominator * top)
+    n12 = Polynomial.from_integers(s12, chi_d.denominator * top)
 
     phi = RationalFunction(n12 * -(v0 - 1), chi_d)
     if phi.is_zero():

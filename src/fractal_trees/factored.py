@@ -68,14 +68,22 @@ class FactoredInteger:
     def exponent(self, p: int) -> int:
         return self.factors.get(p, 0)
 
-    def value(self) -> int:
-        """Materialize the integer; refuses beyond `VALUE_DIGIT_CAP` digits,
-        counted exactly only past the bound sum e bits(p) log10(2) + 1."""
+    def digits_past(self, cap: int):
+        """The exact decimal digit count when it exceeds cap, else None.
+
+        The value is below 2^bits, bits = sum e bits(p), so it has at most
+        bits log10(2) + 1 digits; `digits10` runs only past that bound."""
         bits = sum(e * p.bit_length() for p, e in self.factors.items())
-        if bits * 30103 // 100000 + 1 > VALUE_DIGIT_CAP and self.digits10() > VALUE_DIGIT_CAP:
-            raise OverflowError(
-                f"value has about {self.digits10()} digits; use the factored form"
-            )
+        if bits * 30103 // 100000 + 1 <= cap:
+            return None
+        digits = self.digits10()
+        return digits if digits > cap else None
+
+    def value(self) -> int:
+        """Materialize the integer; refuses beyond `VALUE_DIGIT_CAP` digits."""
+        digits = self.digits_past(VALUE_DIGIT_CAP)
+        if digits is not None:
+            raise OverflowError(f"value has about {digits} digits; use the factored form")
         out = 1
         for p, e in sorted(self.factors.items()):
             out *= p ** e

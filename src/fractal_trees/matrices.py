@@ -3,10 +3,10 @@
 Matrices are plain lists of lists of `Fraction`.  The decimation engine
 takes chi_D and the Schur complement's moments from the integer matrix
 delta * P1 of `kirchhoff.scaled_prob_laplacian`, with no solve (see
-`decimation.derive`); it maps a conjugate class of degree 2 or more
+`decimation.derive`); it maps a conjugate class of degree 3 or more
 through R with one `solve_linear` and one `charpoly` (see
-`DecimationData.image_of`; a rational class takes two Horner evaluations
-instead).  `charpoly` scales its input to integers and hands it to
+`DecimationData.image_of`; a rational or quadratic class takes its
+closed form instead).  `charpoly` scales its input to integers and hands it to
 `scaled_charpoly`, which `derive` and `kirchhoff.prob_laplacian_charpoly`
 call directly with delta * P.  That is one Hessenberg pass in Z/p, p the
 smallest table prime 2^k - c above twice the Hadamard bound on the

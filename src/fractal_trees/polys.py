@@ -10,10 +10,11 @@ needs:
 
   * division by lazy pseudo-division in integers, and one gcd: the
     primitive polynomial remainder sequence,
-  * squarefree decomposition (Yun's algorithm),
+  * squarefree decomposition (Yun's algorithm from degree 3; a quadratic
+    is decided by its discriminant),
   * `factor_classes`: irreducible factors over Q, of any degree, with
-    multiplicities.  Yun's algorithm alone decides squarefreeness; each
-    of its squarefree parts of degree 3 or more is split by Zassenhaus's
+    multiplicities.  The squarefree decomposition alone decides
+    squarefreeness; each of its squarefree parts of degree 3 or more is split by Zassenhaus's
     algorithm (factoring modulo a prime, Hensel lifting, recombination in
     integers), one of degree 2 by its discriminant, and one of degree 1
     is its own class,
@@ -340,14 +341,22 @@ def _monic(a: list) -> Polynomial:
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """Yun's algorithm: p = c * prod g_i^i with the g_i squarefree, coprime.
 
-    Returns [(g_i, i), ...] for the nonconstant g_i, each monic.  A p of
-    degree at most 1 is squarefree and takes no gcd.
+    Returns [(g_i, i), ...] for the nonconstant g_i, each monic.  Yun
+    starts at degree 3: a p of degree at most 1 is squarefree, and a
+    monic quadratic (c + bz + dz^2)/d is decided by its discriminant,
+    with no gcd: it is ((2dz + b)/(2d))^2 when b^2 = 4cd, and squarefree
+    otherwise.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
     p = p.monic()
     if p.degree < 2:
         return [(p, 1)] if p.degree else []
+    if p.degree == 2:
+        c, b, d = p.numerators
+        if b * b != 4 * c * d:
+            return [(p, 1)]
+        return [(Polynomial.from_integers([b, 2 * d], 2 * d), 2)]
     dp = p.derivative()
     a = p.gcd(dp)
     out = []
@@ -452,8 +461,9 @@ class AlgebraicClass:
     """A Galois-conjugate family of algebraic numbers.
 
     Represented by its monic minimal polynomial over Q.  The constructor
-    checks that it is monic, nonconstant and, from degree 2, squarefree
-    (a linear polynomial always is); irreducibility holds by
+    checks that it is monic, nonconstant and squarefree, by
+    `squarefree_decomposition` (no gcd below degree 3); irreducibility
+    holds by
     construction, as every class comes from `factor_classes`, from a
     rational value or from `DecimationData.image_of`, which maps one
     conjugate family onto another.
@@ -467,10 +477,12 @@ class AlgebraicClass:
             raise ValueError("algebraic class needs a nonconstant polynomial")
         if mp.numerators[-1] != mp.denominator:
             raise ValueError("minimal polynomial must be monic")
-        if mp.degree > 1 and mp.gcd(mp.derivative()).degree != 0:
+        if squarefree_decomposition(mp) != [(mp, 1)]:
             raise ValueError("minimal polynomial must be squarefree")
-        # classes key every induction table: hash the coefficients once
+        # classes key and order every induction table: hash the coefficients
+        # and build the sort key once
         object.__setattr__(self, "_hash", hash(mp))
+        object.__setattr__(self, "_key", (mp.degree, mp.coeffs))
         object.__setattr__(self, "degree", mp.degree)  # read at every level step
 
     def __hash__(self):
@@ -508,8 +520,8 @@ class AlgebraicClass:
         return f"root of {self.minpoly}"
 
     def key(self):
-        """Deterministic sort/hash key."""
-        return (self.degree, self.minpoly.coeffs)
+        """Deterministic sort key: (degree, coefficients)."""
+        return self._key
 
     def __str__(self):
         return self.label
@@ -713,21 +725,25 @@ def preimage_poly(base: Polynomial, num: Polynomial, den: Polynomial) -> Polynom
 
     For monic base F of degree g and R = num/den with deg num = d > deg den,
     the product over roots w of F of (num(z) - w*den(z)) equals
-    sum_i F_i * num^i * den^(g-i); dividing by lc(num)^g makes it monic of
-    degree d*g.  Preimages are counted with algebraic multiplicity.
+    sum_i F_i * num^i * den^(g-i), monic of degree d*g once divided by its
+    leading coefficient.  It is summed in integers: with num = N/a and
+    den = D/b, N and D integer, it is sum_i F_i (bN)^i (aD)^(g-i) up to a
+    constant, by Horner's rule in bN.  Preimages are counted with
+    algebraic multiplicity.
     """
-    g = base.degree
-    acc = Polynomial()
-    num_pow = Polynomial.const(1)
-    den_pows = [Polynomial.const(1)]
+    fs = base.numerators
+    g = len(fs) - 1
+    u = [c * den.denominator for c in num.numerators]
+    v = [c * num.denominator for c in den.numerators]
+    v_pows = [[1]]
     for _ in range(g):
-        den_pows.append(den_pows[-1] * den)
-    for i, ci in enumerate(base.numerators):
-        if ci:
-            acc = acc + num_pow * den_pows[g - i] * ci
-        if i < g:
-            num_pow = num_pow * num
-    return acc * (1 / (num.leading() ** g * base.denominator))
+        v_pows.append(_mul_int(v_pows[-1], v))
+    acc = [fs[g]]
+    for i in range(g - 1, -1, -1):
+        acc = _mul_int(acc, u)
+        for j, c in enumerate(v_pows[g - i]):
+            acc[j] += fs[i] * c
+    return _monic(acc)
 
 
 def _integer_product(factors: Iterable[tuple[Polynomial, int]]) -> tuple[list[int], int]:

@@ -137,6 +137,32 @@ def test_value_below_the_cap_skips_the_digit_count(monkeypatch, dds):
     assert str(info.value) == f"value has about {digits} digits; use the factored form"
 
 
+def test_text_count_below_the_bound_skips_the_digit_count(monkeypatch, capsys, dds):
+    from fractal_trees.cli import main
+
+    s = builtin("sierpinski")
+    big = tau(s, 30, dds["sierpinski"])
+    digits = big.digits10()
+    assert main(["count", "sierpinski", "-n", "30"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"# value has {digits} digits; factored form:"
+
+    def refused(self):
+        raise AssertionError("the digit count ran")
+
+    monkeypatch.setattr(FactoredInteger, "digits10", refused)
+    assert main(["count", "sierpinski", "-n", "5"]) == 0
+    assert capsys.readouterr().out == f"{2 ** 121 * 3 ** 185 * 5 ** 58}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7, 10007]), st.integers(1, 60), max_size=4),
+       st.integers(0, 200))
+def test_digits_past_is_the_exact_count_above_the_cap(factors, cap):
+    t = FactoredInteger(factors)
+    digits = len(str(t.value()))
+    assert t.digits_past(cap) == (digits if digits > cap else None)
+
+
 def test_jump_is_the_one_route_to_a_level(dds):
     # a fresh walk steps to the certificate, then sets the level
     for name, dd in dds.items():

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fractal_trees import (
     SelfSimilarStructure,
@@ -22,7 +23,7 @@ from fractal_trees.decimation import (
     classify,
 )
 from fractal_trees.kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
-from fractal_trees.matrices import charpoly, solve_linear
+from fractal_trees.matrices import charpoly, scaled_charpoly, solve_linear
 from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
@@ -33,7 +34,8 @@ from fractal_trees.polys import (
 )
 from fractal_trees.structures import BUILTIN_NAMES, InvalidStructureError, load_json
 from test_generalization import assert_schur_factors, gasket
-from test_polys import irreducible_factors
+from conftest import small_rationals
+from test_polys import _is_rational_square, irreducible_factors
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
 SQRT5_PAIR = AlgebraicClass(Polynomial([F(1, 4), F(-3, 2), 1]))
@@ -283,19 +285,79 @@ def test_image_of_matches_the_matrix_route_on_every_class_seen(images_seen):
     assert all(pairs for _, _, pairs in images_seen)
 
 
-def test_rational_classes_never_reach_solve_linear(images_seen, monkeypatch):
+def test_rational_and_quadratic_classes_never_reach_solve_linear(images_seen, monkeypatch):
     def refuse(*args):
         raise AssertionError("solve_linear ran")
 
     monkeypatch.setattr(decimation, "solve_linear", refuse)
+    degrees = set()
     for dd, classes, _ in images_seen:
         fresh = dataclasses.replace(dd, _image_cache={})
         for cls in classes:
-            if cls.is_rational():
-                assert fresh.image_of(cls) == ref_image(dd, cls)
-    fresh = dataclasses.replace(images_seen[0][0], _image_cache={})
+            if cls.degree <= 2:
+                assert fresh.image_of(cls) == ref_image(dd, cls), (dd.structure.name, cls)
+                degrees.add(cls.degree)
+    assert degrees == {1, 2}
+    # a class of degree 3 seen on SG_{2,4} or SG_{2,5} still takes the matrix route
+    dd, cubic = next(
+        (dd, cls) for dd, classes, _ in images_seen[-2:]
+        for cls in sorted(classes, key=AlgebraicClass.key)
+        if cls.degree == 3 and not cls.minpoly.divides(dd.R.den)
+    )
+    fresh = dataclasses.replace(dd, _image_cache={})
     with pytest.raises(AssertionError, match="solve_linear"):
-        fresh.image_of(SQRT2_PAIR)  # a class of degree 2 still takes the matrix route
+        fresh.image_of(cubic)
+
+
+@st.composite
+def irreducible_quadratics(draw):
+    """z^2 + bz + c with a discriminant that is not a rational square."""
+    b, c = draw(small_rationals), draw(small_rationals)
+    assume(not _is_rational_square(b * b - 4 * c))
+    return Polynomial([c, b, F(1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_quadratics())
+def test_quadratic_image_matches_the_matrix_route(dds, f):
+    cls = AlgebraicClass(f)
+    for dd in dds.values():
+        assert dataclasses.replace(dd, _image_cache={}).image_of(cls) == ref_image(dd, cls)
+
+
+def test_quadratic_image_at_a_pole_and_onto_a_rational():
+    # SG_{2,4}'s R has an irreducible quadratic denominator; the preimages
+    # of 3/4 under the gasket's R(z) = z(5 - 4z) are a quadratic class
+    # whose image is rational
+    pole_dd = derive(gasket(2, 4))
+    pole = AlgebraicClass(pole_dd.R.den)
+    assert pole.degree == 2
+    assert pole_dd.image_of(pole) is None and ref_image(pole_dd, pole) is None
+    dd = derive(builtin("sierpinski"))
+    pair = AlgebraicClass(preimage_poly(Polynomial([F(-3, 4), F(1)]), dd.R.num, dd.R.den))
+    assert pair.degree == 2 and dd.image_of(pair) == rat(F(3, 4)) == ref_image(dd, pair)
+
+
+def ref_phi_and_r(s):
+    """phi and R from the moment sum in Polynomial and Fraction arithmetic:
+    chi_D S = chi_D (1 - z) I + sum_t M_t q_t, one product per moment."""
+    v0 = s.v0_size
+    b, delta = scaled_prob_laplacian(build_level(s, 1))
+    chi_d = scaled_charpoly([row[v0:] for row in b[v0:]], delta)
+    n11, n12 = chi_d * Polynomial([1, -1]), Polynomial()
+    for t, (scale, mom) in enumerate(decimation._moments(b, v0, delta)):
+        q_t = Polynomial.from_integers(chi_d.numerators[t + 1:], chi_d.denominator)
+        n11 += q_t * F(mom[0][0], scale)
+        n12 += q_t * F(mom[0][1], scale)
+    phi = RationalFunction(n12 * -(v0 - 1), chi_d)
+    return phi, RationalFunction(n11 + n12 * (v0 - 1), n12 * (v0 - 1))
+
+
+@pytest.mark.parametrize("s", [*(builtin(name) for name in BUILTIN_NAMES),
+                               *(gasket(2, b) for b in range(3, 7))], ids=lambda s: s.name)
+def test_integer_schur_sums_match_the_polynomial_sum(s):
+    dd = derive(s)
+    assert (dd.phi, dd.R) == ref_phi_and_r(s)
 
 
 def test_sigma_d_is_the_complete_factorization_of_chi_d(nine_dds):

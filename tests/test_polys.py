@@ -260,8 +260,9 @@ def test_irreducible_quintic_stays_whole():
 
 
 def test_factor_classes_decides_squarefreeness_once(monkeypatch):
-    # Yun's decomposition makes two gcds and each class checks its own
-    # minimal polynomial; no squarefree test runs again before Zassenhaus
+    # Yun's decomposition makes two gcds and each quadratic class checks its
+    # own minimal polynomial by its discriminant, with no gcd; no squarefree
+    # test runs again before Zassenhaus
     calls = []
     real = Polynomial.gcd
 
@@ -272,7 +273,7 @@ def test_factor_classes_decides_squarefreeness_once(monkeypatch):
     monkeypatch.setattr(Polynomial, "gcd", counted)
     q1, q2 = poly(F(7, 16), F(-3, 2), 1), poly(-2, 0, 1)
     out = factor_classes(q1 * q2)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert [(cls.minpoly, mult) for cls, mult in out] == [(q2, 1), (q1, 1)]
 
 
@@ -409,6 +410,71 @@ def test_preimage_poly_of_quadratic_class():
     assert pre.constant_term() == F(3, 16) * F(1, 16)
 
 
+def ref_preimage_poly(base, num, den):
+    """sum_i F_i num^i den^(g-i) in Polynomial arithmetic, over lc(num)^g."""
+    g = base.degree
+    acc, num_pow, den_pows = Polynomial(), Polynomial.const(1), [Polynomial.const(1)]
+    for _ in range(g):
+        den_pows.append(den_pows[-1] * den)
+    for i, ci in enumerate(base.numerators):
+        if ci:
+            acc = acc + num_pow * den_pows[g - i] * ci
+        if i < g:
+            num_pow = num_pow * num
+    return acc * (1 / (num.leading() ** g * base.denominator))
+
+
+@st.composite
+def preimage_inputs(draw):
+    """A monic base of degree 1-4 and R = num/den with deg den < deg num <= 4,
+    all with small rational coefficients."""
+    g, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = Polynomial([*draw(st.lists(small_rationals, min_size=g, max_size=g)), F(1)])
+    num = Polynomial([*draw(st.lists(small_rationals, min_size=d, max_size=d)),
+                      draw(small_rationals.filter(bool))])
+    den = Polynomial(draw(st.lists(small_rationals, min_size=1, max_size=d)))
+    assume(den)
+    return base, num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(preimage_inputs())
+def test_preimage_poly_matches_the_polynomial_sum(inputs):
+    base, num, den = inputs
+    pre = preimage_poly(base, num, den)
+    assert_canonical(pre)
+    assert pre == ref_preimage_poly(base, num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rationals, small_rationals, st.booleans(), small_rationals.filter(bool))
+def test_quadratic_squarefree_decomposition_matches_yun(b, c, square, scale):
+    # (z + b)^2 when square, else z^2 + bz + c (a square when b^2 = 4c), times
+    # a rational: the discriminant decides what Yun's gcds do
+    p = Polynomial([b * b if square else c, 2 * b if square else b, F(1)]) * scale
+    assert squarefree_decomposition(p) == ref_squarefree_decomposition(p)
+    if square:
+        assert squarefree_decomposition(p) == [(poly(b, 1), 2)]
+
+
+def test_square_quadratic_class_is_refused_without_a_gcd(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gcd ran")
+
+    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    with pytest.raises(ValueError, match="minimal polynomial must be squarefree"):
+        AlgebraicClass(poly(F(9, 16), F(3, 2), 1))  # (z + 3/4)^2
+    assert AlgebraicClass(poly(F(7, 16), F(-3, 2), 1)).degree == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(irreducible_factors())
+def test_class_key_is_degree_then_coefficients(factors):
+    for f in factors:
+        cls = AlgebraicClass(f)
+        assert cls.key() == (f.degree, f.coeffs)
+
+
 def test_z4_plus_1_splits_modulo_every_prime_but_stays_whole():
     # z^4 + 1 is irreducible over Q and factors modulo every prime, so
     # every candidate subset of its modular factors is rejected
@@ -430,9 +496,10 @@ def test_recombination_finds_a_factor_with_constant_term_zero():
 
 
 def test_recombination_rejects_by_constant_term(monkeypatch):
-    # z^2 - 7 splits modulo 3; the lifted factors z -+ sqrt(7) have 3-adic
-    # constant terms that do not divide 7, so neither is tried by division:
-    # every division is one of the gcds, by a divisor with small coefficients
+    # z^3 - 7 splits modulo 5 into a linear and a quadratic factor; the
+    # lifted factors have 5-adic constant terms that do not divide 7, so
+    # neither is tried by division: every division is one of the gcds, by a
+    # divisor with small coefficients
     divisors = []
     real = polys._pseudo_divmod
 
@@ -441,7 +508,7 @@ def test_recombination_rejects_by_constant_term(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(polys, "_pseudo_divmod", counted)
-    p = poly(-7, 0, 1)
+    p = poly(-7, 0, 0, 1)
     assert factor_classes(p) == [(AlgebraicClass(p), 1)]
     assert divisors and all(abs(c) <= 7 for b in divisors for c in b)
 
