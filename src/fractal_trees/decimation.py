@@ -99,7 +99,7 @@ from .polys import (
     _integer_product,
     factor_classes,
     preimage_poly,
-    squarefree_part,
+    squarefree_decomposition,
 )
 from .structures import SelfSimilarStructure, validated
 
@@ -331,11 +331,12 @@ class DecimationData:
         element of Q(alpha) = Q[z]/(f), and the characteristic polynomial
         of multiplication by it is a power of its minimal polynomial
         (Cohen, *A Course in Computational Algebraic Number Theory*, 4.3):
-        the class is the squarefree part of charpoly(M_den^-1 M_num), M_p
-        the g x g matrix of multiplication by p on 1, z, ..., z^(g-1)
-        modulo f.  M_den is invertible because den(alpha) != 0 off the
-        poles.  Every answer is cached, so each class takes the pole test
-        once.
+        the class is the one part of Yun's squarefree decomposition of
+        charpoly(M_den^-1 M_num), M_p the g x g matrix of multiplication
+        by p on 1, z, ..., z^(g-1) modulo f, and `solve_linear` forms
+        M_den^-1 M_num by fraction-free elimination in integers.  M_den
+        is invertible because den(alpha) != 0 off the poles.  Every
+        answer is cached, so each class takes the pole test once.
         """
         if cls in self._image_cache:
             return self._image_cache[cls]
@@ -358,7 +359,8 @@ class DecimationData:
                     v = (v * Polynomial.x()) % f
 
             m_r = solve_linear(times(self.R.den), times(self.R.num))
-            out = AlgebraicClass(squarefree_part(charpoly(m_r)))
+            [(g, _)] = squarefree_decomposition(charpoly(m_r))
+            out = AlgebraicClass(g)
         self._image_cache[cls] = out
         return out
 

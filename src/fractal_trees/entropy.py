@@ -77,14 +77,6 @@ def entropy(
         raise ValueError("n_max must be at least 2")
     if precision < 6:
         raise ValueError("precision must be at least 6 digits")
-    if dd is None:
-        try:
-            dd = derive(s)
-        except DecimationError as e:
-            raise DecimationError(
-                f"{e}; spectral decimation unavailable for {s.name!r} - use the "
-                "brute-force oracle at small levels instead"
-            ) from e
     if n_max > ENTROPY_LEVEL_CAP:
         raise ValueError(
             f"the entropy of {s.name} at level {n_max} is out of reach: levels above "
@@ -95,6 +87,14 @@ def entropy(
             f"the entropy of {s.name} at {precision} digits is out of reach: precisions "
             f"above {ENTROPY_PRECISION_CAP} digits are refused"
         )
+    if dd is None:
+        try:
+            dd = derive(s)
+        except DecimationError as e:
+            raise DecimationError(
+                f"{e}; spectral decimation unavailable for {s.name!r} - use the "
+                "brute-force oracle at small levels instead"
+            ) from e
     dps = precision + 10
     table = exponent_table(s, n_max, dd)
     with mpmath.workdps(dps):

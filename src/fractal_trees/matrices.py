@@ -1,21 +1,24 @@
-"""Dense exact linear algebra over Q.
+"""Dense exact linear algebra over Q, in integers.
 
-Matrices are plain lists of lists of `Fraction`.  The decimation engine
-takes chi_D and the Schur complement's moments from the integer matrix
-delta * P1 of `kirchhoff.scaled_prob_laplacian`, with no solve (see
-`decimation.derive`); it maps a conjugate class of degree 3 or more
+Matrices are plain lists of rows of ints or `Fraction`s.  The decimation
+engine takes chi_D and the Schur complement's moments from the integer
+matrix delta * P1 of `kirchhoff.scaled_prob_laplacian`, with no solve
+(see `decimation.derive`); it maps a conjugate class of degree 3 or more
 through R with one `solve_linear` and one `charpoly` (see
 `DecimationData.image_of`; a rational or quadratic class takes its
-closed form instead).  `charpoly` scales its input to integers and hands it to
-`scaled_charpoly`, which `derive` and `kirchhoff.prob_laplacian_charpoly`
-call directly with delta * P.  That is one Hessenberg pass in Z/p, p the
-smallest table prime 2^k - c above twice the Hadamard bound on the
-coefficients, so it is exact, not probabilistic.
+closed form instead).  `solve_linear` and `bareiss_det_int` share one
+fraction-free elimination, `_eliminate`.  `charpoly` scales its input to
+integers and hands it to `scaled_charpoly`, which `derive` and
+`kirchhoff.prob_laplacian_charpoly` call directly with delta * P.  That
+is one Hessenberg pass in Z/p, p the smallest table prime 2^k - c above
+twice the Hadamard bound on the coefficients, so it is exact, not
+probabilistic.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .polys import Polynomial
@@ -47,69 +50,66 @@ _PRIMES = (
 ))
 
 
-def solve_linear(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve a X = rhs by Gauss-Jordan elimination over Q.
+def _eliminate(rows: list, n: int) -> int:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
+    1968) of the leading n columns of integer rows, in place; returns their
+    determinant.  Step k swaps the first row with a nonzero entry in column
+    k into row k (0 is returned when there is none) and replaces every other
+    row r by (p_k row_r - row_r[k] row_k) / p_(k-1), p_k the pivot and
+    p_(-1) = 1.  Every entry stays a minor of the input (Sylvester's
+    identity), so each division is exact.  Columns 0..k are then p_k times
+    unit columns and are never read again, so only columns k+1 on are
+    written; past column n the rows end as p_(n-1) times the solution.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        p, tail = top[k], top[k + 1:]
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[k]
+                row[k + 1:] = [(p * x - f * t) // prev for x, t in zip(row[k + 1:], tail)]
+        prev = p
+    return sign * prev
 
-    `a` must be square and nonsingular; `rhs` has matching row count.
+
+def solve_linear(a: Matrix, rhs: Matrix) -> Matrix:
+    """Solve a X = rhs exactly by fraction-free Gauss-Jordan elimination.
+
+    `a` must be square and nonsingular, `rhs` has matching row count, and
+    the entries may be ints or Fractions.  Each row of [a | rhs] is scaled
+    to integers by the lcm of its denominators, and the content c of the
+    scaled a is divided out (a/c times cX is rhs), so no minor carries a
+    power of c: on tall orbit classes every row of `image_of`'s M_den
+    shares thousands of bits, and this halves the solve.  `_eliminate`
+    reduces a/c to p I, p its last pivot, and X is the right-hand block
+    over p c, as Fractions.  A singular `a` raises ValueError.
     """
     n = len(a)
-    aug = [list(a[i]) + list(rhs[i]) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix in solve_linear")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        top = aug[col]
-        inv = 1 / top[col]
-        # the pivot row is zero left of col, and column col is never read
-        # again (only the right-hand block is returned)
-        cols = [j for j in range(col + 1, len(top)) if top[j]]
-        for j in cols:
-            top[j] *= inv
-        for r in range(n):
-            row = aug[r]
-            f = row[col]
-            if r == col or not f:
-                continue
-            for j in cols:
-                row[j] -= f * top[j]
-    return [row[n:] for row in aug]
+    rows = []
+    for left, right in zip(a, rhs):
+        row = [*left, *right]
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    c = gcd(*(x for row in rows for x in row[:n])) or 1
+    for row in rows:
+        row[:n] = [x // c for x in row[:n]]
+    if not _eliminate(rows, n):
+        raise ValueError("singular matrix in solve_linear")
+    p = c * rows[-1][n - 1] if n else 1
+    return [[Fraction(x, p) for x in row[n:]] for row in rows]
 
 
 def bareiss_det_int(a: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix.
-
-    All intermediate entries are exact minors of the input, so the
-    computation stays in the integers; divisions are exact.
-    """
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mk = m[k]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (pivot * mi[j] - f * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square integer matrix by `_eliminate` on a copy:
+    1 for the empty matrix and 0 for a singular one."""
+    return _eliminate([list(row) for row in a], len(a))
 
 
 def charpoly(a: Matrix) -> Polynomial:

@@ -374,12 +374,6 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """Monic product of the distinct irreducible factors of p."""
-    g = p.gcd(p.derivative())
-    return (p // g).monic()
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 

@@ -44,3 +44,30 @@ def cycle_graph(n: int) -> LevelGraph:
 
 def path_graph(n: int) -> LevelGraph:
     return LevelGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def gauss_jordan_q(a, rhs):
+    """Solve a X = rhs by Gauss-Jordan elimination in Fractions: a reference
+    independent of `matrices.solve_linear`.  `a` must be square and
+    nonsingular; `rhs` has matching row count."""
+    n = len(a)
+    aug = [[Fraction(x) for x in (*a[i], *rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix in gauss_jordan_q")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        inv = 1 / top[col]
+        # the pivot row is zero left of col, and column col is never read
+        # again (only the right-hand block is returned)
+        cols = [j for j in range(col + 1, len(top)) if top[j]]
+        for j in cols:
+            top[j] *= inv
+        for r in range(n):
+            row = aug[r]
+            f = row[col]
+            if r != col and f:
+                for j in cols:
+                    row[j] -= f * top[j]
+    return [row[n:] for row in aug]

@@ -23,18 +23,18 @@ from fractal_trees.decimation import (
     classify,
 )
 from fractal_trees.kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
-from fractal_trees.matrices import charpoly, scaled_charpoly, solve_linear
+from fractal_trees.matrices import charpoly, scaled_charpoly
 from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
     RationalFunction,
     factor_classes,
     preimage_poly,
-    squarefree_part,
+    squarefree_decomposition,
 )
 from fractal_trees.structures import BUILTIN_NAMES, InvalidStructureError, load_json
 from test_generalization import assert_schur_factors, gasket
-from conftest import small_rationals
+from conftest import gauss_jordan_q, small_rationals
 from test_polys import _is_rational_square, irreducible_factors
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
@@ -236,18 +236,20 @@ def ref_image(dd, cls):
             v = (v * Polynomial.x()) % f
         return rows
 
-    return AlgebraicClass(squarefree_part(charpoly(solve_linear(times(dd.R.den), times(dd.R.num)))))
+    [(g, _)] = squarefree_decomposition(charpoly(gauss_jordan_q(times(dd.R.den), times(dd.R.num))))
+    return AlgebraicClass(g)
 
 
 @pytest.fixture(scope="module")
 def images_seen():
-    """Per structure (the six builtins, sg3, SG_{2,4} and SG_{2,5}), its
-    decimation data, the pairs (base, preimage) of the split bases
-    tau(G_40) reaches, and every class of those pairs or that `image_of`
-    is asked about by derive (case records and orbits) and tau(G_40)."""
+    """Per structure (the six builtins, sg3, SG_{3,4}, SG_{3,5}, SG_{2,4}
+    and SG_{2,5}, the last two kept last), its decimation data, the pairs
+    (base, preimage) of the split bases tau(G_40) reaches, and every class
+    of those pairs or that `image_of` is asked about by derive (case
+    records and orbits) and tau(G_40)."""
     data = Path(__file__).parent / "data"
-    structures = [*(builtin(name) for name in BUILTIN_NAMES), gasket(2, 3),
-                  *(load_json(str(data / f)) for f in ("sg_2_4.json", "sg_2_5.json"))]
+    structures = [*(builtin(name) for name in BUILTIN_NAMES), gasket(2, 3), gasket(3, 4),
+                  gasket(3, 5), *(load_json(str(data / f)) for f in ("sg_2_4.json", "sg_2_5.json"))]
     real_image, real_preimages = DecimationData.image_of, DecimationData.preimage_classes
     out = []
     with pytest.MonkeyPatch.context() as mp:
@@ -281,7 +283,7 @@ def test_image_of_matches_the_matrix_route_on_every_class_seen(images_seen):
             poles += image is None
         for base, cls in pairs:
             assert dd.image_of(cls) == base, (dd.structure.name, cls)
-    assert {1, 2, 3, 4, 5} <= degrees and poles
+    assert {1, 2, 3, 4, 5, 6} <= degrees and poles
     assert all(pairs for _, _, pairs in images_seen)
 
 

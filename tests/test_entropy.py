@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import mpmath
@@ -103,3 +104,17 @@ def test_entropy_argument_validation():
         entropy(builtin("sierpinski"), n_max=1)
     with pytest.raises(ValueError):
         entropy(builtin("sierpinski"), n_max=5, precision=3)
+
+
+def test_entropy_caps_refuse_before_derive(monkeypatch):
+    def refuse(s):
+        raise AssertionError("derive ran")
+
+    monkeypatch.setattr(importlib.import_module("fractal_trees.entropy"), "derive", refuse)
+    s = builtin("sierpinski")
+    with pytest.raises(ValueError, match="^the entropy of sierpinski at level 6000 is out of "
+                                         "reach: levels above 5000 are refused$"):
+        entropy(s, 6000)
+    with pytest.raises(ValueError, match="^the entropy of sierpinski at 3000 digits is out of "
+                                         "reach: precisions above 2000 digits are refused$"):
+        entropy(s, 30, 3000)

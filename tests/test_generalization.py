@@ -32,9 +32,9 @@ from fractal_trees import (
     tau_bruteforce,
 )
 from fractal_trees.decimation import NotFullySymmetricError
-from fractal_trees.matrices import solve_linear
 from fractal_trees.polys import Polynomial
 from fractal_trees.structures import SelfSimilarStructure, to_json_dict, validate
+from conftest import gauss_jordan_q
 
 
 def gasket(d: int, b: int) -> SelfSimilarStructure:
@@ -61,7 +61,8 @@ def gasket(d: int, b: int) -> SelfSimilarStructure:
 
 
 def schur_at(s, z):
-    """S(z) = (A - zI) - B (D - zI)^-1 C of P1, by one Fraction solve at z."""
+    """S(z) = (A - zI) - B (D - zI)^-1 C of P1, by one Fraction solve at z
+    (`gauss_jordan_q`, independent of `matrices.solve_linear`)."""
     g1 = build_level(s, 1)
     v0, v1 = s.v0_size, g1.vertex_count
     degs = g1.degrees()
@@ -70,7 +71,7 @@ def schur_at(s, z):
         p1[u][v] -= F(mult, degs[u])
         p1[v][u] -= F(mult, degs[v])
     interior = range(v0, v1)
-    x = solve_linear(
+    x = gauss_jordan_q(
         [[p1[i][j] - z * (i == j) for j in interior] for i in interior],
         [[p1[i][j] for j in range(v0)] for i in interior],
     )

@@ -12,6 +12,7 @@ from fractal_trees.levels import build_level
 from fractal_trees.matrices import bareiss_det_int, charpoly, solve_linear
 from fractal_trees.polys import Polynomial
 from fractal_trees.structures import BUILTIN_NAMES, builtin, load_json
+from conftest import gauss_jordan_q
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -328,6 +329,11 @@ def test_solve_linear_rational():
     rhs = [[F(1)], [F(2)]]
     x = solve_linear(a, rhs)
     assert x == [[F(1, 5)], [F(3, 5)]]
+    # int entries once came back as floats (0.19999999999999996, 0.6000000000000001)
+    x = solve_linear([[2, 1], [1, 3]], [[1], [2]])
+    assert x == [[F(1, 5)], [F(3, 5)]]
+    assert all(type(v) is F for row in x for v in row)
+    assert solve_linear([], []) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,5 +363,64 @@ def test_solve_linear_solves(dim, seed, density):
 
 
 def test_solve_linear_singular_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
         solve_linear([[F(1), F(1)], [F(2), F(2)]], [[F(1)], [F(1)]])
+    rng = random.Random(5)
+    for dim in (3, 5):  # rank dim - 1: the last row is the sum of the others
+        a = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
+             for _ in range(dim - 1)]
+        a.append([sum(col) for col in zip(*a)])
+        with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
+            solve_linear(a, [[F(i)] for i in range(dim)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from([1, 10 ** 3, 10 ** 40]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([1.0, 0.4]),
+)
+def test_solve_linear_matches_fraction_gauss_jordan(dim, cols, seed, height, share, density):
+    # int, Fraction and mixed entries; the zero leading pivot forces a row swap
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        num = rng.randint(-height, height)
+        return F(num, rng.randint(1, height)) if rng.random() < share else num
+
+    a = [[entry() for _ in range(dim)] for _ in range(dim)]
+    if dim > 1:
+        a[0][0] = 0
+    rhs = [[entry() for _ in range(cols)] for _ in range(dim)]
+    if det_gauss([[F(x) for x in row] for row in a]) == 0:
+        with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
+            solve_linear(a, rhs)
+        return
+    x = solve_linear(a, rhs)
+    assert x == gauss_jordan_q(a, rhs)
+    assert all(type(v) is F for row in x for v in row)
+
+
+def test_bareiss_det_int_empty_and_singular():
+    assert bareiss_det_int([]) == 1
+    for m in ([[0]], [[1, 2], [2, 4]], [[0, 0, 1], [0, 0, 2], [3, 4, 5]],
+              [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 6, 7, 8]]):
+        assert bareiss_det_int(m) == 0 == det_gauss([[F(e) for e in row] for row in m])
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_bareiss_det_int_sign_on_swap_heavy_matrices(dim):
+    rng = random.Random(dim)
+    # weighted reversal, and a weighted cycle whose column k is nonzero only
+    # in the last row, so every step swaps; then zero diagonals of height 10^40
+    reversal = [[(i + 2) * (i + j == dim - 1) for j in range(dim)] for i in range(dim)]
+    cycle = [[(i + 2) * (j == (i + 1) % dim) for j in range(dim)] for i in range(dim)]
+    hollow = [[rng.randint(-10 ** 40, 10 ** 40) * (i != j) for j in range(dim)] for i in range(dim)]
+    for m in (reversal, cycle, hollow):
+        assert bareiss_det_int(m) == det_gauss([[F(e) for e in row] for row in m])
+    assert bareiss_det_int(reversal) != 0 and bareiss_det_int(cycle) != 0
