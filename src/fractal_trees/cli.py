@@ -2,8 +2,8 @@
 
 Subcommands: list, info, build, decimate, count, verify, entropy.  A
 fractal argument is either a builtin name or a path to a JSON definition
-file.  Exit codes: 0 success, 1 validation/usage error, 2 internal
-inconsistency (a failed exactness check).
+file.  Exit codes: 0 success, 1 validation/usage error or an output
+closed by its reader, 2 internal inconsistency (a failed exactness check).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
 
 import mpmath
@@ -236,14 +236,12 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
 
-    # one level walk gives tau at every level from 1 on, in increasing order;
-    # a refused step fails each later level with its message
+    # one level walk gives tau at every level, level 0 included, in increasing
+    # order; a refused step fails each later level with its message
     walk, refused = LevelWalk(s, dd), None
 
     def tau_at(n):
         nonlocal refused
-        if n == 0:
-            return tau(s, 0)
         if refused is None:
             try:
                 walk.jump(n)
@@ -390,7 +388,15 @@ def main(argv=None) -> int:
         print("error: precision must be at least 6", file=sys.stderr)
         return EXIT_INVALID
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the output: say nothing more, and send what is
+        # still buffered to the null device, so the last flush at exit passes
+        with suppress(OSError):  # an in-process stream has no file descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INVALID
     except (InconsistentSpectrumError, AssemblyError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -50,7 +50,8 @@ divides exactly and checks every level, stepped or jumped, to be a
 positive integer: `tau` costs a few levels and a few powers r^n.  Where
 no certificate can be given (unequal corner counts, a pending deep hit, a
 class with two sources, roots that are not integers >= 0) the walk keeps
-stepping.
+stepping.  Every level's exponents, level 0 included, come from the walk;
+only `tau(s, 0)` answers by Cayley's formula, which needs no `derive`.
 """
 
 from __future__ import annotations
@@ -400,7 +401,7 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
             f"{s.m}^{n}, which has more than {COUNT_DIGIT_CAP} digits"
         )
     if n == 0:
-        # complete graph on the boundary: Cayley's formula
+        # complete graph on the boundary: Cayley's formula, which needs no derive
         return FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
     walk = LevelWalk(s, dd if dd is not None else derive(s))
     walk.jump(n)
@@ -410,12 +411,12 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
 def exponent_table(
     s: SelfSimilarStructure, n_max: int, dd: DecimationData | None = None
 ) -> dict[int, list[int]]:
-    """Per-prime exponent sequences of tau(G_n) for 0 <= n <= n_max."""
+    """Per-prime exponent sequences of tau(G_n) for 0 <= n <= n_max, each
+    row read from one level walk, level 0 included."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    walk = LevelWalk(s, dd if dd is not None else derive(s))
-    rows = [dict(tau(s, 0).factors)]
-    for n in range(1, n_max + 1):
+    walk, rows = LevelWalk(s, dd if dd is not None else derive(s)), []
+    for n in range(n_max + 1):
         walk.jump(n)
         rows.append(walk.exponents())
     primes = sorted({p for row in rows for p, e in row.items() if e})

@@ -6,7 +6,9 @@ never formed.  One level walk (`counting.LevelWalk`: L_n = d L_{n-1} +
 W_n, H_n = m H_{n-1} + new sites) gives the exponents of every level: it
 steps a few levels, then evaluates each prime's closed form, fitted once
 from the walk's checked linear recurrence (see `counting`), at every
-later level.  The general bounds ln(3)/2 <= c <=
+later level.  `entropy` sums e ln p over each level's exponents as the
+walk reaches it, primes ascending, with ln p computed once per prime.
+The general bounds ln(3)/2 <= c <=
 ln((m-1)|V0|(|V0|-1) / (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a
 tree; the 3-branch tree structure (builtin `tree3`) attains the lower
 bound in the limit.
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 import mpmath
 
-from .counting import exponent_table, tau  # noqa: F401 - perfbench's tracer wraps tau here
+from .counting import LevelWalk, tau  # noqa: F401 - perfbench's tracer wraps tau here
 from .decimation import DecimationData, DecimationError, derive
 from .structures import SelfSimilarStructure
 
@@ -95,15 +98,14 @@ def entropy(
                 f"{e}; spectral decimation unavailable for {s.name!r} - use the "
                 "brute-force oracle at small levels instead"
             ) from e
-    dps = precision + 10
-    table = exponent_table(s, n_max, dd)
-    with mpmath.workdps(dps):
-        logs = {p: mpmath.log(p) for p in table}
+    walk, log = LevelWalk(s, dd), cache(mpmath.log)  # ln p once per prime
+    with mpmath.workdps(precision + 10):
         values = []
         for n in range(2, n_max + 1):
+            walk.jump(n)
             acc = mpmath.mpf(0)
-            for p, exponents in table.items():
-                acc += exponents[n] * logs[p]
+            for p, e in sorted(walk.exponents().items()):
+                acc += e * log(p)
             values.append((n, acc / dd.v_count(n)))
         diffs = [abs(values[i + 1][1] - values[i][1]) for i in range(len(values) - 1)]
         tail = diffs[-5:]

@@ -606,11 +606,7 @@ def _add(a: list, b: list, m: int, sign: int = 1) -> list:
 
 
 def _mul(a: list, b: list, m: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return _trim([c % m for c in _mul_int(a, b)])
 
 
 def _prod(polys: list, m: int) -> list:

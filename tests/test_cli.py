@@ -281,8 +281,8 @@ def test_verify_prints_an_assembly_failure_as_a_fail_line(monkeypatch, capsys):
 
 
 def test_verify_takes_tau_from_one_level_walk(monkeypatch, capsys):
-    # the oracle levels 1..3 and level 30 are read from one walk, in order;
-    # only level 0 (Cayley's formula) is asked of tau
+    # the oracle levels 0..3 and level 30 are read from one walk, in order;
+    # tau is not asked
     from fractal_trees import cli
 
     walks, levels = [], []
@@ -291,7 +291,23 @@ def test_verify_takes_tau_from_one_level_walk(monkeypatch, capsys):
     monkeypatch.setattr(cli, "tau", lambda s, n, *args: levels.append(n) or real_tau(s, n, *args))
     code, out, _ = run(capsys, "verify", "sierpinski", "--max-level", "3")
     assert code == 0 and out.count("PASS") == 11
-    assert (len(walks), levels) == (1, [0])
+    assert (len(walks), levels) == (1, [])
+
+
+def test_verify_checks_the_walks_level_zero_assembly(monkeypatch, capsys):
+    # an extra factor 2 in the walk's level-0 pieces shows at level 0, which
+    # Kirchhoff checks against the walk, not against Cayley's formula
+    from fractal_trees import cli
+
+    class Off(cli.LevelWalk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.fixed[2] = self.fixed.get(2, 0) + 1
+
+    monkeypatch.setattr(cli, "LevelWalk", Off)
+    code, out, _ = run(capsys, "verify", "sierpinski", "--max-level", "1")
+    assert code == 2
+    assert "FAIL  tau oracle vs closed form, level 0  (3)" in out.splitlines()
 
 
 def test_entropy_text(capsys):
@@ -635,3 +651,21 @@ def test_usage_error_exit_status_from_the_shell():
     )
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.endswith("error: the following arguments are required: -n/--level\n")
+
+
+@pytest.mark.parametrize("argv", [["entropy", "sierpinski", "-n", "400", "--prec", "300"],
+                                  ["build", "sierpinski", "-n", "8"]])
+def test_output_closed_by_its_reader_exits_1_without_a_traceback(argv):
+    # both outputs outgrow the pipe's buffer, so the writes after the
+    # first line meet a closed pipe
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with subprocess.Popen([sys.executable, "-m", "fractal_trees", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (1, b"")

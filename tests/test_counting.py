@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_trees import (
+    BUILTIN_NAMES,
     AssemblyError,
     build_level,
     builtin,
@@ -457,6 +458,24 @@ def test_exponent_table_pinned(name):
     table = exponent_table(_structure(name), 60)
     digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
     assert digest == EXPONENT_TABLE_SHA256[name]
+
+
+def _level_zero_structures():
+    from test_generalization import gasket
+
+    data = Path(__file__).resolve().parent / "data"
+    return [*(builtin(name) for name in BUILTIN_NAMES), _structure("sg3"),
+            *(load_json(str(data / f"sg_2_{b}.json")) for b in (4, 5)),
+            *(gasket(d, 2) for d in (3, 4, 5))]
+
+
+@pytest.mark.parametrize("s", _level_zero_structures(), ids=lambda s: s.name)
+def test_level_walk_at_level_zero_is_cayleys_formula(s):
+    # G_0 is the complete graph on V0: the walk's own level-0 assembly (the
+    # corner degrees, the degree sum and the class v0/(v0-1)) is v0^(v0-2)
+    walk = LevelWalk(s, derive(s))
+    walk.jump(0)
+    assert walk.factors() == FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
 
 
 def test_entropy_factoring_grows_linearly(monkeypatch):

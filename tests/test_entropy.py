@@ -1,10 +1,14 @@
 import importlib
 from fractions import Fraction as F
+from functools import cache
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from fractal_trees import bounds, builtin, entropy
+from fractal_trees import (
+    BUILTIN_NAMES, bounds, builtin, derive, entropy, exponent_table, load_json,
+)
 from fractal_trees.entropy import g1_is_tree
 
 
@@ -118,3 +122,40 @@ def test_entropy_caps_refuse_before_derive(monkeypatch):
     with pytest.raises(ValueError, match="^the entropy of sierpinski at 3000 digits is out of "
                                          "reach: precisions above 2000 digits are refused$"):
         entropy(s, 30, 3000)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+STRUCTURE_FILES = {
+    "sg3": ROOT / "perfbench" / "structures" / "sg3.json",
+    **{f"sg_2_{b}": ROOT / "tests" / "data" / f"sg_2_{b}.json" for b in (4, 5)},
+}
+
+
+@cache
+def structure_and_dd(name):
+    s = load_json(str(STRUCTURE_FILES[name])) if name in STRUCTURE_FILES else builtin(name)
+    return s, derive(s)
+
+
+def entropy_values_by_table(s, dd, n_max, precision):
+    """c_2..c_n_max summed over the per-prime table, a prime at a time."""
+    table = exponent_table(s, n_max, dd)
+    with mpmath.workdps(precision + 10):
+        logs = {p: mpmath.log(p) for p in table}
+        values = []
+        for n in range(2, n_max + 1):
+            acc = mpmath.mpf(0)
+            for p, exponents in table.items():
+                acc += exponents[n] * logs[p]
+            values.append((n, acc / dd.v_count(n)))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n_max, precision", [(2, 6), (8, 30), (60, 30), (120, 300)])
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *STRUCTURE_FILES])
+def test_entropy_reads_the_walk_as_the_exponent_table_does(name, n_max, precision):
+    # each level's logs summed straight from the walk equal the table's
+    # sums exactly: primes ascend either way and a zero exponent adds 0
+    s, dd = structure_and_dd(name)
+    got = entropy(s, n_max=n_max, precision=precision, dd=dd).values
+    assert got == entropy_values_by_table(s, dd, n_max, precision)

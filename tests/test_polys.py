@@ -627,3 +627,22 @@ def test_integer_core_edge_cases():
     assert p(F(1, 3)) == F(-7, 12) and p(2) == F(21, 4)
     with pytest.raises(TypeError):
         Polynomial([0.5])
+
+
+def schoolbook_mul_mod(a, b, m):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    out = [c % m for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([7, 101, 2 ** 61 - 1, 3 ** 40]).flatmap(
+    lambda m: st.tuples(*(st.lists(st.integers(0, m - 1), max_size=11) for _ in "ab"), st.just(m))))
+def test_modular_product_matches_the_schoolbook_product(case):
+    a, b, m = case
+    assert polys._mul(a, b, m) == schoolbook_mul_mod(a, b, m)
