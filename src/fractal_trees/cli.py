@@ -9,13 +9,10 @@ closed by its reader, 2 internal inconsistency (a failed exactness check).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager, suppress
 from functools import cache
-
-import mpmath
 
 from .counting import AssemblyError, LevelWalk, tau
 from .decimation import (
@@ -77,6 +74,8 @@ def _int_str_unlimited():
 
 
 def _print_json(obj):
+    import json
+
     with _int_str_unlimited():
         print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -281,6 +280,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    import mpmath
+
     s = _resolve(args.fractal)
     report = entropy(s, n_max=args.level, precision=args.prec)
     prec = args.prec

@@ -82,13 +82,13 @@ on the phi pole and the finiteness of R only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, zip_longest
 from math import gcd, lcm
-from typing import ClassVar, Optional
+from typing import Optional
 
+from ._record import Record
 from .levels import build_level, vertex_count_formula
 from .kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
 from .matrices import charpoly, scaled_charpoly, solve_linear
@@ -128,17 +128,11 @@ class InconsistentSpectrumError(DecimationError):
 # case records
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(Record):
     """Exact predicates and the selected multiplicity rule for one value."""
 
-    value: AlgebraicClass
-    case_id: int
-    mult_d: int              # multiplicity of the class in sigma(D)
-    phi_zero: bool
-    phi_pole: bool
-    dr_nonzero: bool
-    image: Optional[AlgebraicClass]  # class of R(value); None when R has a pole
+    # mult_d: multiplicity of the class in sigma(D); image: class of R(value), None at a pole of R
+    __slots__ = ("value", "case_id", "mult_d", "phi_zero", "phi_pole", "dr_nonzero", "image")
 
     @property
     def r_pole(self) -> bool:
@@ -250,24 +244,26 @@ def _escape_bound(num: Polynomial, den: Polynomial) -> Fraction:
 # decimation data
 
 
-@dataclass
 class DecimationData:
-    structure: SelfSimilarStructure
-    phi: RationalFunction
-    R: RationalFunction
-    d: int
-    Q0: Fraction
-    Pd: Fraction
-    charpoly_d: Polynomial
-    sigma_d: tuple[tuple[AlgebraicClass, int], ...]
-    exceptional: tuple[AlgebraicClass, ...]
-    case_records: dict = field(default_factory=dict)
-    # the images R(e) of the exceptional values: depth-0 families of these
-    # classes split at the next level instead of lifting
-    split: frozenset = frozenset()
-    escape_bound: Fraction = Q(2)
-    _image_cache: dict = field(default_factory=dict, repr=False)
-    _preimage_cache: dict = field(default_factory=dict, repr=False)
+    """What `derive` finds for one structure, and the caches the level
+    steps fill; a plain class, as `cached_property` needs a `__dict__`."""
+
+    def __init__(
+        self, structure: SelfSimilarStructure, phi: RationalFunction, R: RationalFunction,
+        d: int, Q0: Fraction, Pd: Fraction, charpoly_d: Polynomial,
+        sigma_d: tuple[tuple[AlgebraicClass, int], ...], exceptional: tuple[AlgebraicClass, ...],
+        case_records: dict | None = None, split: frozenset = frozenset(),
+        escape_bound: Fraction = Q(2),
+    ):
+        self.structure, self.phi, self.R, self.d = structure, phi, R, d
+        self.Q0, self.Pd, self.charpoly_d = Q0, Pd, charpoly_d
+        self.sigma_d, self.exceptional = sigma_d, exceptional
+        self.case_records = {} if case_records is None else case_records
+        # the images R(e) of the exceptional values: depth-0 families of these
+        # classes split at the next level instead of lifting
+        self.split, self.escape_bound = split, escape_bound
+        self._image_cache: dict = {}
+        self._preimage_cache: dict = {}
 
     @cached_property
     def _sigma_mult(self) -> dict:
@@ -560,8 +556,7 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
 # the spectrum induction
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(Record):
     """sigma(P_n) in (class, preiterate depth, multiplicity) normal form.
 
     An entry (c, k, mu) says: the d^k preimages of the conjugate family c
@@ -570,10 +565,8 @@ class SpectrumTable:
     always has multiplicity one.
     """
 
-    level: int
-    d: int
-    entries: tuple[tuple[AlgebraicClass, int, int], ...]
-    zero_mult: ClassVar[int] = 1
+    __slots__ = ("level", "d", "entries")
+    zero_mult = 1
 
     def eigenvalue_count(self) -> int:
         return self.zero_mult + sum(

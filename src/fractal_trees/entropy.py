@@ -16,13 +16,10 @@ bound in the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Optional
 
-import mpmath
-
+from ._record import Record
 from .counting import LevelWalk, tau  # noqa: F401 - perfbench's tracer wraps tau here
 from .decimation import DecimationData, DecimationError, derive
 from .structures import SelfSimilarStructure
@@ -35,16 +32,10 @@ ENTROPY_LEVEL_CAP = 5_000
 ENTROPY_PRECISION_CAP = 2_000
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    name: str
-    precision: int
-    values: tuple  # ((n, mpf), ...)
-    extrapolated: object
-    lower_bound: object
-    upper_bound: Optional[object]
-    bounds_applicable: bool
-    diffs_decreasing: bool
+class EntropyReport(Record):
+    # values: ((n, c_n), ...) as mpf; the bounds are None where they do not apply
+    __slots__ = ("name", "precision", "values", "extrapolated", "lower_bound", "upper_bound",
+                 "bounds_applicable", "diffs_decreasing")
 
 
 def g1_is_tree(s: SelfSimilarStructure) -> bool:
@@ -59,6 +50,8 @@ def bounds(s: SelfSimilarStructure, precision: int = 30):
     Inapplicable (None bounds) when |V0| = 2 or G_1 is a tree, where
     the bounds' hypotheses fail.
     """
+    import mpmath
+
     applicable = s.v0_size > 2 and not g1_is_tree(s)
     with mpmath.workdps(precision + 10):
         if not applicable:
@@ -75,7 +68,15 @@ def entropy(
     precision: int = 30,
     dd: DecimationData | None = None,
 ) -> EntropyReport:
-    """c_n for 2 <= n <= n_max from exact exponent data; c_{n_max} reported."""
+    """c_n for 2 <= n <= n_max from exact exponent data; c_{n_max} reported.
+
+    `diffs_decreasing` compares the last five |c_(n+1) - c_n| at the
+    working precision, `precision` + 10 digits.  Once c_n has converged to
+    it they are rounding noise, 0 or one or two units in the last place (at
+    30 digits, from n = 60 on nonpcf_sg and the hexagasket and from about
+    n = 115 on sierpinski and the diamond), and the flag reports rounding
+    there, not convergence.
+    """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if precision < 6:
@@ -98,17 +99,21 @@ def entropy(
                 f"{e}; spectral decimation unavailable for {s.name!r} - use the "
                 "brute-force oracle at small levels instead"
             ) from e
+    import mpmath
+
     walk, log = LevelWalk(s, dd), cache(mpmath.log)  # ln p once per prime
     with mpmath.workdps(precision + 10):
         values = []
         for n in range(2, n_max + 1):
             walk.jump(n)
-            acc = mpmath.mpf(0)
-            for p, e in sorted(walk.exponents().items()):
+            # every level's exponents name the primes of |V0| at least
+            (p, e), *rest = sorted(walk.exponents().items())
+            acc = e * log(p)
+            for p, e in rest:
                 acc += e * log(p)
             values.append((n, acc / dd.v_count(n)))
-        diffs = [abs(values[i + 1][1] - values[i][1]) for i in range(len(values) - 1)]
-        tail = diffs[-5:]
+        last = [c for _, c in values[-6:]]
+        tail = [abs(b - a) for a, b in zip(last, last[1:])]
         decreasing = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
         lower, upper, applicable = bounds(s, precision)
     return EntropyReport(

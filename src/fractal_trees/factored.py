@@ -12,9 +12,10 @@ request and only when it is small enough to print.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Mapping
+
+from ._record import Record
 
 Factorization = Dict[int, int]
 
@@ -44,20 +45,22 @@ def factorize(n: int) -> Factorization:
     return out
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(Record):
     """A positive integer as a prime -> exponent map (exponents >= 1).
 
     Immutable: `factors` is a read-only view of a private copy.
     """
 
-    factors: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        for p, e in self.factors.items():
+    def __init__(self, factors: Mapping[int, int] = MappingProxyType({})):
+        for p, e in factors.items():
             if e < 1:
                 raise ValueError("FactoredInteger exponents must be >= 1")
-        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
+        object.__setattr__(self, "factors", MappingProxyType(dict(factors)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return FactoredInteger, (dict(self.factors),)
 
     @classmethod
     def from_int(cls, n: int) -> "FactoredInteger":

@@ -16,15 +16,13 @@ vertex whose degree is the sum of the corner degrees it absorbs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .structures import SelfSimilarStructure, _normalize_edges, connected
 
 
-@dataclass(frozen=True)
-class LevelGraph:
+class LevelGraph(Record):
     """Undirected multigraph: vertex count plus (u, v, mult) edges.
 
     `build_level` also records the level and the boundary vertex ids
@@ -32,10 +30,8 @@ class LevelGraph:
     marked corners.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, mult), u < v, sorted
-    level: int = 0
-    corners: tuple[int, ...] = ()
+    __slots__ = ("vertex_count", "edges", "level", "corners")  # edges: (u, v, mult), u < v, sorted
+    _defaults = {"level": 0, "corners": ()}
 
     @classmethod
     def from_edges(
@@ -138,11 +134,8 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
     return g
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    level: int
-    corner_degrees: tuple[int, ...]
-    interior_histogram: dict[int, int]
+class DegreeStats(Record):
+    __slots__ = ("level", "corner_degrees", "interior_histogram")  # histogram: degree -> count
 
     def vertex_count(self) -> int:
         return len(self.corner_degrees) + sum(self.interior_histogram.values())
@@ -192,6 +185,8 @@ def degree_stats(s: SelfSimilarStructure, n: int) -> DegreeStats:
 def export(g: LevelGraph, fmt: str) -> str:
     """Serialize a level graph as DOT or JSON (deterministic output)."""
     if fmt == "json":
+        import json
+
         return json.dumps(
             {
                 "schema": "1",

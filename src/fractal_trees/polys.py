@@ -25,17 +25,18 @@ needs:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
 from math import gcd, isqrt, lcm
 from typing import Iterable
 
+from ._record import Record
+
 Q = Fraction
 
 
-class Polynomial:
+class Polynomial(Record):
     """Dense univariate polynomial over Q: sum numerators[i] z^i / denominator.
 
     `numerators` is a tuple of ints with no trailing zeros and
@@ -69,8 +70,8 @@ class Polynomial:
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", den)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
+    def __reduce__(self):
+        return Polynomial.from_integers, (self.numerators, self.denominator)
 
     # -- constructors ------------------------------------------------------
 
@@ -378,7 +379,7 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 # rational functions
 
 
-class RationalFunction:
+class RationalFunction(Record):
     """Reduced ratio of two polynomials over Q.
 
     Invariants: gcd(num, den) = 1 and den is monic (so the pair is a
@@ -411,9 +412,6 @@ class RationalFunction:
                 den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
 
     # -- queries -----------------------------------------------------------
 
@@ -450,8 +448,7 @@ class RationalFunction:
 # algebraic classes
 
 
-@dataclass(frozen=True)
-class AlgebraicClass:
+class AlgebraicClass(Record):
     """A Galois-conjugate family of algebraic numbers.
 
     Represented by its monic minimal polynomial over Q.  The constructor
@@ -463,16 +460,18 @@ class AlgebraicClass:
     conjugate family onto another.
     """
 
-    minpoly: Polynomial
+    __slots__ = ("minpoly", "_hash", "_key", "degree")
+    _fields = ("minpoly",)
 
-    def __post_init__(self):
-        mp = self.minpoly
+    def __init__(self, minpoly: Polynomial):
+        mp = minpoly
         if mp.degree < 1:
             raise ValueError("algebraic class needs a nonconstant polynomial")
         if mp.numerators[-1] != mp.denominator:
             raise ValueError("minimal polynomial must be monic")
         if squarefree_decomposition(mp) != [(mp, 1)]:
             raise ValueError("minimal polynomial must be squarefree")
+        object.__setattr__(self, "minpoly", mp)
         # classes key and order every induction table: hash the coefficients
         # and build the sort key once
         object.__setattr__(self, "_hash", hash(mp))

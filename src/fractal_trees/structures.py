@@ -25,11 +25,11 @@ complement is required to factor through the boundary Laplacian.
 
 from __future__ import annotations
 
-import json
 import reprlib
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
+
+from ._record import Record
 
 Edge = tuple[int, int, int]  # (u, v, multiplicity), u < v
 
@@ -51,17 +51,18 @@ def _normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
     return tuple((u, v, m) for (u, v), m in sorted(acc.items()))
 
 
-@dataclass(frozen=True)
-class SelfSimilarStructure:
+class SelfSimilarStructure(Record):
     """Level-1 data of a fully symmetric finitely ramified self-similar set."""
 
-    name: str
-    m: int                                  # number of cells (contractions)
-    v0_size: int                            # boundary size |V0|
-    v1_size: int                            # |V1|
-    edges1: tuple[Edge, ...]                # G1 multigraph
-    boundary: tuple[int, ...]               # boundary vertex ids in G1
-    cell_maps: tuple[tuple[int, ...], ...]  # cell_maps[i][j]: image of corner j
+    __slots__ = (
+        "name",
+        "m",          # number of cells (contractions)
+        "v0_size",    # boundary size |V0|
+        "v1_size",    # |V1|
+        "edges1",     # G1 multigraph, as Edge tuples
+        "boundary",   # boundary vertex ids in G1
+        "cell_maps",  # cell_maps[i][j]: image of corner j
+    )
 
     @classmethod
     def create(cls, name, m, v0_size, v1_size, edges1, boundary, cell_maps):
@@ -93,9 +94,8 @@ class SelfSimilarStructure:
         ]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
+class ValidationReport(Record):
+    __slots__ = ("violations",)
 
     @property
     def ok(self) -> bool:
@@ -340,6 +340,8 @@ def from_json_dict(d: dict) -> SelfSimilarStructure:
 
 
 def load_json(path: str) -> SelfSimilarStructure:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

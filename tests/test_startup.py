@@ -1,0 +1,76 @@
+"""What a fresh interpreter loads to start the CLI, and that the modules
+it loads on first use give the same output as an interpreter that loaded
+them up front.  In-process tests never reach the lazy imports: pytest has
+imported `mpmath` and `json` before any test runs."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+
+import pytest
+
+from fractal_trees.cli import main
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+ENV = dict(os.environ, PYTHONPATH=SRC)
+
+# each costs 10-40 ms at start-up and none is needed before a command runs
+NOT_AT_STARTUP = ("dataclasses", "inspect", "mpmath", "json")
+
+
+def fresh(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=ENV, timeout=60, check=False
+    )
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_mpmath_or_json():
+    probe = (
+        "import sys, fractal_trees.cli;"
+        f" print(*[m for m in {NOT_AT_STARTUP!r} if m in sys.modules])"
+    )
+    done = fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"\n"
+
+
+def test_a_count_loads_no_mpmath():
+    probe = (
+        "import sys; from fractal_trees.cli import main; main(['count', 'sierpinski', '-n', '5']);"
+        " print('mpmath' in sys.modules, 'json' in sys.modules)"
+    )
+    done = fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == b"False False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "sierpinski", "-n", "6", "--format", "json"],
+        ["entropy", "diamond", "-n", "6"],
+        ["count", "sierpinski", "-n", "3", "--format", "json"],
+        ["count", "hexagasket", "-n", "40", "--digits"],
+        ["build", "sierpinski", "-n", "1"],
+        ["info", "tests/data/sg_2_4.json", "--format", "json"],
+    ],
+)
+def test_fresh_process_prints_the_in_process_bytes(argv):
+    root = os.path.dirname(SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "fractal_trees", *argv],
+        capture_output=True, env=ENV, cwd=root, timeout=60, check=False,
+    )
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert (done.returncode, done.stderr) == (code, err.getvalue().encode())
+    assert done.stdout == out.getvalue().encode()
+    assert code == 0 and done.stdout
