@@ -50,10 +50,9 @@ def main():
     for name in ("sierpinski", "nonpcf_sg", "diamond", "hexagasket"):
         s = builtin(name)
         dd = derive(s)
-        d, q0, pd = dd.primitive_triple()
         num, den = dd.primitive_R()
         print(f"== {name}")
-        print(f"   R(z) = ({num}) / ({den})   d={d} Q(0)={q0} P_d={pd}")
+        print(f"   R(z) = ({num}) / ({den})   d={dd.d} Q(0)={den.constant_term()} P_d={num.leading()}")
         for n in range(4):
             t = tau(s, n, dd)
             line = f"   tau(G_{n}) = {t}"

@@ -122,7 +122,7 @@ def cmd_decimate(args) -> int:
     dd = derive(s)
     table = spectrum(dd, args.level)
     num, den = dd.primitive_R()
-    _, q0, pd = dd.primitive_triple()
+    q0, pd = den.constant_term(), num.leading()
     r_text = str(num) if den == 1 else f"({num}) / ({den})"
     if args.format == "json":
         _print_json(
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
 
     # one level walk gives tau at every level, level 0 included, in increasing
     # order; a refused step fails each later level with its message
-    walk, refused = LevelWalk(s, dd), None
+    walk, refused = LevelWalk(dd), None
 
     def tau_at(n):
         nonlocal refused

@@ -10,9 +10,11 @@ preimages of every conjugate of beta equals
 norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
 with 10^14 digits tractable.
 
-`LevelWalk` advances its sums from level n - 1 to n; each step takes
-one level from the spectrum induction (`decimation.Induction`), which
-checks its sum rule, and keeps that level's born families.  The
+`LevelWalk` takes the decimation data alone and reads the structure from
+it, so a walk's degrees and its spectrum are of one structure.  It
+advances its sums from level n - 1 to n; each step takes one level from
+the spectrum induction (`decimation.Induction`), which checks its sum
+rule, and keeps that level's born families.  The
 families born at level n - 1 that lift (decided by the induction) add
 their norm once, so the walk sums their multiplicities per class; the
 others split and drop out.
@@ -109,7 +111,8 @@ class LevelWalk:
     (module docstring), their closed forms (`forms`) give every later
     level, and `step` and `jump` only move the level."""
 
-    def __init__(self, s: SelfSimilarStructure, dd: DecimationData):
+    def __init__(self, dd: DecimationData):
+        s = dd.structure
         self.s, self.dd, self.level = s, dd, 0
         self._levels = Induction(dd)
         _, self.born, _ = next(self._levels)  # the depth-0 families at self.level
@@ -403,7 +406,7 @@ def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> Fa
     if n == 0:
         # complete graph on the boundary: Cayley's formula, which needs no derive
         return FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
-    walk = LevelWalk(s, dd if dd is not None else derive(s))
+    walk = LevelWalk(dd if dd is not None else derive(s))
     walk.jump(n)
     return walk.factors()
 
@@ -415,7 +418,7 @@ def exponent_table(
     row read from one level walk, level 0 included."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    walk, rows = LevelWalk(s, dd if dd is not None else derive(s)), []
+    walk, rows = LevelWalk(dd if dd is not None else derive(s)), []
     for n in range(n_max + 1):
         walk.jump(n)
         rows.append(walk.exponents())

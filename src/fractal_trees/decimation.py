@@ -46,7 +46,7 @@ The pipeline, all in exact arithmetic:
      regular preimages that are kept (the exceptional members are owned
      by the case rules).  The classes that split this way are the
      images R(e) of the exceptional values; they depend on R alone, so
-     `derive` fixes them once (`DecimationData.split`, `CaseRecord.image`).
+     `DecimationData` fixes them once (`split`, `CaseRecord.image`).
      The zero eigenvalue splits the same way at every level, into the
      roots of R.  The first level step walks each e's forward orbit to its
      end once and records, per class, the least depth i >= 2 at which an
@@ -245,25 +245,35 @@ def _escape_bound(num: Polynomial, den: Polynomial) -> Fraction:
 
 
 class DecimationData:
-    """What `derive` finds for one structure, and the caches the level
-    steps fill; a plain class, as `cached_property` needs a `__dict__`."""
+    """The decimation data of one structure, decided by four facts: the
+    structure, phi, R and chi_D = det(D - zI), as `derive` finds them.
+    The rest is computed from them once, in this order, the first failing
+    step raising its refusal: d = deg num(R), sigma(D) and the zeros of
+    phi (`factor_classes`), the exceptional values, the escape radius of R
+    (`_escape_bound`), a case record per exceptional value (`classify`)
+    and the classes that split.  The caches the level steps fill live here
+    too; a plain class, as `cached_property` needs a `__dict__`."""
 
     def __init__(
         self, structure: SelfSimilarStructure, phi: RationalFunction, R: RationalFunction,
-        d: int, Q0: Fraction, Pd: Fraction, charpoly_d: Polynomial,
-        sigma_d: tuple[tuple[AlgebraicClass, int], ...], exceptional: tuple[AlgebraicClass, ...],
-        case_records: dict | None = None, split: frozenset = frozenset(),
-        escape_bound: Fraction = Q(2),
+        charpoly_d: Polynomial,
     ):
-        self.structure, self.phi, self.R, self.d = structure, phi, R, d
-        self.Q0, self.Pd, self.charpoly_d = Q0, Pd, charpoly_d
-        self.sigma_d, self.exceptional = sigma_d, exceptional
-        self.case_records = {} if case_records is None else case_records
-        # the images R(e) of the exceptional values: depth-0 families of these
-        # classes split at the next level instead of lifting
-        self.split, self.escape_bound = split, escape_bound
+        self.structure, self.phi, self.R, self.charpoly_d = structure, phi, R, charpoly_d
+        self.d = R.num.degree
         self._image_cache: dict = {}
         self._preimage_cache: dict = {}
+        self.sigma_d = tuple(factor_classes(charpoly_d.monic()))
+        zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
+        self.exceptional = tuple(
+            sorted({cls for cls, _ in (*self.sigma_d, *zero_classes)}, key=AlgebraicClass.key)
+        )
+        self.escape_bound = _escape_bound(R.num, R.den)
+        self.case_records = {cls: classify(self, cls) for cls in self.exceptional}
+        # the images R(e) of the exceptional values: depth-0 families of these
+        # classes split at the next level instead of lifting
+        self.split = frozenset(
+            rec.image for rec in self.case_records.values() if rec.image is not None
+        )
 
     @cached_property
     def _sigma_mult(self) -> dict:
@@ -286,10 +296,11 @@ class DecimationData:
 
     @property
     def ratio(self) -> Fraction:
-        """(-1)^(d+1) Q(0)/P_d: one preimage step scales a root product by
-        it, as the constant term of the monic preimage polynomial of w is
-        -w Q(0)/P_d and the product of its d roots carries a further (-1)^d."""
-        return (1 if self.d % 2 else -1) * self.Q0 / self.Pd
+        """(-1)^(d+1) Q(0)/P_d, read from R = P/Q: one preimage step scales
+        a root product by it, as the constant term of the monic preimage
+        polynomial of w is -w Q(0)/P_d and the product of its d roots
+        carries a further (-1)^d."""
+        return (1 if self.d % 2 else -1) * self.R.den.constant_term() / self.R.num.leading()
 
     def primitive_R(self) -> tuple[Polynomial, Polynomial]:
         """R as an integer-primitive coprime pair (num, den).
@@ -440,7 +451,8 @@ def _moments(b: list, v0: int, delta: int):
 
 
 def derive(s: SelfSimilarStructure) -> DecimationData:
-    """Compute the full decimation data of a validated structure."""
+    """Compute phi, R and chi_D of a validated structure, from which
+    `DecimationData` decides the rest."""
     s = validated(s)
     v0 = s.v0_size
     # boundary rows first (ids 0..v0-1); the boundary block is I (module docstring, step 1)
@@ -480,28 +492,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     if r.num.degree <= r.den.degree:
         raise DecimationError("deg num(R) <= deg den(R); decimation assumptions violated")
 
-    sigma = tuple(factor_classes(chi_d.monic()))
-    zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
-    exceptional = sorted({cls for cls, _ in (*sigma, *zero_classes)}, key=AlgebraicClass.key)
-
-    dd = DecimationData(
-        structure=s,
-        phi=phi,
-        R=r,
-        d=r.num.degree,
-        Q0=r.den.constant_term(),
-        Pd=r.num.leading(),
-        charpoly_d=chi_d,
-        sigma_d=sigma,
-        exceptional=tuple(exceptional),
-        escape_bound=_escape_bound(r.num, r.den),
-    )
-    for cls in dd.exceptional:
-        dd.case_records[cls] = classify(dd, cls)
-    dd.split = frozenset(
-        rec.image for rec in dd.case_records.values() if rec.image is not None
-    )
-    return dd
+    return DecimationData(s, phi, r, chi_d)
 
 
 def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:

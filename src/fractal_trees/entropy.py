@@ -101,7 +101,7 @@ def entropy(
             ) from e
     import mpmath
 
-    walk, log = LevelWalk(s, dd), cache(mpmath.log)  # ln p once per prime
+    walk, log = LevelWalk(dd), cache(mpmath.log)  # ln p once per prime
     with mpmath.workdps(precision + 10):
         values = []
         for n in range(2, n_max + 1):

@@ -383,9 +383,10 @@ class RationalFunction(Record):
     """Reduced ratio of two polynomials over Q.
 
     Invariants: gcd(num, den) = 1 and den is monic (so the pair is a
-    canonical form).  Construction from an arbitrary num/den pair performs
-    the reduction.  `phi` and `R` are built, evaluated, compared and
-    printed, never combined, so there is no field arithmetic here.
+    canonical form, and `Record`'s equality and hash over (num, den) are
+    those of the function).  Construction from an arbitrary num/den pair
+    performs the reduction.  `phi` and `R` are built, evaluated, compared
+    and printed, never combined, so there is no field arithmetic here.
     """
 
     __slots__ = ("num", "den")
@@ -420,14 +421,6 @@ class RationalFunction(Record):
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __call__(self, x):
         d = self.den(x)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from fractal_trees.cli import main
-from fractal_trees.structures import builtin, to_json_dict
+from fractal_trees.structures import builtin, from_json_dict, to_json_dict, validate
 
 
 def run(capsys, *argv):
@@ -254,19 +254,14 @@ def test_verify_stops_at_the_first_level_past_the_oracle_cap(monkeypatch, capsys
 
 
 def test_verify_prints_an_assembly_failure_as_a_fail_line(monkeypatch, capsys):
-    # with Q(0) negated the hexagasket's level-2 product is negative (see
-    # test_counting); verify records that and still runs every other check
-    from fractal_trees import cli
+    # with the one-step ratio negated, as by Q(0) -> -Q(0), the hexagasket's
+    # level-2 product is negative (see test_counting); verify records that
+    # and still runs every other check
+    from fractal_trees.decimation import DecimationData
 
     passing = run(capsys, "verify", "hexagasket")[1].splitlines()
-    real = cli.derive
-
-    def negated(s):
-        dd = real(s)
-        dd.Q0 = -dd.Q0
-        return dd
-
-    monkeypatch.setattr(cli, "derive", negated)
+    real = DecimationData.ratio
+    monkeypatch.setattr(DecimationData, "ratio", property(lambda dd: -real.fget(dd)))
     code, out, err = run(capsys, "verify", "hexagasket")
     assert code == 2 and err == ""
     lines = out.splitlines()
@@ -372,6 +367,54 @@ def test_info_lists_the_violations_of_a_fractal_file(tmp_path, capsys):
     # the commands that compute still refuse the file with one error line
     code, out, err = run(capsys, "count", str(path), "-n", "1")
     assert code == 1 and out == "" and err.count("\n") == 1
+
+
+# one rule of `structures.validate` broken in the diamond's JSON form: the
+# changed fields, and every violation reported, the broken rule's first
+VIOLATIONS = {
+    "cells": ({"cells": 1}, (
+        "cell count m must be at least 2",
+        "cell_maps must be m lists of v0_size vertex ids",
+    )),
+    "boundary_size": ({"boundary_size": 1, "boundary": [0], "cell_maps": [[0], [2], [1], [3]]}, (
+        "boundary size must be at least 2",
+        "edges inconsistent with cell maps (G1 != glued complete graph copies)",
+    )),
+    "v1_size": ({"v1_size": 1}, (
+        "v1_size smaller than boundary size",
+        "boundary vertex id out of range",
+        "cell_maps vertex id out of range",
+        *["edge vertex id out of range"] * 4,
+    )),
+    "repeated_boundary": ({"boundary": [0, 0]}, ("boundary must list v0_size distinct vertices",)),
+    "boundary_id": ({"boundary": [0, 9]}, ("boundary vertex id out of range",)),
+    "cell_map_id": ({"cell_maps": [[0, 9], [2, 1], [0, 3], [3, 1]]}, ("cell_maps vertex id out of range",)),
+    "edge_id": ({"edges": [[0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 3, 1], [0, 9, 1]]}, (
+        "edge vertex id out of range",
+    )),
+    "disconnected": ({"edges": [[0, 2, 1], [1, 2, 1]]}, (
+        "G1 not connected",
+        "edges inconsistent with cell maps (G1 != glued complete graph copies)",
+    )),
+    # within m |V0| vertices, so the coverage check runs after the per-vertex ones
+    "uncovered": ({"v1_size": 5}, (
+        "G1 not connected",
+        "uncovered V1 vertex (not any cell corner image)",
+    )),
+}
+
+
+@pytest.mark.parametrize("changes, violations", VIOLATIONS.values(), ids=VIOLATIONS)
+def test_each_structure_rule_is_reported_and_refused(tmp_path, capsys, changes, violations):
+    data = {**to_json_dict(builtin("diamond")), **changes}
+    assert validate(from_json_dict(data)).violations == violations
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "info", str(path))
+    assert code == 1 and err == ""
+    shown = [line for line in out.splitlines() if line.startswith("  violation: ")]
+    assert shown == [f"  violation: {v}" for v in violations]
+    assert run(capsys, "count", str(path), "-n", "1") == (1, "", f"error: {'; '.join(violations)}\n")
 
 
 @pytest.mark.parametrize(

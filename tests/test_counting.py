@@ -1,5 +1,4 @@
 import hashlib
-import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -25,6 +24,7 @@ from fractal_trees import (
     tau_bruteforce,
 )
 from fractal_trees.counting import LevelWalk
+from fractal_trees.decimation import DecimationData
 from fractal_trees.factored import VALUE_DIGIT_CAP, FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass, Polynomial
 
@@ -169,11 +169,11 @@ def test_jump_is_the_one_route_to_a_level(dds):
     for name, dd in dds.items():
         s = builtin(name)
         for n in [*range(1, 11), 200]:
-            walk = LevelWalk(s, dd)
+            walk = LevelWalk(dd)
             walk.jump(n)
             assert (walk.level, walk.factors()) == (n, tau(s, n, dd)), (name, n)
         walk.jump(200)  # the level it is at
-        early = LevelWalk(s, dd)
+        early = LevelWalk(dd)
         early.jump(1)
         for back, lower in ((walk, 199), (early, 0)):
             with pytest.raises(ValueError, match="jumps forward along a checked recurrence only"):
@@ -360,30 +360,31 @@ def test_prime_support_stable_from_level_two(dds):
             assert set(tau(builtin(name), n, dd).factors) == support, (name, n)
 
 
-def _with_q0_over_7(dd):
-    """dd with Q(0) divided by 7: every lifted family then carries 7^-E."""
-    dd.Q0 = dd.Q0 / 7
-    return dd
+_RATIO = DecimationData.ratio  # the one-step ratio, unpatched
+
+
+def _scale_ratio(monkeypatch, factor):
+    """Every DecimationData's one-step ratio times factor, as a wrong Q(0)
+    would scale it: with 1/7 every lifted family carries 7^-E, with -1 the
+    levels whose families lift an odd number of roots in all are negative."""
+    monkeypatch.setattr(DecimationData, "ratio", property(lambda dd: factor * _RATIO.fget(dd)))
 
 
 def test_assembly_refuses_a_non_integer_product(monkeypatch, capsys):
-    import fractal_trees.counting as counting
     from fractal_trees.cli import main
 
     s = builtin("sierpinski")
+    _scale_ratio(monkeypatch, F(1, 7))
     with pytest.raises(AssemblyError, match=r"negative exponents at primes \[7\]"):
-        tau(s, 3, _with_q0_over_7(derive(s)))
+        tau(s, 3, derive(s))
+    assert main(["count", "sierpinski", "-n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: assembly mismatch at level 3")
     # Q(0) -> -Q(0) negates the product at nonpcf level 3, whose families
     # lift 27 roots in all (an odd power of the one-step ratio)
     nonpcf = builtin("nonpcf_sg")
-    dd = derive(nonpcf)
-    dd.Q0 = -dd.Q0
+    _scale_ratio(monkeypatch, -1)
     with pytest.raises(AssemblyError, match=r"sign -1, negative exponents at primes \[\]"):
-        tau(nonpcf, 3, dd)
-    real_derive = counting.derive
-    monkeypatch.setattr(counting, "derive", lambda s: _with_q0_over_7(real_derive(s)))
-    assert main(["count", "sierpinski", "-n", "3"]) == 2
-    assert capsys.readouterr().err.startswith("error: assembly mismatch at level 3")
+        tau(nonpcf, 3, derive(nonpcf))
 
 
 def test_interval_tau_is_one(dds):
@@ -473,7 +474,7 @@ def _level_zero_structures():
 def test_level_walk_at_level_zero_is_cayleys_formula(s):
     # G_0 is the complete graph on V0: the walk's own level-0 assembly (the
     # corner degrees, the degree sum and the class v0/(v0-1)) is v0^(v0-2)
-    walk = LevelWalk(s, derive(s))
+    walk = LevelWalk(derive(s))
     walk.jump(0)
     assert walk.factors() == FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
 
@@ -503,13 +504,6 @@ def test_entropy_factoring_grows_linearly(monkeypatch):
     assert calls_at(400) <= 2 * calls_at(200) + 20
 
 
-def _with_negated_q0(dd):
-    """dd with Q(0) -> -Q(0): levels whose families lift an odd number of
-    roots in all then carry an odd power of a negative one-step ratio."""
-    dd.Q0 = -dd.Q0
-    return dd
-
-
 def test_every_level_read_is_checked(monkeypatch, capsys):
     # no builtin lifts an odd number of roots at level 1 (the level-0
     # family v0/(v0-1) has even multiplicity or splits), so the first
@@ -518,7 +512,8 @@ def test_every_level_read_is_checked(monkeypatch, capsys):
     from fractal_trees.cli import main
 
     s = builtin("hexagasket")
-    dd = _with_negated_q0(derive(s))
+    _scale_ratio(monkeypatch, -1)
+    dd = derive(s)
     assert tau(s, 1, dd).factors and tau(s, 3, dd).factors
     with pytest.raises(AssemblyError, match=r"at level 2: .*sign -1, negative exponents at primes \[\]"):
         tau(s, 2, dd)
@@ -527,11 +522,6 @@ def test_every_level_read_is_checked(monkeypatch, capsys):
     with pytest.raises(AssemblyError, match="at level 2:"):
         exponent_table(s, 3, dd)
 
-    real_derive = derive
-    monkeypatch.setattr(sys.modules["fractal_trees.counting"], "derive",
-                        lambda s: _with_negated_q0(real_derive(s)))
-    monkeypatch.setattr(sys.modules["fractal_trees.entropy"], "derive",
-                        lambda s: _with_negated_q0(real_derive(s)))
     for argv in (["count", "hexagasket", "-n", "2"], ["entropy", "hexagasket", "-n", "5"]):
         assert main(argv) == 2
         out, err = capsys.readouterr()

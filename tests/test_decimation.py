@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -49,18 +50,14 @@ def rf(num, den=(1,)):
     return RationalFunction(Polynomial([F(c) for c in num]), Polynomial([F(c) for c in den]))
 
 
-def rebuilt(dd, **changes):
-    """dd's fields with `changes`, built through `DecimationData.__init__`,
-    so no cache (`image_of`'s, or a cached `_reach`, `_dr_num` or
-    `_sigma_mult`) carries over; the case records and split are copied."""
-    fields = {
-        name: getattr(dd, name)
-        for name in ("structure", "phi", "R", "d", "Q0", "Pd", "charpoly_d", "sigma_d",
-                     "exceptional", "escape_bound")
-    }
-    return DecimationData(
-        **{**fields, **changes}, case_records=dict(dd.case_records), split=dd.split
-    )
+def rebuilt(dd, R=None):
+    """dd rebuilt from its four facts through `DecimationData.__init__`
+    (with R in place of dd.R when given), so no cached `_reach` or
+    `_preimage_cache` entry carries over, and with `image_of`'s cache
+    emptied of the images the construction's case records asked for."""
+    fresh = DecimationData(dd.structure, dd.phi, dd.R if R is None else R, dd.charpoly_d)
+    fresh._image_cache.clear()
+    return fresh
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +107,7 @@ def test_R_normalization_invariants(dds):
         assert dd.R.den.leading() == 1
         # the ratio used by the preiterate product is normalization free
         num, den = dd.primitive_R()
-        assert -den.constant_term() / num.leading() == -dd.Q0 / dd.Pd
+        assert (-1) ** (dd.d + 1) * den.constant_term() / num.leading() == dd.ratio
 
 
 def test_sigma_d_sierpinski(dds):
@@ -235,6 +232,24 @@ def nine_dds(image_dds):
     return [*image_dds, *(derive(load_json(str(data / f))) for f in ("sg_2_4.json", "sg_2_5.json"))]
 
 
+# the escape radius of R per structure (sg4 and sg5 are SG_{2,4} and SG_{2,5})
+ESCAPE_BOUNDS = {
+    "sierpinski": 2, "nonpcf_sg": F(125, 24), "diamond": 3, "hexagasket": F(81, 16),
+    "interval": 3, "tree3": 2, "sg3": F(343, 48), "sg4": F(17741, 768), "sg5": F(8482075, 55296),
+}
+
+
+def test_decimation_data_is_decided_by_four_facts(nine_dds):
+    # the structure, phi, R and chi_D that derive found decide the rest again
+    assert list(inspect.signature(DecimationData).parameters) == ["structure", "phi", "R", "charpoly_d"]
+    for dd in nine_dds:
+        fresh = DecimationData(dd.structure, dd.phi, dd.R, dd.charpoly_d)
+        for name in ("d", "ratio", "escape_bound", "sigma_d", "exceptional", "case_records", "split"):
+            assert getattr(fresh, name) == getattr(dd, name), (dd.structure.name, name)
+        assert list(fresh.case_records) == list(fresh.exceptional)
+    assert {dd.structure.name: dd.escape_bound for dd in nine_dds} == ESCAPE_BOUNDS
+
+
 def ref_image(dd, cls):
     """The class of R(alpha) for alpha in cls by the matrix route at every
     degree, rational classes included: the squarefree part of the charpoly
@@ -305,22 +320,23 @@ def test_rational_and_quadratic_classes_never_reach_solve_linear(images_seen, mo
     def refuse(*args):
         raise AssertionError("solve_linear ran")
 
+    # rebuilt before the refusal: the construction's case records may map a
+    # class of degree 3 or more
+    rebuilt_dds = [rebuilt(dd) for dd, _, _ in images_seen]
     monkeypatch.setattr(decimation, "solve_linear", refuse)
     degrees = set()
-    for dd, classes, _ in images_seen:
-        fresh = rebuilt(dd)
+    for (dd, classes, _), fresh in zip(images_seen, rebuilt_dds):
         for cls in classes:
             if cls.degree <= 2:
                 assert fresh.image_of(cls) == ref_image(dd, cls), (dd.structure.name, cls)
                 degrees.add(cls.degree)
     assert degrees == {1, 2}
     # a class of degree 3 seen on SG_{2,4} or SG_{2,5} still takes the matrix route
-    dd, cubic = next(
-        (dd, cls) for dd, classes, _ in images_seen[-2:]
+    fresh, cubic = next(
+        (fresh, cls) for (dd, classes, _), fresh in zip(images_seen[-2:], rebuilt_dds[-2:])
         for cls in sorted(classes, key=AlgebraicClass.key)
         if cls.degree == 3 and not cls.minpoly.divides(dd.R.den)
     )
-    fresh = rebuilt(dd)
     with pytest.raises(AssertionError, match="solve_linear"):
         fresh.image_of(cubic)
 

@@ -9,6 +9,7 @@ import pytest
 from fractal_trees import (
     BUILTIN_NAMES, bounds, builtin, derive, entropy, exponent_table, load_json,
 )
+from fractal_trees.decimation import DecimationError, NotFullySymmetricError
 from fractal_trees.entropy import g1_is_tree
 
 
@@ -129,6 +130,23 @@ STRUCTURE_FILES = {
     "sg3": ROOT / "perfbench" / "structures" / "sg3.json",
     **{f"sg_2_{b}": ROOT / "tests" / "data" / f"sg_2_{b}.json" for b in (4, 5)},
 }
+
+
+PENTAGASKET = ROOT / "perfbench" / "structures" / "pentagasket.json"
+
+
+def test_entropy_names_a_structure_decimation_refuses(capsys):
+    from fractal_trees.cli import main
+
+    with pytest.raises(DecimationError) as refused:
+        entropy(load_json(str(PENTAGASKET)), n_max=5)
+    assert str(refused.value).endswith(
+        "; spectral decimation unavailable for 'pentagasket' - use the brute-force oracle "
+        "at small levels instead"
+    )
+    assert isinstance(refused.value.__cause__, NotFullySymmetricError)
+    assert main(["entropy", str(PENTAGASKET), "-n", "5"]) == 1
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
 
 @cache

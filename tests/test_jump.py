@@ -46,13 +46,13 @@ def _outcome(f):
         return type(exc), str(exc)
 
 
-def _stepped(monkeypatch, s, dd, n_max):
+def _stepped(monkeypatch, dd, n_max):
     """The plain step loop to n_max: per level 1, 2, ... the outcome of
     `factors`, and the outcome of the step that refused (None if none did),
     after which no level is listed."""
     with monkeypatch.context() as mp:
         mp.setattr(Induction, "needs_zero", lambda self: None)
-        walk, levels = LevelWalk(s, dd), []
+        walk, levels = LevelWalk(dd), []
         while walk.level < n_max:
             refused = _outcome(walk.step)
             if refused[0] != "value":
@@ -77,8 +77,8 @@ def _expected_table(s, levels, refused):
     return "value", {p: [t.exponent(p) for t in taus] for p in primes}
 
 
-def _jump_start(s, dd):
-    walk = LevelWalk(s, dd)
+def _jump_start(dd):
+    walk = LevelWalk(dd)
     while not walk.jumps:
         walk.step()
     return walk.level
@@ -87,11 +87,11 @@ def _jump_start(s, dd):
 @pytest.mark.parametrize("s", _structures(), ids=lambda s: s.name)
 def test_jump_equals_the_step_loop(s, monkeypatch):
     dd = derive(s)
-    levels, refused = _stepped(monkeypatch, s, dd, LEVELS)
+    levels, refused = _stepped(monkeypatch, dd, LEVELS)
     assert refused is None and len(levels) == LEVELS
     # the jump starts well inside 0..200, so the levels just before, at and
     # after it are all compared
-    assert 1 < _jump_start(s, dd) < 20
+    assert 1 < _jump_start(dd) < 20
     assert tau(s, 0, dd) == tau(s, 0)
     for n in range(1, LEVELS + 1):
         assert _outcome(lambda: tau(s, n, dd)) == levels[n - 1], n
@@ -173,7 +173,7 @@ REFUSALS = {
 
 
 def _compare_with_the_step_loop(monkeypatch, s, dd, ns=(*range(1, 41), LEVELS)):
-    levels, refused = _stepped(monkeypatch, s, dd, LEVELS)
+    levels, refused = _stepped(monkeypatch, dd, LEVELS)
     assert refused is not None or any(outcome[0] != "value" for outcome in levels)
     for n in ns:
         assert _outcome(lambda: tau(s, n, dd)) == _expected_tau(levels, refused, n), n
@@ -203,7 +203,7 @@ def test_a_failed_certificate_still_counts_by_stepping(monkeypatch):
     _late_deep_hit(monkeypatch)
     s = builtin("sierpinski")
     dd = derive(s)
-    walk = LevelWalk(s, dd)
+    walk = LevelWalk(dd)
     for n in range(1, 21):
         walk.step()
         assert not walk.jumps
@@ -231,7 +231,7 @@ def _with_roots(roots):
 ])
 def test_recurrence_from_the_states(name, roots, start):
     s = builtin(name)
-    walk = LevelWalk(s, derive(s))
+    walk = LevelWalk(derive(s))
     while not walk.jumps:
         walk.step()
     assert (walk.recurrence, walk.level) == (_with_roots(roots), start)
@@ -273,7 +273,7 @@ _N = _Terms({(1, 1): 1})
 
 def _certified(name):
     s = builtin(name)
-    walk = LevelWalk(s, derive(s))
+    walk = LevelWalk(derive(s))
     while not walk.jumps:
         walk.step()
     return walk
@@ -369,7 +369,7 @@ def test_a_withheld_certificate_keeps_at_most_dim_plus_one_states(monkeypatch):
     # every relation fails the sign proof, so the oldest state is dropped
     monkeypatch.setattr(counting, "_never_negative", lambda values, roots: False)
     s = builtin("sierpinski")
-    walk = LevelWalk(s, derive(s))
+    walk = LevelWalk(derive(s))
     for _ in range(2000):
         walk.step()
         assert not walk.jumps
@@ -382,7 +382,7 @@ def test_roots_the_jump_cannot_take_stop_keeping_states(monkeypatch):
     # its roots stay: the walk keeps no more states and steps
     monkeypatch.setattr(counting, "_integer_roots", lambda poly: None)
     s = builtin("nonpcf_sg")
-    walk = LevelWalk(s, derive(s))
+    walk = LevelWalk(derive(s))
     for _ in range(40):
         walk.step()
     assert (walk.jumps, walk.states) == (False, None)

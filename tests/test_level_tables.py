@@ -188,7 +188,7 @@ def test_level_step_matches_the_dict_reference(s):
         assert v == v_ref, n
         assert list(born.items()) == list(born_ref.items()), n
         assert list(lifted.items()) == list(lifted_ref.items()), n
-    walk, ref = LevelWalk(s, dd), RefLevelWalk(s, dd)
+    walk, ref = LevelWalk(dd), RefLevelWalk(s, dd)
     while walk.level < LEVELS:
         walk.step()
         ref.step()
@@ -238,7 +238,7 @@ def test_refusals_match_the_dict_reference(case, monkeypatch):
     got = _outcome(Induction(dd))
     assert got == _outcome(ref_induction(dd))
     assert got[1] is InconsistentSpectrumError
-    walked = _outcome(LevelWalk(s, dd))
+    walked = _outcome(LevelWalk(dd))
     assert walked == _outcome(RefLevelWalk(s, dd))
     assert walked[1:] == got[1:]
 

@@ -216,21 +216,20 @@ def test_algebraic_class_copy_keeps_its_derived_slots():
 
 
 def test_decimation_data_starts_with_fresh_caches():
+    # a rebuilt DecimationData shares no cache with the one it was built
+    # from; its image cache holds only what its own case records asked
     dd = derive(builtin("sierpinski"))
-    dd.image_of(AlgebraicClass.from_rational(F(3, 4)))
-    dd._reach, dd._dr_num, dd._sigma_mult  # fill the cached properties
-    assert dd._image_cache and {"_reach", "_dr_num", "_sigma_mult"} <= vars(dd).keys()
-    fresh = DecimationData(
-        dd.structure, dd.phi, dd.R, dd.d, dd.Q0, dd.Pd, dd.charpoly_d, dd.sigma_d,
-        dd.exceptional, escape_bound=dd.escape_bound,
-    )
-    assert fresh._image_cache == {} and fresh._preimage_cache == {}
-    assert fresh.case_records == {} and fresh.split == frozenset()
-    assert not {"_reach", "_dr_num", "_sigma_mult"} & vars(fresh).keys()
+    three_quarters = AlgebraicClass.from_rational(F(3, 4))
+    assert three_quarters not in dd.exceptional
+    dd.image_of(three_quarters)
+    dd.preimage_classes(three_quarters)
+    dd._reach  # fill the cached orbit depths
+    assert "_reach" in vars(dd)
+    fresh = DecimationData(dd.structure, dd.phi, dd.R, dd.charpoly_d)
+    assert fresh._image_cache.keys() == set(dd.exceptional) and fresh._preimage_cache == {}
+    assert "_reach" not in vars(fresh)
     assert fresh._sigma_mult == dd._sigma_mult and fresh._dr_num == dd._dr_num
-    other = DecimationData(
-        dd.structure, dd.phi, dd.R, dd.d, dd.Q0, dd.Pd, dd.charpoly_d, dd.sigma_d,
-        dd.exceptional,
-    )
+    assert (fresh.case_records, fresh.split) == (dd.case_records, dd.split)
+    other = DecimationData(dd.structure, dd.phi, dd.R, dd.charpoly_d)
     assert other.case_records is not fresh.case_records
     assert other._image_cache is not fresh._image_cache
