@@ -394,8 +394,22 @@ def _never_negative(values: list[int], roots: dict) -> bool:
 COUNT_DIGIT_CAP = 50_000
 
 
+def check_structure(s: SelfSimilarStructure, dd: DecimationData | None) -> None:
+    """Refuse decimation data derived from a structure other than `s`.
+
+    The level walk reads `dd.structure`; its callers read `s` for the rest,
+    so after this check every structure fact they use is of one structure.
+    """
+    if dd is not None and dd.structure != s:
+        raise ValueError(
+            f"the decimation data of {dd.structure.name!r} does not belong to "
+            f"the structure {s.name!r}: derive it from that structure"
+        )
+
+
 def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> FactoredInteger:
     """Exact number of spanning trees of G_n, in factored form."""
+    check_structure(s, dd)
     if n < 0:
         raise ValueError("level must be nonnegative")
     if n * log10(s.m) >= COUNT_DIGIT_CAP:
@@ -416,6 +430,7 @@ def exponent_table(
 ) -> dict[int, list[int]]:
     """Per-prime exponent sequences of tau(G_n) for 0 <= n <= n_max, each
     row read from one level walk, level 0 included."""
+    check_structure(s, dd)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     walk, rows = LevelWalk(dd if dd is not None else derive(s)), []

@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import cache
 
 from ._record import Record
-from .counting import LevelWalk, tau  # noqa: F401 - perfbench's tracer wraps tau here
+from .counting import LevelWalk, check_structure, tau  # noqa: F401 - perfbench's tracer wraps tau here
 from .decimation import DecimationData, DecimationError, derive
+from .levels import vertex_count_formula
 from .structures import SelfSimilarStructure
 
 Q = Fraction
@@ -77,6 +78,7 @@ def entropy(
     n = 115 on sierpinski and the diamond), and the flag reports rounding
     there, not convergence.
     """
+    check_structure(s, dd)
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if precision < 6:
@@ -111,7 +113,7 @@ def entropy(
             acc = e * log(p)
             for p, e in rest:
                 acc += e * log(p)
-            values.append((n, acc / dd.v_count(n)))
+            values.append((n, acc / vertex_count_formula(s, n)))
         last = [c for _, c in values[-6:]]
         tail = [abs(b - a) for a, b in zip(last, last[1:])]
         decreasing = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))

@@ -2,7 +2,10 @@
 
 `tau_bruteforce` evaluates a cofactor of the integer graph Laplacian by
 sparse elimination on integer rows (each with a rational scale kept as a
-pair of ints), so it is exact for any graph this package can build.  The
+pair of ints), so it is exact for any graph this package can build.  Its
+minimum-degree order breaks ties toward the newest vertex, so on a level
+graph it finishes one cell before it starts the next, as nested
+dissection does, and the fill stays on that cell's corners.  The
 probabilistic-Laplacian variant (tau = prod d_j / sum d_j times the
 product of nonzero eigenvalues of P = D^-1 (D - A)) is verified against
 it exactly; the eigenvalue product is read off the exact characteristic
@@ -46,12 +49,20 @@ def tau_bruteforce(g) -> int:
     definite, so symmetric elimination never meets a zero pivot and needs
     no pivoting.  The rows are kept sparse and hold integers: row i holds
     snum_i/sden_i times its row of the current Schur complement, a positive
-    rational scale kept as a pair of ints.  Eliminating v replaces each
-    neighbour row by pivot * r_i - a_iv * r_v and divides it by the gcd of
-    its entries, so no entry is ever a fraction.  The determinant is the
-    product of the true pivots pivot * sden_v / snum_v.  Vertices are taken
-    in minimum-degree order from a lazy heap of (row length, vertex), which
-    keeps the fill small on the level graphs.
+    rational scale kept as a pair of ints.  Eliminating v updates each
+    neighbour row in place: with c = gcd(pivot, a_iv) it becomes
+    (pivot/c) * r_i - (a_iv/c) * r_v, so no entry is ever a fraction.  Only
+    when pivot/c is not 1 has the row grown by a factor; then it is divided
+    by the gcd of its entries and its scale is updated.  The determinant
+    is the product of the true pivots pivot * sden_v / snum_v.
+
+    Vertices are taken in minimum-degree order from a lazy heap of (row
+    length, -vertex): on equal length the largest id goes first.
+    `build_level` numbers each copy's interior after its corners, so the
+    largest id is the vertex glued most recently, and the elimination
+    finishes one cell before it starts the next, leaving the fill on that
+    cell's corners.  Ties broken by the smallest id scatter the elimination
+    across cells and about double the work on the level graphs.
     """
     n = g.vertex_count
     if n < 2:
@@ -67,11 +78,12 @@ def tau_bruteforce(g) -> int:
                 if b != 0:
                     row[b] = row.get(b, 0) - m
     snum, sden = dict.fromkeys(rows, 1), dict.fromkeys(rows, 1)
-    heap = [(len(row), v) for v, row in rows.items()]
+    heap = [(len(row), -v) for v, row in rows.items()]
     heapify(heap)
     num = den = 1
     while heap:
         length, v = heappop(heap)
+        v = -v
         row = rows.get(v)
         if row is None or len(row) != length:
             continue  # eliminated, or pushed again with its new length
@@ -82,31 +94,30 @@ def tau_bruteforce(g) -> int:
         for i in row:
             ri = rows[i]
             a_iv = ri.pop(v)  # not row[i]: the rows carry different scales
-            ri = {j: pivot * x for j, x in ri.items()}
+            c = gcd(pivot, a_iv)
+            p, a = pivot // c, a_iv // c
+            if p != 1:
+                for j in ri:
+                    ri[j] *= p
             for j, a_vj in row.items():
-                x = ri.get(j, 0) - a_iv * a_vj
+                x = ri.get(j, 0) - a * a_vj
                 if x:
                     ri[j] = x
                 else:
                     ri.pop(j, None)
-            k = gcd(*ri.values())
-            if k > 1:
-                ri = {j: x // k for j, x in ri.items()}
-            rows[i] = ri
-            s, t = snum[i] * pivot, sden[i] * k
-            h = gcd(s, t)
-            snum[i], sden[i] = s // h, t // h
-            heappush(heap, (len(ri), i))
+            if p != 1:
+                k = gcd(*ri.values())
+                if k > 1:
+                    for j in ri:
+                        ri[j] //= k
+                s, t = snum[i] * p, sden[i] * k
+                h = gcd(s, t)
+                snum[i], sden[i] = s // h, t // h
+            heappush(heap, (len(ri), -i))
     det, rem = divmod(num, den)
     if rem or det < 1:
         raise AssertionError("spanning tree count must be a positive integer")
     return det
-
-
-def prob_laplacian(g) -> list[list[Fraction]]:
-    """The probabilistic Laplacian P = D^-1 (D - A) as a Fraction matrix."""
-    zero = Q(0)  # one shared Fraction for the zero entries
-    return [[Q(x, d) if x else zero for x in row] for row, d in zip(laplacian(g), g.degrees())]
 
 
 def scaled_prob_laplacian(g) -> tuple[list[list[int]], int]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from fractal_trees import LevelGraph
+from fractal_trees.kirchhoff import laplacian
 from fractal_trees.structures import connected
 
 rationals = st.fractions(
@@ -44,6 +45,14 @@ def cycle_graph(n: int) -> LevelGraph:
 
 def path_graph(n: int) -> LevelGraph:
     return LevelGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def prob_laplacian(g) -> list[list[Fraction]]:
+    """The probabilistic Laplacian P = D^-1 (D - A) as a Fraction matrix: a
+    reference for `kirchhoff.scaled_prob_laplacian`, which builds delta P
+    in integers."""
+    zero = Fraction(0)  # one shared Fraction for the zero entries
+    return [[Fraction(x, d) if x else zero for x in row] for row, d in zip(laplacian(g), g.degrees())]
 
 
 def gauss_jordan_q(a, rhs):

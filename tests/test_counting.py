@@ -528,3 +528,43 @@ def test_every_level_read_is_checked(monkeypatch, capsys):
         assert out == ""
         assert err.startswith("error: assembly mismatch at level 2") and err.count("\n") == 1
     assert main(["count", "hexagasket", "-n", "3"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# one structure per computation
+
+def _eight_structures():
+    data = Path(__file__).resolve().parent / "data"
+    return [*(builtin(name) for name in BUILTIN_NAMES), _structure("sg3"),
+            load_json(str(data / "sg_2_4.json"))]
+
+
+@pytest.fixture(scope="module")
+def eight_dds():
+    return {s.name: derive(s) for s in _eight_structures()}
+
+
+def test_decimation_data_of_another_structure_is_refused(eight_dds):
+    for s in _eight_structures():
+        for name, dd in eight_dds.items():
+            if name == s.name:
+                continue
+            message = (f"the decimation data of '{name}' does not belong to "
+                       f"the structure '{s.name}'")
+            for n in (0, 3, 40):
+                with pytest.raises(ValueError, match=message):
+                    tau(s, n, dd)
+                with pytest.raises(ValueError, match=message):
+                    exponent_table(s, n, dd)
+                with pytest.raises(ValueError, match=message):
+                    entropy(s, n_max=n, dd=dd)
+
+
+def test_a_structure_loaded_twice_shares_its_decimation_data():
+    # two loads of one file are equal but not identical records
+    s, again = load_json(str(SG3_JSON)), load_json(str(SG3_JSON))
+    assert s == again and s is not again
+    dd = derive(again)
+    assert tau(s, 5, dd) == tau(again, 5, dd) == tau(s, 5)
+    assert exponent_table(s, 6, dd) == exponent_table(s, 6)
+    assert entropy(s, n_max=12, dd=dd) == entropy(s, n_max=12)

@@ -1,4 +1,7 @@
+import inspect
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
@@ -8,21 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
+from conftest import (
+    complete_graph, cycle_graph, path_graph, prob_laplacian, random_connected_graph,
+)
 from fractal_trees import (
     BUILTIN_NAMES,
     LevelGraph,
     build_level,
     builtin,
     det_star_P,
+    tau,
     tau_bruteforce,
     verify_matrix_tree,
     wedge,
     wedge_check,
 )
-from fractal_trees.kirchhoff import (
-    laplacian, prob_laplacian, prob_laplacian_charpoly, scaled_prob_laplacian,
-)
+from fractal_trees.kirchhoff import laplacian, prob_laplacian_charpoly, scaled_prob_laplacian
 from fractal_trees.levels import vertex_count_formula
 from fractal_trees.matrices import bareiss_det_int, charpoly
 from fractal_trees.polys import Polynomial
@@ -190,6 +194,86 @@ def test_relabeling_invariance():
         assert tau_bruteforce(g) == tau_bruteforce(h)
 
 
+def _minor(g, i: int) -> list[list[int]]:
+    lap = laplacian(g)
+    return [[x for c, x in enumerate(row) if c != i] for r, row in enumerate(lap) if r != i]
+
+
+def traced_tau(g) -> tuple[int, int, int]:
+    """tau_bruteforce(g), its number of row updates and how many of them
+    scaled the row (pivot/c != 1), counted from the lines that ran."""
+    lines, start = inspect.getsourcelines(tau_bruteforce)
+
+    def line_of(text: str) -> int:
+        (i,) = [i for i, line in enumerate(lines) if line.strip() == text]
+        return start + i
+
+    update, scaled = line_of("c = gcd(pivot, a_iv)"), line_of("s, t = snum[i] * p, sden[i] * k")
+    code, hits = tau_bruteforce.__code__, Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_lineno] += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        value = tau_bruteforce(g)
+    finally:
+        sys.settrace(previous)
+    return value, hits[update], hits[scaled]
+
+
+def test_in_place_updates_against_bareiss_on_random_multigraphs():
+    # multiplicities up to 12 give pivots that do not divide every a_iv, so
+    # the examples take both the unscaled and the scaled row update
+    updates = scaled = 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_multigraphs(max_vertices=30, max_multiplicity=12), st.data())
+    def check(g, data):
+        nonlocal updates, scaled
+        value, u, s = traced_tau(g)
+        updates, scaled = updates + u, scaled + s
+        i = data.draw(st.integers(0, g.vertex_count - 1), label="deleted row")
+        assert value == bareiss_det_int(_minor(g, i))
+
+    check()
+    assert 0 < scaled < updates
+
+
+@pytest.mark.parametrize("name", ["hexagasket", "sg3"])
+def test_relabeled_level_graphs_keep_their_counts(name):
+    # the elimination order breaks ties by vertex id, so a relabeling
+    # changes the order but not the count
+    s = load_json(str(SG3)) if name == "sg3" else builtin(name)
+    g = build_level(s, 2)
+    expected = tau(s, 2).value()
+    assert tau_bruteforce(g) == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.permutations(range(g.vertex_count)))
+    def check(perm):
+        h = LevelGraph.from_edges(g.vertex_count, [(perm[u], perm[v], m) for u, v, m in g.edges])
+        assert tau_bruteforce(h) == expected
+
+    check()
+
+
+@pytest.mark.parametrize(
+    ("name", "n"),
+    [("sierpinski", 4), ("sierpinski", 5), ("sierpinski", 6), ("nonpcf_sg", 4),
+     ("diamond", 4), ("diamond", 5), ("sg3", 4)],
+)
+def test_engine_agrees_with_kirchhoff_beyond_the_verify_cap(name, n):
+    # `verify` runs the oracle up to 400 vertices; these reach 1,816
+    s = load_json(str(SG3)) if name == "sg3" else builtin(name)
+    g = build_level(s, n)
+    assert g.vertex_count == vertex_count_formula(s, n)
+    assert tau_bruteforce(g) == tau(s, n).value()
+
+
 def test_det_star_k3():
     assert det_star_P(complete_graph(3)) == F(9, 4)
 
@@ -226,14 +310,16 @@ def test_matrix_tree_on_builtin_levels():
 
 
 @st.composite
-def connected_multigraphs(draw):
-    """A random spanning tree plus random extra edges, multiplicities 1-4."""
-    n = draw(st.integers(min_value=2, max_value=9))
+def connected_multigraphs(draw, max_vertices=9, max_multiplicity=4):
+    """A random spanning tree plus random extra edges, multiplicities 1 to
+    `max_multiplicity`."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
     pairs = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
     pairs |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
     return LevelGraph.from_edges(
-        n, [(u, v, draw(st.integers(min_value=1, max_value=4))) for u, v in sorted(pairs)]
+        n, [(u, v, draw(st.integers(min_value=1, max_value=max_multiplicity)))
+            for u, v in sorted(pairs)]
     )
 
 

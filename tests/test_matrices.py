@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_trees import matrices
-from fractal_trees.kirchhoff import prob_laplacian, prob_laplacian_charpoly
+from fractal_trees.kirchhoff import prob_laplacian_charpoly
 from fractal_trees.levels import build_level
 from fractal_trees.matrices import bareiss_det_int, charpoly, solve_linear
 from fractal_trees.polys import Polynomial
 from fractal_trees.structures import BUILTIN_NAMES, builtin, load_json
-from conftest import gauss_jordan_q
+from conftest import gauss_jordan_q, prob_laplacian
 
 ROOT = Path(__file__).resolve().parents[1]
 
