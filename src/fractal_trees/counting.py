@@ -52,8 +52,9 @@ divides exactly and checks every level, stepped or jumped, to be a
 positive integer: `tau` costs a few levels and a few powers r^n.  Where
 no certificate can be given (unequal corner counts, a pending deep hit, a
 class with two sources, roots that are not integers >= 0) the walk keeps
-stepping.  Every level's exponents, level 0 included, come from the walk;
-only `tau(s, 0)` answers by Cayley's formula, which needs no `derive`.
+stepping, and it certifies nothing until the induction's exceptional
+orbits have ended.  Every level's exponents, level 0 included, come from
+the walk; only `tau(s, 0)` answers by Cayley's formula (no `derive`).
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class LevelWalk:
         # per level from the one where the map is fixed on: (state vector, what
         # its exponents are assembled from); None once no jump can be certified
         self.states: Optional[list[tuple]] = []
-        self._basis: list[tuple] = []  # the vectors' echelon form (`_reduce`)
+        self._basis, self._kept = [], []  # echelon form (`_reduce`); after a slide, the relation
         self._coords: dict = {}  # a vector's positions past the fixed ones
         self.jumps = False  # the states' first relation is certified: levels follow it
 
@@ -195,23 +196,31 @@ class LevelWalk:
     def _watch(self):
         """Keep the state from the level where the map is fixed on, and
         jump once the first linear relation of the kept states is certified
-        (module docstring).  If a multiplicity that `needs_zero` names is not
-        0 at the kept levels, or the relation does not prove the born ones
-        nonnegative for good, drop the oldest state: at most one more than
-        the dimension are kept.  Else one linear map made the kept levels,
-        and its roots that are not integers >= 0 stay: the walk steps on."""
+        (module docstring).  While an orbit has not ended, a multiplicity
+        that `needs_zero` names is not 0 at the kept levels, or the relation
+        does not prove the born ones nonnegative for good, drop the oldest
+        state (at most dim + 1 are kept) and test the relation on the next
+        window before eliminating again.  Else one linear map made the kept
+        levels, and its roots that are not integers >= 0 stay: the walk steps on."""
         if self.states is None:
             return
         zeros = self._levels.needs_zero() if len(set(self.kappa)) == 1 else None
         if zeros is None:
-            self.states, self._basis = [], []
+            self.states, self._basis, self._kept = [], [], []
             return
         norms, *rest = self._state()
         self.states.append((self._vector(), (dict(norms), *rest)))
-        relation = _reduce(self._basis, self.states[-1][0])
+        relation, self._kept = self._kept, []
+        columns = zip_longest(*(vector for vector, _ in self.states), fillvalue=0)
+        if not relation or any(sum(map(mul, relation, column)) for column in columns):
+            if relation:
+                self._basis = []
+                for vector, _ in self.states[:-1]:
+                    _reduce(self._basis, vector)
+            relation = _reduce(self._basis, self.states[-1][0])
         while relation is not None:
             born = [inputs[2] for _, inputs in self.states]
-            if not any(b.get(cls) for cls in zeros for b in born):
+            if not self._levels.orbits and not any(b.get(cls) for cls in zeros for b in born):
                 lead = relation[-1]
                 poly = [c // lead for c in relation]
                 roots = None if any(c % lead for c in relation) else _integer_roots(poly)
@@ -224,11 +233,10 @@ class LevelWalk:
                     self.terms, self.forms = _closed_forms(roots, rows)
                     self.recurrence, self.states, self._basis, self.jumps = poly, [], [], True
                     return
-            # the states left are independent, but for the last one maybe
+            # the states left are independent, or the rest of the relation holds
             del self.states[0]
-            self._basis = []
-            for vector, _ in self.states:
-                relation = _reduce(self._basis, vector)
+            self._kept = relation
+            relation = None if relation[0] else relation[1:]
 
     def _vector(self) -> list[int]:
         """The walk's whole state as one integer vector: L_n, W_n, n, 1, m^n,

@@ -47,30 +47,31 @@ The pipeline, all in exact arithmetic:
      by the case rules).  The classes that split this way are the
      images R(e) of the exceptional values; they depend on R alone, so
      `DecimationData` fixes them once (`split`, `CaseRecord.image`).
-     The zero eigenvalue splits the same way at every level, into the
-     roots of R.  The first level step walks each e's forward orbit to its
-     end once and records, per class, the least depth i >= 2 at which an
-     orbit reaches it; a family of that class that lifts at level b would
-     hold e at depth i at level b + i, where the induction refuses.  It
-     also interns every class that can be born into one table, read in
-     key order: 0, the level-0 class, the exceptional values, their
-     images, and the regular preimages of a split base, added when that
-     base first has a nonzero multiplicity (the preimages of a split
+     The zero eigenvalue splits the same way at every level, into the roots
+     of R.  The step to level n takes R^n(e) from each forward orbit not yet
+     ended (so no class is formed before a level needs it, as orbit heights
+     grow about deg R times per step) and records per class the least depth
+     i >= 2 at which an orbit reaches it: a family of that class born at
+     level b that lifts holds e at depth i at level b + i, where the
+     induction refuses.  Every class that can be born is interned into one
+     table, read in key order: 0, the level-0 class, the exceptional values,
+     their images, and the regular preimages of a split base, added when
+     that base first has a nonzero multiplicity (the preimages of a split
      class that is never born are never factored).  A repeated regular
-     preimage (a critical point of R) is refused there, once per base,
-     as no case rule covers it.  The case rules and
-     the splits are then fixed index lists, and a level step, one step of
-     the affine map from level n - 1 to level n, is integer work on table
-     indices.  Each level step decides once per family whether it lifts
-     or splits, and yields the lifting ones with the families born at the
-     level; `spectrum` collects them and `counting.LevelWalk` takes one
-     level per step.  `Induction.needs_zero` names the multiplicities that
-     must stay 0 for the step to stay one fixed linear map; the walk checks
-     them on the levels it keeps and turns the first linear relation among
-     those levels into a jump over many.  The eigenvalue-count sum rule is
-     asserted at every level, and `crosscheck_spectrum` compares the
-     predicted spectrum against the characteristic polynomial of an
-     explicitly built level graph.
+     preimage (a critical point of R) is refused there, once per base, as no
+     case rule covers it.  The case rules and the splits are then fixed
+     index lists, and a level step, one step of the affine map from level
+     n - 1 to level n, is integer work on table indices.  Each level step
+     decides once per family whether it lifts or splits, and yields the
+     lifting ones with the families born at the level; `spectrum` collects
+     them and `counting.LevelWalk` takes one level per step.
+     `Induction.needs_zero` names the multiplicities that must stay 0 for
+     the step to stay one fixed linear map; the walk checks them on the
+     levels it keeps and, once every orbit has ended, turns the first linear
+     relation among those levels into a jump over many.  The
+     eigenvalue-count sum rule is asserted at every level, and
+     `crosscheck_spectrum` compares the predicted spectrum against the
+     characteristic polynomial of an explicitly built level graph.
 
 One deliberate deviation from the literal wording of the case rules: the
 rule for eigenvalues of D at which phi has a pole nominally also requires
@@ -86,7 +87,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice, zip_longest
 from math import gcd, lcm
-from typing import Optional
+from typing import Iterator, Optional
 
 from ._record import Record
 from .levels import build_level, vertex_count_formula
@@ -151,45 +152,25 @@ CASE_RULES = {
 # forward orbits of exceptional values
 
 
-def _orbit(dd: "DecimationData", e: AlgebraicClass) -> tuple[list[AlgebraicClass], str | int]:
-    """The classes of e, R(e), R(R(e)), ... to the orbit's end, and how it
-    ends: "pole" at a pole of R, "escaped" once every conjugate of the next
-    class has modulus above the escape bound (|R(z)| >= 2|z| there, so the
-    orbit diverges and never meets the spectrum again), or the position
-    at which the next class repeats an earlier one."""
-    classes, index = [e], {e: 0}
-    while True:
-        nxt = dd.image_of(classes[-1])
-        if nxt is None:
-            return classes, "pole"
-        if _class_escaped(nxt, dd.escape_bound):
-            return classes, "escaped"
-        _guard_height(nxt)
-        if nxt in index:
-            return classes, index[nxt]
-        index[nxt] = len(classes)
-        classes.append(nxt)
-        if len(classes) > 4096:
-            raise InconsistentSpectrumError(
-                "forward orbit of an exceptional value neither escapes nor "
-                "cycles; cannot certify the spectrum bookkeeping"
-            )
-
-
-def _orbit_depths(dd: "DecimationData") -> dict:
-    """class -> (i, e): the least depth i >= 2 at which the forward orbit
-    of an exceptional value e reaches the class.  A family of the class
-    that lifts at level b holds e among its depth-i preiterates at level
-    b + i, where the induction refuses.  A cycle counts its repeats."""
-    depths: dict = {}
-    for e in dd.exceptional:
-        classes, end = _orbit(dd, e)
-        if not isinstance(end, str):
-            classes += classes[end:] * 2  # each cycle class recurs at a depth >= 2
-        for i, cls in enumerate(classes[2:], 2):
-            if cls not in depths or i < depths[cls][0]:
-                depths[cls] = (i, classes[0])
-    return depths
+def _orbit(dd: "DecimationData", e: AlgebraicClass) -> Iterator[AlgebraicClass]:
+    """Yield the classes of R(e), R(R(e)), ..., one per depth, to the
+    orbit's end: a pole of R, a class whose conjugates all have modulus
+    above the escape bound (|R(z)| >= 2|z| there, so the orbit diverges and
+    never meets the spectrum again), or a class already yielded at a depth
+    >= 2, from which the orbit repeats classes it has reached at depths >= 2."""
+    seen: set = set()
+    for depth in range(1, 4097):
+        e = dd.image_of(e)
+        if e is None or e in seen or _class_escaped(e, dd.escape_bound):
+            return
+        _guard_height(e)
+        if depth > 1:
+            seen.add(e)
+        yield e
+    raise InconsistentSpectrumError(
+        "forward orbit of an exceptional value neither escapes nor "
+        "cycles; cannot certify the spectrum bookkeeping"
+    )
 
 
 def _guard_height(cls: AlgebraicClass):
@@ -251,8 +232,8 @@ class DecimationData:
     step raising its refusal: d = deg num(R), sigma(D) and the zeros of
     phi (`factor_classes`), the exceptional values, the escape radius of R
     (`_escape_bound`), a case record per exceptional value (`classify`)
-    and the classes that split.  The caches the level steps fill live here
-    too; a plain class, as `cached_property` needs a `__dict__`."""
+    and the classes that split.  Walks share its image and preimage caches;
+    a plain class, as `cached_property` needs a `__dict__`."""
 
     def __init__(
         self, structure: SelfSimilarStructure, phi: RationalFunction, R: RationalFunction,
@@ -278,11 +259,6 @@ class DecimationData:
     @cached_property
     def _sigma_mult(self) -> dict:
         return dict(self.sigma_d)
-
-    @cached_property
-    def _reach(self) -> dict:
-        """`_orbit_depths(self)`, walked once at the first level step."""
-        return _orbit_depths(self)
 
     @cached_property
     def _dr_num(self) -> Polynomial:
@@ -605,7 +581,8 @@ class Induction:
     Only level n - 1 is held; the families born earlier carry over one
     level deeper.  A split base's regular preimages are factored, checked
     to be simple roots and interned at the first level the base splits.
-    `needs_zero` says what keeps the level map fixed."""
+    `reach` maps each class that the `orbits` reach by depth n to its least
+    depth >= 2 and e.  `needs_zero` says what keeps the level map fixed."""
 
     def __init__(self, dd: DecimationData):
         s = dd.structure
@@ -613,7 +590,7 @@ class Induction:
         # sigma(P_0) besides 0: v0/(v0-1) with multiplicity v0-1
         self.first = AlgebraicClass.from_rational(Q(s.v0_size, s.v0_size - 1))
         self.v_prev, self.scale = s.v0_size, 1  # |V_(n-1)| and m^(n-1)
-        self.table = None  # built by the first level step
+        self._start()
 
     def __iter__(self):
         return self
@@ -622,17 +599,16 @@ class Induction:
         if cls not in self.index:
             self.index[cls] = len(self.table)
             splits = cls == ZERO_CLASS or cls in self.dd.split
-            self.table.append((cls, cls.degree, self.reach.get(cls), splits))
+            self.table.append((cls, cls.degree, splits))
             self.keys.append(cls.key())
         return self.index[cls]
 
     def _start(self):
         """The class table (module docstring, step 4): index 0 is the zero
-        family; per index the class, its degree, its reach and whether it
-        splits.  Each case rule becomes (e, a mult_D, b, c, R(e)), with
-        R(e) None at a pole of R."""
+        family; per index the class, its degree and whether it splits.
+        Each case rule becomes (e, a mult_D, b, c, R(e)), with R(e) None at
+        a pole of R."""
         dd = self.dd
-        self.reach = dd._reach
         self.table, self.index, self.keys = [], {}, []
         split = sorted(dd.split, key=AlgebraicClass.key)  # hash-independent table order
         for cls in (ZERO_CLASS, self.first, *dd.case_records, *split):
@@ -647,23 +623,41 @@ class Induction:
         # the families born at level n - 1, and the zero eigenvalue as one
         # more that always splits (into the roots of R)
         self.prev = {0: 1, self.index[self.first]: self.v_prev - 1}
-        # the earliest (level, exceptional, base, depth) at which an exceptional
-        # orbit meets a lifted family at depth 2 or more, where the induction refuses
-        self.deep_hit = None
+        # the orbits not yet ended, each class's first lifting birth level,
+        # and the earliest deep hit (level, -depth, base key, e, base): `_hit`
+        self.orbits = {e: _orbit(dd, e) for e in dd.exceptional}
+        self.reach, self.lifted_at, self.deep_hit = {}, {}, None
+
+    def _pull(self, n: int):
+        """Take R^n(e) from each orbit not yet ended, in `exceptional` order."""
+        for e, orbit in list(self.orbits.items()):
+            cls = next(orbit, None)
+            if cls is None:
+                del self.orbits[e]
+            elif n >= 2 and cls not in self.reach:
+                self.reach[cls] = (n, e)
+                self._hit(cls)
+
+    def _hit(self, cls: AlgebraicClass):
+        """Once an orbit reaches cls and a family of it lifts, e sits among the
+        depth-k preiterates of the first such family k levels after its birth."""
+        if cls in self.reach and cls in self.lifted_at:
+            k, e = self.reach[cls]
+            hit = (self.lifted_at[cls] + k, -k, cls.key(), e, cls)
+            self.deep_hit = min(hit, self.deep_hit) if self.deep_hit else hit
 
     def __next__(self) -> tuple[int, dict, dict]:
         dd, s = self.dd, self.dd.structure
         if self.level < 0:
             self.level = 0
             return self.v_prev, {self.first: self.v_prev - 1}, {}
-        if self.table is None:
-            self._start()
         table, prev, subs, v_prev, scale = self.table, self.prev, self.subs, self.v_prev, self.scale
-        n, deep_hit = self.level + 1, self.deep_hit
-        if deep_hit is not None and deep_hit[0] <= n:
-            _, e, base, k = deep_hit
+        n = self.level + 1
+        self._pull(n)
+        if self.deep_hit is not None and self.deep_hit[0] <= n:
+            _, k, _, e, base = self.deep_hit
             raise InconsistentSpectrumError(
-                f"exceptional value {e} sits inside the depth-{k} "
+                f"exceptional value {e} sits inside the depth-{-k} "
                 f"preiterates of {base}; deep family splitting is not supported"
             )
         v_n = s.m * (v_prev - s.v0_size) + s.v1_size
@@ -692,7 +686,7 @@ class Induction:
         # preiterate deeper
         removed, lifted = 0, {}
         for i, mult in prev.items():
-            cls, degree, reach_at, splits = table[i]
+            cls, degree, splits = table[i]
             if splits:
                 removed += mult * degree
                 if i not in subs:  # the first split of this base checks and indexes its preimages
@@ -711,12 +705,9 @@ class Induction:
                     put(j, mult)
                 continue
             lifted[cls] = mult
-            # e sits among this family's depth-k preiterates at level n - 1 + k
-            if reach_at is not None:
-                k, e = reach_at
-                if deep_hit is None or n - 1 + k < deep_hit[0]:
-                    deep_hit = (n - 1 + k, e, cls, k)
-        self.deep_hit = deep_hit
+            if cls not in self.lifted_at:
+                self.lifted_at[cls] = n - 1
+                self._hit(cls)
 
         # sum rule: lifts multiply the eigenvalue count by d
         total = 1 + dd.d * (v_prev - removed) + sum(m * table[i][1] for i, m in new.items())
@@ -736,18 +727,19 @@ class Induction:
 
         They are the split bases whose preimages are not interned (a nonzero
         multiplicity adds classes), the unsplit classes an exceptional orbit
-        reaches (lifting one sets a deep hit), and the zero class if a rule
-        writes it (the zero family splits with multiplicity 1).  Whether they
-        are 0 is left to the caller, which sees the levels.
+        reaches (lifting one sets a deep hit; until the `orbits` end, a later
+        depth may add one), and the zero class if a rule writes it (the zero
+        family splits with multiplicity 1).  Whether they are 0 is left to
+        the caller, which sees the levels.
         """
-        if self.table is None or self.deep_hit is not None:
+        if self.level < 1 or self.deep_hit is not None:
             return None
         writes = [i for i, *_ in self.rules] + [j for sub in self.subs.values() for j in sub]
         if len(set(writes)) < len(writes):
             return None
         return [
-            cls for i, (cls, _, reach_at, splits) in enumerate(self.table)
-            if (i not in self.subs if splits else reach_at is not None) or (i == 0 and 0 in writes)
+            cls for i, (cls, _, splits) in enumerate(self.table)
+            if (i not in self.subs if splits else cls in self.reach) or (i == 0 and 0 in writes)
         ]
 
 

@@ -52,8 +52,8 @@ def rf(num, den=(1,)):
 
 def rebuilt(dd, R=None):
     """dd rebuilt from its four facts through `DecimationData.__init__`
-    (with R in place of dd.R when given), so no cached `_reach` or
-    `_preimage_cache` entry carries over, and with `image_of`'s cache
+    (with R in place of dd.R when given), so no cached `_preimage_cache`
+    entry carries over, and with `image_of`'s cache
     emptied of the images the construction's case records asked for."""
     fresh = DecimationData(dd.structure, dd.phi, dd.R if R is None else R, dd.charpoly_d)
     fresh._image_cache.clear()

@@ -439,6 +439,25 @@ def test_sg_2_10_derive_pinned():
     assert hashlib.sha256(factors.encode()).hexdigest() == SG_2_10_TAU_40_SHA256
 
 
+def test_sg_3_6_counts_take_the_orbits_only_as_deep_as_the_level(tmp_path, capsys):
+    # the quartic exceptional value's forward orbit escapes only at depth 5,
+    # and its classes' heights grow about 16 times per step (18, 121, 1,928,
+    # 30,832 and 493,340 bits), so every command hung while the first level
+    # step walked the orbits to their ends; levels 1 and 2 form classes of
+    # at most 1,928 bits, and the Kirchhoff oracle at level 2 takes about 2.5 s
+    from fractal_trees.cli import main
+
+    s = gasket(3, 6)
+    dd = derive(s)
+    for n in (1, 2):
+        assert tau(s, n, dd) == tau_bruteforce(build_level(s, n)), n
+    path = tmp_path / "sg_3_6.json"
+    path.write_text(json.dumps(to_json_dict(s)))
+    assert main(["decimate", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert "sigma(P_1)" in out and err == ""
+
+
 @pytest.mark.parametrize("b", [4, 5])
 def test_committed_gasket_files(b):
     path = Path(__file__).parent / "data" / f"sg_2_{b}.json"

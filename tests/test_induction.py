@@ -4,6 +4,8 @@ import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import count
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from fractal_trees import builtin, derive, spectrum, tau
 from fractal_trees import decimation
-from fractal_trees.decimation import InconsistentSpectrumError
+from fractal_trees.counting import LevelWalk
+from fractal_trees.decimation import ZERO_CLASS, InconsistentSpectrumError, Induction
 from fractal_trees.polys import AlgebraicClass, Polynomial
+from fractal_trees.structures import BUILTIN_NAMES, load_json
 from test_generalization import gasket
 
 FOUR = ("sierpinski", "nonpcf_sg", "diamond", "hexagasket")
@@ -120,15 +124,42 @@ def test_level_walk_memory_is_linear():
     assert peak < 500_000
 
 
+def _yielded(classes, end):
+    """What `decimation._orbit` yields for the forward orbit `classes` (e
+    first), ending as `end` ("escaped", "pole" or the position of the class
+    the orbit returns to): R(e), R^2(e), ... up to a repeat of a class
+    yielded at a depth >= 2."""
+    if isinstance(end, str):
+        return classes[1:]
+    out = []
+    for k in count(1):
+        cls = classes[k] if k < len(classes) else classes[end + (k - end) % (len(classes) - end)]
+        if cls in out[1:]:
+            return out
+        out.append(cls)
+
+
 def _inject_orbit(monkeypatch, classes, end):
     """Replace the forward orbit of the first exceptional value by
     `classes`, ending as `end` ("escaped", "pole" or a cycle's start)."""
     real = decimation._orbit
 
     def orbit(dd, e):
-        return (list(classes), end) if e == dd.exceptional[0] else real(dd, e)
+        return iter(_yielded(classes, end)) if e == dd.exceptional[0] else real(dd, e)
 
     monkeypatch.setattr(decimation, "_orbit", orbit)
+
+
+def orbit_depths(dd):
+    """class -> (i, e): the least depth i >= 2 at which the forward orbit
+    of an exceptional value e reaches the class, each orbit walked to its
+    end in turn, as the induction once did before level 1."""
+    depths = {}
+    for e in dd.exceptional:
+        for i, cls in enumerate(decimation._orbit(dd, e), 1):
+            if i >= 2 and (cls not in depths or i < depths[cls][0]):
+                depths[cls] = (i, e)
+    return depths
 
 
 def test_orbit_reaching_a_lifted_family_is_refused_at_its_level(monkeypatch):
@@ -260,10 +291,62 @@ def test_exceptional_orbits_are_pinned():
 
 
 def test_induction_walks_the_pinned_orbits():
+    # a cycle is followed until a class repeats one at a depth >= 2
     for s in _orbit_structures():
         dd = derive(s)
-        orbits = [decimation._orbit(dd, e) for e in dd.exceptional]
-        assert _labels(orbits) == ORBITS[s.name], s.name
+        walked = [[str(cls) for cls in decimation._orbit(dd, e)] for e in dd.exceptional]
+        assert walked == [_yielded([e, *orbit], end) for e, orbit, end in ORBITS[s.name]], s.name
+
+
+# the level at which the walk certifies its jump, and the roots of the
+# recurrence, as they were when every orbit was walked to its end before
+# level 1
+JUMPS = {
+    "sierpinski": (4, [1, 1, 3]),
+    "nonpcf_sg": (6, [0, 1, 1, 2, 6]),
+    "diamond": (5, [1, 1, 2, 4]),
+    "hexagasket": (4, [1, 1, 6]),
+    "interval": (4, [1, 1, 2]),
+    "tree3": (4, [1, 1, 3]),
+    "sg3": (4, [1, 1, 6]),
+    "sg4": (4, [1, 1, 10]),
+    "sg5": (4, [1, 1, 15]),
+    "sg3_4": (4, [1, 1, 20]),
+    "sg3_5": (4, [1, 1, 35]),
+}
+
+
+def _jump_structures():
+    data = Path(__file__).resolve().parent / "data"
+    return [
+        *(builtin(name) for name in BUILTIN_NAMES),
+        gasket(2, 3),
+        *(load_json(str(data / f"sg_2_{b}.json")) for b in (4, 5)),
+        gasket(3, 4),
+        gasket(3, 5),
+    ]
+
+
+@pytest.mark.parametrize("s", _jump_structures(), ids=lambda s: s.name)
+def test_lazy_reach_equals_the_full_walk(s):
+    dd = derive(s)
+    walk = LevelWalk(dd)
+    while not walk.jumps:
+        walk.step()
+    levels = walk._levels
+    # the orbits ended by the jump, and their depths are the full walk's
+    assert not levels.orbits
+    reach = orbit_depths(dd)
+    assert levels.reach == reach
+    # needs_zero names the unsplit table classes those depths reach
+    unsplit = {cls for cls, _, splits in levels.table if not splits}
+    named = set(levels.needs_zero())
+    assert named & unsplit == unsplit & set(reach)
+    assert named - unsplit <= {ZERO_CLASS} | dd.split
+    from test_jump import _with_roots
+
+    level, roots = JUMPS[s.name]
+    assert (walk.level, walk.recurrence) == (level, _with_roots(roots))
 
 
 def _new_class_each_call():
@@ -283,27 +366,28 @@ def _endless_orbit_derive(real_derive):
 
 
 def test_orbit_longer_than_the_class_cap_is_refused():
-    # the induction's first step walks every orbit to its end
+    # the step to level n takes depth n of every orbit, so the cap refuses
+    # the step to level 4,097, once in each walk
     dd = _endless_orbit_derive(derive)(builtin("sierpinski"))
-    spectrum(dd, 0)
-    with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
-        spectrum(dd, 1)
-    spectrum(dd, 0)
-    with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
-        spectrum(dd, 1)
+    for _ in range(2):
+        levels = Induction(dd)
+        for _ in range(4097):  # levels 0 to 4,096
+            next(levels)
+        with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
+            next(levels)
 
 
 def test_orbit_reaches_the_class_cap_from_one_class_quickly():
-    # the cycle check is one dict lookup per step, so growing an orbit of
+    # the cycle check is one set lookup per step, so growing an orbit of
     # fresh classes from its start up to the cap takes linear time
     dd = derive(builtin("sierpinski"))
     fresh, seen = _new_class_each_call(), []
     dd.image_of = lambda cls: seen.append(cls) or fresh(cls)
     start = time.perf_counter()
     with pytest.raises(InconsistentSpectrumError, match="neither escapes nor cycles"):
-        decimation._orbit(dd, dd.exceptional[0])
+        list(decimation._orbit(dd, dd.exceptional[0]))
     assert time.perf_counter() - start < 2
-    # the orbit held 4,097 distinct classes when it was refused
+    # the orbit held 4,097 distinct classes, e first, when it was refused
     assert len(seen) == 4096 == len(set(seen))
 
 
@@ -324,7 +408,8 @@ def test_orbit_coefficient_past_a_million_bits_is_refused():
     huge = rat(Fraction(1, 2 ** 1_000_001))  # in (0, 1): it does not escape
     dd.image_of = lambda cls: huge
     with pytest.raises(InconsistentSpectrumError, match="coefficients blew up"):
-        decimation._orbit(dd, dd.exceptional[0])
+        list(decimation._orbit(dd, dd.exceptional[0]))
+    # the step to level 1 forms the depth-1 class
     with pytest.raises(InconsistentSpectrumError, match="coefficients blew up"):
         spectrum(dd, 1)
     spectrum(dd, 0)
@@ -401,5 +486,6 @@ def test_escape_certificate_is_exact_on_rational_classes(r, bound, pick):
 def test_orbit_into_a_far_irrational_class_escapes():
     dd = derive(builtin("sierpinski"))
     dd.image_of = lambda cls: FAR_PAIR
-    e = dd.exceptional[0]
-    assert decimation._orbit(dd, e) == ([e], "escaped")
+    # R is a polynomial on sierpinski, so an orbit that ends at once escaped
+    assert dd.R.den.degree == 0
+    assert list(decimation._orbit(dd, dd.exceptional[0])) == []

@@ -107,9 +107,9 @@ def _negative_rule(monkeypatch):
 
 
 def _late_deep_hit(monkeypatch):
-    # the orbit of 1/2 reaches the lifted 3/4 family at depth 20: the hit is
-    # pending from level 2, no certificate is given, and the walk steps
-    # until it refuses at level 21
+    # the orbit reaches the 3/4 family, which lifts from level 2, at depth
+    # 20: the orbit is live until level 20, where the hit is found, so no
+    # certificate is given, and the walk steps until it refuses at level 21
     fresh = [rat(f"{k}/1000") for k in range(1, 20)]
     _inject_orbit(monkeypatch, [rat("1/2"), *fresh, rat("3/4")], "escaped")
 
@@ -172,12 +172,12 @@ REFUSALS = {
 }
 
 
-def _compare_with_the_step_loop(monkeypatch, s, dd, ns=(*range(1, 41), LEVELS)):
-    levels, refused = _stepped(monkeypatch, dd, LEVELS)
+def _compare_with_the_step_loop(monkeypatch, s, dd, ns=(*range(1, 41), LEVELS), top=LEVELS):
+    levels, refused = _stepped(monkeypatch, dd, top)
     assert refused is not None or any(outcome[0] != "value" for outcome in levels)
     for n in ns:
         assert _outcome(lambda: tau(s, n, dd)) == _expected_tau(levels, refused, n), n
-    assert _outcome(lambda: exponent_table(s, LEVELS, dd)) == _expected_table(s, levels, refused)
+    assert _outcome(lambda: exponent_table(s, top, dd)) == _expected_table(s, levels, refused)
 
 
 @pytest.mark.parametrize("case", REFUSALS)
@@ -190,13 +190,18 @@ def test_jump_refuses_where_the_step_loop_does(case, monkeypatch):
 
 @pytest.mark.parametrize("image", ["endless orbit", "huge coefficient"])
 def test_orbit_refusals_match_the_step_loop(image, monkeypatch):
-    # the class cap and the coefficient height refuse the first level step
-    # (each walk takes the orbits again), so a few levels show it
+    # the coefficient height refuses the step to level 1, which forms the
+    # depth-1 class, and the class cap the step to level 4,097, the first
+    # depth past it (each walk takes the orbits again); no jump comes first
     s = builtin("sierpinski")
     dd = derive(s)
     huge = rat(Fraction(1, 2 ** 1_000_001))
-    dd.image_of = _new_class_each_call() if image == "endless orbit" else lambda cls: huge
-    _compare_with_the_step_loop(monkeypatch, s, dd, (1, 2, LEVELS))
+    if image == "endless orbit":
+        dd.image_of = _new_class_each_call()
+        _compare_with_the_step_loop(monkeypatch, s, dd, (1, 4096, 4097), 4097)
+    else:
+        dd.image_of = lambda cls: huge
+        _compare_with_the_step_loop(monkeypatch, s, dd, (1, 2, LEVELS))
 
 
 def test_a_failed_certificate_still_counts_by_stepping(monkeypatch):

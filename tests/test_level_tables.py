@@ -27,7 +27,7 @@ from fractal_trees.factored import FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass
 from fractal_trees.structures import BUILTIN_NAMES, load_json
 from test_generalization import gasket
-from test_induction import _inject_orbit, rat
+from test_induction import _inject_orbit, orbit_depths, rat
 
 DATA = Path(__file__).resolve().parent / "data"
 LEVELS = 80
@@ -40,7 +40,7 @@ def ref_induction(dd):
     v_prev = s.v0_size
     born = {AlgebraicClass.from_rational(Fraction(v_prev, v_prev - 1)): v_prev - 1}
     yield v_prev, born, {}
-    reach = dd._reach
+    reach = orbit_depths(dd)
     deep_hit = None
     scale = 1
     for n in count(1):

@@ -223,11 +223,8 @@ def test_decimation_data_starts_with_fresh_caches():
     assert three_quarters not in dd.exceptional
     dd.image_of(three_quarters)
     dd.preimage_classes(three_quarters)
-    dd._reach  # fill the cached orbit depths
-    assert "_reach" in vars(dd)
     fresh = DecimationData(dd.structure, dd.phi, dd.R, dd.charpoly_d)
     assert fresh._image_cache.keys() == set(dd.exceptional) and fresh._preimage_cache == {}
-    assert "_reach" not in vars(fresh)
     assert fresh._sigma_mult == dd._sigma_mult and fresh._dr_num == dd._dr_num
     assert (fresh.case_records, fresh.split) == (dd.case_records, dd.split)
     other = DecimationData(dd.structure, dd.phi, dd.R, dd.charpoly_d)
