@@ -28,10 +28,11 @@ The pipeline, all in exact arithmetic:
   3. Classify every exceptional value (the irreducible factors of chi_D
      and of the numerator of phi): read its multiplicity in sigma(D) from
      the factorization of chi_D, decide the zero and pole predicates of
-     phi by exact divisibility, read R(e) from `image_of` (None at a pole
-     of R, the one place that tests for it), and map it to one of the
-     eight multiplicity rules (`CASE_RULES`, linear in m^(n-1),
-     |V_{n-1}| and the multiplicity of R(e) at level n - 1).
+     phi by exact divisibility (by the value at r for a rational class r),
+     read R(e) from `image_of` (None at a pole of R, the one place that
+     tests for it), and map it to one of the eight multiplicity rules
+     (`CASE_RULES`, linear in m^(n-1), |V_{n-1}| and the multiplicity of
+     R(e) at level n - 1).
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families.  Each
@@ -205,20 +206,20 @@ def _escape_bound(num: Polynomial, den: Polynomial) -> Fraction:
     for |z| >= 1.  Guaranteed to exist when deg den <= deg num - 2; the
     remaining case needs lc > 2*S_q.
     """
-    d, dq = num.degree, den.degree
-    lc = abs(num.leading())
-    s_p = sum(abs(c) for c in num.coeffs[:-1])
-    s_q = sum(abs(c) for c in den.coeffs)
-    if dq <= d - 2:
-        b = (s_p + 2 * s_q) / lc
+    a, b = num.denominator, den.denominator
+    lc = abs(num.numerators[-1]) * b  # lc, S_p and S_q times ab, in integers
+    s_p = sum(map(abs, num.numerators[:-1])) * b
+    s_q = sum(map(abs, den.numerators)) * a
+    if den.degree <= num.degree - 2:
+        bound = Q(s_p + 2 * s_q, lc)
     elif lc > 2 * s_q:
-        b = s_p / (lc - 2 * s_q)
+        bound = Q(s_p, lc - 2 * s_q)
     else:
         raise DecimationError(
             "cannot certify an escape radius for R (deg den = deg num - 1 "
             "and small leading coefficient)"
         )
-    return max(Q(2), b)
+    return max(Q(2), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +454,16 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
         for j, c_s in enumerate(c[t + 1:]):  # q_t(z) = sum_{s>t} c_s z^(s-t-1)
             s11[j] += diag * c_s
             s12[j] += off * c_s
-    n11 = Polynomial.from_integers(s11, chi_d.denominator * top)
-    n12 = Polynomial.from_integers(s12, chi_d.denominator * top)
-
-    phi = RationalFunction(n12 * -(v0 - 1), chi_d)
+    minus_phi = [(v0 - 1) * x for x in s12]  # -phi chi_D, over den(chi_D) delta^(k+1)
+    phi = RationalFunction(Polynomial.from_integers(minus_phi, -chi_d.denominator * top), chi_d)
     if phi.is_zero():
         raise NotFullySymmetricError("phi(z) vanishes identically")
 
-    # R = 1 - S_11/phi; the common denominator chi_D cancels
-    r = RationalFunction(n11 + n12 * (v0 - 1), n12 * (v0 - 1))
+    # R = 1 - S_11/phi; the common denominator of S_11 and phi cancels
+    r = RationalFunction(
+        Polynomial.from_integers([x + y for x, y in zip_longest(s11, minus_phi, fillvalue=0)]),
+        Polynomial.from_integers(minus_phi),
+    )
 
     if r.num.constant_term() != 0:
         raise DecimationError("R(0) != 0; decimation assumptions violated")
@@ -476,6 +478,9 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
 
     The class divides chi_D exactly to its multiplicity in sigma(D) or is
     coprime to it, so mult_D is read from `dd.sigma_d` (0 when absent).
+    The zero and pole predicates of phi and the R' test are divisibilities
+    by the minimal polynomial: for a rational class r, `Polynomial.divides`
+    reads them as p(r) = 0.
     """
     mp = v.minpoly
     mult_d = dd._sigma_mult.get(v, 0)
@@ -624,14 +629,22 @@ class Induction:
         # more that always splits (into the roots of R)
         self.prev = {0: 1, self.index[self.first]: self.v_prev - 1}
         # the orbits not yet ended, each class's first lifting birth level,
-        # and the earliest deep hit (level, -depth, base key, e, base): `_hit`
+        # the earliest deep hit (level, -depth, base key, e, base): `_hit`,
+        # and the first orbit refusal
         self.orbits = {e: _orbit(dd, e) for e in dd.exceptional}
-        self.reach, self.lifted_at, self.deep_hit = {}, {}, None
+        self.reach, self.lifted_at, self.deep_hit, self.refused = {}, {}, None, None
 
     def _pull(self, n: int):
-        """Take R^n(e) from each orbit not yet ended, in `exceptional` order."""
+        """Take R^n(e) from each orbit not yet ended, in `exceptional` order;
+        an orbit's refusal is kept and raised again by every later step."""
+        if self.refused is not None:
+            raise self.refused
         for e, orbit in list(self.orbits.items()):
-            cls = next(orbit, None)
+            try:
+                cls = next(orbit, None)
+            except InconsistentSpectrumError as err:
+                self.refused = err
+                raise
             if cls is None:
                 del self.orbits[e]
             elif n >= 2 and cls not in self.reach:

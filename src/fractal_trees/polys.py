@@ -9,9 +9,12 @@ module provides the number-theoretic utilities the decimation pipeline
 needs:
 
   * division by lazy pseudo-division in integers, and one gcd: the
-    primitive polynomial remainder sequence,
-  * squarefree decomposition (Yun's algorithm from degree 3; a quadratic
-    is decided by its discriminant),
+    primitive polynomial remainder sequence on integer lists, which
+    `Polynomial.gcd`, Yun's decomposition and `RationalFunction`'s
+    reduction share; its result is primitive, so by Gauss's lemma every
+    quotient by it is exact in Z[z],
+  * squarefree decomposition (Yun's algorithm in Z[z] from degree 3; a
+    quadratic is decided by its discriminant),
   * `factor_classes`: irreducible factors over Q, of any degree, with
     multiplicities.  The squarefree decomposition alone decides
     squarefreeness; each of its squarefree parts of degree 3 or more is split by Zassenhaus's
@@ -90,11 +93,6 @@ class Polynomial(Record):
     def x(cls) -> "Polynomial":
         """The identity polynomial z."""
         return cls([0, 1])
-
-    @classmethod
-    def from_root(cls, r) -> "Polynomial":
-        """Monic linear polynomial z - r."""
-        return cls([-r, 1])
 
     # -- basic queries -----------------------------------------------------
 
@@ -215,7 +213,10 @@ class Polynomial(Record):
         return self.divmod(self._coerce(other))[1]
 
     def divides(self, other: "Polynomial") -> bool:
-        """True when self divides other exactly (self nonzero)."""
+        """True when self divides other exactly (self nonzero); a linear
+        self, a multiple of qz - p, divides other iff other(p/q) = 0."""
+        if self.degree == 1:
+            return not _horner(other.numerators, -self.numerators[0], self.numerators[1])
         if self.is_zero():
             return other.is_zero()
         return not _pseudo_divmod(other.numerators, self.numerators)[1]
@@ -227,34 +228,18 @@ class Polynomial(Record):
         return _monic(list(nums))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor, by the primitive polynomial
-        remainder sequence (Knuth, TAOCP vol. 2, section 4.6.1): each
-        pseudo-remainder is divided by its content before the next step,
-        which keeps its coefficients from growing exponentially along the
-        sequence."""
-        a, b = _primitive(self.numerators), _primitive(other.numerators)
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-        return _monic(a)
+        """Monic greatest common divisor: `_gcd_int` of the numerators."""
+        return _monic(_gcd_int(self.numerators, other.numerators))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial.from_integers(
-            [i * c for i, c in enumerate(self.numerators)][1:], self.denominator
-        )
+        return Polynomial.from_integers(_derivative(self.numerators), self.denominator)
 
     def __call__(self, x) -> Fraction:
         """The value at an int or Fraction x, by Horner's rule in integers."""
         if not self.numerators:
             return Q(0)
-        p, q = x.numerator, x.denominator
-        acc, q_pow = 0, 1
-        for c in reversed(self.numerators):
-            acc = acc * p + c * q_pow
-            q_pow *= q
-        # acc = sum_i c_i p^i q^(deg - i) and q_pow = q^(deg + 1)
-        return Q(acc, self.denominator * q_pow // q)
+        q = x.denominator
+        return Q(_horner(self.numerators, x.numerator, q), self.denominator * q ** self.degree)
 
     # -- display -----------------------------------------------------------
 
@@ -301,6 +286,15 @@ def _mul_int(a, b) -> list:
     return out
 
 
+def _horner(a, p: int, q: int) -> int:
+    """q^deg a(p/q) = sum_i a_i p^i q^(deg - i), for q != 0, by Horner's rule."""
+    acc, q_pow = 0, 1
+    for c in reversed(a):
+        acc = acc * p + c * q_pow
+        q_pow *= q
+    return acc
+
+
 def _pseudo_divmod(a, b) -> tuple[list, list, int]:
     """Lazy pseudo-division of the integer polynomial a by a nonzero b:
     (q, r, s) with s a = q b + r, deg r < deg b and s > 0 a product of
@@ -333,10 +327,29 @@ def _primitive(a) -> list:
     return [c // g for c in a] if g > 1 else list(a)
 
 
+def _gcd_int(a, b) -> list:
+    """The primitive gcd of two integer polynomials, up to sign ([] when
+    both are zero), by the primitive polynomial remainder sequence (Knuth,
+    TAOCP vol. 2, section 4.6.1): each pseudo-remainder is divided by its
+    content before the next step, which keeps its coefficients from
+    growing exponentially along the sequence.  By Gauss's lemma it
+    divides a and b in Z[z], so pseudo-division by it never scales."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
+
+
 def _monic(a: list) -> Polynomial:
     """a divided by its leading coefficient, as a Polynomial (zero for [])."""
     a = _primitive(a)
     return Polynomial.from_integers(a, a[-1] if a else 1)
+
+
+def _derivative(a) -> list:
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -346,7 +359,8 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     starts at degree 3: a p of degree at most 1 is squarefree, and a
     monic quadratic (c + bz + dz^2)/d is decided by its discriminant,
     with no gcd: it is ((2dz + b)/(2d))^2 when b^2 = 4cd, and squarefree
-    otherwise.
+    otherwise.  Yun runs in Z[z] on p's primitive numerators, dividing by
+    `_gcd_int`s only: c_i / b_i = sum_(j>=i) (j - i + 1) g_j'/g_j is scale-free.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
@@ -358,19 +372,17 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         if b * b != 4 * c * d:
             return [(p, 1)]
         return [(Polynomial.from_integers([b, 2 * d], 2 * d), 2)]
-    dp = p.derivative()
-    a = p.gcd(dp)
-    out = []
-    b = (p // a).monic()
-    c = dp // a
-    i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = b.gcd(d)
-        if g.degree > 0:
-            out.append((g.monic(), i))
-        b = (b // g).monic()
-        c = d // g
+    f = p.numerators  # primitive, as p is monic
+    df = _derivative(f)
+    a = _gcd_int(f, df)
+    b, c = _pseudo_divmod(f, a)[0], _pseudo_divmod(df, a)[0]
+    out, i = [], 1
+    while len(b) > 1:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _gcd_int(b, d)
+        if len(g) > 1:
+            out.append((_monic(g), i))
+        b, c = _pseudo_divmod(b, g)[0], _pseudo_divmod(d, g)[0]
         i += 1
     return out
 
@@ -385,8 +397,9 @@ class RationalFunction(Record):
     Invariants: gcd(num, den) = 1 and den is monic (so the pair is a
     canonical form, and `Record`'s equality and hash over (num, den) are
     those of the function).  Construction from an arbitrary num/den pair
-    performs the reduction.  `phi` and `R` are built, evaluated, compared
-    and printed, never combined, so there is no field arithmetic here.
+    performs the reduction in integers (`_gcd_int`).  `phi` and `R` are
+    built, evaluated, compared and printed, never combined, so there is
+    no field arithmetic here.
     """
 
     __slots__ = ("num", "den")
@@ -402,15 +415,14 @@ class RationalFunction(Record):
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             num, den = Polynomial(), Polynomial.const(1)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading()
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+        else:  # (N/a) / (D/b) = b N' / (a D'), N' = N/g and D' = D/g in integers
+            nums, dens = num.numerators, den.numerators
+            g = _gcd_int(nums, dens)
+            if len(g) > 1:
+                nums, dens = _pseudo_divmod(nums, g)[0], _pseudo_divmod(dens, g)[0]
+            lead, b = dens[-1], den.denominator
+            num = Polynomial.from_integers([c * b for c in nums], num.denominator * lead)
+            den = Polynomial.from_integers(dens, lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -445,8 +457,8 @@ class AlgebraicClass(Record):
     """A Galois-conjugate family of algebraic numbers.
 
     Represented by its monic minimal polynomial over Q.  The constructor
-    checks that it is monic, nonconstant and squarefree, by
-    `squarefree_decomposition` (no gcd below degree 3); irreducibility
+    checks that it is monic, nonconstant and, from degree 2, squarefree,
+    by `squarefree_decomposition` (no gcd below degree 3); irreducibility
     holds by
     construction, as every class comes from `factor_classes`, from a
     rational value or from `DecimationData.image_of`, which maps one
@@ -462,7 +474,7 @@ class AlgebraicClass(Record):
             raise ValueError("algebraic class needs a nonconstant polynomial")
         if mp.numerators[-1] != mp.denominator:
             raise ValueError("minimal polynomial must be monic")
-        if squarefree_decomposition(mp) != [(mp, 1)]:
+        if mp.degree > 1 and squarefree_decomposition(mp) != [(mp, 1)]:
             raise ValueError("minimal polynomial must be squarefree")
         object.__setattr__(self, "minpoly", mp)
         # classes key and order every induction table: hash the coefficients
@@ -481,7 +493,7 @@ class AlgebraicClass(Record):
 
     @classmethod
     def from_rational(cls, r) -> "AlgebraicClass":
-        return cls(Polynomial.from_root(r))
+        return cls(Polynomial.from_integers([-r.numerator, r.denominator], r.denominator))
 
     def is_rational(self) -> bool:
         return self.degree == 1
@@ -497,7 +509,7 @@ class AlgebraicClass(Record):
         return c0 if self.degree % 2 == 0 else -c0
 
     def contains_zero(self) -> bool:
-        return self.minpoly.constant_term() == 0
+        return self.minpoly.numerators[0] == 0
 
     @property
     def label(self) -> str:

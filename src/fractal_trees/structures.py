@@ -52,9 +52,10 @@ def _normalize_edges(edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
 
 
 class SelfSimilarStructure(Record):
-    """Level-1 data of a fully symmetric finitely ramified self-similar set."""
+    """Level-1 data of a fully symmetric finitely ramified self-similar set.
+    `validate` keeps its report in the slot `_report`, not a field."""
 
-    __slots__ = (
+    _fields = (
         "name",
         "m",          # number of cells (contractions)
         "v0_size",    # boundary size |V0|
@@ -63,6 +64,7 @@ class SelfSimilarStructure(Record):
         "boundary",   # boundary vertex ids in G1
         "cell_maps",  # cell_maps[i][j]: image of corner j
     )
+    __slots__ = (*_fields, "_report")
 
     @classmethod
     def create(cls, name, m, v0_size, v1_size, edges1, boundary, cell_maps):
@@ -135,7 +137,15 @@ def connected(vertex_count: int, edges: Iterable[Sequence[int]]) -> bool:
 
 
 def validate(s: SelfSimilarStructure) -> ValidationReport:
-    """Check every structural invariant; returns all violations by name."""
+    """Check every structural invariant; returns all violations by name.
+    The report is kept on the immutable structure, so each object is
+    checked once (by `builtin` or the CLI, not again by `derive`)."""
+    if not hasattr(s, "_report"):
+        object.__setattr__(s, "_report", _check(s))
+    return s._report
+
+
+def _check(s: SelfSimilarStructure) -> ValidationReport:
     bad: list[str] = []
 
     if s.m < 2:

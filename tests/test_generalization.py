@@ -411,6 +411,104 @@ def assert_pinned(dd, phi, r, records):
     ] == [(_p(v), *flags, img and _p(img)) for v, *flags, img in records]
 
 
+# what the golden bytes do not show: per structure the escape radius of R,
+# sigma(D) as (minimal polynomial, multiplicity) and the split classes, both
+# in key order with coefficients lowest degree first; recorded before
+# `derive` reduced, decomposed and classified in integer lists
+DERIVED_FACTS = {
+    "sierpinski": (
+        "2",
+        [("-5/4 1", 2), ("-1/2 1", 1)],
+        ["-3/2 1", "0 1", "3/2 1"],
+    ),
+    "nonpcf_sg": (
+        "125/24",
+        [("-3/2 1", 1), ("-1 1", 2), ("-1/2 1", 1)],
+        ["-3/2 1", "0 1"],
+    ),
+    "diamond": (
+        "3",
+        [("-1 1", 2)],
+        ["-2 1"],
+    ),
+    "hexagasket": (
+        "81/16",
+        [("-3/2 1", 3), ("1/4 -3/2 1", 1), ("7/16 -3/2 1", 2)],
+        ["-21/4 1", "-3/2 1", "0 1"],
+    ),
+    "interval": (
+        "3",
+        [("-1 1", 1)],
+        ["-2 1"],
+    ),
+    "tree3": (
+        "2",
+        [("-3/2 1", 1), ("-1 1", 2), ("-1/2 1", 1)],
+        ["-3/2 1", "0 1", "9/2 1"],
+    ),
+    (2, 3): (
+        "343/48",
+        [("-3/2 1", 1), ("-5/4 1", 2), ("-3/4 1", 2), ("1/4 -3/2 1", 1)],
+        ["-27/4 1", "-3/2 1", "0 1"],
+    ),
+    (2, 4): (
+        "17741/768",
+        [
+            ("-3/2 1", 2),
+            ("-5/4 1", 1),
+            ("-1 1", 1),
+            ("1/8 -17/12 1", 1),
+            ("-103/192 35/16 -8/3 1", 2),
+        ],
+        ["-3/2 1", "0 1", "345/14 1"],
+    ),
+    (2, 5): (
+        "8482075/55296",
+        [
+            ("-3/2 1", 3),
+            ("-1 1", 1),
+            ("1/18 -19/16 119/36 -19/6 1", 1),
+            ("-1663/4608 6131/2304 -1999/288 299/36 -14/3 1", 2),
+        ],
+        ["-1023/7 1", "-3/2 1", "0 1"],
+    ),
+    (2, 6): (
+        "21632813707/23887872",
+        [
+            ("-3/2 1", 4),
+            ("49/48 -25/12 1", 1),
+            ("-7/288 233/288 -995/288 805/144 -47/12 1", 1),
+            ("-21559/110592 122885/55296 -87703/9216 142861/6912 -21773/864 841/48 -13/2 1", 2),
+        ],
+        ["-3/2 1", "0 1", "17703/22 1"],
+    ),
+    (3, 2): (
+        "2",
+        [("-4/3 1", 2), ("-1 1", 3), ("-1/3 1", 1)],
+        ["-4/3 1", "0 1", "8/3 1"],
+    ),
+    (4, 2): (
+        "2",
+        [("-5/4 1", 5), ("-7/8 1", 4), ("-1/4 1", 1)],
+        ["-5/4 1", "0 1", "15/4 1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(DERIVED_FACTS), ids=str)
+def test_escape_radius_sigma_d_and_split_pinned(key):
+    s = builtin(key) if isinstance(key, str) else gasket(*key)
+    dd = derive(s)
+
+    def text(cls):
+        return " ".join(map(str, cls.minpoly.coeffs))
+
+    escape_bound, sigma_d, split = DERIVED_FACTS[key]
+    assert str(dd.escape_bound) == escape_bound
+    assert [(text(cls), k) for cls, k in dd.sigma_d] == sigma_d
+    assert [text(cls) for cls in sorted(dd.split, key=lambda c: c.key())] == split
+
+
 @pytest.mark.parametrize("d, b", sorted(PINNED_GASKETS))
 def test_derive_pinned_on_gaskets(d, b):
     s = gasket(d, b)

@@ -178,6 +178,26 @@ def test_orbit_reaching_a_lifted_family_is_refused_at_its_level(monkeypatch):
         tau(builtin("sierpinski"), 3, dd)
 
 
+def test_a_refused_induction_stays_refused(monkeypatch):
+    # sierpinski: the orbit of 1/2 is refused at its first step.  The orbits
+    # before it have moved to depth 1 and the refused one is closed, so a
+    # later step must not read it as ended (it returned level 1, born
+    # {3/2: 3, 3/4: 2}, with the refused orbit dropped)
+    real = decimation._orbit
+
+    def orbit(dd, e):
+        if e == rat("1/2"):
+            raise InconsistentSpectrumError("orbit of 1/2 refused")
+        yield from real(dd, e)
+
+    monkeypatch.setattr(decimation, "_orbit", orbit)
+    levels = Induction(derive(builtin("sierpinski")))
+    next(levels)
+    for _ in range(3):
+        with pytest.raises(InconsistentSpectrumError, match="^orbit of 1/2 refused$"):
+            next(levels)
+
+
 def test_periodic_orbit_is_refused_where_it_returns(monkeypatch):
     # diamond: 1 is born at level 1 and lifts; the orbit 1 -> 2 -> 1 -> ...
     # (cycle of period 2 from position 0) meets it again at depth 2

@@ -264,13 +264,13 @@ def test_factor_classes_decides_squarefreeness_once(monkeypatch):
     # own minimal polynomial by its discriminant, with no gcd; no squarefree
     # test runs again before Zassenhaus
     calls = []
-    real = Polynomial.gcd
+    real = polys._gcd_int
 
-    def counted(self, other):
-        calls.append(other)
-        return real(self, other)
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
 
-    monkeypatch.setattr(Polynomial, "gcd", counted)
+    monkeypatch.setattr(polys, "_gcd_int", counted)
     q1, q2 = poly(F(7, 16), F(-3, 2), 1), poly(-2, 0, 1)
     out = factor_classes(q1 * q2)
     assert len(calls) == 2
@@ -348,7 +348,7 @@ def test_linear_squarefree_decomposition_takes_no_gcd(monkeypatch):
     def refuse(*args):
         raise AssertionError("gcd ran")
 
-    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    monkeypatch.setattr(polys, "_gcd_int", refuse)
     assert squarefree_decomposition(poly(F(1, 2), 3)) == [(poly(F(1, 6), 1), 1)]
     assert squarefree_decomposition(poly(F(5, 7))) == []
     assert factor_classes(poly(2, -4)) == [(AlgebraicClass.from_rational(F(1, 2)), 1)]
@@ -461,7 +461,7 @@ def test_square_quadratic_class_is_refused_without_a_gcd(monkeypatch):
     def refuse(*args):
         raise AssertionError("gcd ran")
 
-    monkeypatch.setattr(Polynomial, "gcd", refuse)
+    monkeypatch.setattr(polys, "_gcd_int", refuse)
     with pytest.raises(ValueError, match="minimal polynomial must be squarefree"):
         AlgebraicClass(poly(F(9, 16), F(3, 2), 1))  # (z + 3/4)^2
     assert AlgebraicClass(poly(F(7, 16), F(-3, 2), 1)).degree == 2
@@ -611,6 +611,118 @@ def test_integer_core_matches_euclid_over_q(pair):
             squarefree_decomposition(a)
     else:
         assert squarefree_decomposition(a) == ref_squarefree_decomposition(a)
+
+
+def q_yun(p):
+    """`squarefree_decomposition` as it ran in Q[z], on `Polynomial`
+    arithmetic (monic divisors, Fraction-scaled quotients), before Yun moved
+    to primitive integer lists."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no squarefree decomposition")
+    p = p.monic()
+    if p.degree < 2:
+        return [(p, 1)] if p.degree else []
+    if p.degree == 2:
+        c, b, d = p.numerators
+        if b * b != 4 * c * d:
+            return [(p, 1)]
+        return [(Polynomial.from_integers([b, 2 * d], 2 * d), 2)]
+    dp = p.derivative()
+    a = p.gcd(dp)
+    out = []
+    b = (p // a).monic()
+    c = dp // a
+    i = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = b.gcd(d)
+        if g.degree > 0:
+            out.append((g.monic(), i))
+        b = (b // g).monic()
+        c = d // g
+        i += 1
+    return out
+
+
+def q_reduce(num, den):
+    """(num, den) reduced as `RationalFunction` did in Q[z]: the monic gcd
+    divided out by polynomial division, then both parts scaled by the
+    inverse of den's leading coefficient."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        return Polynomial(), Polynomial.const(1)
+    g = num.gcd(den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    inv = 1 / den.leading()
+    return num * inv, den * inv
+
+
+@st.composite
+def factored_products(draw):
+    """A rational scale times 1-4 random factors of degree 1-3 with Fraction
+    coefficients, each to a power 1-3: repeated and shared factors, and
+    non-monic, non-primitive ones."""
+    p = Polynomial.const(draw(scales))
+    for _ in range(draw(st.integers(1, 4))):
+        lower = draw(st.lists(small_rationals, min_size=0, max_size=2))
+        f = Polynomial([*lower, draw(small_rationals.filter(bool))])
+        assume(f.degree > 0)
+        p = p * f ** draw(st.integers(1, 3))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(factored_products())
+def test_integer_yun_matches_yun_in_q(p):
+    out = squarefree_decomposition(p)
+    for g, _ in out:
+        assert_canonical(g)
+    assert out == q_yun(p) == ref_squarefree_decomposition(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(related_pairs(), st.tuples(factored_products(), factored_products())))
+def test_integer_reduction_matches_reduction_in_q(pair):
+    num, den = pair
+    if den.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(num, den)
+        return
+    f = RationalFunction(num, den)
+    assert_canonical(f.num)
+    assert_canonical(f.den)
+    assert (f.num, f.den) == q_reduce(num, den)
+
+
+@pytest.mark.parametrize("num, den", [
+    (Polynomial(), poly(3)),  # zero over a constant
+    (Polynomial(), _z ** 2 - 2),  # zero over a polynomial
+    (poly(F(2, 3)), poly(F(-5, 7))),  # two constants
+    (poly(F(2, 3)), _z * F(3, 4) - 1),  # a constant over a polynomial
+    (_z ** 3 * F(-1, 6) + 2, poly(F(9, 4))),  # a polynomial over a constant
+    ((_z - 1) * (_z + 2) * 3, (_z ** 2 + 1) * F(3, 4)),  # coprime
+    ((_z - F(1, 2)) ** 2 * (_z + 3), (_z * 2 - 1) * (_z ** 2 + 5) * -6),  # sharing 2z - 1
+])
+def test_integer_reduction_on_constant_zero_and_coprime_pairs(num, den):
+    f = RationalFunction(num, den)
+    assert (f.num, f.den) == q_reduce(num, den)
+    assert f.den.leading() == 1
+
+
+@pytest.mark.parametrize("p", [
+    poly(F(-5, 7)),
+    Polynomial(),
+    (_z - 1) * (_z + 2) * (_z ** 2 + 1) * F(3, 4),
+    ((_z * 3 - 1) ** 3 * (_z ** 2 + _z + 1) ** 2) * F(-2, 9),
+])
+def test_integer_yun_on_constant_zero_and_fixed_products(p):
+    if p.is_zero():
+        with pytest.raises(ValueError):
+            squarefree_decomposition(p)
+        return
+    assert squarefree_decomposition(p) == q_yun(p)
 
 
 def test_integer_core_edge_cases():

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from fractal_trees import (
     SelfSimilarStructure,
     ValidationReport,
     builtin,
+    derive,
     validate,
 )
 from fractal_trees.structures import from_json_dict, load_json, to_json_dict
@@ -49,6 +51,61 @@ def test_nonpcf_multigraph():
 def test_builtins_are_built_once():
     for name in BUILTIN_NAMES:
         assert builtin(name) is builtin(name)
+
+
+def _loop_structure():
+    return SelfSimilarStructure.create(
+        name="bad", m=2, v0_size=2, v1_size=3,
+        edges1=[[0, 2], [2, 1], [1, 1]],
+        boundary=[0, 1], cell_maps=[[0, 2], [2, 1]],
+    )
+
+
+def _fresh_sierpinski():
+    s = builtin("sierpinski")
+    return SelfSimilarStructure.create(
+        s.name, s.m, s.v0_size, s.v1_size, s.edges1, s.boundary, s.cell_maps
+    )
+
+
+def test_structure_is_checked_once_and_its_report_kept(monkeypatch):
+    from fractal_trees import structures
+
+    checked = []
+    real = structures._check
+    monkeypatch.setattr(structures, "_check", lambda s: checked.append(s) or real(s))
+    s, bad = _fresh_sierpinski(), _loop_structure()
+    for _ in range(3):
+        assert validate(s).ok and not validate(bad).ok
+    assert checked == [s, bad]
+    # a pickled copy is a new object, checked again
+    for t in (s, bad):
+        assert validate(pickle.loads(pickle.dumps(t))) == validate(t)
+    assert len(checked) == 4
+
+
+def test_derive_refuses_an_invalid_structure_on_every_call():
+    bad = _loop_structure()
+    for _ in range(3):
+        with pytest.raises(InvalidStructureError, match="loop edge"):
+            derive(bad)
+
+
+def test_report_slot_is_not_a_field():
+    # equality, hash, repr and pickling read the fields alone, whether or
+    # not a structure has been validated
+    checked, unchecked = _fresh_sierpinski(), _fresh_sierpinski()
+    validate(checked)
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert repr(checked) == repr(unchecked)
+    assert checked._fields == SelfSimilarStructure._fields
+    assert "_report" in SelfSimilarStructure.__slots__
+    assert "_report" not in SelfSimilarStructure._fields
+    copy = pickle.loads(pickle.dumps(checked))
+    assert copy == checked and hash(copy) == hash(checked)
+    assert not hasattr(copy, "_report") and not hasattr(unchecked, "_report")
+    with pytest.raises(AttributeError):
+        checked._report = None
 
 
 def test_unknown_builtin():
