@@ -19,6 +19,7 @@ from .decimation import (
     classify,
     crosscheck_spectrum,
     derive,
+    spectra,
     spectrum,
 )
 from .entropy import EntropyReport, bounds, entropy

@@ -20,6 +20,7 @@ from .decimation import (
     InconsistentSpectrumError,
     crosscheck_spectrum,
     derive,
+    spectra,
     spectrum,
 )
 from .entropy import entropy
@@ -250,7 +251,9 @@ def cmd_verify(args) -> int:
             raise refused
         return walk.factors()
 
-    graphs = {n: build_level(s, n) for n in oracle_levels}
+    graphs: dict = {}
+    for n in oracle_levels:  # each level glued once, from the one below
+        graphs[n] = build_level(s, n, graphs.get(n - 1))
     brute = {n: tau_bruteforce(g) for n, g in graphs.items()}
     for n in oracle_levels:
         attempt(f"tau oracle vs closed form, level {n}",
@@ -263,12 +266,26 @@ def cmd_verify(args) -> int:
         ok, t, rhs = verify_matrix_tree(graphs[n], tau=brute[n], chi=chis[n])
         record(f"matrix-tree identity on G_{n}", ok, f"tau={t}")
 
+    # one induction pass reads every table; a refusal at level k fails
+    # each check at k or past it with its message
+    tables, refused_table = {}, None
+    try:
+        for table in spectra(dd, [*spectral_levels, 30]):
+            tables[table.level] = table
+    except InconsistentSpectrumError as e:
+        refused_table = e
+
+    def table_at(n):
+        if n not in tables:
+            raise refused_table
+        return tables[n]
+
     for n in spectral_levels:
         attempt(f"spectrum charpoly crosscheck, level {n}",
-                lambda: crosscheck_spectrum(dd, n, chi=chis[n]))
+                lambda: crosscheck_spectrum(dd, n, chi=chis[n], table=table_at(n)))
 
     # these two pass unless the induction or the assembly refuses
-    attempt("spectrum sum rule, levels 0..30", lambda: (spectrum(dd, 30) is not None, ""))
+    attempt("spectrum sum rule, levels 0..30", lambda: (table_at(30) is not None, ""))
     attempt("integer assembly at level 30", lambda: (tau_at(30) is not None, ""))
 
     failed = [c for c in checks if not c[1]]

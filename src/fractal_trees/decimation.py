@@ -64,8 +64,9 @@ The pipeline, all in exact arithmetic:
      index lists, and a level step, one step of the affine map from level
      n - 1 to level n, is integer work on table indices.  Each level step
      decides once per family whether it lifts or splits, and yields the
-     lifting ones with the families born at the level; `spectrum` collects
-     them and `counting.LevelWalk` takes one level per step.
+     lifting ones with the families born at the level; `spectra` collects
+     them into the tables of the levels asked for in one pass (`spectrum`
+     at one level), and `counting.LevelWalk` takes one level per step.
      `Induction.needs_zero` names the multiplicities that must stay 0 for
      the step to stay one fixed linear map; the walk checks them on the
      levels it keeps and, once every orbit has ended, turns the first linear
@@ -86,9 +87,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ._record import Record
 from .levels import build_level, vertex_count_formula
@@ -553,30 +554,49 @@ SPECTRUM_LEVEL_CAP = 2_000
 
 
 def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
-    """Exact spectrum of P_n as preiterate families, by forward induction.
+    """Exact spectrum of P_n as preiterate families, by forward induction:
+    `spectra` at the one level n."""
+    (table,) = spectra(dd, [n])
+    return table
+
+
+def spectra(dd: DecimationData, levels: Iterable[int]) -> Iterator[SpectrumTable]:
+    """sigma(P_n) for each n in `levels`, in increasing order, from one
+    induction pass.
 
     The families born at level n read at depth 0; a family born at level
-    b < n that lifts to level b + 1 reads as (class, n - b, mult).
+    b < n that lifts to level b + 1 reads as (class, n - b, mult).  The
+    pass stops at the highest level asked for.  If the induction refuses
+    at level k, the tables below k are yielded first and the refusal is
+    raised in place of the rest, as `spectrum` raises it at k or past it.
     """
-    if n < 0:
+    wanted = set(levels)
+    if not wanted:
+        return
+    top = max(wanted)
+    if min(wanted) < 0:
         raise ValueError("level must be nonnegative")
-    if n > SPECTRUM_LEVEL_CAP:
+    if top > SPECTRUM_LEVEL_CAP:
         raise ValueError(
-            f"sigma(P_{n}) of {dd.structure.name} is out of reach: levels above "
+            f"sigma(P_{top}) of {dd.structure.name} is out of reach: levels above "
             f"{SPECTRUM_LEVEL_CAP} are refused"
         )
     lifts = []  # the families that lifted to levels 0, 1, ..., n
-    for v_n, born, lifted in islice(Induction(dd), n + 1):
+    for n, (v_n, born, lifted) in enumerate(Induction(dd)):
         lifts.append(lifted)
-    layers = [born, *reversed(lifts)]
-    entries = tuple(
-        (cls, k, mult) for k, layer in enumerate(layers) for cls, mult in layer.items()
-    )
-    st = SpectrumTable(level=n, d=dd.d, entries=entries)
-    total = st.eigenvalue_count()
-    if total != v_n:
-        raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
-    return st
+        if n not in wanted:
+            continue
+        layers = [born, *reversed(lifts)]
+        entries = tuple(
+            (cls, k, mult) for k, layer in enumerate(layers) for cls, mult in layer.items()
+        )
+        st = SpectrumTable(level=n, d=dd.d, entries=entries)
+        total = st.eigenvalue_count()
+        if total != v_n:
+            raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
+        yield st
+        if n == top:
+            return
 
 
 class Induction:
@@ -769,7 +789,10 @@ def family_polynomial(dd: DecimationData, base: AlgebraicClass, depth: int) -> P
 
 
 def crosscheck_spectrum(
-    dd: DecimationData, n: int, chi: Polynomial | None = None
+    dd: DecimationData,
+    n: int,
+    chi: Polynomial | None = None,
+    table: SpectrumTable | None = None,
 ) -> tuple[bool, str]:
     """Compare the predicted sigma(P_n) with a built graph, exactly.
 
@@ -779,10 +802,15 @@ def crosscheck_spectrum(
     denominator, lead = prod D_f^mult and den chi's denominator, it compares
     lead * den chi with +- den * x * prod F^mult coefficient by
     coefficient.  Exponential in n (builds G_n).  `chi` is
-    `prob_laplacian_charpoly(build_level(dd.structure, n))` when the
-    caller already has it.
+    `prob_laplacian_charpoly(build_level(dd.structure, n))` and `table`
+    is `spectrum(dd, n)` when the caller already has them (one `spectra`
+    pass reads the tables of several levels); a table of another level
+    is refused.
     """
-    table = spectrum(dd, n)
+    if table is None:
+        table = spectrum(dd, n)
+    elif table.level != n:
+        raise ValueError(f"crosscheck at level {n} was given the level-{table.level} table")
     if chi is None:
         chi = prob_laplacian_charpoly(build_level(dd.structure, n))
     product, lead = _integer_product(

@@ -10,7 +10,10 @@ probabilistic-Laplacian variant (tau = prod d_j / sum d_j times the
 product of nonzero eigenvalues of P = D^-1 (D - A)) is verified against
 it exactly; the eigenvalue product is read off the exact characteristic
 polynomial of delta P (`scaled_prob_laplacian`, the integer builder that
-`decimation.derive` reads too), never from floating point.
+`decimation.derive` reads too), never from floating point.  No scan for
+connectivity runs first: each computation refuses a disconnected graph
+where it meets the fact, the elimination at a zero pivot and the
+eigenvalue product at a second zero eigenvalue of P.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from math import gcd, lcm
 from .levels import LevelGraph
 from .matrices import scaled_charpoly
 from .polys import Polynomial
-from .structures import connected
 
 Q = Fraction
 
@@ -47,8 +49,11 @@ def tau_bruteforce(g) -> int:
     Row and column 0 are deleted (by the matrix-tree theorem any choice
     gives the same value).  The minor of a connected graph is positive
     definite, so symmetric elimination never meets a zero pivot and needs
-    no pivoting.  The rows are kept sparse and hold integers: row i holds
-    snum_i/sden_i times its row of the current Schur complement, a positive
+    no pivoting.  A component without vertex 0 has a singular Laplacian
+    of its own, so the last of its vertices to go meets a zero pivot (a
+    zero the sparse row does not hold), and the graph is refused as
+    disconnected there; no connectivity scan runs first.  The rows are
+    kept sparse and hold integers: row i holds snum_i/sden_i times its row of the current Schur complement, a positive
     rational scale kept as a pair of ints.  Eliminating v updates each
     neighbour row in place: with c = gcd(pivot, a_iv) it becomes
     (pivot/c) * r_i - (a_iv/c) * r_v, so no entry is ever a fraction.  Only
@@ -67,8 +72,6 @@ def tau_bruteforce(g) -> int:
     n = g.vertex_count
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if not connected(n, g.edges):
-        raise ValueError("disconnected")
     rows: dict[int, dict[int, int]] = {v: {v: 0} for v in range(1, n)}
     for u, v, m in g.edges:
         for a, b in ((u, v), (v, u)):
@@ -88,7 +91,9 @@ def tau_bruteforce(g) -> int:
         if row is None or len(row) != length:
             continue  # eliminated, or pushed again with its new length
         del rows[v]
-        pivot = row.pop(v)
+        pivot = row.pop(v, 0)  # a zero diagonal is not held
+        if pivot == 0:
+            raise ValueError("disconnected")
         num *= pivot * sden[v]
         den *= snum[v]
         for i in row:
@@ -143,14 +148,15 @@ def det_star_P(g, chi: Polynomial | None = None) -> Fraction:
     """Product of the nonzero eigenvalues of P, exact.
 
     det(P - xI) = prod (lambda_i - x); with a single zero eigenvalue the
-    coefficient of x^1 is minus the product of the nonzero ones.  The
-    result is asserted positive (true for connected graphs).  `chi` is
-    `prob_laplacian_charpoly(g)` when the caller already has it.
+    coefficient of x^1 is minus the product of the nonzero ones.  Each
+    component (an isolated vertex too) adds one zero eigenvalue, so a
+    disconnected graph is refused where that coefficient is 0; no
+    connectivity scan runs first.  The result is asserted positive (true
+    for connected graphs).  `chi` is `prob_laplacian_charpoly(g)` when the
+    caller already has it.
     """
     if g.vertex_count < 2:
         raise ValueError("need at least 2 vertices")
-    if not connected(g.vertex_count, g.edges):
-        raise ValueError("disconnected")
     if chi is None:
         chi = prob_laplacian_charpoly(g)
     if chi.constant_term() != 0:
@@ -175,11 +181,12 @@ def verify_matrix_tree(
     """
     if tau is None:
         tau = tau_bruteforce(g)
+    star = det_star_P(g, chi)  # refuses a disconnected graph, an edgeless one too
     degs = g.degrees()
     prod_d = 1
     for d in degs:
         prod_d *= d
-    rhs = Q(prod_d, sum(degs)) * det_star_P(g, chi)
+    rhs = Q(prod_d, sum(degs)) * star
     return rhs == tau, tau, rhs
 
 

@@ -78,16 +78,29 @@ def edge_count_formula(s: SelfSimilarStructure, n: int) -> int:
 BUILD_VERTEX_CAP = 2_000_000
 
 
-def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
+def build_level(
+    s: SelfSimilarStructure, n: int, prev: LevelGraph | None = None
+) -> LevelGraph:
     """Construct G_n explicitly.  Exponential in n; meant for oracle use.
 
     Each copy of G_{n-1} gets one id row: first the ids of the G1
     vertices its corners sit at (a vertex not seen yet takes the next
     id), then a fresh consecutive block for its other vertices.  Edge
-    (u, v, mult) of copy i becomes (row_i[u], row_i[v], mult).
+    (u, v, mult) of copy i becomes (row_i[u], row_i[v], mult).  `prev`
+    is G_{n-1} when the caller already has it (a caller walking the
+    levels up glues each one once); without it G_{n-1} is built by the
+    same recursion.  A `prev` of another level or vertex count is refused.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")
+    if prev is not None and (
+        n == 0 or prev.level != n - 1 or prev.vertex_count != vertex_count_formula(s, n - 1)
+    ):
+        below = f"G_{n - 1}" if n else "no other level"
+        raise ValueError(
+            f"G_{n} of {s.name} is glued from {below}, not from a level-{prev.level} "
+            f"graph on {prev.vertex_count} vertices"
+        )
     # step |V_k| = m (|V_{k-1}| - |V0|) + |V1| only until it passes the cap
     # (at most 21 steps for m >= 2), so a huge n never forms m^n
     v_k, k = s.v0_size, 0
@@ -105,7 +118,8 @@ def build_level(s: SelfSimilarStructure, n: int) -> LevelGraph:
         )
         return LevelGraph(v0, edges, 0, tuple(range(v0)))
 
-    prev = build_level(s, n - 1)
+    if prev is None:
+        prev = build_level(s, n - 1)
     site = {b: j for j, b in enumerate(s.boundary)}
     inner = prev.vertex_count - v0
     next_id = v0

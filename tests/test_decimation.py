@@ -12,6 +12,7 @@ from fractal_trees import (
     builtin,
     crosscheck_spectrum,
     derive,
+    spectra,
     spectrum,
     tau,
 )
@@ -496,6 +497,58 @@ def test_spectrum_sum_rule_to_30(dds):
         for n in range(31):
             t = spectrum(dd, n)
             assert t.eigenvalue_count() == dd.v_count(n), (name, n)
+
+
+ONE_PASS = [*BUILTIN_NAMES, "sg3", "sg_2_4", "sg_2_5"]
+
+
+def _one_pass_structure(name):
+    if name in BUILTIN_NAMES:
+        return builtin(name)
+    if name == "sg3":
+        return gasket(2, 3)
+    return load_json(str(Path(__file__).parent / "data" / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", ONE_PASS)
+def test_one_pass_tables_equal_spectrum(name):
+    # the tables `verify` reads, from one induction pass in any order asked
+    dd = derive(_one_pass_structure(name))
+    tables = list(spectra(dd, [30, 2, 1, 2]))
+    assert [t.level for t in tables] == [1, 2, 30]
+    assert tables == [spectrum(dd, n) for n in (1, 2, 30)]
+
+
+def test_one_pass_stops_at_the_highest_level_asked(dds, monkeypatch):
+    steps = []
+    real_next = decimation.Induction.__next__
+
+    def counted(self):
+        steps.append(self.level + 1)
+        return real_next(self)
+
+    monkeypatch.setattr(decimation.Induction, "__next__", counted)
+    assert [t.level for t in spectra(dds["sierpinski"], [0, 3])] == [0, 3]
+    assert steps == [0, 1, 2, 3]
+    assert list(spectra(dds["sierpinski"], [])) == []
+    assert steps == [0, 1, 2, 3]
+
+
+def test_one_pass_refuses_levels_out_of_range(dds):
+    dd = dds["sierpinski"]
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        list(spectra(dd, [2, -1]))
+    with pytest.raises(ValueError, match="levels above 2000 are refused"):
+        list(spectra(dd, [1, 2001]))
+
+
+def test_crosscheck_refuses_a_table_of_another_level(dds):
+    dd = dds["sierpinski"]
+    assert crosscheck_spectrum(dd, 2, table=spectrum(dd, 2)) == (
+        True, "charpoly matches spectrum table"
+    )
+    with pytest.raises(ValueError, match="crosscheck at level 2 was given the level-1 table"):
+        crosscheck_spectrum(dd, 2, table=spectrum(dd, 1))
 
 
 def test_multiplicity_tables_match_published_formulas(dds):

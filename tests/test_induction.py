@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_trees import builtin, derive, spectrum, tau
-from fractal_trees import decimation
+from fractal_trees import cli, decimation
 from fractal_trees.counting import LevelWalk
 from fractal_trees.decimation import ZERO_CLASS, InconsistentSpectrumError, Induction
 from fractal_trees.polys import AlgebraicClass, Polynomial
@@ -196,6 +196,66 @@ def test_a_refused_induction_stays_refused(monkeypatch):
     for _ in range(3):
         with pytest.raises(InconsistentSpectrumError, match="^orbit of 1/2 refused$"):
             next(levels)
+
+
+SIERPINSKI_TAU = (3, 54, 524880, 803355125990400000)  # tau(G_0)..tau(G_3)
+
+
+def _verify_lines(k: int, message: str) -> list[str]:
+    """`verify sierpinski --max-level 3` when the induction refuses at level
+    k: each check below k passes and each at or past it fails with the
+    refusal's message."""
+
+    def line(name, level, detail=""):
+        if level >= k:
+            return f"FAIL  {name}  ({message})"
+        return f"PASS  {name}  ({detail})" if detail else f"PASS  {name}"
+
+    return [
+        "PASS  schur identity S = phi (P0 - R)  (verified during derivation)",
+        *(line(f"tau oracle vs closed form, level {n}", n, str(t))
+          for n, t in enumerate(SIERPINSKI_TAU)),
+        "PASS  matrix-tree identity on G_1  (tau=54)",
+        "PASS  matrix-tree identity on G_2  (tau=524880)",
+        *(line(f"spectrum charpoly crosscheck, level {n}", n, "charpoly matches spectrum table")
+          for n in (1, 2)),
+        line("spectrum sum rule, levels 0..30", 30),
+        line("integer assembly at level 30", 30),
+    ]
+
+
+def _run_verify(capsys) -> tuple[int, list[str], str]:
+    code = cli.main(["verify", "sierpinski", "--max-level", "3"])
+    out, err = capsys.readouterr()
+    return code, out.splitlines(), err
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_keeps_each_check_below_an_orbit_refusal(monkeypatch, capsys, k):
+    # the first exceptional value's orbit yields k - 1 classes, then is refused
+    real = decimation._orbit
+
+    def orbit(dd, e):
+        if e != dd.exceptional[0]:
+            yield from real(dd, e)
+            return
+        yield from (rat(7 + i) for i in range(k - 1))
+        raise InconsistentSpectrumError("orbit refused")
+
+    monkeypatch.setattr(decimation, "_orbit", orbit)
+    assert _run_verify(capsys) == (2, _verify_lines(k, "orbit refused"), "")
+
+
+def test_verify_keeps_each_check_below_a_deep_hit(monkeypatch, capsys):
+    # the deep hit of `test_orbit_reaching_a_lifted_family_is_refused_at_its_level`
+    _inject_orbit(monkeypatch, [rat("1/2"), rat("3/2"), rat("3/4")], "escaped")
+    message = (
+        "exceptional value 3/2 sits inside the depth-2 preiterates of 3/4; "
+        "deep family splitting is not supported"
+    )
+    assert _run_verify(capsys) == (2, _verify_lines(3, message), "")
+    monkeypatch.undo()
+    assert _run_verify(capsys) == (0, _verify_lines(31, ""), "")
 
 
 def test_periodic_orbit_is_refused_where_it_returns(monkeypatch):

@@ -376,6 +376,83 @@ def test_two_components_stay_refused():
             refused()
 
 
+# No connectivity scan runs in the oracles: the elimination refuses at the
+# zero pivot that ends a component without vertex 0, and the eigenvalue
+# product at the second zero eigenvalue of P.
+DISCONNECTED = {
+    "isolated vertex 3": LevelGraph.from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+    "isolated vertex 0": LevelGraph.from_edges(4, [(1, 2), (2, 3, 2), (3, 1)]),
+    "isolated vertex 0 of two": LevelGraph.from_edges(2, []),
+    "a multi-edge beside a triangle": LevelGraph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4, 2)]),
+    "a multi-edge holding vertex 0": LevelGraph.from_edges(5, [(0, 1, 3), (2, 3), (3, 4), (4, 2)]),
+    "two multigraph components": LevelGraph.from_edges(
+        6, [(0, 4, 2), (4, 5), (5, 0), (1, 2, 3), (2, 3), (3, 1, 2)]
+    ),
+}
+
+
+@pytest.mark.parametrize("g", DISCONNECTED.values(), ids=DISCONNECTED)
+def test_disconnected_graphs_are_refused_where_the_oracles_meet_it(g):
+    assert not connected(g.vertex_count, g.edges)
+    chi = prob_laplacian_charpoly(g)
+    assert chi == charpoly(prob_laplacian(g))
+    for refused in (
+        lambda: tau_bruteforce(g),
+        lambda: det_star_P(g),
+        lambda: det_star_P(g, chi),
+        lambda: verify_matrix_tree(g),
+        lambda: verify_matrix_tree(g, chi=chi),
+        lambda: verify_matrix_tree(g, tau=1),
+        lambda: verify_matrix_tree(g, tau=1, chi=chi),
+    ):
+        with pytest.raises(ValueError, match="^disconnected$"):
+            refused()
+
+
+def test_connected_graphs_pass_with_and_without_tau_and_chi():
+    g = build_level(builtin("sierpinski"), 2)
+    value, chi = tau_bruteforce(g), prob_laplacian_charpoly(g)
+    assert value == 524880
+    for kwargs in ({}, {"tau": value}, {"chi": chi}, {"tau": value, "chi": chi}):
+        assert verify_matrix_tree(g, **kwargs) == (True, value, value)
+
+
+def multigraph_with_maybe_a_component(rng: random.Random) -> LevelGraph:
+    """A connected multigraph (`random_connected_graph` with multiplicities
+    1 to 3); two times in three a second component beside it, an isolated
+    vertex or another such graph; vertex ids shuffled, so vertex 0 may sit
+    in either component."""
+    parts = [random_connected_graph(rng, 8)]
+    kind = rng.randrange(3)
+    if kind == 1:
+        parts.append(LevelGraph.from_edges(1, []))
+    elif kind == 2:
+        parts.append(random_connected_graph(rng, 6))
+    n = sum(part.vertex_count for part in parts)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(perm[u + offset], perm[v + offset], rng.randint(1, 3)) for u, v, _ in part.edges]
+        offset += part.vertex_count
+    return LevelGraph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_elimination_refuses_exactly_the_disconnected_multigraphs(rng):
+    g = multigraph_with_maybe_a_component(rng)
+    if connected(g.vertex_count, g.edges):
+        # the dense Bareiss cofactor is an independent reference
+        assert tau_bruteforce(g) == bareiss_det_int(_minor(g, 0))
+        assert verify_matrix_tree(g)[0]
+    else:
+        with pytest.raises(ValueError, match="^disconnected$"):
+            tau_bruteforce(g)
+        with pytest.raises(ValueError, match="^disconnected$"):
+            det_star_P(g)
+
+
 def test_wedge_of_triangles():
     ok, lhs, rhs = wedge_check(complete_graph(3), complete_graph(3), 0, 0)
     assert ok and lhs == 9

@@ -1,10 +1,12 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from fractal_trees import BUILTIN_NAMES, builtin, build_level, degree_stats, export
+from fractal_trees import BUILTIN_NAMES, builtin, build_level, degree_stats, export, load_json
 from fractal_trees.levels import edge_count_formula, vertex_count_formula
+from test_generalization import gasket
 
 
 def test_level_zero_is_complete_graph():
@@ -124,6 +126,38 @@ def test_diamond_degree_profile():
         for k in range(1, n):
             expect[2 ** k] = expect.get(2 ** k, 0) + 2 * 4 ** (n - k)
         assert hist == expect
+
+
+def _oracle_structures():
+    data = Path(__file__).parent / "data"
+    return [builtin(name) for name in BUILTIN_NAMES] + [
+        gasket(2, 3), load_json(str(data / "sg_2_4.json")), load_json(str(data / "sg_2_5.json"))
+    ]
+
+
+def test_gluing_from_the_level_below_equals_the_recursion():
+    # every level the `verify` oracle builds (up to 400 vertices)
+    for s in _oracle_structures():
+        prev, n = None, 0
+        while vertex_count_formula(s, n) <= 400:
+            g = build_level(s, n, prev)
+            assert g == build_level(s, n), (s.name, n)
+            prev, n = g, n + 1
+        assert n >= 2, s.name
+
+
+def test_gluing_refuses_a_graph_of_another_level():
+    s = builtin("sierpinski")
+    g0, g1 = build_level(s, 0), build_level(s, 1)
+    for n, prev, below in ((3, g1, "G_2"), (1, g1, "G_0"), (0, g0, "no other level")):
+        with pytest.raises(ValueError, match=(
+            f"G_{n} of sierpinski is glued from {below}, not from a level-{prev.level} graph"
+        )):
+            build_level(s, n, prev)
+    # the right level of another structure: the vertex count differs
+    hexagon = build_level(builtin("hexagasket"), 1)
+    with pytest.raises(ValueError, match="glued from G_1, not from a level-1 graph on 12 vertices"):
+        build_level(s, 2, hexagon)
 
 
 def test_negative_level_rejected():
