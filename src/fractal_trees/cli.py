@@ -4,15 +4,23 @@ Subcommands: list, info, build, decimate, count, verify, entropy.  A
 fractal argument is either a builtin name or a path to a JSON definition
 file.  Exit codes: 0 success, 1 validation/usage error or an output
 closed by its reader, 2 internal inconsistency (a failed exactness check).
+
+The grammar is one table, `GRAMMAR`.  A well-formed command line (an
+exact command name, exact option strings, each value as the next token)
+is read from it directly into the namespace argparse would make.
+Anything else goes to the argparse parser that `make_parser` builds from
+the same table, so help, usage and error text are argparse's, and only a
+process that prints one of them imports `argparse` (and with it
+`gettext` and `locale`).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager, suppress
 from functools import cache
+from types import SimpleNamespace
 
 from .counting import AssemblyError, LevelWalk, tau
 from .decimation import (
@@ -337,9 +345,48 @@ def cmd_entropy(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with a usage error at exit status 1, as for any bad input;
-    argparse's own 2 is the status of a failed exactness check here."""
+FRACTAL = (("fractal",), {})
+TEXT_OR_JSON = (("--format",), {"choices": ("text", "json"), "default": "text"})
+
+# The command-line grammar, each command in argparse's order: its help, its
+# handler and its arguments as argparse's (flags, keyword arguments).
+GRAMMAR = {
+    "list": ("list builtin fractals", cmd_list, ()),
+    "info": ("structure summary and validation", cmd_info, (FRACTAL, TEXT_OR_JSON)),
+    "build": ("build and export a level graph", cmd_build, (
+        FRACTAL,
+        (("-n", "--level"), {"type": int, "default": 1}),
+        (("--format",), {"choices": ("dot", "json"), "default": "json"}),
+    )),
+    "decimate": ("derive phi, R and the exceptional cases", cmd_decimate, (
+        FRACTAL,
+        (("-n", "--level"), {"type": int, "default": 1, "help": "spectrum preview level"}),
+        TEXT_OR_JSON,
+    )),
+    "count": ("number of spanning trees of G_n", cmd_count, (
+        FRACTAL,
+        (("-n", "--level"), {"type": int, "required": True}),
+        (("--factored",), {"action": "store_true", "help": "print prime factorization"}),
+        (("--digits",), {"action": "store_true", "help": "print decimal digit count"}),
+        TEXT_OR_JSON,
+    )),
+    "verify": ("run the exactness checks", cmd_verify, (
+        FRACTAL,
+        (("--max-level",), {"type": int, "default": 2}),
+    )),
+    "entropy": ("asymptotic complexity constant", cmd_entropy, (
+        FRACTAL,
+        (("-n", "--level"), {"type": int, "default": 30}),
+        (("--prec",), {"type": int, "default": 30}),
+        TEXT_OR_JSON,
+    )),
+}
+
+
+class _Parser:
+    """Mixed into argparse's parser by `make_parser`: a usage error exits 1,
+    as for any bad input; argparse's own 2 is the status of a failed
+    exactness check here."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -347,58 +394,89 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def make_parser() -> argparse.ArgumentParser:
-    """The command-line grammar, built at the first call of the process."""
-    p = _Parser(
+def make_parser():
+    """`GRAMMAR` as an argparse parser, built at the first call of the
+    process that needs help text or a usage error."""
+    import argparse
+
+    class Parser(_Parser, argparse.ArgumentParser):
+        pass
+
+    p = Parser(
         prog="fractal-trees",
         description="Exact spanning-tree counts on self-similar fractal graphs",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list builtin fractals").set_defaults(func=cmd_list)
-
-    sp = sub.add_parser("info", help="structure summary and validation")
-    sp.add_argument("fractal")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_info)
-
-    sp = sub.add_parser("build", help="build and export a level graph")
-    sp.add_argument("fractal")
-    sp.add_argument("-n", "--level", type=int, default=1)
-    sp.add_argument("--format", choices=("dot", "json"), default="json")
-    sp.set_defaults(func=cmd_build)
-
-    sp = sub.add_parser("decimate", help="derive phi, R and the exceptional cases")
-    sp.add_argument("fractal")
-    sp.add_argument("-n", "--level", type=int, default=1, help="spectrum preview level")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_decimate)
-
-    sp = sub.add_parser("count", help="number of spanning trees of G_n")
-    sp.add_argument("fractal")
-    sp.add_argument("-n", "--level", type=int, required=True)
-    sp.add_argument("--factored", action="store_true", help="print prime factorization")
-    sp.add_argument("--digits", action="store_true", help="print decimal digit count")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_count)
-
-    sp = sub.add_parser("verify", help="run the exactness checks")
-    sp.add_argument("fractal")
-    sp.add_argument("--max-level", type=int, default=2)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("entropy", help="asymptotic complexity constant")
-    sp.add_argument("fractal")
-    sp.add_argument("-n", "--level", type=int, default=30)
-    sp.add_argument("--prec", type=int, default=30)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_entropy)
-
+    for command, (help_text, func, arguments) in GRAMMAR.items():
+        sp = sub.add_parser(command, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
+def _is_value(token: str) -> bool:
+    """Whether argparse takes `token` as a value, not as an option: no
+    leading '-', or a negative integer by argparse's pattern, whose digits
+    are any Unicode decimal digits."""
+    return not token.startswith("-") or token[1:].isdecimal()
+
+
+def _read(argv):
+    """The namespace argparse makes of `argv`, read from `GRAMMAR` when
+    each token is an exact command or option string, a value or a
+    positional; None for anything else (help, `--`, abbreviations,
+    `--opt=value`, `-n5`, bad values, unknown or extra tokens), which
+    argparse then parses, prints and refuses as it always has."""
+    if not argv or argv[0] not in GRAMMAR:
+        return None
+    _, func, arguments = GRAMMAR[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals, required = {}, [], set()
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        dest = next((f for f in flags if f.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        flag = kwargs.get("action") == "store_true"
+        values[dest] = kwargs.get("default", False if flag else None)
+        if kwargs.get("required"):
+            required.add(dest)
+        for f in flags:
+            options[f] = dest, flag, kwargs
+    given, seen = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in options:
+            if not _is_value(token):
+                return None
+            given.append(token)
+            continue
+        dest, flag, kwargs = options[token]
+        seen.add(dest)
+        if flag:
+            values[dest] = True
+            continue
+        token = next(tokens, None)
+        if token is None or not _is_value(token):
+            return None
+        try:
+            value = kwargs.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if len(given) != len(positionals) or not required <= seen:
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read(argv) or make_parser().parse_args(argv)
     if getattr(args, "level", 0) < 0 or getattr(args, "max_level", 0) < 0:
         print("error: level must be nonnegative", file=sys.stderr)
         return EXIT_INVALID

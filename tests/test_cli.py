@@ -1,7 +1,10 @@
+import functools
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractal_trees.cli import main
 from fractal_trees.structures import builtin, from_json_dict, to_json_dict, validate
@@ -680,6 +683,185 @@ def test_help_exits_0(capsys):
             main(argv)
         out, err = capsys.readouterr()
         assert done.value.code == 0 and out.startswith("usage: fractal-trees") and err == ""
+
+
+@functools.cache
+def reference_parser():
+    """The hand-written grammar that `cli.GRAMMAR` replaced, kept as the
+    reference for the table-built parser's help, usage and error bytes
+    and for the namespaces both parsers make."""
+    import argparse
+
+    from fractal_trees import cli
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    p = Parser(
+        prog="fractal-trees",
+        description="Exact spanning-tree counts on self-similar fractal graphs",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("list", help="list builtin fractals").set_defaults(func=cli.cmd_list)
+
+    sp = sub.add_parser("info", help="structure summary and validation")
+    sp.add_argument("fractal")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(func=cli.cmd_info)
+
+    sp = sub.add_parser("build", help="build and export a level graph")
+    sp.add_argument("fractal")
+    sp.add_argument("-n", "--level", type=int, default=1)
+    sp.add_argument("--format", choices=("dot", "json"), default="json")
+    sp.set_defaults(func=cli.cmd_build)
+
+    sp = sub.add_parser("decimate", help="derive phi, R and the exceptional cases")
+    sp.add_argument("fractal")
+    sp.add_argument("-n", "--level", type=int, default=1, help="spectrum preview level")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(func=cli.cmd_decimate)
+
+    sp = sub.add_parser("count", help="number of spanning trees of G_n")
+    sp.add_argument("fractal")
+    sp.add_argument("-n", "--level", type=int, required=True)
+    sp.add_argument("--factored", action="store_true", help="print prime factorization")
+    sp.add_argument("--digits", action="store_true", help="print decimal digit count")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(func=cli.cmd_count)
+
+    sp = sub.add_parser("verify", help="run the exactness checks")
+    sp.add_argument("fractal")
+    sp.add_argument("--max-level", type=int, default=2)
+    sp.set_defaults(func=cli.cmd_verify)
+
+    sp = sub.add_parser("entropy", help="asymptotic complexity constant")
+    sp.add_argument("fractal")
+    sp.add_argument("-n", "--level", type=int, default=30)
+    sp.add_argument("--prec", type=int, default=30)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(func=cli.cmd_entropy)
+
+    return p
+
+
+COMMAND_NAMES = ("list", "info", "build", "decimate", "count", "verify", "entropy")
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *([c, "--help"] for c in COMMAND_NAMES), *(a for a, _ in USAGE_ERRORS)],
+    ids=" ".join,
+)
+def test_the_table_built_parser_prints_the_reference_bytes(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    outcomes = []
+    for parse in (main, reference_parser().parse_args):
+        with pytest.raises(SystemExit) as done:
+            parse(list(argv))
+        outcomes.append((done.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+OPTION_STRINGS = ("-n", "--level", "--format", "--factored", "--digits", "--max-level", "--prec")
+ODD_TOKENS = (
+    "--form", "--max", "--lev", "--format=json", "-n5", "-h", "--help", "--", "-",
+    "sierpinski", "diamond", "extra",
+)
+# int() reads each of these; argparse takes "-1_0" for an option string
+INTS = ("0", "-1", "+3", " 7", "1_000", "\u0663", "-\u0663", "-1_0")
+VALUES = (*INTS, "1.5", "-1.5", "x", "", "json", "JSON", "dot", "text")
+
+
+OWN_OPTIONS = {
+    "info": ("--format",),
+    "build": ("-n", "--level", "--format"),
+    "decimate": ("-n", "--level", "--format"),
+    "count": ("-n", "--level", "--factored", "--digits", "--format"),
+    "verify": ("--max-level",),
+    "entropy": ("-n", "--level", "--prec", "--format"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command, then a positional token among words.  Three words in
+    four are an option string with its value (three in four times one of
+    the command's own options, and a value of the option's kind); the
+    rest are any single token."""
+
+    def mostly(likely, anything):
+        return draw(st.sampled_from(likely if likely and draw(st.integers(0, 3)) else anything))
+
+    command = draw(st.sampled_from([*COMMAND_NAMES, "frob"]))
+    words = []
+    for _ in range(draw(st.integers(0, 4))):
+        if not draw(st.integers(0, 3)):
+            words.append((draw(st.sampled_from(OPTION_STRINGS + ODD_TOKENS + VALUES)),))
+            continue
+        option = mostly(OWN_OPTIONS.get(command, ()), OPTION_STRINGS)
+        if option in ("--factored", "--digits"):
+            words.append((option,))
+        else:
+            kind = ("text", "json", "dot") if option == "--format" else INTS
+            words.append((option, mostly(kind, VALUES)))
+    words.insert(draw(st.integers(0, len(words))), (draw(st.sampled_from(ODD_TOKENS + VALUES)),))
+    return [command, *(token for word in words for token in word)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(command_lines())
+def test_a_direct_read_is_the_namespace_argparse_makes(argv):
+    # a namespace read from the table must be one argparse accepts and
+    # makes, from the table and from the hand-written grammar; None hands
+    # argv to argparse as it is
+    from fractal_trees.cli import _read, make_parser
+
+    args = _read(argv)
+    if args is not None:
+        expected = vars(reference_parser().parse_args(argv))
+        assert vars(args) == vars(make_parser().parse_args(argv)) == expected, argv
+
+
+def test_the_grammar_uses_only_what_the_direct_read_knows():
+    # `_read` reads these keywords as argparse does; another keyword, a
+    # type other than int or an action other than store_true would have
+    # to be taught to it first
+    from fractal_trees.cli import GRAMMAR
+
+    for _, _, arguments in GRAMMAR.values():
+        for flags, kwargs in arguments:
+            assert set(kwargs) <= {"type", "choices", "default", "required", "help", "action"}
+            assert kwargs.get("type", int) is int, flags
+            assert kwargs.get("action", "store_true") == "store_true", flags
+
+
+def test_golden_and_benchmark_command_lines_are_read_directly(monkeypatch):
+    import random
+    from pathlib import Path
+
+    from test_cli_golden import COMMANDS
+
+    from fractal_trees.cli import _read, make_parser
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import jobs
+
+    bench = [
+        job.argv
+        for workload in jobs.MAKERS
+        for seed in range(3)
+        for job in jobs.MAKERS[workload](random.Random(seed))
+    ]
+    assert len(COMMANDS) > 50 and len(bench) > 50
+    for argv in [*COMMANDS, *bench]:
+        args = _read(list(argv))
+        assert args is not None, argv
+        expected = vars(reference_parser().parse_args(list(argv)))
+        assert vars(args) == vars(make_parser().parse_args(list(argv))) == expected, argv
 
 
 def test_usage_error_exit_status_from_the_shell():

@@ -46,6 +46,44 @@ def test_a_count_loads_no_mpmath():
     assert done.stdout.splitlines()[-1] == b"False False"
 
 
+def test_well_formed_commands_load_no_argparse_gettext_or_locale():
+    # argparse (2-3 ms to import) and the gettext and locale modules its
+    # first message loads serve only help text and usage errors
+    commands = [
+        ["list"], ["info", "sierpinski"], ["build", "sierpinski", "-n", "1"],
+        ["decimate", "sierpinski"], ["count", "sierpinski", "-n", "5"],
+        ["verify", "sierpinski", "--max-level", "1"], ["entropy", "sierpinski", "-n", "6"],
+    ]
+    probe = (
+        "import contextlib, io, sys; from fractal_trees.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(*[m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])"
+    )
+    done = fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"\n"
+
+
+@pytest.mark.parametrize("argv", [["count", "sierpinski"], ["--help"]])
+def test_fresh_usage_error_and_help_print_the_in_process_bytes(monkeypatch, argv):
+    # the fresh process imports argparse on the way; the help is wrapped
+    # at the same width on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    done = subprocess.run(
+        [sys.executable, "-m", "fractal_trees", *argv],
+        capture_output=True, env=dict(ENV, COLUMNS="80"), timeout=60, check=False,
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+    assert done.returncode == exited.value.code
+    assert (done.stdout, done.stderr) == (out.getvalue().encode(), err.getvalue().encode())
+    assert done.stdout or done.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
