@@ -15,11 +15,11 @@ from .decimation import (
     DecimationData,
     DecimationError,
     InconsistentSpectrumError,
+    Spectra,
     SpectrumTable,
     classify,
     crosscheck_spectrum,
     derive,
-    spectra,
     spectrum,
 )
 from .entropy import EntropyReport, bounds, entropy

@@ -26,9 +26,9 @@ from .counting import AssemblyError, LevelWalk, tau
 from .decimation import (
     DecimationError,
     InconsistentSpectrumError,
+    Spectra,
     crosscheck_spectrum,
     derive,
-    spectra,
     spectrum,
 )
 from .entropy import entropy
@@ -216,13 +216,12 @@ def cmd_verify(args) -> int:
     def record(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail))
 
-    def attempt(name: str, check):
-        """Record check()'s (verdict, detail); a raised exactness failure is a FAIL."""
+    def attempt(check) -> tuple[bool, str]:
+        """check()'s (verdict, detail); a raised exactness failure is a FAIL."""
         try:
-            ok, detail = check()
+            return check()
         except (AssemblyError, InconsistentSpectrumError) as e:
-            ok, detail = False, str(e)
-        record(name, ok, detail)
+            return False, str(e)
 
     try:
         dd = derive(s)
@@ -244,9 +243,13 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
 
-    # one level walk gives tau at every level, level 0 included, in increasing
-    # order; a refused step fails each later level with its message
-    walk, refused = LevelWalk(dd), None
+    # one induction pass keeps the tables of the first two nonempty levels
+    # (each charpoly serves two checks) and of level 30.  The level walk reads
+    # it first, for tau at every level in increasing order; a refused step
+    # fails each later level and table with its message
+    spectral_levels = [n for n in oracle_levels if n >= 1][:2]
+    levels = Spectra(dd, [*spectral_levels, 30])
+    walk, refused = LevelWalk(dd, levels), None
 
     def tau_at(n):
         nonlocal refused
@@ -264,37 +267,21 @@ def cmd_verify(args) -> int:
         graphs[n] = build_level(s, n, graphs.get(n - 1))
     brute = {n: tau_bruteforce(g) for n, g in graphs.items()}
     for n in oracle_levels:
-        attempt(f"tau oracle vs closed form, level {n}",
-                lambda: (tau_at(n) == brute[n], f"{brute[n]}"))
+        record(f"tau oracle vs closed form, level {n}",
+               *attempt(lambda: (tau_at(n) == brute[n], f"{brute[n]}")))
 
-    # the first two nonempty levels; each charpoly serves both checks
-    spectral_levels = [n for n in oracle_levels if n >= 1][:2]
+    # the walk reads the pass to level 30, or to its jump, before the tables
+    assembly = attempt(lambda: (tau_at(30) is not None, ""))
     chis = {n: prob_laplacian_charpoly(graphs[n]) for n in spectral_levels}
     for n in spectral_levels:
         ok, t, rhs = verify_matrix_tree(graphs[n], tau=brute[n], chi=chis[n])
         record(f"matrix-tree identity on G_{n}", ok, f"tau={t}")
-
-    # one induction pass reads every table; a refusal at level k fails
-    # each check at k or past it with its message
-    tables, refused_table = {}, None
-    try:
-        for table in spectra(dd, [*spectral_levels, 30]):
-            tables[table.level] = table
-    except InconsistentSpectrumError as e:
-        refused_table = e
-
-    def table_at(n):
-        if n not in tables:
-            raise refused_table
-        return tables[n]
-
     for n in spectral_levels:
-        attempt(f"spectrum charpoly crosscheck, level {n}",
-                lambda: crosscheck_spectrum(dd, n, chi=chis[n], table=table_at(n)))
-
-    # these two pass unless the induction or the assembly refuses
-    attempt("spectrum sum rule, levels 0..30", lambda: (table_at(30) is not None, ""))
-    attempt("integer assembly at level 30", lambda: (tau_at(30) is not None, ""))
+        record(f"spectrum charpoly crosscheck, level {n}",
+               *attempt(lambda: crosscheck_spectrum(dd, n, chi=chis[n], table=levels.spectrum(n))))
+    record("spectrum sum rule, levels 0..30",
+           *attempt(lambda: (levels.spectrum(30) is not None, "")))
+    record("integer assembly at level 30", *assembly)
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:

@@ -10,14 +10,15 @@ preimages of every conjugate of beta equals
 norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
 with 10^14 digits tractable.
 
-`LevelWalk` takes the decimation data alone and reads the structure from
-it, so a walk's degrees and its spectrum are of one structure.  It
-advances its sums from level n - 1 to n; each step takes one level from
-the spectrum induction (`decimation.Induction`), which checks its sum
-rule, and keeps that level's born families.  The
-families born at level n - 1 that lift (decided by the induction) add
-their norm once, so the walk sums their multiplicities per class; the
-others split and drop out.
+`LevelWalk` takes the decimation data and reads the structure from it,
+so a walk's degrees and its spectrum are of one structure.  It advances
+its sums from level n - 1 to n; each step reads one level from the
+spectrum induction (`decimation.Induction`, a given one or its own),
+which checks its sum rule, and keeps that level's born families.  Other
+readers may step a given induction on past the walk's jump, not before.
+The families born at level n - 1 that lift (decided by the induction)
+add their norm once, so the walk sums their multiplicities per class;
+the others split and drop out.
 The ratio exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg
 over the lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1)
 + 1 (also for d = 1).  Corners gain kappa_j and m^-1 once per level, so
@@ -110,13 +111,15 @@ class LevelWalk:
     the level's product is a positive integer; key -1 of a sum counts the
     negative bases.  Once the recurrence of the exponents is checked
     (module docstring), their closed forms (`forms`) give every later
-    level, and `step` and `jump` only move the level."""
+    level, and `step` and `jump` only move the level.  The walk reads
+    `levels`, a fresh induction (`Induction(dd)`) when none is given."""
 
-    def __init__(self, dd: DecimationData):
+    def __init__(self, dd: DecimationData, levels: Optional[Induction] = None):
         s = dd.structure
-        self.s, self.dd, self.level = s, dd, 0
-        self._levels = Induction(dd)
-        _, self.born, _ = next(self._levels)  # the depth-0 families at self.level
+        self.s, self.dd, self.level = s, dd, -1
+        self._levels = Induction(dd) if levels is None else levels
+        _, self.born, _ = self._read()  # the depth-0 families at level 0
+        self.level = 0
         self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
         self._corner_ratio, self._ratio = Fraction(prod(self.kappa), s.m), dd.ratio
         self._cache: dict = {}  # int, Fraction or class -> its exponents
@@ -160,7 +163,7 @@ class LevelWalk:
             self.level += 1
             return
         s, dd, n = self.s, self.dd, self.level + 1
-        v_n, self.born, lifted = next(self._levels)
+        v_n, self.born, lifted = self._read()
         norms = self.norms
         for cls, mult in lifted.items():
             total = norms.get(cls)
@@ -192,6 +195,12 @@ class LevelWalk:
         if sum(self.corner) + self.inner_sum != self.m_power * s.v0_size * (s.v0_size - 1):
             raise AssertionError("degree recursion handshake mismatch")
         self._watch()
+
+    def _read(self) -> tuple[int, dict, dict]:
+        """The induction's next level, the one after the walk's own."""
+        if self._levels.level != self.level:
+            raise AssertionError(f"the walk's induction was moved past level {self.level}")
+        return next(self._levels)
 
     def _watch(self):
         """Keep the state from the level where the map is fixed on, and

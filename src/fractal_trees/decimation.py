@@ -64,9 +64,10 @@ The pipeline, all in exact arithmetic:
      index lists, and a level step, one step of the affine map from level
      n - 1 to level n, is integer work on table indices.  Each level step
      decides once per family whether it lifts or splits, and yields the
-     lifting ones with the families born at the level; `spectra` collects
-     them into the tables of the levels asked for in one pass (`spectrum`
-     at one level), and `counting.LevelWalk` takes one level per step.
+     lifting ones with the families born at the level.  `Spectra`, an
+     `Induction`, keeps the tables of the levels asked for as they pass
+     (`spectrum` at one level), whichever reader steps it, and
+     `counting.LevelWalk` reads one level per step; a refused step stays.
      `Induction.needs_zero` names the multiplicities that must stay 0 for
      the step to stay one fixed linear map; the walk checks them on the
      levels it keeps and, once every orbit has ended, turns the first linear
@@ -553,52 +554,6 @@ class SpectrumTable(Record):
 SPECTRUM_LEVEL_CAP = 2_000
 
 
-def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
-    """Exact spectrum of P_n as preiterate families, by forward induction:
-    `spectra` at the one level n."""
-    (table,) = spectra(dd, [n])
-    return table
-
-
-def spectra(dd: DecimationData, levels: Iterable[int]) -> Iterator[SpectrumTable]:
-    """sigma(P_n) for each n in `levels`, in increasing order, from one
-    induction pass.
-
-    The families born at level n read at depth 0; a family born at level
-    b < n that lifts to level b + 1 reads as (class, n - b, mult).  The
-    pass stops at the highest level asked for.  If the induction refuses
-    at level k, the tables below k are yielded first and the refusal is
-    raised in place of the rest, as `spectrum` raises it at k or past it.
-    """
-    wanted = set(levels)
-    if not wanted:
-        return
-    top = max(wanted)
-    if min(wanted) < 0:
-        raise ValueError("level must be nonnegative")
-    if top > SPECTRUM_LEVEL_CAP:
-        raise ValueError(
-            f"sigma(P_{top}) of {dd.structure.name} is out of reach: levels above "
-            f"{SPECTRUM_LEVEL_CAP} are refused"
-        )
-    lifts = []  # the families that lifted to levels 0, 1, ..., n
-    for n, (v_n, born, lifted) in enumerate(Induction(dd)):
-        lifts.append(lifted)
-        if n not in wanted:
-            continue
-        layers = [born, *reversed(lifts)]
-        entries = tuple(
-            (cls, k, mult) for k, layer in enumerate(layers) for cls, mult in layer.items()
-        )
-        st = SpectrumTable(level=n, d=dd.d, entries=entries)
-        total = st.eigenvalue_count()
-        if total != v_n:
-            raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
-        yield st
-        if n == top:
-            return
-
-
 class Induction:
     """Yields (|V_n|, born_n, lifted_(n-1)) for n = 0, 1, 2, ...: the
     depth-0 families {class: mult} born at level n, and those born at
@@ -607,7 +562,8 @@ class Induction:
     level deeper.  A split base's regular preimages are factored, checked
     to be simple roots and interned at the first level the base splits.
     `reach` maps each class that the `orbits` reach by depth n to its least
-    depth >= 2 and e.  `needs_zero` says what keeps the level map fixed."""
+    depth >= 2 and e.  `needs_zero` says what keeps the level map fixed.
+    The first refusal is kept (`refused`) and raised by every later step."""
 
     def __init__(self, dd: DecimationData):
         s = dd.structure
@@ -650,21 +606,14 @@ class Induction:
         self.prev = {0: 1, self.index[self.first]: self.v_prev - 1}
         # the orbits not yet ended, each class's first lifting birth level,
         # the earliest deep hit (level, -depth, base key, e, base): `_hit`,
-        # and the first orbit refusal
+        # and the first refusal
         self.orbits = {e: _orbit(dd, e) for e in dd.exceptional}
         self.reach, self.lifted_at, self.deep_hit, self.refused = {}, {}, None, None
 
     def _pull(self, n: int):
-        """Take R^n(e) from each orbit not yet ended, in `exceptional` order;
-        an orbit's refusal is kept and raised again by every later step."""
-        if self.refused is not None:
-            raise self.refused
+        """Take R^n(e) from each orbit not yet ended, in `exceptional` order."""
         for e, orbit in list(self.orbits.items()):
-            try:
-                cls = next(orbit, None)
-            except InconsistentSpectrumError as err:
-                self.refused = err
-                raise
+            cls = next(orbit, None)
             if cls is None:
                 del self.orbits[e]
             elif n >= 2 and cls not in self.reach:
@@ -680,6 +629,14 @@ class Induction:
             self.deep_hit = min(hit, self.deep_hit) if self.deep_hit else hit
 
     def __next__(self) -> tuple[int, dict, dict]:
+        if self.refused is None:
+            try:
+                return self._step()
+            except Exception as err:  # a step half done cannot be stepped on
+                self.refused = err
+        raise self.refused
+
+    def _step(self) -> tuple[int, dict, dict]:
         dd, s = self.dd, self.dd.structure
         if self.level < 0:
             self.level = 0
@@ -776,6 +733,53 @@ class Induction:
         ]
 
 
+class Spectra(Induction):
+    """An induction that keeps sigma(P_n) in `tables` for each n in `levels`
+    as level n passes, whichever reader steps it (`spectrum` steps it
+    itself): the families born at level n at depth 0, and a family born at
+    level b < n that lifts to level b + 1 as (class, n - b, mult), held to
+    the highest level asked for.  A refusal at k keeps the tables below k."""
+
+    def __init__(self, dd: DecimationData, levels: Iterable[int]):
+        self.wanted = set(levels)
+        self.top = max(self.wanted, default=-1)
+        if min(self.wanted, default=0) < 0:
+            raise ValueError("level must be nonnegative")
+        if self.top > SPECTRUM_LEVEL_CAP:
+            raise ValueError(
+                f"sigma(P_{self.top}) of {dd.structure.name} is out of reach: levels above "
+                f"{SPECTRUM_LEVEL_CAP} are refused"
+            )
+        super().__init__(dd)
+        self.tables, self._lifts = {}, []  # the families that lifted to levels 0..n
+
+    def _step(self) -> tuple[int, dict, dict]:
+        v_n, born, lifted = out = super()._step()
+        if self.level <= self.top:
+            self._lifts.append(lifted)
+        if (n := self.level) in self.wanted:
+            layers = enumerate([born, *reversed(self._lifts)])
+            entries = tuple((cls, k, mult) for k, layer in layers for cls, mult in layer.items())
+            st = SpectrumTable(level=n, d=self.dd.d, entries=entries)
+            if (total := st.eigenvalue_count()) != v_n:
+                raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
+            self.tables[n] = st
+        return out
+
+    def spectrum(self, n: int) -> SpectrumTable:
+        """sigma(P_n) of a level n asked for, stepping the pass to n."""
+        if n not in self.wanted:
+            raise ValueError(f"level {n} was not asked for")
+        while n not in self.tables:
+            next(self)
+        return self.tables[n]
+
+
+def spectrum(dd: DecimationData, n: int) -> SpectrumTable:
+    """Exact spectrum of P_n as preiterate families: a `Spectra` pass to n."""
+    return Spectra(dd, [n]).spectrum(n)
+
+
 # ---------------------------------------------------------------------------
 # certification against explicitly built graphs
 
@@ -803,8 +807,8 @@ def crosscheck_spectrum(
     lead * den chi with +- den * x * prod F^mult coefficient by
     coefficient.  Exponential in n (builds G_n).  `chi` is
     `prob_laplacian_charpoly(build_level(dd.structure, n))` and `table`
-    is `spectrum(dd, n)` when the caller already has them (one `spectra`
-    pass reads the tables of several levels); a table of another level
+    is `spectrum(dd, n)` when the caller already has them (one `Spectra`
+    pass keeps the tables of several levels); a table of another level
     is refused.
     """
     if table is None:

@@ -12,14 +12,15 @@ from fractal_trees import (
     builtin,
     crosscheck_spectrum,
     derive,
-    spectra,
     spectrum,
     tau,
 )
 from fractal_trees import decimation
+from fractal_trees.counting import LevelWalk
 from fractal_trees.decimation import (
     DecimationData,
     NotFullySymmetricError,
+    Spectra,
     SpectrumTable,
     ZERO_CLASS,
     classify,
@@ -512,11 +513,13 @@ def _one_pass_structure(name):
 
 @pytest.mark.parametrize("name", ONE_PASS)
 def test_one_pass_tables_equal_spectrum(name):
-    # the tables `verify` reads, from one induction pass in any order asked
+    # the tables `verify` reads, kept by one induction pass asked in any order
     dd = derive(_one_pass_structure(name))
-    tables = list(spectra(dd, [30, 2, 1, 2]))
-    assert [t.level for t in tables] == [1, 2, 30]
-    assert tables == [spectrum(dd, n) for n in (1, 2, 30)]
+    levels = Spectra(dd, [30, 2, 1, 2])
+    assert levels.spectrum(30) == spectrum(dd, 30)
+    assert [t.level for t in levels.tables.values()] == [1, 2, 30]
+    assert list(levels.tables.values()) == [spectrum(dd, n) for n in (1, 2, 30)]
+    assert [levels.spectrum(n) for n in (2, 1)] == [spectrum(dd, n) for n in (2, 1)]
 
 
 def test_one_pass_stops_at_the_highest_level_asked(dds, monkeypatch):
@@ -528,18 +531,64 @@ def test_one_pass_stops_at_the_highest_level_asked(dds, monkeypatch):
         return real_next(self)
 
     monkeypatch.setattr(decimation.Induction, "__next__", counted)
-    assert [t.level for t in spectra(dds["sierpinski"], [0, 3])] == [0, 3]
+    levels = Spectra(dds["sierpinski"], [0, 3])
+    assert [levels.spectrum(n).level for n in (0, 3)] == [0, 3]
     assert steps == [0, 1, 2, 3]
-    assert list(spectra(dds["sierpinski"], [])) == []
+    # a kept table is read again without a step, and a level not asked for
+    # is refused before any step
+    assert levels.spectrum(0).level == 0
+    with pytest.raises(ValueError, match="level 4 was not asked for"):
+        levels.spectrum(4)
+    assert steps == [0, 1, 2, 3]
+    assert Spectra(dds["sierpinski"], []).tables == {}
     assert steps == [0, 1, 2, 3]
 
 
 def test_one_pass_refuses_levels_out_of_range(dds):
     dd = dds["sierpinski"]
     with pytest.raises(ValueError, match="level must be nonnegative"):
-        list(spectra(dd, [2, -1]))
+        Spectra(dd, [2, -1])
     with pytest.raises(ValueError, match="levels above 2000 are refused"):
-        list(spectra(dd, [1, 2001]))
+        Spectra(dd, [1, 2001])
+
+
+@pytest.mark.parametrize("name", ONE_PASS)
+def test_a_walk_on_the_shared_pass_equals_a_plain_walk(name):
+    # `verify`: the walk reads the pass first, then the pass steps on to 30
+    dd = derive(_one_pass_structure(name))
+    levels = Spectra(dd, [1, 2, 30])
+    shared, plain = LevelWalk(dd, levels), LevelWalk(dd)
+    jump = None
+    for n in range(31):
+        shared.jump(n)
+        plain.jump(n)
+        assert shared.factors() == plain.factors(), n
+        assert (shared.level, shared.jumps) == (plain.level, plain.jumps), n
+        assert (shared.recurrence, shared.terms, shared.forms) == (
+            plain.recurrence, plain.terms, plain.forms
+        ), n
+        if jump is None and shared.jumps:
+            jump = n
+    # the walk read the pass to its jump, and left the rest to the tables
+    assert jump is not None and levels.level == jump
+    assert [levels.spectrum(n) for n in (1, 2, 30)] == [spectrum(dd, n) for n in (1, 2, 30)]
+    assert levels.level == 30
+
+
+def test_a_walk_refuses_a_pass_stepped_ahead_of_it(dds):
+    dd = dds["hexagasket"]
+    levels = Spectra(dd, [1, 3])
+    walk = LevelWalk(dd, levels)
+    walk.step()
+    assert walk.level == levels.level == 1 and not walk.jumps
+    levels.spectrum(3)
+    with pytest.raises(AssertionError, match="induction was moved past level 1"):
+        walk.step()
+    with pytest.raises(AssertionError, match="induction was moved past level -1"):
+        LevelWalk(dd, levels)
+    # a fresh walk reads its own induction, and one given fresh
+    fresh = Spectra(dd, [1])
+    assert LevelWalk(dd, fresh).level == fresh.level == 0
 
 
 def test_crosscheck_refuses_a_table_of_another_level(dds):

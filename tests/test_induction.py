@@ -258,6 +258,26 @@ def test_verify_keeps_each_check_below_a_deep_hit(monkeypatch, capsys):
     assert _run_verify(capsys) == (0, _verify_lines(31, ""), "")
 
 
+SG3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "structures" / "sg3.json")
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, SG3], ids=[*BUILTIN_NAMES, "sg3"])
+def test_verify_runs_one_induction(name, monkeypatch, capsys):
+    # the level walk and the spectrum tables read one pass
+    made = []
+    real = Induction.__init__
+
+    def counted(self, dd):
+        made.append(type(self))
+        real(self, dd)
+
+    monkeypatch.setattr(Induction, "__init__", counted)
+    assert cli.main(["verify", name, "--max-level", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(made) == 1
+    assert made[0] is decimation.Spectra
+
+
 def test_periodic_orbit_is_refused_where_it_returns(monkeypatch):
     # diamond: 1 is born at level 1 and lifts; the orbit 1 -> 2 -> 1 -> ...
     # (cycle of period 2 from position 0) meets it again at depth 2

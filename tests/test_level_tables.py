@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fractal_trees import builtin, derive, spectrum, tau
+from fractal_trees import builtin, decimation, derive, spectrum, tau
 from fractal_trees.counting import AssemblyError, LevelWalk
 from fractal_trees.decimation import (
     CASE_RULES,
@@ -27,7 +27,7 @@ from fractal_trees.factored import FactoredInteger, factorize
 from fractal_trees.polys import AlgebraicClass
 from fractal_trees.structures import BUILTIN_NAMES, load_json
 from test_generalization import gasket
-from test_induction import _inject_orbit, orbit_depths, rat
+from test_induction import _inject_orbit, _new_class_each_call, orbit_depths, rat
 
 DATA = Path(__file__).resolve().parent / "data"
 LEVELS = 80
@@ -241,6 +241,62 @@ def test_refusals_match_the_dict_reference(case, monkeypatch):
     walked = _outcome(LevelWalk(dd))
     assert walked == _outcome(RefLevelWalk(s, dd))
     assert walked[1:] == got[1:]
+
+
+def _refused_orbit(monkeypatch):
+    # the first exceptional value's orbit yields one class, then is refused
+    real = decimation._orbit
+
+    def orbit(dd, e):
+        if e != dd.exceptional[0]:
+            yield from real(dd, e)
+            return
+        yield rat(7)
+        raise InconsistentSpectrumError("orbit refused")
+
+    monkeypatch.setattr(decimation, "_orbit", orbit)
+
+
+STAYS_REFUSED = {
+    **REFUSALS,
+    "orbit": ("sierpinski", _refused_orbit),
+    # no exceptional orbit closes, so the cap refuses the step to level 4,097
+    "class cap": ("sierpinski", None),
+}
+
+
+@pytest.mark.parametrize("case", STAYS_REFUSED)
+def test_a_refused_induction_raises_its_refusal_again_and_pulls_no_orbit(case, monkeypatch):
+    name, inject = STAYS_REFUSED[case]
+    if inject is not None:
+        inject(monkeypatch)
+    pulls = []
+    real = decimation._orbit
+
+    def counted(dd, e):  # one entry per class asked of an orbit
+        orbit = real(dd, e)
+        while True:
+            pulls.append(e)
+            try:
+                cls = next(orbit)
+            except StopIteration:
+                return
+            yield cls
+
+    monkeypatch.setattr(decimation, "_orbit", counted)
+    dd = derive(builtin(name))
+    if inject is None:
+        dd.image_of = _new_class_each_call()
+    levels = Induction(dd)
+    with pytest.raises(InconsistentSpectrumError) as first:
+        for _ in range(4098):
+            next(levels)
+    level, pulled = levels.level, len(pulls)
+    for _ in range(3):
+        with pytest.raises(InconsistentSpectrumError) as again:
+            next(levels)
+        assert again.value is first.value
+    assert (levels.level, len(pulls)) == (level, pulled)
 
 
 def test_level_loop_compares_and_sorts_no_class(monkeypatch):
