@@ -245,21 +245,14 @@ def cmd_verify(args) -> int:
 
     # one induction pass keeps the tables of the first two nonempty levels
     # (each charpoly serves two checks) and of level 30.  The level walk reads
-    # it first, for tau at every level in increasing order; a refused step
-    # fails each later level and table with its message
+    # it first, for tau at every level in increasing order.  A refused step
+    # fails each later level with its message, a refused pass each table too
     spectral_levels = [n for n in oracle_levels if n >= 1][:2]
     levels = Spectra(dd, [*spectral_levels, 30])
-    walk, refused = LevelWalk(dd, levels), None
+    walk = LevelWalk(dd, levels)
 
     def tau_at(n):
-        nonlocal refused
-        if refused is None:
-            try:
-                walk.jump(n)
-            except (AssemblyError, InconsistentSpectrumError) as e:
-                refused = e
-        if refused is not None:
-            raise refused
+        walk.jump(n)
         return walk.factors()
 
     graphs: dict = {}

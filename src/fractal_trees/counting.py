@@ -11,7 +11,7 @@ norm(beta) * ratio^(deg * (d^k - 1)/(d - 1)), which is what makes counts
 with 10^14 digits tractable.
 
 `LevelWalk` takes the decimation data and reads the structure from it,
-so a walk's degrees and its spectrum are of one structure.  It advances
+so a walk's degrees and its spectrum are of one structure.  `jump` steps
 its sums from level n - 1 to n; each step reads one level from the
 spectrum induction (`decimation.Induction`, a given one or its own),
 which checks its sum rule, and keeps that level's born families.  Other
@@ -31,7 +31,7 @@ one level from scratch.
 The walk does not step to n.  From the level where the induction's map
 is fixed on (`Induction.needs_zero` names the multiplicities that must stay
 0 for that), and with one kappa for every corner (a new site's degree is
-then a constant times kappa^(n-1)), `step` is one linear map of the walk's
+then a constant times kappa^(n-1)), a step is one linear map of the walk's
 whole state (`LevelWalk._vector`).  Such a sequence obeys the first linear
 relation among its consecutive states, the minimal polynomial of a Krylov
 sequence (Wiedemann, IEEE Trans. Inf. Theory 32, 1986).  The walk reduces
@@ -47,15 +47,15 @@ dropped.  The walk then fits each exponent once to its closed form
 sum_r P_r(n) r^n over the relation's nonzero roots r, deg P_r below r's
 multiplicity, in integers over one denominator per prime
 (`_closed_forms`; root 0 only adds to levels before the fitted ones).
-From then on `step` and `jump` only set the level (`jump`, the one route
-to a level, steps until then), and `exponents` evaluates the forms there,
-divides exactly and checks every level, stepped or jumped, to be a
-positive integer: `tau` costs a few levels and a few powers r^n.  Where
-no certificate can be given (unequal corner counts, a pending deep hit, a
-class with two sources, roots that are not integers >= 0) the walk keeps
-stepping, and it certifies nothing until the induction's exceptional
-orbits have ended.  Every level's exponents, level 0 included, come from
-the walk; only `tau(s, 0)` answers by Cayley's formula (no `derive`).
+From then on `jump`, the one route to a level, only sets the level, and
+`exponents` evaluates the forms there, divides exactly and checks every
+level, stepped or jumped, to be a positive integer: `tau` costs a few
+levels and a few powers r^n.  Where no certificate can be given (unequal
+corner counts, a pending deep hit, a class with two sources, roots that
+are not integers >= 0) the walk keeps stepping, and it certifies nothing
+until the induction's exceptional orbits have ended.  Every level's
+exponents, level 0 included, come from the walk; only `tau(s, 0)`
+answers by Cayley's formula (no `derive`).
 """
 
 from __future__ import annotations
@@ -104,15 +104,16 @@ def preiterate_product(
 
 
 class LevelWalk:
-    """The pieces of tau(G_n), one level per `step`, which checks the
-    spectrum sum rule and the degree recursion's counts: a summed
+    """The pieces of tau(G_n), one level per step of `jump`, which checks
+    the spectrum sum rule and the degree recursion's counts: a summed
     multiplicity per lifted class, the level count and the per-prime
     interior sums.  `exponents` expands them into primes and checks that
     the level's product is a positive integer; key -1 of a sum counts the
     negative bases.  Once the recurrence of the exponents is checked
     (module docstring), their closed forms (`forms`) give every later
-    level, and `step` and `jump` only move the level.  The walk reads
-    `levels`, a fresh induction (`Induction(dd)`) when none is given."""
+    level, and `jump` only moves the level.  The walk reads `levels`, a
+    fresh induction (`Induction(dd)`) when none is given, and raises its
+    first refused step (`refused`) again from every later `jump` and read."""
 
     def __init__(self, dd: DecimationData, levels: Optional[Induction] = None):
         s = dd.structure
@@ -142,6 +143,7 @@ class LevelWalk:
         self._basis, self._kept = [], []  # echelon form (`_reduce`); after a slide, the relation
         self._coords: dict = {}  # a vector's positions past the fixed ones
         self.jumps = False  # the states' first relation is certified: levels follow it
+        self.refused: Optional[Exception] = None  # what the first refused step raised
 
     def _add(self, acc: Factorization, q, e: int) -> Factorization:
         """acc += e * (prime exponents of the nonzero int or Fraction q, or
@@ -158,10 +160,7 @@ class LevelWalk:
             acc[p] = acc.get(p, 0) + k * e
         return acc
 
-    def step(self):
-        if self.jumps:
-            self.level += 1
-            return
+    def _step(self):
         s, dd, n = self.s, self.dd, self.level + 1
         v_n, self.born, lifted = self._read()
         norms = self.norms
@@ -263,16 +262,24 @@ class LevelWalk:
         ]
 
     def jump(self, n: int):
-        """Move to level n >= this one, stepping while no relation is certified."""
+        """Move to level n >= this one, stepping while no relation is certified; refusals stay."""
         if n < self.level:
             raise ValueError("the walk jumps forward along a checked recurrence only")
-        while self.level < n and not self.jumps:
-            self.step()
+        if self.refused is None:
+            try:
+                while self.level < n and not self.jumps:
+                    self._step()
+            except Exception as err:  # a step half done cannot be stepped on
+                self.refused = err
+        if self.refused is not None:
+            raise self.refused
         self.level = n
 
     def exponents(self) -> Factorization:
         """The prime exponents of tau(G_n) at the current level, checked to
         be those of a positive integer."""
+        if self.refused is not None:
+            raise self.refused
         n = self.level
         out = {} if self.jumps else self._assemble(*self._state())
         values = [n ** i * r ** n for r, i in self.terms]
@@ -424,20 +431,23 @@ def check_structure(s: SelfSimilarStructure, dd: DecimationData | None) -> None:
         )
 
 
+def _derived_in_reach(s: SelfSimilarStructure, n: int, dd: DecimationData | None) -> DecimationData:
+    """dd or derive(s), after refusing a level n where m^n has over COUNT_DIGIT_CAP digits."""
+    if n * log10(s.m) >= COUNT_DIGIT_CAP:
+        raise ValueError(f"tau(G_{n}) of {s.name} is out of reach: its exponents grow like "
+                         f"{s.m}^{n}, which has more than {COUNT_DIGIT_CAP} digits")
+    return dd if dd is not None else derive(s)
+
+
 def tau(s: SelfSimilarStructure, n: int, dd: DecimationData | None = None) -> FactoredInteger:
     """Exact number of spanning trees of G_n, in factored form."""
     check_structure(s, dd)
     if n < 0:
         raise ValueError("level must be nonnegative")
-    if n * log10(s.m) >= COUNT_DIGIT_CAP:
-        raise ValueError(
-            f"tau(G_{n}) of {s.name} is out of reach: its exponents grow like "
-            f"{s.m}^{n}, which has more than {COUNT_DIGIT_CAP} digits"
-        )
     if n == 0:
         # complete graph on the boundary: Cayley's formula, which needs no derive
         return FactoredInteger.from_int(s.v0_size ** (s.v0_size - 2))
-    walk = LevelWalk(dd if dd is not None else derive(s))
+    walk = LevelWalk(_derived_in_reach(s, n, dd))
     walk.jump(n)
     return walk.factors()
 
@@ -450,7 +460,7 @@ def exponent_table(
     check_structure(s, dd)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    walk, rows = LevelWalk(dd if dd is not None else derive(s)), []
+    walk, rows = LevelWalk(_derived_in_reach(s, n_max, dd)), []
     for n in range(n_max + 1):
         walk.jump(n)
         rows.append(walk.exponents())

@@ -126,7 +126,7 @@ class Polynomial(Record):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.numerators, self.denominator))
+        return hash(self.constant_term() if self.degree < 1 else (self.numerators, self.denominator))
 
     # -- ring operations ---------------------------------------------------
 

@@ -560,6 +560,27 @@ def test_decimation_data_of_another_structure_is_refused(eight_dds):
                     entropy(s, n_max=n, dd=dd)
 
 
+@pytest.mark.parametrize("name", ["sierpinski", "hexagasket"])
+def test_exponent_table_refuses_what_tau_refuses_before_deriving(monkeypatch, name):
+    # exponent_table(sierpinski, 200_000) derived and stepped until killed,
+    # where tau refused at once: m^n has more than COUNT_DIGIT_CAP digits
+    import math
+
+    from fractal_trees import counting
+
+    s = builtin(name)
+    first = math.ceil(counting.COUNT_DIGIT_CAP / math.log10(s.m))
+    monkeypatch.setattr(counting, "derive", lambda s: pytest.fail("derived past the cap"))
+    for n in (first, 200_000):
+        refusals = []
+        for read in (tau, exponent_table):
+            with pytest.raises(ValueError, match="is out of reach") as refused:
+                read(s, n)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert f"more than {counting.COUNT_DIGIT_CAP} digits" in refusals[0]
+
+
 def test_a_structure_loaded_twice_shares_its_decimation_data():
     # two loads of one file are equal but not identical records
     s, again = load_json(str(SG3_JSON)), load_json(str(SG3_JSON))

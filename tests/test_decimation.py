@@ -579,11 +579,11 @@ def test_a_walk_refuses_a_pass_stepped_ahead_of_it(dds):
     dd = dds["hexagasket"]
     levels = Spectra(dd, [1, 3])
     walk = LevelWalk(dd, levels)
-    walk.step()
+    walk.jump(walk.level + 1)
     assert walk.level == levels.level == 1 and not walk.jumps
     levels.spectrum(3)
     with pytest.raises(AssertionError, match="induction was moved past level 1"):
-        walk.step()
+        walk.jump(walk.level + 1)
     with pytest.raises(AssertionError, match="induction was moved past level -1"):
         LevelWalk(dd, levels)
     # a fresh walk reads its own induction, and one given fresh

@@ -432,7 +432,7 @@ def test_lazy_reach_equals_the_full_walk(s):
     dd = derive(s)
     walk = LevelWalk(dd)
     while not walk.jumps:
-        walk.step()
+        walk.jump(walk.level + 1)
     levels = walk._levels
     # the orbits ended by the jump, and their depths are the full walk's
     assert not levels.orbits

@@ -1,9 +1,10 @@
 """The level walk's jump against the plain step loop.
 
-Once the induction's level map is certified fixed, `LevelWalk.step`
+Once the induction's level map is certified fixed, `LevelWalk.jump`
 follows the recurrence of the exponents and `tau` jumps to level n.  With
 the certificate switched off (`Induction.needs_zero` returning None) the
-same walk steps every level: the reference here.
+same walk steps every level, one `jump(level + 1)` at a time: the
+reference here.
 """
 
 import time
@@ -17,7 +18,7 @@ from fractal_trees import counting, decimation
 from fractal_trees.counting import (
     AssemblyError, LevelWalk, _closed_forms, _integer_roots, _never_negative, _reduce,
 )
-from fractal_trees.decimation import ZERO_CLASS, DecimationData, Induction
+from fractal_trees.decimation import ZERO_CLASS, DecimationData, InconsistentSpectrumError, Induction
 from fractal_trees.factored import FactoredInteger
 from fractal_trees.structures import BUILTIN_NAMES, load_json
 from test_cli import _with_zero_class, run
@@ -54,7 +55,7 @@ def _stepped(monkeypatch, dd, n_max):
         mp.setattr(Induction, "needs_zero", lambda self: None)
         walk, levels = LevelWalk(dd), []
         while walk.level < n_max:
-            refused = _outcome(walk.step)
+            refused = _outcome(lambda: walk.jump(walk.level + 1))
             if refused[0] != "value":
                 return levels, refused
             assert not walk.jumps
@@ -80,7 +81,7 @@ def _expected_table(s, levels, refused):
 def _jump_start(dd):
     walk = LevelWalk(dd)
     while not walk.jumps:
-        walk.step()
+        walk.jump(walk.level + 1)
     return walk.level
 
 
@@ -204,13 +205,56 @@ def test_orbit_refusals_match_the_step_loop(image, monkeypatch):
         _compare_with_the_step_loop(monkeypatch, s, dd, (1, 2, LEVELS))
 
 
+def _walk_only_vertex_count(monkeypatch, k):
+    """Hand the walk level k with one vertex more than the induction's own
+    checks passed, so only the walk's sum rule refuses it."""
+    real = Induction.__next__
+
+    def __next__(self):
+        v_n, born, lifted = real(self)
+        return v_n + (self.level == k), born, lifted
+
+    monkeypatch.setattr(Induction, "__next__", __next__)
+
+
+@pytest.mark.parametrize("name", ["sierpinski", "diamond", "hexagasket"])
+@pytest.mark.parametrize("where, k", [
+    *(("vertex count", k) for k in (1, 2, 3)), ("lifted", 1), ("born", 40),
+])
+def test_a_refused_walk_never_answers(monkeypatch, name, where, k):
+    # the diamond's walk refused level 2 by its sum rule, and jump(2) then
+    # answered tau(G_2) = 1 (it is 2^10); sierpinski's next jump(3) raised
+    # an AssertionError of the degree recursion instead of the refusal
+    if where == "vertex count":
+        _walk_only_vertex_count(monkeypatch, k)
+    else:
+        _with_zero_class(monkeypatch, where)
+    walk, unkept = LevelWalk(derive(builtin(name))), None
+    if where == "born":
+        # a read that fails is not kept: the walk steps on to its own refusal
+        walk.jump(1)
+        with pytest.raises(InconsistentSpectrumError, match="class containing 0") as read:
+            walk.factors()
+        unkept = read.value
+    with pytest.raises(Exception) as first:
+        walk.jump(k)
+    refusal, pulled = first.value, walk._levels.level
+    assert refusal is not unkept and not walk.jumps
+    for read in (lambda: walk.jump(walk.level), lambda: walk.jump(k), lambda: walk.jump(k + 1),
+                 lambda: walk.jump(10 ** 6), walk.exponents, walk.factors):
+        with pytest.raises(type(refusal)) as again:
+            read()
+        assert again.value is refusal
+    assert walk._levels.level == pulled and walk.refused is refusal
+
+
 def test_a_failed_certificate_still_counts_by_stepping(monkeypatch):
     _late_deep_hit(monkeypatch)
     s = builtin("sierpinski")
     dd = derive(s)
     walk = LevelWalk(dd)
     for n in range(1, 21):
-        walk.step()
+        walk.jump(walk.level + 1)
         assert not walk.jumps
         assert walk.factors() == tau(s, n, dd) == _closed_form(n), n
 
@@ -238,7 +282,7 @@ def test_recurrence_from_the_states(name, roots, start):
     s = builtin(name)
     walk = LevelWalk(derive(s))
     while not walk.jumps:
-        walk.step()
+        walk.jump(walk.level + 1)
     assert (walk.recurrence, walk.level) == (_with_roots(roots), start)
 
 
@@ -280,7 +324,7 @@ def _certified(name):
     s = builtin(name)
     walk = LevelWalk(derive(s))
     while not walk.jumps:
-        walk.step()
+        walk.jump(walk.level + 1)
     return walk
 
 
@@ -376,7 +420,7 @@ def test_a_withheld_certificate_keeps_at_most_dim_plus_one_states(monkeypatch):
     s = builtin("sierpinski")
     walk = LevelWalk(derive(s))
     for _ in range(2000):
-        walk.step()
+        walk.jump(walk.level + 1)
         assert not walk.jumps
         assert 1 <= len(walk.states) <= len(walk.states[-1][0]) + 1
     assert walk.factors() == _closed_form(2000)
@@ -389,7 +433,7 @@ def test_roots_the_jump_cannot_take_stop_keeping_states(monkeypatch):
     s = builtin("nonpcf_sg")
     walk = LevelWalk(derive(s))
     for _ in range(40):
-        walk.step()
+        walk.jump(walk.level + 1)
     assert (walk.jumps, walk.states) == (False, None)
     assert dict(walk.factors().factors) == CLOSED_FORMS["nonpcf_sg"](40)
 

@@ -85,6 +85,17 @@ def test_poly_divmod(p, q):
     assert rem.is_zero() or rem.degree < q.degree
 
 
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30), rationals), rationals)
+def test_a_polynomial_that_equals_a_number_hashes_like_it(c, slope):
+    # Polynomial.const(1) == 1 held while {Polynomial.const(1), 1} had two members
+    p = P.const(c)
+    assert p == c and hash(p) == hash(c) and len({p, c}) == 1
+    assert hash(P()) == hash(0)
+    # a nonconstant polynomial equals no number and keeps its hash
+    q = P([c, slope or 1])
+    assert hash(q) == hash((q.numerators, q.denominator))
+
+
 # ---------------------------------------------------------------------------
 # RationalFunction reduction
 
