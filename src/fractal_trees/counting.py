@@ -69,7 +69,7 @@ from typing import Optional
 from .decimation import DecimationData, Induction, InconsistentSpectrumError, derive
 from .decimation import spectrum  # noqa: F401 - perfbench's self-test reads counting.spectrum
 from .factored import FactoredInteger, Factorization, factorize
-from .polys import AlgebraicClass
+from .polys import AlgebraicClass, _pseudo_divmod
 from .structures import SelfSimilarStructure
 
 
@@ -376,13 +376,10 @@ def _integer_roots(poly: list[int]) -> Optional[dict[int, int]]:
     roots: dict[int, int] = {}
     r = 0
     while len(poly) > 2:
-        quotient, carry = [], 0
-        for c in poly[:0:-1]:  # Horner: poly = (z - r) quotient + remainder
-            carry = c + r * carry
-            quotient.append(carry)
-        if poly[0] + r * carry == 0:
+        quotient, remainder, _ = _pseudo_divmod(poly, [-r, 1])  # monic: no scaling
+        if not remainder:
             roots[r] = roots.get(r, 0) + 1
-            poly = quotient[::-1]
+            poly = quotient
             continue
         r += 1
         while poly[0] % r and r ** (len(poly) - 1) < abs(poly[0]):
@@ -416,6 +413,9 @@ def _never_negative(values: list[int], roots: dict) -> bool:
 # than this are refused (near there the mpmath digit count of the value
 # alone takes seconds)
 COUNT_DIGIT_CAP = 50_000
+# an exponent table keeps every row, about n_max^2/2 times m's digits per
+# prime; larger ones are refused (near the cap sierpinski's takes 1.5 s, 150 MB)
+TABLE_DIGIT_CAP = 100_000_000
 
 
 def check_structure(s: SelfSimilarStructure, dd: DecimationData | None) -> None:
@@ -431,11 +431,17 @@ def check_structure(s: SelfSimilarStructure, dd: DecimationData | None) -> None:
         )
 
 
-def _derived_in_reach(s: SelfSimilarStructure, n: int, dd: DecimationData | None) -> DecimationData:
-    """dd or derive(s), after refusing a level n where m^n has over COUNT_DIGIT_CAP digits."""
+def _derived_in_reach(
+    s: SelfSimilarStructure, n: int, dd: DecimationData | None, table: bool = False
+) -> DecimationData:
+    """dd or derive(s), after refusing a level n where m^n has over COUNT_DIGIT_CAP
+    digits, and a `table` of levels 0..n whose rows sum to over TABLE_DIGIT_CAP."""
     if n * log10(s.m) >= COUNT_DIGIT_CAP:
         raise ValueError(f"tau(G_{n}) of {s.name} is out of reach: its exponents grow like "
                          f"{s.m}^{n}, which has more than {COUNT_DIGIT_CAP} digits")
+    if table and n * (n + 1) // 2 * log10(s.m) >= TABLE_DIGIT_CAP:
+        raise ValueError(f"the exponent table of {s.name} to level {n} is too large: its "
+                         f"rows sum to more than {TABLE_DIGIT_CAP} digits per prime")
     return dd if dd is not None else derive(s)
 
 
@@ -460,7 +466,7 @@ def exponent_table(
     check_structure(s, dd)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    walk, rows = LevelWalk(_derived_in_reach(s, n_max, dd)), []
+    walk, rows = LevelWalk(_derived_in_reach(s, n_max, dd, table=True)), []
     for n in range(n_max + 1):
         walk.jump(n)
         rows.append(walk.exponents())

@@ -101,6 +101,8 @@ from .polys import (
     Polynomial,
     RationalFunction,
     _integer_product,
+    _mul_int,
+    _trim,
     factor_classes,
     preimage_poly,
     squarefree_decomposition,
@@ -442,7 +444,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     c, k = chi_d.numerators, len(b) - v0
     # summed in integers over den(chi_D) delta^(k+1): M_t carries delta^(t+2)
     top = delta ** (k + 1)
-    s11 = [top * (x - y) for x, y in zip_longest(c, [0, *c], fillvalue=0)]  # chi_D (1 - z)
+    s11 = _mul_int(c, [top, -top])  # chi_D (1 - z)
     s12 = [0] * k
     for t, (scale, mom) in enumerate(_moments(b, v0, delta)):
         diag, off = mom[0][0], mom[0][1]
@@ -827,9 +829,7 @@ def crosscheck_spectrum(
     if left == right:
         return True, "charpoly matches spectrum table"
     # chi - predicted is this difference over den * lead: same degree and support
-    diff = [a - b for a, b in zip_longest(left, right, fillvalue=0)]
-    while diff and not diff[-1]:
-        diff.pop()
+    diff = _trim([a - b for a, b in zip_longest(left, right, fillvalue=0)])
     return False, (
         f"charpoly mismatch at level {n}: difference has degree {len(diff) - 1} "
         f"and {sum(1 for c in diff if c)} nonzero coefficients"

@@ -745,36 +745,12 @@ def _integer_product(factors: Iterable[tuple[Polynomial, int]]) -> tuple[list[in
 
     Each p is scaled to the integer polynomial D_p p, D_p its
     denominator.  Returns the coefficients of prod (D_p p)^e, lowest
-    degree first, and the scale prod D_p^e.  The product is formed by
-    Kronecker substitution (von zur Gathen-Gerhard, *Modern Computer
-    Algebra*, section 8.4): each polynomial is packed into its value at
-    2^b, with b bits enough for every coefficient of the product (the
-    product of the 1-norms bounds them), so the whole product costs a few
-    big-integer powers and products; its coefficients are read back as
-    balanced base-2^b digits.
+    degree first, formed by repeated `_mul_int`, and the scale
+    prod D_p^e.
     """
-    ints, scale, bound, length = [], 1, 1, 1
+    out, scale = [1], 1
     for p, e in factors:
-        f, den = p.numerators, p.denominator
-        ints.append((f, e))
-        scale *= den ** e
-        bound *= sum(map(abs, f)) ** e
-        length += e * (len(f) - 1)
-    width = bound.bit_length() // 8 + 1  # bytes per digit: 2^(8 width - 1) > bound
-    base = 1 << 8 * width
-
-    def pack(f):  # f(2^b): the positive part's digits minus the negative part's
-        pos = b"".join(max(c, 0).to_bytes(width, "little") for c in f)
-        neg = b"".join(max(-c, 0).to_bytes(width, "little") for c in f)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    value = 1
-    for f, e in ints:
-        value *= pack(f) ** e
-    raw = (value & (base ** length - 1)).to_bytes(width * length, "little")
-    out, carry = [], 0
-    for i in range(0, len(raw), width):
-        c = int.from_bytes(raw[i:i + width], "little") + carry
-        carry = 2 * c >= base
-        out.append(c - base if carry else c)
+        for _ in range(e):
+            out = _mul_int(out, p.numerators)
+        scale *= p.denominator ** e
     return out, scale

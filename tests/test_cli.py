@@ -256,6 +256,22 @@ def test_verify_stops_at_the_first_level_past_the_oracle_cap(monkeypatch, capsys
     assert run(capsys, "verify", "sierpinski", "--max-level", "5") == (0, out, "")
 
 
+def test_verify_prints_a_count_past_the_int_string_limit(monkeypatch, capsys, int_str_limit):
+    # with the oracle's cap raised, tau(G_8) of the gasket (9,843 vertices,
+    # 4,481 digits) is a PASS detail; it exited 1 on CPython's int-to-str limit
+    from fractal_trees import cli, tau
+
+    monkeypatch.setattr(cli, "BRUTE_FORCE_SOFT_CAP", 12_000)
+    code, out, err = run(capsys, "verify", "sierpinski", "--max-level", "8")
+    assert (code, err) == (0, "")
+    assert _current_int_str_limit() == int_str_limit
+    with cli._int_str_unlimited():
+        count = str(tau(builtin("sierpinski"), 8).value())
+    assert len(count) == 4481
+    assert f"PASS  tau oracle vs closed form, level 8  ({count})\n" in out
+    assert "FAIL" not in out
+
+
 def test_verify_prints_an_assembly_failure_as_a_fail_line(monkeypatch, capsys):
     # with the one-step ratio negated, as by Q(0) -> -Q(0), the hexagasket's
     # level-2 product is negative (see test_counting); verify records that

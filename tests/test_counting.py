@@ -581,6 +581,39 @@ def test_exponent_table_refuses_what_tau_refuses_before_deriving(monkeypatch, na
         assert f"more than {counting.COUNT_DIGIT_CAP} digits" in refusals[0]
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_exponent_table_refuses_a_table_past_its_digit_cap_before_deriving(monkeypatch, name):
+    # exponent_table(sierpinski, 16_000) held 72 MB of exponents; at tau's
+    # last level (n = 104,795) its rows would need about 3 GB, where tau
+    # answers at once: the rows' summed digits are capped
+    import math
+    import time
+
+    from fractal_trees import counting
+
+    class Derived(Exception):
+        pass
+
+    def derive(s):
+        raise Derived
+
+    s = builtin(name)
+    digits = math.log10(s.m)
+    last = max(n for n in range(30_000) if n * (n + 1) // 2 * digits < counting.TABLE_DIGIT_CAP)
+    assert last >= 16_000
+    reach = math.ceil(counting.COUNT_DIGIT_CAP / digits) - 1  # tau's last level
+    monkeypatch.setattr(counting, "derive", derive)
+    with pytest.raises(Derived):  # answered: it goes on to derive
+        exponent_table(s, last)
+    for n in (last + 1, reach):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {counting.TABLE_DIGIT_CAP} digits per prime"):
+            exponent_table(s, n)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(Derived):  # tau at that level is in reach
+        tau(s, reach)
+
+
 def test_a_structure_loaded_twice_shares_its_decimation_data():
     # two loads of one file are equal but not identical records
     s, again = load_json(str(SG3_JSON)), load_json(str(SG3_JSON))

@@ -426,6 +426,44 @@ def test_a_withheld_certificate_keeps_at_most_dim_plus_one_states(monkeypatch):
     assert walk.factors() == _closed_form(2000)
 
 
+def test_a_kept_relation_that_fails_rebuilds_the_basis(monkeypatch):
+    # a coordinate first nonzero after a relation is kept (as a split base
+    # first born then would add) breaks the relation on the next window; the
+    # walk then reduces the kept states again before the new one.  The 3/2
+    # family, born at every level, is named by needs_zero until `late`, so
+    # the walk only slides until then, and it certifies past the break.
+    start, late = 8, 15
+
+    class NewCoordinate(LevelWalk):
+        def _vector(self):
+            return [max(self.level - start, 0), *super()._vector()]
+
+    s = builtin("sierpinski")
+    dd = derive(s)
+    plain, want = LevelWalk(dd), []
+    for n in range(41):
+        plain.jump(n)
+        want.append(plain.factors())
+    walk = NewCoordinate(dd)
+    real_zeros, real_reduce = Induction.needs_zero, counting._reduce
+    monkeypatch.setattr(Induction, "needs_zero", lambda self: real_zeros(self) + (
+        [rat("3/2")] if walk.level < late else []))
+    bases = []
+
+    def spy(basis, vector):
+        bases.append((walk.level, len(basis)))
+        return real_reduce(basis, vector)
+
+    monkeypatch.setattr(counting, "_reduce", spy)
+    for n in range(41):
+        walk.jump(n)
+        assert walk.factors() == want[n], n
+        assert walk.jumps == (n >= late), n
+    # the three states kept after the slide are reduced again, then the new one
+    assert [size for level, size in bases if level == start + 1] == [0, 1, 2, 3]
+    assert walk.recurrence == plain.recurrence
+
+
 def test_roots_the_jump_cannot_take_stop_keeping_states(monkeypatch):
     # the kept levels pass the zero checks, so one linear map made them and
     # its roots stay: the walk keeps no more states and steps
