@@ -21,19 +21,18 @@ add their norm once, so the walk sums their multiplicities per class;
 the others split and drop out.
 The ratio exponent follows L_n = d L_{n-1} + W_n, W_n = sum of mult * deg
 over the lifted families, as (d^(k+1) - 1)/(d - 1) = d (d^k - 1)/(d - 1)
-+ 1 (also for d = 1).  Corners gain kappa_j and m^-1 once per level, so
-the walk counts levels; interior degrees follow H_n = m H_{n-1} + the
-factors of the new site degrees.  `factors` expands the summed norms and
-the level count into primes, each norm factored once per walk.
-`preiterate_product` and `levels.degree_stats` give the same pieces at
-one level from scratch.
++ 1 (also for d = 1).  Every corner gains the one `DecimationData.kappa`
+and m^-1 once per level, so the walk counts levels; interior degrees
+follow H_n = m H_{n-1} + the factors of the new site degrees.  `factors`
+expands the summed norms and the level count into primes, each norm
+factored once per walk.  `preiterate_product` and `levels.degree_stats`
+give the same pieces at one level from scratch.
 
 The walk does not step to n.  From the level where the induction's map
 is fixed on (`Induction.needs_zero` names the multiplicities that must stay
-0 for that), and with one kappa for every corner (a new site's degree is
-then a constant times kappa^(n-1)), a step is one linear map of the walk's
-whole state (`LevelWalk._vector`).  Such a sequence obeys the first linear
-relation among its consecutive states, the minimal polynomial of a Krylov
+0 for that), a step is one linear map of the walk's whole state
+(`LevelWalk._vector`).  Such a sequence obeys the first linear relation
+among its consecutive states, the minimal polynomial of a Krylov
 sequence (Wiedemann, IEEE Trans. Inf. Theory 32, 1986).  The walk reduces
 each new state against the kept ones by fraction-free elimination
 (`_reduce`) and follows the first dependency once its monic form has
@@ -50,19 +49,19 @@ multiplicity, in integers over one denominator per prime
 From then on `jump`, the one route to a level, only sets the level, and
 `exponents` evaluates the forms there, divides exactly and checks every
 level, stepped or jumped, to be a positive integer: `tau` costs a few
-levels and a few powers r^n.  Where no certificate can be given (unequal
-corner counts, a pending deep hit, a class with two sources, roots that
-are not integers >= 0) the walk keeps stepping, and it certifies nothing
-until the induction's exceptional orbits have ended.  Every level's
-exponents, level 0 included, come from the walk; only `tau(s, 0)`
-answers by Cayley's formula (no `derive`).
+levels and a few powers r^n.  Where no certificate can be given (a
+pending deep hit, a class with two sources, roots that are not integers
+>= 0) the walk keeps stepping, and it certifies nothing until the
+induction's exceptional orbits have ended.  Every level's exponents,
+level 0 included, come from the walk; only `tau(s, 0)` answers by
+Cayley's formula (no `derive`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, log10, prod
+from math import gcd, log10
 from operator import mul
 from typing import Optional
 
@@ -109,22 +108,21 @@ class LevelWalk:
     multiplicity per lifted class, the level count and the per-prime
     interior sums.  `exponents` expands them into primes and checks that
     the level's product is a positive integer; key -1 of a sum counts the
-    negative bases.  Once the recurrence of the exponents is checked
-    (module docstring), their closed forms (`forms`) give every later
-    level, and `jump` only moves the level.  The walk reads `levels`, a
-    fresh induction (`Induction(dd)`) when none is given, and raises its
-    first refused step (`refused`) again from every later `jump` and read."""
+    negative bases.  After the jump (module docstring) `forms` give every
+    level.  The walk reads `levels`, a fresh induction (`Induction(dd)`)
+    when none is given, and raises its first refused step (`refused`)
+    again from every later `jump` and read."""
 
     def __init__(self, dd: DecimationData, levels: Optional[Induction] = None):
         s = dd.structure
-        self.s, self.dd, self.level = s, dd, -1
+        self.dd, self.level = dd, -1
         self._levels = Induction(dd) if levels is None else levels
         _, self.born, _ = self._read()  # the depth-0 families at level 0
         self.level = 0
-        self.kappa, self.sites = s.corner_cell_counts(), s.gluing_sites()
-        self._corner_ratio, self._ratio = Fraction(prod(self.kappa), s.m), dd.ratio
+        self.glued = [len(slots) for slots in s.gluing_sites().values()]  # corners per site
+        self._corner_ratio, self._ratio = Fraction(dd.kappa ** s.v0_size, s.m), dd.ratio
         self._cache: dict = {}  # int, Fraction or class -> its exponents
-        self.corner = [s.v0_size - 1] * s.v0_size
+        self.corner = s.v0_size - 1  # every corner's degree
         # corner degrees and the degree sum's |V0|(|V0|-1) at level 0
         self.fixed = self._add(self._add({}, s.v0_size - 1, s.v0_size - 1), s.v0_size, -1)
         self.norms: dict[AlgebraicClass, int] = {}  # lifted class -> summed mult
@@ -161,7 +159,7 @@ class LevelWalk:
         return acc
 
     def _step(self):
-        s, dd, n = self.s, self.dd, self.level + 1
+        s, dd, n = self.dd.structure, self.dd, self.level + 1
         v_n, self.born, lifted = self._read()
         norms = self.norms
         for cls, mult in lifted.items():
@@ -180,18 +178,16 @@ class LevelWalk:
 
         # the sites born at level n have one copy; older ones gain a factor m
         self.interior = {p: s.m * e for p, e in self.interior.items()}
-        self.inner_count = s.m * self.inner_count + len(self.sites)
-        self.inner_sum *= s.m
-        for slots in self.sites.values():
-            d = sum(self.corner[j] for _, j in slots)
-            self._add(self.interior, d, 1)
-            self.inner_sum += d
-        self.corner = [k * c for k, c in zip(self.kappa, self.corner)]
+        self.inner_count = s.m * self.inner_count + len(self.glued)
+        self.inner_sum = s.m * self.inner_sum + sum(self.glued) * self.corner
+        for k in self.glued:  # a site's degree is that of the k corners it glues
+            self._add(self.interior, k * self.corner, 1)
+        self.corner *= dd.kappa
         self.m_power *= s.m
         if s.v0_size + self.inner_count != v_n:
             raise AssertionError("degree recursion vertex count mismatch")
         # twice the edge count of G_n, m^n |V0|(|V0|-1)
-        if sum(self.corner) + self.inner_sum != self.m_power * s.v0_size * (s.v0_size - 1):
+        if s.v0_size * self.corner + self.inner_sum != self.m_power * s.v0_size * (s.v0_size - 1):
             raise AssertionError("degree recursion handshake mismatch")
         self._watch()
 
@@ -212,7 +208,7 @@ class LevelWalk:
         levels, and its roots that are not integers >= 0 stay: the walk steps on."""
         if self.states is None:
             return
-        zeros = self._levels.needs_zero() if len(set(self.kappa)) == 1 else None
+        zeros = self._levels.needs_zero()
         if zeros is None:
             self.states, self._basis, self._kept = [], [], []
             return
@@ -248,7 +244,7 @@ class LevelWalk:
 
     def _vector(self) -> list[int]:
         """The walk's whole state as one integer vector: L_n, W_n, n, 1, m^n,
-        the interior count and degree sum, the corner degrees, then per class
+        the interior count and degree sum, the corner degree, then per class
         the born and the summed lifted multiplicity and per prime the
         interior exponent, each at the position it first took."""
         coords, tail = self._coords, {}
@@ -257,7 +253,7 @@ class LevelWalk:
                 tail[coords.setdefault((kind, key), len(coords))] = x
         return [
             self.lifts, self.weight, self.level, 1, self.m_power,
-            self.inner_count, self.inner_sum, *self.corner,
+            self.inner_count, self.inner_sum, self.corner,
             *(tail.get(i, 0) for i in range(len(coords))),
         ]
 
@@ -304,7 +300,7 @@ class LevelWalk:
 
     def _assemble(self, norms, interior, born, level, lifts) -> Factorization:
         out = dict(self.fixed)
-        # carried norms, and the corners' kappa_j with m^-1 once per level
+        # carried norms, and the corners' kappa^|V0| with m^-1 once per level
         for cls, mult in norms.items():
             self._add(out, cls, mult)
         self._add(out, self._corner_ratio, level)

@@ -64,17 +64,11 @@ The pipeline, all in exact arithmetic:
      index lists, and a level step, one step of the affine map from level
      n - 1 to level n, is integer work on table indices.  Each level step
      decides once per family whether it lifts or splits, and yields the
-     lifting ones with the families born at the level.  `Spectra`, an
-     `Induction`, keeps the tables of the levels asked for as they pass
-     (`spectrum` at one level), whichever reader steps it, and
-     `counting.LevelWalk` reads one level per step; a refused step stays.
-     `Induction.needs_zero` names the multiplicities that must stay 0 for
-     the step to stay one fixed linear map; the walk checks them on the
-     levels it keeps and, once every orbit has ended, turns the first linear
-     relation among those levels into a jump over many.  The
-     eigenvalue-count sum rule is asserted at every level, and
-     `crosscheck_spectrum` compares the predicted spectrum against the
-     characteristic polynomial of an explicitly built level graph.
+     lifting ones with the families born at the level to its reader
+     (`Spectra`'s tables, `counting.LevelWalk`).  The eigenvalue-count sum
+     rule is asserted at every level, and `crosscheck_spectrum` compares
+     the predicted spectrum against the characteristic polynomial of an
+     explicitly built level graph.
 
 One deliberate deviation from the literal wording of the case rules: the
 rule for eigenvalues of D at which phi has a pole nominally also requires
@@ -234,18 +228,33 @@ class DecimationData:
     """The decimation data of one structure, decided by four facts: the
     structure, phi, R and chi_D = det(D - zI), as `derive` finds them.
     The rest is computed from them once, in this order, the first failing
-    step raising its refusal: d = deg num(R), sigma(D) and the zeros of
-    phi (`factor_classes`), the exceptional values, the escape radius of R
-    (`_escape_bound`), a case record per exceptional value (`classify`)
-    and the classes that split.  Walks share its image and preimage caches;
-    a plain class, as `cached_property` needs a `__dict__`."""
+    step raising its refusal: the one corner cell count `kappa`, d = deg
+    num(R), sigma(D) and the zeros of phi (`factor_classes`), the
+    exceptional values, the escape radius of R (`_escape_bound`), a case
+    record per exceptional value (`classify`) and the classes that split.
+    Walks share its image and preimage caches; a plain class, as
+    `cached_property` needs a `__dict__`.
+
+    `derive` accepts one corner count only: its moments give S(0) =
+    I - B D^-1 C one diagonal and one off-diagonal value c (module
+    docstring, step 2), and with A = I, S(0) = D_0^-1 L_eff, D_0 the
+    boundary's G1 degrees d_j and L_eff the trace of G1's Laplacian onto
+    V0 (Kigami, *Analysis on Fractals*, 2001), symmetric with zero row
+    sums and not 0 (G1 is connected).  So c != 0 and L_eff's entries
+    d_i c = d_j c.  By `validate`, G1 is one complete graph per cell and
+    boundary vertex j sits at corner j of the kappa_j cells that meet it,
+    so d_j = kappa_j (|V0| - 1).  Hand-built unequal counts are refused."""
 
     def __init__(
         self, structure: SelfSimilarStructure, phi: RationalFunction, R: RationalFunction,
         charpoly_d: Polynomial,
     ):
         self.structure, self.phi, self.R, self.charpoly_d = structure, phi, R, charpoly_d
-        self.d = R.num.degree
+        counts = structure.corner_cell_counts()
+        if len(set(counts)) != 1:
+            raise NotFullySymmetricError(
+                f"corner cell counts {counts} are unequal; structure is not fully symmetric")
+        self.kappa, self.d = counts[0], R.num.degree
         self._image_cache: dict = {}
         self._preimage_cache: dict = {}
         self.sigma_d = tuple(factor_classes(charpoly_d.monic()))
@@ -478,14 +487,11 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
 
 
 def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
-    """Decide the multiplicity rule for an irreducible class.
-
-    The class divides chi_D exactly to its multiplicity in sigma(D) or is
-    coprime to it, so mult_D is read from `dd.sigma_d` (0 when absent).
-    The zero and pole predicates of phi and the R' test are divisibilities
-    by the minimal polynomial: for a rational class r, `Polynomial.divides`
-    reads them as p(r) = 0.
-    """
+    """Decide the multiplicity rule for an irreducible class (module
+    docstring, step 3).  The class divides chi_D exactly to its
+    multiplicity in sigma(D) or is coprime to it, so mult_D is read from
+    `dd.sigma_d` (0 when absent); the R' test, like phi's predicates, is
+    a divisibility by the minimal polynomial."""
     mp = v.minpoly
     mult_d = dd._sigma_mult.get(v, 0)
     phi_zero = mp.divides(dd.phi.num)  # derive refuses a phi that vanishes identically
@@ -559,13 +565,11 @@ SPECTRUM_LEVEL_CAP = 2_000
 class Induction:
     """Yields (|V_n|, born_n, lifted_(n-1)) for n = 0, 1, 2, ...: the
     depth-0 families {class: mult} born at level n, and those born at
-    level n - 1 that lift to level n ({} at n = 0; the others split).
-    Only level n - 1 is held; the families born earlier carry over one
-    level deeper.  A split base's regular preimages are factored, checked
-    to be simple roots and interned at the first level the base splits.
-    `reach` maps each class that the `orbits` reach by depth n to its least
-    depth >= 2 and e.  `needs_zero` says what keeps the level map fixed.
-    The first refusal is kept (`refused`) and raised by every later step."""
+    level n - 1 that lift to level n ({} at n = 0; the others split),
+    holding level n - 1 only (module docstring, step 4).  `reach` maps
+    each class that the `orbits` reach by depth n to its least depth >= 2
+    and e.  The first refusal is kept (`refused`) and raised by every
+    later step."""
 
     def __init__(self, dd: DecimationData):
         s = dd.structure

@@ -161,12 +161,10 @@ class DegreeStats(Record):
 
 
 def degree_stats(s: SelfSimilarStructure, n: int) -> DegreeStats:
-    """Degree statistics of G_n without building the graph.
-
-    corner_degrees evolve by kappa_j (cells meeting corner j); each gluing
-    site x born at level k becomes an interior vertex of degree equal to
-    the sum of the level-(k-1) corner degrees over the slots identified at
-    x, and G_n holds m^(n-k) copies of it.
+    """Degree statistics of G_n without building the graph (module
+    docstring), each corner j scaled by its own kappa_j: any valid
+    structure is taken, with no `derive` to prove the counts equal (see
+    `DecimationData`), so it is a from-scratch reference for the level walk.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")

@@ -7,6 +7,7 @@ same walk steps every level, one `jump(level + 1)` at a time: the
 reference here.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -284,6 +285,32 @@ def test_recurrence_from_the_states(name, roots, start):
     while not walk.jumps:
         walk.jump(walk.level + 1)
     assert (walk.recurrence, walk.level) == (_with_roots(roots), start)
+
+
+# sha256 of repr((jump level, recurrence, terms, sorted forms)) of each walk,
+# pinned while the walk kept one degree per corner: one corner degree in the
+# state leaves the first relation among the states, and all it gives, as it was
+CERTIFICATE_SHA256 = {
+    "sierpinski": "65fb3526ee3d57ab3a427e06ea9fd734b0cc8befa032c265203c6ed513f50eb6",
+    "nonpcf_sg": "247b312f0f69670974214ecc77b4af0ae6ee92b70a363e86b023e4ff001c8f67",
+    "diamond": "80f46c8cdeddc52995d7cea31f6a378d23f664b90786b23e8ef3c303e3b51ec5",
+    "hexagasket": "b92bc6b97b737b3f2f5ed1ffd090b86fb18cb874abd1061b3ed363ec592e9a40",
+    "interval": "e23aa944eb47bd05b00125fc388095197b999f4492d3bd1504a200edef7c3f60",
+    "tree3": "c007c3b05414a93a1cc4afbac276e89414e1c2112c0c63d2a44693913a32523c",
+    "sg3": "635fc0836ae6f2ea01729db8c873ddba2a7d3b7e2d44ad8b4471d4c005d34835",
+    "sg4": "e223a58f4450ce10304901ef8bbd561d3f95a35f3a3ed6b00dd24bc77db954c7",
+    "sg5": "7c2d3d10f3b142a2dcb4f207d0d89c2e8f5a298b688e11a970103c7a8b837756",
+}
+
+
+@pytest.mark.parametrize("s", [s for s in _structures() if s.name in CERTIFICATE_SHA256],
+                         ids=lambda s: s.name)
+def test_certificates_pinned(s):
+    walk = LevelWalk(derive(s))
+    while not walk.jumps:
+        walk.jump(walk.level + 1)
+    text = repr((walk.level, walk.recurrence, walk.terms, sorted(walk.forms.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[s.name]
 
 
 class _Terms(dict):
