@@ -130,8 +130,8 @@ def cmd_decimate(args) -> int:
     s = _resolve(args.fractal)
     dd = derive(s)
     table = spectrum(dd, args.level)
+    d, q0, pd = dd.primitive_triple()
     num, den = dd.primitive_R()
-    q0, pd = den.constant_term(), num.leading()
     r_text = str(num) if den == 1 else f"({num}) / ({den})"
     if args.format == "json":
         _print_json(
@@ -140,7 +140,7 @@ def cmd_decimate(args) -> int:
                 "fractal": s.name,
                 "phi": str(dd.phi),
                 "R": r_text,
-                "d": dd.d,
+                "d": d,
                 "Q0": str(q0),
                 "Pd": str(pd),
                 "sigma_D": [
@@ -167,7 +167,7 @@ def cmd_decimate(args) -> int:
     with _int_str_unlimited():
         print(f"phi(z) = {dd.phi}")
         print(f"R(z)   = {r_text}")
-        print(f"d = {dd.d}, Q(0) = {q0}, P_d = {pd}")
+        print(f"d = {d}, Q(0) = {q0}, P_d = {pd}")
         print("sigma(D):")
         for cls, mult in dd.sigma_d:
             print(f"  {cls}  (minpoly {cls.minpoly}, mult {mult})")

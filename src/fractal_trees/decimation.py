@@ -89,7 +89,7 @@ from typing import Iterable, Iterator, Optional
 from ._record import Record
 from .levels import build_level, vertex_count_formula
 from .kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
-from .matrices import charpoly, scaled_charpoly, solve_linear
+from .matrices import charpoly, solve_linear
 from .polys import (
     AlgebraicClass,
     Polynomial,
@@ -330,10 +330,14 @@ class DecimationData:
         (Cohen, *A Course in Computational Algebraic Number Theory*, 4.3):
         the class is the one part of Yun's squarefree decomposition of
         charpoly(M_den^-1 M_num), M_p the g x g matrix of multiplication
-        by p on 1, z, ..., z^(g-1) modulo f, and `solve_linear` forms
-        M_den^-1 M_num by fraction-free elimination in integers.  M_den
-        is invertible because den(alpha) != 0 off the poles.  Every
-        answer is cached, so each class takes the pole test once.
+        by p on 1, z, ..., z^(g-1) modulo f.  Row j of the transposed
+        system is den z^j and num z^j modulo f, each side's integer
+        numerators times the other's denominator, and `solve_linear`
+        returns its solution as the integer pair (B, delta) that
+        `charpoly` takes, so no Fraction is formed between f and its
+        image.  M_den is invertible because den(alpha) != 0 off the
+        poles.  Every answer is cached, so each class takes the pole
+        test once.
         """
         if cls in self._image_cache:
             return self._image_cache[cls]
@@ -348,15 +352,16 @@ class DecimationData:
             out = self._quadratic_image(f)
         else:
             def times(p):  # M_p transposed (row j is p z^j mod f): same charpoly
-                rows, v = [], p % f
-                while True:
-                    rows.append(list(v.coeffs) + [Q(0)] * (f.degree - len(v.coeffs)))
-                    if len(rows) == f.degree:
-                        return rows
+                v = p % f
+                for _ in range(f.degree):
+                    yield v.numerators + (0,) * (f.degree - 1 - v.degree), v.denominator
                     v = (v * Polynomial.x()) % f
 
-            m_r = solve_linear(times(self.R.den), times(self.R.num))
-            [(g, _)] = squarefree_decomposition(charpoly(m_r))
+            a, rhs = [], []
+            for (u, du), (v, dv) in zip(times(self.R.den), times(self.R.num)):
+                a.append([c * dv for c in u])
+                rhs.append([c * du for c in v])
+            [(g, _)] = squarefree_decomposition(charpoly(*solve_linear(a, rhs)))
             out = AlgebraicClass(g)
         self._image_cache[cls] = out
         return out
@@ -449,7 +454,7 @@ def derive(s: SelfSimilarStructure) -> DecimationData:
     b, delta = scaled_prob_laplacian(build_level(s, 1))
 
     # chi_D(z) S(z) from the moments B D^t C, checked t by t (module docstring, step 2)
-    chi_d = scaled_charpoly([row[v0:] for row in b[v0:]], delta)
+    chi_d = charpoly([row[v0:] for row in b[v0:]], delta)
     c, k = chi_d.numerators, len(b) - v0
     # summed in integers over den(chi_D) delta^(k+1): M_t carries delta^(t+2)
     top = delta ** (k + 1)
@@ -744,7 +749,9 @@ class Spectra(Induction):
     as level n passes, whichever reader steps it (`spectrum` steps it
     itself): the families born at level n at depth 0, and a family born at
     level b < n that lifts to level b + 1 as (class, n - b, mult), held to
-    the highest level asked for.  A refusal at k keeps the tables below k."""
+    the highest level asked for, from the pass's own copy of each level's
+    lifted families (a reader that changes what it is handed changes no
+    table).  A refusal at k keeps the tables below k."""
 
     def __init__(self, dd: DecimationData, levels: Iterable[int]):
         self.wanted = set(levels)
@@ -762,7 +769,7 @@ class Spectra(Induction):
     def _step(self) -> tuple[int, dict, dict]:
         v_n, born, lifted = out = super()._step()
         if self.level <= self.top:
-            self._lifts.append(lifted)
+            self._lifts.append(dict(lifted))
         if (n := self.level) in self.wanted:
             layers = enumerate([born, *reversed(self._lifts)])
             entries = tuple((cls, k, mult) for k, layer in layers for cls, mult in layer.items())

@@ -10,7 +10,8 @@ probabilistic-Laplacian variant (tau = prod d_j / sum d_j times the
 product of nonzero eigenvalues of P = D^-1 (D - A)) is verified against
 it exactly; the eigenvalue product is read off the exact characteristic
 polynomial of delta P (`scaled_prob_laplacian`, the integer builder that
-`decimation.derive` reads too), never from floating point.  No scan for
+`decimation.derive` reads too) by `matrices.charpoly`, the routine that
+gives `derive` its chi_D, never from floating point.  No scan for
 connectivity runs first: each computation refuses a disconnected graph
 where it meets the fact, the elimination at a zero pivot and the
 eigenvalue product at a second zero eigenvalue of P.
@@ -23,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .levels import LevelGraph
-from .matrices import scaled_charpoly
+from .matrices import charpoly
 from .polys import Polynomial
 
 Q = Fraction
@@ -140,8 +141,9 @@ def scaled_prob_laplacian(g) -> tuple[list[list[int]], int]:
 
 
 def prob_laplacian_charpoly(g) -> Polynomial:
-    """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A)."""
-    return scaled_charpoly(*scaled_prob_laplacian(g))
+    """det(P - xI) for the probabilistic Laplacian P = D^-1 (D - A): the one
+    `matrices.charpoly` of the integer pair (delta P, delta)."""
+    return charpoly(*scaled_prob_laplacian(g))
 
 
 def det_star_P(g, chi: Polynomial | None = None) -> Fraction:

@@ -1,24 +1,24 @@
 """Dense exact linear algebra over Q, in integers.
 
-Matrices are plain lists of rows of ints or `Fraction`s.  The decimation
+Matrices are plain lists of rows of ints; a rational matrix M enters as an
+integer matrix B and a scale delta with M = B / delta.  The decimation
 engine takes chi_D and the Schur complement's moments from the integer
 matrix delta * P1 of `kirchhoff.scaled_prob_laplacian`, with no solve
 (see `decimation.derive`); it maps a conjugate class of degree 3 or more
-through R with one `solve_linear` and one `charpoly` (see
+through R with one `solve_linear`, whose integer solution and scale are
+the B and delta of M_den^-1 M_num, and one `charpoly` (see
 `DecimationData.image_of`; a rational or quadratic class takes its
 closed form instead).  `solve_linear` and `bareiss_det_int` share one
-fraction-free elimination, `_eliminate`.  `charpoly` scales its input to
-integers and hands it to `scaled_charpoly`, which `derive` and
-`kirchhoff.prob_laplacian_charpoly` call directly with delta * P.  That
-is one Hessenberg pass in Z/p, p the smallest table prime 2^k - c above
-twice the Hadamard bound on the coefficients, so it is exact, not
-probabilistic.
+fraction-free elimination, `_eliminate`.  `charpoly` is the one
+characteristic polynomial, for `derive`'s chi_D, the oracle's P_n
+(`kirchhoff.prob_laplacian_charpoly`) and `image_of`: one Hessenberg
+pass in Z/p, p the smallest table prime 2^k - c above twice the Hadamard
+bound on the coefficients, so it is exact, not probabilistic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
 
 from .polys import Polynomial
@@ -79,52 +79,34 @@ def _eliminate(rows: list, n: int) -> int:
     return sign * prev
 
 
-def solve_linear(a: Matrix, rhs: Matrix) -> Matrix:
-    """Solve a X = rhs exactly by fraction-free Gauss-Jordan elimination.
+def solve_linear(a: Matrix, rhs: Matrix) -> tuple[Matrix, int]:
+    """Solve a X = rhs exactly for integer rows by fraction-free
+    Gauss-Jordan elimination: (x, scale) with a x = scale * rhs, scale > 0
+    and gcd(scale, entries of x) = 1, so X = x / scale in lowest terms.
 
-    `a` must be square and nonsingular, `rhs` has matching row count, and
-    the entries may be ints or Fractions.  Each row of [a | rhs] is scaled
-    to integers by the lcm of its denominators, and the content c of the
-    scaled a is divided out (a/c times cX is rhs), so no minor carries a
-    power of c: on tall orbit classes every row of `image_of`'s M_den
-    shares thousands of bits, and this halves the solve.  `_eliminate`
-    reduces a/c to p I, p its last pivot, and X is the right-hand block
-    over p c, as Fractions.  A singular `a` raises ValueError.
+    `a` must be square and nonsingular and `rhs` has matching row count.
+    The content c of a is divided out (a/c times cX is rhs), so no minor
+    carries a power of c: on tall orbit classes every row of `image_of`'s
+    M_den shares thousands of bits, and this halves the solve.
+    `_eliminate` reduces a/c to p I, p its last pivot, and the right-hand
+    block is p c X.  A singular `a` raises ValueError.
     """
     n = len(a)
-    rows = []
-    for left, right in zip(a, rhs):
-        row = [*left, *right]
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-    c = gcd(*(x for row in rows for x in row[:n])) or 1
-    for row in rows:
-        row[:n] = [x // c for x in row[:n]]
+    c = gcd(*(x for row in a for x in row)) or 1
+    rows = [[x // c for x in left] + list(right) for left, right in zip(a, rhs)]
     if not _eliminate(rows, n):
         raise ValueError("singular matrix in solve_linear")
-    p = c * rows[-1][n - 1] if n else 1
-    return [[Fraction(x, p) for x in row[n:]] for row in rows]
+    scale = c * rows[-1][n - 1] if n else 1
+    g = gcd(scale, *(x for row in rows for x in row[n:]))
+    if scale < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in rows], scale // g
 
 
 def bareiss_det_int(a: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by `_eliminate` on a copy:
     1 for the empty matrix and 0 for a singular one."""
     return _eliminate([list(row) for row in a], len(a))
-
-
-def charpoly(a: Matrix) -> Polynomial:
-    """Characteristic polynomial det(M - x I) of a square matrix over Q.
-
-    Entries may be ints or Fractions.  M is scaled to the integer matrix
-    B = delta M, delta the lcm of the entry denominators, and
-    `scaled_charpoly(B, delta)` does the rest.  Note the sign convention:
-    this is det(M - xI), i.e. (-1)^n times the monic characteristic
-    polynomial.
-    """
-    delta = lcm(*(x.denominator for row in a for x in row))
-    return scaled_charpoly(
-        [[x.numerator * (delta // x.denominator) for x in row] for row in a], delta
-    )
 
 
 def _modulus(bound: int) -> int:
@@ -139,8 +121,11 @@ def _modulus(bound: int) -> int:
                      f"is past the largest table prime 2^{k} - {c}")
 
 
-def scaled_charpoly(b: Sequence[Sequence[int]], delta: int = 1) -> Polynomial:
-    """det(B / delta - x I) for a square integer matrix B and an int delta >= 1.
+def charpoly(b: Sequence[Sequence[int]], delta: int = 1) -> Polynomial:
+    """det(B / delta - x I) for a square integer matrix B and an int delta >= 1:
+    the one characteristic polynomial of the package (note the sign: this is
+    (-1)^n times the monic one).  A non-integer entry, a Fraction say, is
+    refused with TypeError by the bound's `isqrt`, before any residue.
 
     The coefficient of y^(n-i) in det(yI - B) is a signed sum of i x i
     principal minors, so Hadamard's inequality bounds it by

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
@@ -53,6 +54,15 @@ def prob_laplacian(g) -> list[list[Fraction]]:
     in integers."""
     zero = Fraction(0)  # one shared Fraction for the zero entries
     return [[Fraction(x, d) if x else zero for x in row] for row, d in zip(laplacian(g), g.degrees())]
+
+
+def scaled(m) -> tuple[list[list[int]], int]:
+    """(B, delta) with m = B / delta for rows of ints and Fractions, delta
+    the lcm of the entries' denominators: a rational matrix in the integer
+    form that `matrices.charpoly` and `matrices.solve_linear` take.  The
+    rows may differ in length, so one call scales a system [a; rhs]."""
+    delta = lcm(*(Fraction(x).denominator for row in m for x in row))
+    return [[int(x * delta) for x in row] for row in m], delta
 
 
 def gauss_jordan_q(a, rhs):

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 from fractions import Fraction as F
 from pathlib import Path
@@ -26,7 +27,7 @@ from fractal_trees.decimation import (
     classify,
 )
 from fractal_trees.kirchhoff import prob_laplacian_charpoly, scaled_prob_laplacian
-from fractal_trees.matrices import charpoly, scaled_charpoly
+from fractal_trees.matrices import charpoly
 from fractal_trees.polys import (
     AlgebraicClass,
     Polynomial,
@@ -37,7 +38,7 @@ from fractal_trees.polys import (
 )
 from fractal_trees.structures import BUILTIN_NAMES, InvalidStructureError, load_json
 from test_generalization import assert_schur_factors, gasket
-from conftest import gauss_jordan_q, small_rationals
+from conftest import gauss_jordan_q, scaled, small_rationals
 from test_polys import _is_rational_square, irreducible_factors
 
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
@@ -252,13 +253,10 @@ def test_decimation_data_is_decided_by_four_facts(nine_dds):
     assert {dd.structure.name: dd.escape_bound for dd in nine_dds} == ESCAPE_BOUNDS
 
 
-def ref_image(dd, cls):
-    """The class of R(alpha) for alpha in cls by the matrix route at every
-    degree, rational classes included: the squarefree part of the charpoly
-    of M_den^-1 M_num on Q[z]/(f), or None at a pole of R."""
+def ref_system(dd, cls):
+    """M_den^-1 M_num (transposed) on Q[z]/(f), f the minimal polynomial
+    of cls, as a Fraction matrix by Gauss-Jordan elimination in Fractions."""
     f = cls.minpoly
-    if f.divides(dd.R.den):
-        return None
 
     def times(p):
         rows, v = [], p % f
@@ -267,41 +265,51 @@ def ref_image(dd, cls):
             v = (v * Polynomial.x()) % f
         return rows
 
-    [(g, _)] = squarefree_decomposition(charpoly(gauss_jordan_q(times(dd.R.den), times(dd.R.num))))
+    return gauss_jordan_q(times(dd.R.den), times(dd.R.num))
+
+
+def ref_image(dd, cls):
+    """The class of R(alpha) for alpha in cls by the matrix route at every
+    degree, rational classes included: the squarefree part of the charpoly
+    of M_den^-1 M_num on Q[z]/(f), or None at a pole of R."""
+    if cls.minpoly.divides(dd.R.den):
+        return None
+    [(g, _)] = squarefree_decomposition(charpoly(*scaled(ref_system(dd, cls))))
     return AlgebraicClass(g)
+
+
+def classes_seen(s):
+    """derive(s), the pairs (base, preimage) of the split bases tau(G_40)
+    reaches, and every class of those pairs or that `image_of` is asked
+    about by derive (case records and orbits) and tau(G_40)."""
+    real_image, real_preimages = DecimationData.image_of, DecimationData.preimage_classes
+    seen, pairs = set(), set()
+
+    def spy_image(self, cls):
+        seen.add(cls)
+        return real_image(self, cls)
+
+    def spy_preimages(self, base):
+        found = real_preimages(self, base)
+        pairs.update((base, cls) for cls, _ in found)
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DecimationData, "image_of", spy_image)
+        mp.setattr(DecimationData, "preimage_classes", spy_preimages)
+        dd = derive(s)
+        tau(s, 40, dd)
+    return dd, seen | {c for pair in pairs for c in pair}, pairs
 
 
 @pytest.fixture(scope="module")
 def images_seen():
-    """Per structure (the six builtins, sg3, SG_{3,4}, SG_{3,5}, SG_{2,4}
-    and SG_{2,5}, the last two kept last), its decimation data, the pairs
-    (base, preimage) of the split bases tau(G_40) reaches, and every class
-    of those pairs or that `image_of` is asked about by derive (case
-    records and orbits) and tau(G_40)."""
+    """`classes_seen` per structure: the six builtins, sg3, SG_{3,4},
+    SG_{3,5}, SG_{2,4} and SG_{2,5}, the last two kept last."""
     data = Path(__file__).parent / "data"
     structures = [*(builtin(name) for name in BUILTIN_NAMES), gasket(2, 3), gasket(3, 4),
                   gasket(3, 5), *(load_json(str(data / f)) for f in ("sg_2_4.json", "sg_2_5.json"))]
-    real_image, real_preimages = DecimationData.image_of, DecimationData.preimage_classes
-    out = []
-    with pytest.MonkeyPatch.context() as mp:
-        for s in structures:
-            seen, pairs = set(), set()
-
-            def spy_image(self, cls):
-                seen.add(cls)
-                return real_image(self, cls)
-
-            def spy_preimages(self, base):
-                found = real_preimages(self, base)
-                pairs.update((base, cls) for cls, _ in found)
-                return found
-
-            mp.setattr(DecimationData, "image_of", spy_image)
-            mp.setattr(DecimationData, "preimage_classes", spy_preimages)
-            dd = derive(s)
-            tau(s, 40, dd)
-            out.append((dd, seen | {c for pair in pairs for c in pair}, pairs))
-    return out
+    return [classes_seen(s) for s in structures]
 
 
 def test_image_of_matches_the_matrix_route_on_every_class_seen(images_seen):
@@ -316,6 +324,40 @@ def test_image_of_matches_the_matrix_route_on_every_class_seen(images_seen):
             assert dd.image_of(cls) == base, (dd.structure.name, cls)
     assert {1, 2, 3, 4, 5, 6} <= degrees and poles
     assert all(pairs for _, _, pairs in images_seen)
+
+
+def _tall_images(cases, monkeypatch):
+    """(structure, degree, class, image) for each non-pole class of degree
+    3 or more in `cases` (as `classes_seen` gives them), each checked to hand
+    `charpoly` the (B, delta) of the Fraction route's M_den^-1 M_num, B
+    and delta coprime, and to match `ref_image`."""
+    handed, real = [], decimation.charpoly
+    monkeypatch.setattr(decimation, "charpoly", lambda b, delta=1: handed.append((b, delta))
+                        or real(b, delta))
+    out = []
+    for dd, classes, _ in cases:
+        fresh = rebuilt(dd)
+        for cls in sorted(classes, key=AlgebraicClass.key):
+            if cls.degree < 3 or cls.minpoly.divides(dd.R.den):
+                continue
+            handed.clear()
+            image = fresh.image_of(cls)
+            assert handed == [scaled(ref_system(dd, cls))], (dd.structure.name, cls)
+            assert image == ref_image(dd, cls), (dd.structure.name, cls)
+            out.append((dd.structure.name, cls.degree, str(cls.minpoly), str(image.minpoly)))
+    return out
+
+
+# sha256 of `_tall_images` on `images_seen` and on SG_{2,10}, from the
+# Fraction route that `image_of` took before its integer solve
+TALL_IMAGES = "d073850741854a516131040ff4cd0856ba8fa2965390f247dd195554928243e8"
+
+
+def test_tall_classes_keep_their_images_and_the_fraction_route_pair(images_seen, monkeypatch):
+    tall = _tall_images([*images_seen, classes_seen(gasket(2, 10))], monkeypatch)
+    assert {name for name, *_ in tall} == {"sg3_4", "sg3_5", "sg4", "sg5", "sg10"}
+    assert {degree for _, degree, *_ in tall} == {3, 4, 5, 6, 7, 12, 18}
+    assert hashlib.sha256(repr(tall).encode()).hexdigest() == TALL_IMAGES
 
 
 def test_rational_and_quadratic_classes_never_reach_solve_linear(images_seen, monkeypatch):
@@ -377,7 +419,7 @@ def ref_phi_and_r(s):
     chi_D S = chi_D (1 - z) I + sum_t M_t q_t, one product per moment."""
     v0 = s.v0_size
     b, delta = scaled_prob_laplacian(build_level(s, 1))
-    chi_d = scaled_charpoly([row[v0:] for row in b[v0:]], delta)
+    chi_d = charpoly([row[v0:] for row in b[v0:]], delta)
     n11, n12 = chi_d * Polynomial([1, -1]), Polynomial()
     for t, (scale, mom) in enumerate(decimation._moments(b, v0, delta)):
         q_t = Polynomial.from_integers(chi_d.numerators[t + 1:], chi_d.denominator)

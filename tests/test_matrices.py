@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from fractal_trees.levels import build_level
 from fractal_trees.matrices import bareiss_det_int, charpoly, solve_linear
 from fractal_trees.polys import Polynomial
 from fractal_trees.structures import BUILTIN_NAMES, builtin, load_json
-from conftest import gauss_jordan_q, prob_laplacian
+from conftest import gauss_jordan_q, prob_laplacian, scaled
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,7 +92,7 @@ def hessenberg_charpoly_q(a):
 
 
 def test_charpoly_identity_2x2():
-    chi = charpoly([[F(1), F(0)], [F(0), F(1)]])
+    chi = charpoly(*scaled([[F(1), F(0)], [F(0), F(1)]]))
     # (1 - x)^2
     assert chi == Polynomial([1, -2, 1])
 
@@ -99,7 +100,7 @@ def test_charpoly_identity_2x2():
 def test_charpoly_p0_triangle():
     # probabilistic Laplacian of K3: diag 1, off-diag -1/2
     m = [[F(1) if i == j else F(-1, 2) for j in range(3)] for i in range(3)]
-    chi = charpoly(m)
+    chi = charpoly(*scaled(m))
     # -x (3/2 - x)^2 = -9/4 x + 3 x^2 - x^3
     assert chi == Polynomial([0, F(-9, 4), 3, -1])
 
@@ -111,7 +112,7 @@ def test_charpoly_four_cycle_roots():
         m[i][i] = F(1)
         m[i][(i + 1) % 4] = F(-1, 2)
         m[i][(i - 1) % 4] = F(-1, 2)
-    chi = charpoly(m)
+    chi = charpoly(*scaled(m))
     expected = Polynomial([1])
     for r in (0, 1, 1, 2):
         expected = expected * Polynomial([F(r), -1])
@@ -120,7 +121,7 @@ def test_charpoly_four_cycle_roots():
 
 def test_charpoly_non_square_raises():
     with pytest.raises(ValueError):
-        charpoly([[F(1), F(2)]])
+        charpoly([[1, 2]])
 
 
 @settings(max_examples=80, deadline=None)
@@ -140,7 +141,7 @@ def test_charpoly_matches_eliminated_determinant(dim, seed, density):
         ]
         for _ in range(dim)
     ]
-    chi = charpoly(m)
+    chi = charpoly(*scaled(m))
     for x in (F(0), F(1), F(-1, 2), F(7, 3)):
         shifted = [
             [m[i][j] - (x if i == j else 0) for j in range(dim)] for i in range(dim)
@@ -167,7 +168,7 @@ def test_charpoly_matches_fraction_hessenberg(dim, seed, density, height):
         return num if rng.random() < 0.3 else F(num, rng.randint(1, height))
 
     m = [[entry() for _ in range(dim)] for _ in range(dim)]
-    assert charpoly(m) == hessenberg_charpoly_q(m)
+    assert charpoly(*scaled(m)) == hessenberg_charpoly_q(m)
 
 
 def _structure(name):
@@ -180,12 +181,12 @@ def _structure(name):
 @pytest.mark.parametrize("n", [1, 2])
 def test_charpoly_of_level_graphs_matches_fraction_hessenberg(name, n):
     p = prob_laplacian(build_level(_structure(name), n))
-    assert charpoly(p) == hessenberg_charpoly_q(p)
+    assert charpoly(*scaled(p)) == hessenberg_charpoly_q(p)
 
 
 def test_charpoly_empty_and_one_by_one():
     assert charpoly([]) == Polynomial([1])
-    assert charpoly([[F(3, 7)]]) == Polynomial([F(3, 7), -1])
+    assert charpoly(*scaled([[F(3, 7)]])) == charpoly([[3]], 7) == Polynomial([F(3, 7), -1])
     assert charpoly([[0]]) == Polynomial([0, -1])
 
 
@@ -206,7 +207,7 @@ def test_charpoly_large_denominator_lcm():
         [F(0), F(7, 1021), F(2, 1013), F(-1, 1019)],
         [F(1, 1013), F(0), F(4, 1009), F(-3, 1021)],
     ]
-    chi = charpoly(m)
+    chi = charpoly(*scaled(m))
     assert chi == hessenberg_charpoly_q(m)
     for x in (F(0), F(1, 3), F(-5, 2)):
         assert chi(x) == det_gauss([[e - (x if i == j else 0) for j, e in enumerate(row)]
@@ -217,13 +218,13 @@ def test_charpoly_huge_entries_use_a_large_table_prime(monkeypatch):
     rng = random.Random(2203)
     m = [[F(rng.getrandbits(3000) - (1 << 2999), rng.getrandbits(20) + 1)
           for _ in range(3)] for _ in range(3)]
-    assert charpoly(m) == hessenberg_charpoly_q(m)
+    assert charpoly(*scaled(m)) == hessenberg_charpoly_q(m)
     # the bound is past every table prime up to the last 4096-bit one
     table = matrices._PRIMES
     last = next(i for i, (k, _) in enumerate(table) if k == 4096)
     monkeypatch.setattr(matrices, "_PRIMES", table[:last + 1])
     with pytest.raises(ValueError, match=f"past the largest table prime 2\\^4096 - {table[last][1]}$"):
-        charpoly(m)
+        charpoly(*scaled(m))
 
 
 def test_charpoly_bound_past_the_table_raises(monkeypatch):
@@ -232,6 +233,18 @@ def test_charpoly_bound_past_the_table_raises(monkeypatch):
     with pytest.raises(ValueError, match="coefficient bound of 96 bits is past the largest "
                                          "table prime 2\\^96 - 17$"):
         charpoly([[1 << 95]])
+
+
+def test_charpoly_refuses_a_fraction_entry_before_any_residue(monkeypatch):
+    # the Hadamard bound's isqrt meets the Fraction first, so no modulus is
+    # chosen and no entry is reduced
+    def no_modulus(bound):
+        raise AssertionError("a modulus was chosen")
+
+    monkeypatch.setattr(matrices, "_modulus", no_modulus)
+    for m in ([[F(1, 2)]], [[1, 0], [0, F(2)]], [[F(0), 1], [2, 3]]):
+        with pytest.raises(TypeError, match="^'Fraction' object cannot be interpreted as an integer$"):
+            charpoly(m)
 
 
 def _lucas_lehmer(e):
@@ -324,16 +337,24 @@ def test_bareiss_matches_gauss(dim, seed):
     assert bareiss_det_int(m) == det_gauss([[F(e) for e in row] for row in m])
 
 
+def _solved(a, rhs):
+    """`solve_linear` on a system of ints and Fractions, scaled to integers
+    by one lcm, read back as Fractions."""
+    b, _ = scaled([*a, *rhs])
+    x, scale = solve_linear(b[:len(a)], b[len(a):])
+    return [[F(v, scale) for v in row] for row in x]
+
+
 def test_solve_linear_rational():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    rhs = [[F(1)], [F(2)]]
-    x = solve_linear(a, rhs)
-    assert x == [[F(1, 5)], [F(3, 5)]]
-    # int entries once came back as floats (0.19999999999999996, 0.6000000000000001)
-    x = solve_linear([[2, 1], [1, 3]], [[1], [2]])
-    assert x == [[F(1, 5)], [F(3, 5)]]
-    assert all(type(v) is F for row in x for v in row)
-    assert solve_linear([], []) == []
+    assert solve_linear([[2, 1], [1, 3]], [[1], [2]]) == ([[1], [3]], 5)
+    # the content of a is divided out, and a negative last pivot (det -2)
+    # moves its sign and the common factor off the scale
+    assert solve_linear([[-4, -2], [-2, -6]], [[2], [4]]) == ([[-1], [-3]], 5)
+    assert solve_linear([[1, 2], [3, 4]], [[1], [1]]) == ([[-1], [1]], 1)
+    assert _solved([[F(2), F(1)], [F(1), F(3)]], [[F(1)], [F(2)]]) == [[F(1, 5)], [F(3, 5)]]
+    x, scale = solve_linear([[6, 0], [0, 4]], [[3], [2]])
+    assert (x, scale) == ([[1], [1]], 2) and all(type(v) is int for row in x for v in row)
+    assert solve_linear([], []) == ([], 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,21 +378,21 @@ def test_solve_linear_solves(dim, seed, density):
     if det_gauss(a) == 0:
         return
     rhs = [[entry() for _ in range(3)] for _ in range(dim)]
-    x = solve_linear(a, rhs)
+    x = _solved(a, rhs)
     assert [[sum(a[i][t] * x[t][j] for t in range(dim)) for j in range(3)]
             for i in range(dim)] == rhs
 
 
 def test_solve_linear_singular_raises():
     with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
-        solve_linear([[F(1), F(1)], [F(2), F(2)]], [[F(1)], [F(1)]])
+        solve_linear([[1, 1], [2, 2]], [[1], [1]])
     rng = random.Random(5)
     for dim in (3, 5):  # rank dim - 1: the last row is the sum of the others
         a = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)]
              for _ in range(dim - 1)]
         a.append([sum(col) for col in zip(*a)])
         with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
-            solve_linear(a, [[F(i)] for i in range(dim)])
+            _solved(a, [[F(i)] for i in range(dim)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -399,11 +420,45 @@ def test_solve_linear_matches_fraction_gauss_jordan(dim, cols, seed, height, sha
     rhs = [[entry() for _ in range(cols)] for _ in range(dim)]
     if det_gauss([[F(x) for x in row] for row in a]) == 0:
         with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
+            _solved(a, rhs)
+        return
+    assert _solved(a, rhs) == gauss_jordan_q(a, rhs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10 ** 6),
+    st.sampled_from([1, 10, 10 ** 6, 10 ** 30]),
+    st.sampled_from([0.0, 0.5]),
+    st.sampled_from([1.0, 0.4]),
+)
+def test_integer_solve_linear_contract(dim, cols, seed, height, singular, density):
+    # a x = scale rhs with scale > 0 and gcd(scale, x) = 1, or the refusal;
+    # a singular draw repeats a multiple of one row in another, and a common
+    # factor of every entry of a tests the division by its content
+    rng = random.Random(seed)
+
+    def entry():
+        return rng.randint(-height, height) if rng.random() < density else 0
+
+    a = [[entry() for _ in range(dim)] for _ in range(dim)]
+    if dim > 1 and rng.random() < singular:
+        i, j = rng.sample(range(dim), 2)
+        a[j] = [rng.randint(-3, 3) * x for x in a[i]]
+    if rng.random() < 0.3:
+        a = [[6 * x for x in row] for row in a]
+    rhs = [[entry() for _ in range(cols)] for _ in range(dim)]
+    if det_gauss([[F(x) for x in row] for row in a]) == 0:
+        with pytest.raises(ValueError, match="^singular matrix in solve_linear$"):
             solve_linear(a, rhs)
         return
-    x = solve_linear(a, rhs)
-    assert x == gauss_jordan_q(a, rhs)
-    assert all(type(v) is F for row in x for v in row)
+    x, scale = solve_linear(a, rhs)
+    assert scale > 0 and gcd(scale, *(v for row in x for v in row)) == 1
+    assert all(type(v) is int for row in x for v in row) and type(scale) is int
+    assert [[sum(a[i][t] * x[t][j] for t in range(dim)) for j in range(cols)]
+            for i in range(dim)] == [[scale * v for v in row] for row in rhs]
 
 
 def test_bareiss_det_int_empty_and_singular():

@@ -25,6 +25,7 @@ from fractal_trees.decimation import (
     InconsistentSpectrumError,
     Induction,
     NotFullySymmetricError,
+    Spectra,
     UnclassifiableError,
 )
 from fractal_trees.kirchhoff import det_star_P
@@ -229,21 +230,22 @@ def test_a_class_with_two_sources_withholds_the_certificate(monkeypatch, capsys)
 
 
 def _emptied_lifts(monkeypatch):
-    """A reader that empties the lifted families it is handed, the dict a
-    `Spectra` pass keeps for its tables: the pass's own checks see nothing."""
-    real = Induction.__next__
+    """A `Spectra` pass that empties its own copy of each level's lifted
+    families once the level has passed: the pass's checks at that level
+    see them, and the next table asked for misses them."""
+    real = Spectra._step
 
-    def __next__(self):
-        v_n, born, lifted = real(self)
-        kept = dict(lifted)
-        lifted.clear()
-        return v_n, born, kept
+    def _step(self):
+        out = real(self)
+        if self._lifts:
+            self._lifts[-1].clear()
+        return out
 
-    monkeypatch.setattr(Induction, "__next__", __next__)
+    monkeypatch.setattr(Spectra, "_step", _step)
 
 
 def test_spectra_sum_rule_refuses_a_table_that_lost_its_families(monkeypatch, capsys):
-    # a level's table is built before its lifted families are handed on, so
+    # a level's table is built before its lifted families are emptied, so
     # the first table that misses some is level 3's: 3/4 lifted to level 2
     dd = derive(builtin("sierpinski"))
     tables = {n: spectrum(dd, n) for n in (1, 2)}
@@ -253,12 +255,34 @@ def test_spectra_sum_rule_refuses_a_table_that_lost_its_families(monkeypatch, ca
     with pytest.raises(InconsistentSpectrumError, match=f"^{message}$"):
         spectrum(dd, 3)
     assert run(capsys, "decimate", "sierpinski", "-n", "3") == (2, "", f"error: {message}\n")
-    # verify's walk takes its own copies and passes; the level-30 table fails
+    # verify's walk reads the families it is handed, which are whole, and
+    # passes; the level-30 table fails
     code, out, err = run(capsys, "verify", "sierpinski", "--max-level", "2")
     failed = [line for line in out.splitlines() if not line.startswith("PASS")]
     assert (code, err) == (2, "")
     assert failed == ["FAIL  spectrum sum rule, levels 0..30  (sum rule violated at level 30: "
                       "217329528322135 != 308836698141975)"]
+
+
+def test_a_reader_that_empties_its_families_changes_no_table(monkeypatch, capsys):
+    # the reader keeps a copy and empties the dict it was handed
+    dd = derive(builtin("sierpinski"))
+    tables = {n: spectrum(dd, n) for n in (1, 2, 3, 30)}
+    outputs = [run(capsys, "decimate", "sierpinski", "-n", "3"),
+               run(capsys, "verify", "sierpinski", "--max-level", "2")]
+    real = Induction.__next__
+
+    def __next__(self):
+        v_n, born, lifted = real(self)
+        kept = dict(lifted)
+        lifted.clear()
+        return v_n, born, kept
+
+    monkeypatch.setattr(Induction, "__next__", __next__)
+    assert {n: spectrum(dd, n) for n in (1, 2, 3, 30)} == tables
+    assert [run(capsys, "decimate", "sierpinski", "-n", "3"),
+            run(capsys, "verify", "sierpinski", "--max-level", "2")] == outputs
+    assert outputs[1][0] == 0
 
 
 # ---------------------------------------------------------------------------
