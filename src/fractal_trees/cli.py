@@ -86,7 +86,8 @@ def _print_json(obj):
     import json
 
     with _int_str_unlimited():
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        # the package prints only acyclic dicts and lists
+        print(json.dumps(obj, indent=2, sort_keys=True, check_circular=False))
 
 
 def cmd_list(args) -> int:
@@ -286,43 +287,39 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    import mpmath
+    from mpmath.libmp import to_str
 
     s = _resolve(args.fractal)
     report = entropy(s, n_max=args.level, precision=args.prec)
     prec = args.prec
-    with mpmath.workdps(prec):
-        if args.format == "json":
-            _print_json(
-                {
-                    "schema": "1",
-                    "fractal": s.name,
-                    "precision": prec,
-                    "values": [[n, mpmath.nstr(c, prec)] for n, c in report.values],
-                    "extrapolated": mpmath.nstr(report.extrapolated, prec),
-                    "bounds_applicable": report.bounds_applicable,
-                    "lower_bound": None
-                    if report.lower_bound is None
-                    else mpmath.nstr(report.lower_bound, prec),
-                    "upper_bound": None
-                    if report.upper_bound is None
-                    else mpmath.nstr(report.upper_bound, prec),
-                    "diffs_decreasing": report.diffs_decreasing,
-                }
-            )
-            return EXIT_OK
-        print(f"tree entropy of {s.name} (ln-based, {prec} digits)")
-        for n, c in report.values:
-            print(f"  c_{n:<3d} = {mpmath.nstr(c, prec)}")
-        print(f"extrapolated: {mpmath.nstr(report.extrapolated, prec)}")
-        if report.bounds_applicable:
-            print(
-                f"bounds: {mpmath.nstr(report.lower_bound, prec)} <= c <= "
-                f"{mpmath.nstr(report.upper_bound, prec)}"
-            )
-        else:
-            print("bounds: not applicable (|V0| = 2 or G1 is a tree)")
-        print(f"|c_(n+1) - c_n| decreasing over last levels: {report.diffs_decreasing}")
+
+    def digits(x):  # mpmath.nstr(x, prec) of an mpf
+        return None if x is None else to_str(x._mpf_, prec)
+
+    if args.format == "json":
+        _print_json(
+            {
+                "schema": "1",
+                "fractal": s.name,
+                "precision": prec,
+                "values": [[n, digits(c)] for n, c in report.values],
+                "extrapolated": digits(report.extrapolated),
+                "bounds_applicable": report.bounds_applicable,
+                "lower_bound": digits(report.lower_bound),
+                "upper_bound": digits(report.upper_bound),
+                "diffs_decreasing": report.diffs_decreasing,
+            }
+        )
+        return EXIT_OK
+    print(f"tree entropy of {s.name} (ln-based, {prec} digits)")
+    for n, c in report.values:
+        print(f"  c_{n:<3d} = {digits(c)}")
+    print(f"extrapolated: {digits(report.extrapolated)}")
+    if report.bounds_applicable:
+        print(f"bounds: {digits(report.lower_bound)} <= c <= {digits(report.upper_bound)}")
+    else:
+        print("bounds: not applicable (|V0| = 2 or G1 is a tree)")
+    print(f"|c_(n+1) - c_n| decreasing over last levels: {report.diffs_decreasing}")
     return EXIT_OK
 
 

@@ -277,17 +277,19 @@ class LevelWalk:
         if self.refused is not None:
             raise self.refused
         n = self.level
-        out = {} if self.jumps else self._assemble(*self._state())
-        values = [n ** i * r ** n for r, i in self.terms]
-        for key, (coeffs, den) in self.forms.items():  # none before the jump
-            out[key], rest = divmod(sum(map(mul, coeffs, values)), den)
-            if rest:
-                raise AssemblyError(
-                    f"assembly mismatch at level {n}: the exponent of {key} is not an integer"
-                )
+        if self.jumps:
+            out, values = {}, [n ** i * r ** n for r, i in self.terms]
+            for key, (coeffs, den) in self.forms.items():
+                out[key], rest = divmod(sum(map(mul, coeffs, values)), den)
+                if rest:
+                    raise AssemblyError(
+                        f"assembly mismatch at level {n}: the exponent of {key} is not an integer"
+                    )
+        else:
+            out = self._assemble(*self._state())
         sign = -1 if out.pop(-1, 0) % 2 else 1
-        negative = sorted(p for p, e in out.items() if e < 0)
-        if sign != 1 or negative:
+        if sign != 1 or min(out.values(), default=0) < 0:
+            negative = sorted(p for p, e in out.items() if e < 0)
             raise AssemblyError(
                 f"assembly mismatch at level {n}: the product is not a positive "
                 f"integer (sign {sign:+d}, negative exponents at primes {negative})"

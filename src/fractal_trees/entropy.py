@@ -7,7 +7,8 @@ W_n, H_n = m H_{n-1} + new sites) gives the exponents of every level: it
 steps a few levels, then evaluates each prime's closed form, fitted once
 from the walk's checked linear recurrence (see `counting`), at every
 later level.  `entropy` sums e ln p over each level's exponents as the
-walk reaches it, primes ascending, with ln p computed once per prime.
+walk reaches it, primes ascending, with ln p computed once per prime,
+through mpmath's `libmp` with the roundings its mpf arithmetic makes.
 The general bounds ln(3)/2 <= c <=
 ln((m-1)|V0|(|V0|-1) / (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a
 tree; the 3-branch tree structure (builtin `tree3`) attains the lower
@@ -22,7 +23,6 @@ from functools import cache
 from ._record import Record
 from .counting import LevelWalk, check_structure, tau  # noqa: F401 - perfbench's tracer wraps tau here
 from .decimation import DecimationData, DecimationError, derive
-from .levels import vertex_count_formula
 from .structures import SelfSimilarStructure
 
 Q = Fraction
@@ -102,18 +102,26 @@ def entropy(
                 "brute-force oracle at small levels instead"
             ) from e
     import mpmath
+    from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul_int, round_nearest as rnd
 
-    walk, log = LevelWalk(dd), cache(mpmath.log)  # ln p once per prime
+    walk = LevelWalk(dd)
+    m, v0, v1 = s.m, s.v0_size, s.v1_size
+    v_n = v1  # |V_n| = m (|V_(n-1)| - |V0|) + |V1| from n = 1
     with mpmath.workdps(precision + 10):
+        # the calls that mpf's e * ln p, += and / |V_n| make, on raw values
+        # at mp.prec: each c_n is bit for bit the mpf objects' sum
+        prec, make_mpf = mpmath.mp.prec, mpmath.mp.make_mpf
+        log = cache(lambda p: mpmath.log(p)._mpf_)  # ln p once per prime
         values = []
         for n in range(2, n_max + 1):
             walk.jump(n)
             # every level's exponents name the primes of |V0| at least
             (p, e), *rest = sorted(walk.exponents().items())
-            acc = e * log(p)
+            acc = mpf_mul_int(log(p), e, prec, rnd)
             for p, e in rest:
-                acc += e * log(p)
-            values.append((n, acc / vertex_count_formula(s, n)))
+                acc = mpf_add(acc, mpf_mul_int(log(p), e, prec, rnd), prec, rnd)
+            v_n = m * (v_n - v0) + v1
+            values.append((n, make_mpf(mpf_div(acc, from_int(v_n), prec, rnd))))
         last = [c for _, c in values[-6:]]
         tail = [abs(b - a) for a, b in zip(last, last[1:])]
         decreasing = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -23,6 +24,7 @@ from fractal_trees import (
     tau,
     tau_bruteforce,
 )
+from fractal_trees import counting
 from fractal_trees.counting import LevelWalk
 from fractal_trees.decimation import DecimationData
 from fractal_trees.factored import VALUE_DIGIT_CAP, FactoredInteger, factorize
@@ -370,21 +372,67 @@ def _scale_ratio(monkeypatch, factor):
     monkeypatch.setattr(DecimationData, "ratio", property(lambda dd: factor * _RATIO.fget(dd)))
 
 
-def test_assembly_refuses_a_non_integer_product(monkeypatch, capsys):
+_CLOSED_FORMS = counting._closed_forms  # the fit, unpatched
+
+
+def _fit_like(monkeypatch, key, prime, factor):
+    """Every walk's closed forms give key factor times the exponent of prime,
+    as a wrong fit would after the jump: a sign key fitted like a prime is
+    odd wherever that prime's exponent is, and with factor -1 a new prime
+    takes a negative exponent at every level."""
+    def closed_forms(roots, rows):
+        terms, forms = _CLOSED_FORMS(roots, rows)
+        coeffs, den = forms[prime]
+        return terms, {**forms, key: ([factor * c for c in coeffs], den)}
+
+    monkeypatch.setattr(counting, "_closed_forms", closed_forms)
+
+
+def _jumped(name, n) -> bool:
+    """Whether the walk evaluates closed forms at level n."""
+    walk = LevelWalk(derive(builtin(name)))
+    walk.jump(n)
+    return walk.jumps
+
+
+def _not_positive(n, sign, primes):
+    """The whole refusal of a level whose product is not a positive integer."""
+    return "^" + re.escape(f"assembly mismatch at level {n}: the product is not a positive "
+                           f"integer (sign {sign:+d}, negative exponents at primes {primes})") + "$"
+
+
+# each refusal is reached before the jump, where the walk assembles the
+# level, and after it, where the walk evaluates the closed forms
+BOTH_REGIMES = pytest.mark.parametrize("fitted", [False, True], ids=["assembled", "fitted"])
+
+
+@BOTH_REGIMES
+def test_assembly_refuses_a_non_integer_product(monkeypatch, capsys, fitted):
     from fractal_trees.cli import main
 
     s = builtin("sierpinski")
-    _scale_ratio(monkeypatch, F(1, 7))
-    with pytest.raises(AssemblyError, match=r"negative exponents at primes \[7\]"):
-        tau(s, 3, derive(s))
-    assert main(["count", "sierpinski", "-n", "3"]) == 2
-    assert capsys.readouterr().err.startswith("error: assembly mismatch at level 3")
+    level = 10 if fitted else 3
+    assert _jumped("sierpinski", level) == fitted
+    if fitted:
+        _fit_like(monkeypatch, 7, 2, -1)
+    else:
+        _scale_ratio(monkeypatch, F(1, 7))
+    with pytest.raises(AssemblyError, match=_not_positive(level, 1, [7])):
+        tau(s, level, derive(s))
+    assert main(["count", "sierpinski", "-n", str(level)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: assembly mismatch at level {level}")
     # Q(0) -> -Q(0) negates the product at nonpcf level 3, whose families
-    # lift 27 roots in all (an odd power of the one-step ratio)
+    # lift 27 roots in all (an odd power of the one-step ratio); a sign
+    # fitted like the exponent of 3, odd at every level, negates level 8
     nonpcf = builtin("nonpcf_sg")
-    _scale_ratio(monkeypatch, -1)
-    with pytest.raises(AssemblyError, match=r"sign -1, negative exponents at primes \[\]"):
-        tau(nonpcf, 3, derive(nonpcf))
+    level = 8 if fitted else 3
+    assert _jumped("nonpcf_sg", level) == fitted
+    if fitted:
+        _fit_like(monkeypatch, -1, 3, 1)
+    else:
+        _scale_ratio(monkeypatch, -1)
+    with pytest.raises(AssemblyError, match=_not_positive(level, -1, [])):
+        tau(nonpcf, level, derive(nonpcf))
 
 
 def test_interval_tau_is_one(dds):
@@ -504,30 +552,39 @@ def test_entropy_factoring_grows_linearly(monkeypatch):
     assert calls_at(400) <= 2 * calls_at(200) + 20
 
 
-def test_every_level_read_is_checked(monkeypatch, capsys):
+@BOTH_REGIMES
+def test_every_level_read_is_checked(monkeypatch, capsys, fitted):
     # no builtin lifts an odd number of roots at level 1 (the level-0
     # family v0/(v0-1) has even multiplicity or splits), so the first
     # negative level is the hexagasket's level 2; its level 3 is positive
-    # again, so only a check at every level catches level 2 in a sweep
+    # again, so only a check at every level catches level 2 in a sweep.
+    # After the jump at level 4, a sign fitted like the exponent of 7 is
+    # odd at the even levels: level 4 is negative and level 5 positive
     from fractal_trees.cli import main
 
     s = builtin("hexagasket")
-    _scale_ratio(monkeypatch, -1)
+    bad = 4 if fitted else 2
+    assert _jumped("hexagasket", bad) == fitted and not _jumped("hexagasket", bad - 1)
+    if fitted:
+        _fit_like(monkeypatch, -1, 7, 1)
+    else:
+        _scale_ratio(monkeypatch, -1)
     dd = derive(s)
-    assert tau(s, 1, dd).factors and tau(s, 3, dd).factors
-    with pytest.raises(AssemblyError, match=r"at level 2: .*sign -1, negative exponents at primes \[\]"):
-        tau(s, 2, dd)
-    with pytest.raises(AssemblyError, match="at level 2:"):
-        entropy(s, n_max=5, dd=dd)
-    with pytest.raises(AssemblyError, match="at level 2:"):
-        exponent_table(s, 3, dd)
+    assert tau(s, bad - 1, dd).factors and tau(s, bad + 1, dd).factors
+    with pytest.raises(AssemblyError, match=_not_positive(bad, -1, [])):
+        tau(s, bad, dd)
+    with pytest.raises(AssemblyError, match=f"at level {bad}:"):
+        entropy(s, n_max=bad + 3, dd=dd)
+    with pytest.raises(AssemblyError, match=f"at level {bad}:"):
+        exponent_table(s, bad + 1, dd)
 
-    for argv in (["count", "hexagasket", "-n", "2"], ["entropy", "hexagasket", "-n", "5"]):
+    for argv in (["count", "hexagasket", "-n", str(bad)],
+                 ["entropy", "hexagasket", "-n", str(bad + 3)]):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: assembly mismatch at level 2") and err.count("\n") == 1
-    assert main(["count", "hexagasket", "-n", "3"]) == 0
+        assert err.startswith(f"error: assembly mismatch at level {bad}") and err.count("\n") == 1
+    assert main(["count", "hexagasket", "-n", str(bad + 1)]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib
+import json
 from fractions import Fraction as F
 from functools import cache
 from pathlib import Path
@@ -177,3 +178,63 @@ def test_entropy_reads_the_walk_as_the_exponent_table_does(name, n_max, precisio
     s, dd = structure_and_dd(name)
     got = entropy(s, n_max=n_max, precision=precision, dd=dd).values
     assert got == entropy_values_by_table(s, dd, n_max, precision)
+
+
+def entropy_values_by_mpf(s, dd, n_max, precision):
+    """c_2..c_n_max with an mpf object per operation: e * ln p for the
+    first prime, += for the rest in ascending order, then / |V_n|."""
+    from fractal_trees.counting import LevelWalk
+    from fractal_trees.levels import vertex_count_formula
+
+    walk, log = LevelWalk(dd), cache(mpmath.log)
+    with mpmath.workdps(precision + 10):
+        values = []
+        for n in range(2, n_max + 1):
+            walk.jump(n)
+            (p, e), *rest = sorted(walk.exponents().items())
+            acc = e * log(p)
+            for p, e in rest:
+                acc += e * log(p)
+            values.append((n, acc / vertex_count_formula(s, n)))
+    return values
+
+
+@pytest.mark.parametrize("precision", [6, 30, 31, 301])
+@pytest.mark.parametrize("name, n_max", [
+    *((name, 120) for name in (*BUILTIN_NAMES, "sg_2_4", "sg_2_5")), ("nonpcf_sg", 1000),
+])
+def test_entropy_sums_bit_for_bit_as_mpf_objects(name, n_max, precision):
+    s, dd = structure_and_dd(name)
+    got = entropy(s, n_max=n_max, precision=precision, dd=dd).values
+    assert all(isinstance(c, mpmath.mpf) for _, c in got)
+    want = entropy_values_by_mpf(s, dd, n_max, precision)
+    assert [(n, c._mpf_) for n, c in got] == [(n, c._mpf_) for n, c in want]
+
+
+@pytest.mark.parametrize("precision", [6, 31, 301])
+@pytest.mark.parametrize("name", ["sierpinski", "diamond", "sg_2_5"])
+def test_entropy_prints_what_nstr_prints(capsys, name, precision):
+    from fractal_trees.cli import main
+
+    s, dd = structure_and_dd(name)
+    fractal = str(STRUCTURE_FILES.get(name, name))
+    rep = entropy(s, n_max=40, precision=precision, dd=dd)
+
+    def nstr(x):
+        return mpmath.nstr(x, precision)
+
+    bounds = [None, None]
+    if rep.bounds_applicable:
+        bounds = [nstr(rep.lower_bound), nstr(rep.upper_bound)]
+    assert main(["entropy", fractal, "-n", "40", "--prec", str(precision), "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["values"] == [[n, nstr(c)] for n, c in rep.values]
+    assert printed["extrapolated"] == nstr(rep.extrapolated)
+    assert [printed["lower_bound"], printed["upper_bound"]] == bounds
+
+    assert main(["entropy", fractal, "-n", "40", "--prec", str(precision)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:-3] == [f"  c_{n:<3d} = {nstr(c)}" for n, c in rep.values]
+    assert lines[-3] == f"extrapolated: {nstr(rep.extrapolated)}"
+    assert lines[-2] == (f"bounds: {bounds[0]} <= c <= {bounds[1]}" if rep.bounds_applicable
+                         else "bounds: not applicable (|V0| = 2 or G1 is a tree)")
