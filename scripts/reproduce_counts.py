@@ -51,8 +51,9 @@ def main():
         s = builtin(name)
         dd = derive(s)
         num, den = dd.primitive_R()
+        d, q0, pd = dd.primitive_triple()
         print(f"== {name}")
-        print(f"   R(z) = ({num}) / ({den})   d={dd.d} Q(0)={den.constant_term()} P_d={num.leading()}")
+        print(f"   R(z) = ({num}) / ({den})   d={d} Q(0)={q0} P_d={pd}")
         for n in range(4):
             t = tau(s, n, dd)
             line = f"   tau(G_{n}) = {t}"

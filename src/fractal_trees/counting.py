@@ -138,7 +138,7 @@ class LevelWalk:
         # per level from the one where the map is fixed on: (state vector, what
         # its exponents are assembled from); None once no jump can be certified
         self.states: Optional[list[tuple]] = []
-        self._basis, self._kept = [], []  # echelon form (`_reduce`); after a slide, the relation
+        self._basis = []  # the states' echelon form (`_reduce`), restarted with the window
         self._coords: dict = {}  # a vector's positions past the fixed ones
         self.jumps = False  # the states' first relation is certified: levels follow it
         self.refused: Optional[Exception] = None  # what the first refused step raised
@@ -202,45 +202,37 @@ class LevelWalk:
         jump once the first linear relation of the kept states is certified
         (module docstring).  While an orbit has not ended, a multiplicity
         that `needs_zero` names is not 0 at the kept levels, or the relation
-        does not prove the born ones nonnegative for good, drop the oldest
-        state (at most dim + 1 are kept) and test the relation on the next
-        window before eliminating again.  Else one linear map made the kept
-        levels, and its roots that are not integers >= 0 stay: the walk steps on."""
+        does not prove the born ones nonnegative for good, restart the
+        window at this level (at most dim + 1 states are kept).  Else one
+        linear map made the kept levels, and its roots that are not integers
+        >= 0 stay: the walk steps on."""
         if self.states is None:
             return
         zeros = self._levels.needs_zero()
         if zeros is None:
-            self.states, self._basis, self._kept = [], [], []
+            self.states, self._basis = [], []
             return
         norms, *rest = self._state()
         self.states.append((self._vector(), (dict(norms), *rest)))
-        relation, self._kept = self._kept, []
-        columns = zip_longest(*(vector for vector, _ in self.states), fillvalue=0)
-        if not relation or any(sum(map(mul, relation, column)) for column in columns):
-            if relation:
-                self._basis = []
-                for vector, _ in self.states[:-1]:
-                    _reduce(self._basis, vector)
-            relation = _reduce(self._basis, self.states[-1][0])
-        while relation is not None:
-            born = [inputs[2] for _, inputs in self.states]
-            if not self._levels.orbits and not any(b.get(cls) for cls in zeros for b in born):
-                lead = relation[-1]
-                poly = [c // lead for c in relation]
-                roots = None if any(c % lead for c in relation) else _integer_roots(poly)
-                if roots is None:
-                    self.states = None
-                    return
-                classes = {cls for b in born for cls in b}
-                if all(_never_negative([b.get(cls, 0) for b in born], roots) for cls in classes):
-                    rows = {inputs[3]: self._assemble(*inputs) for _, inputs in self.states[1:]}
-                    self.terms, self.forms = _closed_forms(roots, rows)
-                    self.recurrence, self.states, self._basis, self.jumps = poly, [], [], True
-                    return
-            # the states left are independent, or the rest of the relation holds
-            del self.states[0]
-            self._kept = relation
-            relation = None if relation[0] else relation[1:]
+        relation = _reduce(self._basis, self.states[-1][0])
+        if relation is None:
+            return
+        born = [inputs[2] for _, inputs in self.states]
+        if not self._levels.orbits and not any(b.get(cls) for cls in zeros for b in born):
+            lead = relation[-1]
+            poly = [c // lead for c in relation]
+            roots = None if any(c % lead for c in relation) else _integer_roots(poly)
+            if roots is None:
+                self.states = None
+                return
+            classes = {cls for b in born for cls in b}
+            if all(_never_negative([b.get(cls, 0) for b in born], roots) for cls in classes):
+                rows = {inputs[3]: self._assemble(*inputs) for _, inputs in self.states[1:]}
+                self.terms, self.forms = _closed_forms(roots, rows)
+                self.recurrence, self.states, self._basis, self.jumps = poly, [], [], True
+                return
+        self.states, self._basis = self.states[-1:], []
+        _reduce(self._basis, self.states[0][0])
 
     def _vector(self) -> list[int]:
         """The walk's whole state as one integer vector: L_n, W_n, n, 1, m^n,

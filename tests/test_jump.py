@@ -23,6 +23,7 @@ from fractal_trees.decimation import ZERO_CLASS, DecimationData, InconsistentSpe
 from fractal_trees.factored import FactoredInteger
 from fractal_trees.structures import BUILTIN_NAMES, load_json
 from test_cli import _with_zero_class, run
+from test_fuzz import Watched
 from test_generalization import gasket
 from test_induction import CLOSED_FORMS, _inject_orbit, _new_class_each_call, rat
 from test_level_tables import _repeated_zero_root
@@ -453,12 +454,12 @@ def test_a_withheld_certificate_keeps_at_most_dim_plus_one_states(monkeypatch):
     assert walk.factors() == _closed_form(2000)
 
 
-def test_a_kept_relation_that_fails_rebuilds_the_basis(monkeypatch):
-    # a coordinate first nonzero after a relation is kept (as a split base
-    # first born then would add) breaks the relation on the next window; the
-    # walk then reduces the kept states again before the new one.  The 3/2
-    # family, born at every level, is named by needs_zero until `late`, so
-    # the walk only slides until then, and it certifies past the break.
+def test_a_withheld_relation_restarts_the_window(monkeypatch):
+    # a coordinate first nonzero at level `start` (as a split base first
+    # born then would add) breaks every relation of a window across it, and
+    # the 3/2 family, born at every level, is named by needs_zero until
+    # `late`, so every relation until then is withheld: each restarts the
+    # window at its level, and the walk certifies past `late`
     start, late = 8, 15
 
     class NewCoordinate(LevelWalk):
@@ -475,20 +476,34 @@ def test_a_kept_relation_that_fails_rebuilds_the_basis(monkeypatch):
     real_zeros, real_reduce = Induction.needs_zero, counting._reduce
     monkeypatch.setattr(Induction, "needs_zero", lambda self: real_zeros(self) + (
         [rat("3/2")] if walk.level < late else []))
-    bases = []
+    relations = []
 
     def spy(basis, vector):
-        bases.append((walk.level, len(basis)))
-        return real_reduce(basis, vector)
+        relation = real_reduce(basis, vector)
+        if basis is walk._basis and relation is not None:
+            relations.append(walk.level)
+        return relation
 
     monkeypatch.setattr(counting, "_reduce", spy)
     for n in range(41):
         walk.jump(n)
         assert walk.factors() == want[n], n
-        assert walk.jumps == (n >= late), n
-    # the three states kept after the slide are reduced again, then the new one
-    assert [size for level, size in bases if level == start + 1] == [0, 1, 2, 3]
-    assert walk.recurrence == plain.recurrence
+        assert walk.jumps == (n >= 17), n
+        if relations[-1:] == [n] and not walk.jumps:  # withheld at this level
+            assert (len(walk.states), len(walk._basis)) == (1, 1), n
+    assert relations == [4, 7, 11, 14, 17]
+    assert walk.recurrence == plain.recurrence == [-3, 7, -5, 1]
+
+
+@pytest.mark.parametrize("s", [*_structures(), gasket(2, 6), gasket(3, 4), gasket(4, 3)],
+                         ids=lambda s: s.name)
+def test_real_structures_certify_the_first_relation(s):
+    # no window restarts, so `_basis` is always the echelon form of `states`
+    walk = Watched(derive(s))
+    for n in range(41):
+        walk.jump(n)
+        assert walk.states is None or len(walk._basis) == len(walk.states), n
+    assert (walk.restarts, walk.jumps) == (0, True)
 
 
 def test_roots_the_jump_cannot_take_stop_keeping_states(monkeypatch):
