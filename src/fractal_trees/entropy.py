@@ -7,8 +7,9 @@ W_n, H_n = m H_{n-1} + new sites) gives the exponents of every level: it
 steps a few levels, then evaluates each prime's closed form, fitted once
 from the walk's checked linear recurrence (see `counting`), at every
 later level.  `entropy` sums e ln p over each level's exponents as the
-walk reaches it, primes ascending, with ln p computed once per prime,
-through mpmath's `libmp` with the roundings its mpf arithmetic makes.
+walk reaches it, primes ascending, with ln p computed once per prime by
+mpmath, in plain integers that round as mpf arithmetic does
+(`_level_value`), so each c_n is bit for bit the mpf objects' sum.
 The general bounds ln(3)/2 <= c <=
 ln((m-1)|V0|(|V0|-1) / (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a
 tree; the 3-branch tree structure (builtin `tree3`) attains the lower
@@ -63,6 +64,47 @@ def bounds(s: SelfSimilarStructure, precision: int = 30):
         return lower, upper, True
 
 
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """The positive man 2^exp rounded to `prec` bits, to nearest with ties
+    to even, as (man, exp) with man odd: libmp's `normalize` in
+    `round_nearest`."""
+    n = man.bit_length() - prec
+    if n > 0:
+        half = man >> (n - 1)  # the kept bits and the first cut one
+        if half & 1 and (half & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (half >> 1) + 1
+        else:
+            man = half >> 1
+        exp += n
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
+
+
+def _level_value(terms, v: int, prec: int) -> tuple[int, int]:
+    """sum(e ln p) / v at `prec` bits as (man, exp), man odd or 0, for
+    ((man, exp) of ln p, e >= 0) in summation order and an integer v > 0.
+
+    Each product, each partial sum and the quotient is the exact value
+    rounded once by `_round`, as libmp's `mpf_mul_int`, `mpf_add` and
+    `mpf_div` round in `round_nearest`; a correctly rounded value is
+    unique, so this is bit for bit the mpf objects' e * ln p, += and / v.
+    """
+    acc = acc_exp = 0
+    for (man, exp), e in terms:
+        if e:
+            man, exp = _round(man * e, exp, prec)
+            low = min(acc_exp, exp)
+            acc, acc_exp = _round((acc << acc_exp - low) + (man << exp - low), low, prec)
+    if not acc:
+        return 0, 0
+    # the quotient has prec + 5 bits or more, and a sticky 1 below them
+    # stands for a nonzero remainder: the rounding sees the same half bit
+    # and a nonzero tail either way
+    extra = prec - acc.bit_length() + v.bit_length() + 5
+    quot, rem = divmod(acc << extra, v)
+    return _round(2 * quot + (rem > 0), acc_exp - extra - 1, prec)
+
+
 def entropy(
     s: SelfSimilarStructure,
     n_max: int = 30,
@@ -102,26 +144,20 @@ def entropy(
                 "brute-force oracle at small levels instead"
             ) from e
     import mpmath
-    from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul_int, round_nearest as rnd
 
     walk = LevelWalk(dd)
     m, v0, v1 = s.m, s.v0_size, s.v1_size
     v_n = v1  # |V_n| = m (|V_(n-1)| - |V0|) + |V1| from n = 1
     with mpmath.workdps(precision + 10):
-        # the calls that mpf's e * ln p, += and / |V_n| make, on raw values
-        # at mp.prec: each c_n is bit for bit the mpf objects' sum
         prec, make_mpf = mpmath.mp.prec, mpmath.mp.make_mpf
-        log = cache(lambda p: mpmath.log(p)._mpf_)  # ln p once per prime
+        log = cache(lambda p: mpmath.log(p)._mpf_[1:3])  # ln p once per prime
         values = []
         for n in range(2, n_max + 1):
             walk.jump(n)
-            # every level's exponents name the primes of |V0| at least
-            (p, e), *rest = sorted(walk.exponents().items())
-            acc = mpf_mul_int(log(p), e, prec, rnd)
-            for p, e in rest:
-                acc = mpf_add(acc, mpf_mul_int(log(p), e, prec, rnd), prec, rnd)
             v_n = m * (v_n - v0) + v1
-            values.append((n, make_mpf(mpf_div(acc, from_int(v_n), prec, rnd))))
+            terms = [(log(p), e) for p, e in sorted(walk.exponents().items())]
+            man, exp = _level_value(terms, v_n, prec)
+            values.append((n, make_mpf((0, man, exp, man.bit_length()))))
         last = [c for _, c in values[-6:]]
         tail = [abs(b - a) for a, b in zip(last, last[1:])]
         decreasing = all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))

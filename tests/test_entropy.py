@@ -6,12 +6,15 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul_int, round_nearest
 
 from fractal_trees import (
     BUILTIN_NAMES, bounds, builtin, derive, entropy, exponent_table, load_json,
 )
 from fractal_trees.decimation import DecimationError, NotFullySymmetricError
-from fractal_trees.entropy import g1_is_tree
+from fractal_trees.entropy import _level_value, g1_is_tree
 
 
 def constants(name):
@@ -212,7 +215,7 @@ def test_entropy_sums_bit_for_bit_as_mpf_objects(name, n_max, precision):
 
 
 @pytest.mark.parametrize("precision", [6, 31, 301])
-@pytest.mark.parametrize("name", ["sierpinski", "diamond", "sg_2_5"])
+@pytest.mark.parametrize("name", ["sierpinski", "diamond", "sg_2_5", "interval"])
 def test_entropy_prints_what_nstr_prints(capsys, name, precision):
     from fractal_trees.cli import main
 
@@ -238,3 +241,77 @@ def test_entropy_prints_what_nstr_prints(capsys, name, precision):
     assert lines[-3] == f"extrapolated: {nstr(rep.extrapolated)}"
     assert lines[-2] == (f"bounds: {bounds[0]} <= c <= {bounds[1]}" if rep.bounds_applicable
                          else "bounds: not applicable (|V0| = 2 or G1 is a tree)")
+
+
+def level_value_by_libmp(terms, v, prec):
+    """The raw mpf sum(e ln p) / v by libmp's own calls, in order."""
+    def product(term):
+        (man, exp), e = term
+        return mpf_mul_int((0, man, exp, man.bit_length()), e, prec, round_nearest)
+
+    acc = product(terms[0])
+    for term in terms[1:]:
+        acc = mpf_add(acc, product(term), prec, round_nearest)
+    return mpf_div(acc, from_int(v), prec, round_nearest)
+
+
+def level_value(terms, v, prec):
+    man, exp = _level_value(terms, v, prec)
+    return 0, man, exp, man.bit_length()
+
+
+P = 60
+FAR = 1 << (P + 200)  # an e whose product lies wholly above a unit term's guard bits
+
+# a case for each branch of libmp's product, sum and division (the shortcuts at
+# precisions 20 and P): `_level_value` has none of them, and must round as each does
+LEVEL_SUM_CASES = {
+    "equal exponents": ([((3, -1), 1), ((5, -1), 1)], 7),
+    "the sum's exponent larger": ([((3, 4), 1), ((5, -1), 1)], 7),
+    "the new term's exponent larger": ([((5, -1), 1), ((3, 4), 1)], 7),
+    "far apart, the sum larger": ([((3, 0), FAR), ((5, 0), 1)], 7),
+    "far apart, the new term larger": ([((5, 0), 1), ((3, 0), FAR)], 7),
+    "over 100 bits apart, inside the guard bits": ([((1, 110), 1), (((1 << P) - 1, 0), 1)], 7),
+    # 3 (2^(P-1) + 1) has P + 1 bits and ends in 1: half an ulp, an odd and an even kept part
+    "a tie in a product, up to even": ([(((1 << (P - 1)) + 1, 0), 3)], 1),
+    "a tie in a product, down to even": ([(((1 << (P - 1)) + 3, 0), 3)], 1),
+    "|V_n| a power of two": ([((3, -1), 1), ((5, -1), 1)], 64),
+    "|V_n| = 1": ([((3, -1), 1), ((5, -1), 1)], 1),
+    "an exact quotient": ([((3, 0), 5)], 5),
+    "an exact quotient by an even |V_n|": ([((3, 0), 10)], 10),
+    "zero exponents first and between": ([((3, 0), 0), ((5, 1), 3), ((7, 0), 0), ((9, 2), 1)], 6),
+    "every exponent zero, the interval's c_n = 0": ([((3, 0), 0), ((5, 0), 0)], 9),
+}
+
+
+@pytest.mark.parametrize("terms, v", LEVEL_SUM_CASES.values(), ids=LEVEL_SUM_CASES)
+def test_level_value_matches_each_libmp_branch(terms, v):
+    for prec in (20, P, 6700):
+        assert level_value(terms, v, prec) == level_value_by_libmp(terms, v, prec)
+
+
+@st.composite
+def level_sums(draw):
+    """(terms, v, prec): odd mantissas of at most prec bits, as ln p has."""
+    prec = draw(st.integers(20, 6700))
+    exponents = st.one_of(st.just(0), st.integers(1, 10 ** 6), st.integers(0, 1 << (prec + 300)))
+
+    def term():
+        man = 2 * draw(st.integers(0, (1 << (prec - 1)) - 1)) + 1
+        return (man, draw(st.integers(-2 * prec, prec))), draw(exponents)
+
+    terms = [term() for _ in range(draw(st.integers(1, 5)))]
+    v = draw(st.one_of(
+        st.integers(1, 10 ** 6),
+        st.integers(1, 1 << (2 * prec)),
+        st.integers(0, 3 * prec).map(lambda k: 1 << k),
+        st.integers(0, 30).map(lambda k: 3 << k),
+    ))
+    return terms, v, prec
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_sums())
+def test_level_value_is_libmps_sum_bit_for_bit(case):
+    terms, v, prec = case
+    assert level_value(terms, v, prec) == level_value_by_libmp(terms, v, prec)
