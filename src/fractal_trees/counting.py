@@ -400,8 +400,8 @@ def _never_negative(values: list[int], roots: dict) -> bool:
 
 
 # the exponents of tau(G_n) grow like m^n; levels where m^n has more digits
-# than this are refused (near there the mpmath digit count of the value
-# alone takes seconds)
+# than this are refused (near there the digit count of the value alone
+# takes about 0.75 s, growing as the square of the digits)
 COUNT_DIGIT_CAP = 50_000
 # an exponent table keeps every row, about n_max^2/2 times m's digits per
 # prime; larger ones are refused (near the cap sierpinski's takes 1.5 s, 150 MB)

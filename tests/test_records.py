@@ -189,6 +189,10 @@ def test_algebraic_class_and_factored_integer_still_check_their_input():
         AlgebraicClass(Polynomial([1, 2]))
     with pytest.raises(ValueError, match=">= 1"):
         FactoredInteger({2: 0})
+    # a base below 2 made a value() of 1, 0 or -3 that compared unequal to it
+    for base in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"bases must be >= 2, not {base}"):
+            FactoredInteger({base: 1 if base else 2})
     source = {2: 3}
     f = FactoredInteger(source)
     source[2] = 5

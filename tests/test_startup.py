@@ -37,13 +37,22 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_mpmath_or_json():
 
 
 def test_a_count_loads_no_mpmath():
+    # text, JSON, --digits, and a text count past 10,000 digits (printed
+    # factored) all take the digit count in plain integers
+    commands = [
+        ["count", "sierpinski", "-n", "5"], ["count", "sierpinski", "-n", "115", "--format", "json"],
+        ["count", "hexagasket", "-n", "40", "--digits"], ["count", "sierpinski", "-n", "30"],
+    ]
     probe = (
-        "import sys; from fractal_trees.cli import main; main(['count', 'sierpinski', '-n', '5']);"
-        " print('mpmath' in sys.modules, 'json' in sys.modules)"
+        "import contextlib, io, sys; from fractal_trees.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print('mpmath' in sys.modules, 'json' in sys.modules)"
     )
     done = fresh("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == b"False False"
+    assert done.stdout.splitlines() == [b"False False", b"False True", b"False True", b"False True"]
 
 
 def test_well_formed_commands_load_no_argparse_gettext_or_locale():
