@@ -81,7 +81,6 @@ on the phi pole and the finiteness of R only.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional
@@ -232,8 +231,8 @@ class DecimationData:
     num(R), sigma(D) and the zeros of phi (`factor_classes`), the
     exceptional values, the escape radius of R (`_escape_bound`), a case
     record per exceptional value (`classify`) and the classes that split.
-    Walks share its image and preimage caches; a plain class, as
-    `cached_property` needs a `__dict__`.
+    Walks share its image cache, as exceptional orbits meet; each pass
+    keeps the preimages of the bases it splits (`Induction.subs`).
 
     `derive` accepts one corner count only: its moments give S(0) =
     I - B D^-1 C one diagonal and one off-diagonal value c (module
@@ -256,29 +255,21 @@ class DecimationData:
                 f"corner cell counts {counts} are unequal; structure is not fully symmetric")
         self.kappa, self.d = counts[0], R.num.degree
         self._image_cache: dict = {}
-        self._preimage_cache: dict = {}
         self.sigma_d = tuple(factor_classes(charpoly_d.monic()))
+        self._sigma_mult = dict(self.sigma_d)
         zero_classes = factor_classes(phi.num.monic()) if phi.num.degree > 0 else []
         self.exceptional = tuple(
             sorted({cls for cls, _ in (*self.sigma_d, *zero_classes)}, key=AlgebraicClass.key)
         )
         self.escape_bound = _escape_bound(R.num, R.den)
+        # num' den - num den', the numerator of R' = (num/den)'
+        self._dr_num = R.num.derivative() * R.den - R.num * R.den.derivative()
         self.case_records = {cls: classify(self, cls) for cls in self.exceptional}
         # the images R(e) of the exceptional values: depth-0 families of these
         # classes split at the next level instead of lifting
         self.split = frozenset(
             rec.image for rec in self.case_records.values() if rec.image is not None
         )
-
-    @cached_property
-    def _sigma_mult(self) -> dict:
-        return dict(self.sigma_d)
-
-    @cached_property
-    def _dr_num(self) -> Polynomial:
-        """num' den - num den', the numerator of R' = (num/den)'."""
-        num, den = self.R.num, self.R.den
-        return num.derivative() * den - num * den.derivative()
 
     def v_count(self, n: int) -> int:
         """|V_n|, in closed form."""
@@ -405,21 +396,19 @@ class DecimationData:
         when base is the zero class, as R(0) = 0.  Each is divided out to its
         full multiplicity by exact division, and only the cofactor is
         factored."""
-        if base not in self._preimage_cache:
-            rest = preimage_poly(base.minpoly, self.R.num, self.R.den)
-            known = [e for e, rec in self.case_records.items() if rec.image == base]
-            if base == ZERO_CLASS and ZERO_CLASS not in self.case_records:
-                known.append(ZERO_CLASS)
-            out = []
-            for cls in known:
-                k = 0
-                while not (divided := rest.divmod(cls.minpoly))[1]:
-                    rest, k = divided[0], k + 1
-                out.append((cls, k))
-            if rest.degree > 0:
-                out += factor_classes(rest)
-            self._preimage_cache[base] = sorted(out, key=lambda cm: cm[0].key())
-        return self._preimage_cache[base]
+        rest = preimage_poly(base.minpoly, self.R.num, self.R.den)
+        known = [e for e, rec in self.case_records.items() if rec.image == base]
+        if base == ZERO_CLASS and ZERO_CLASS not in self.case_records:
+            known.append(ZERO_CLASS)
+        out = []
+        for cls in known:
+            k = 0
+            while not (divided := rest.divmod(cls.minpoly))[1]:
+                rest, k = divided[0], k + 1
+            out.append((cls, k))
+        if rest.degree > 0:
+            out += factor_classes(rest)
+        return sorted(out, key=lambda cm: cm[0].key())
 
 
 # ---------------------------------------------------------------------------
@@ -507,36 +496,24 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
     # divides R''s reduced numerator iff it divides w; at a pole of order e
     # w has mp-valuation e - 1 < 2e, so the reduced numerator is prime to mp
     dr_nonzero = r_pole or not mp.divides(dd._dr_num)
-
-    def rec(case_id: int) -> CaseRecord:
-        return CaseRecord(
-            value=v,
-            case_id=case_id,
-            mult_d=mult_d,
-            phi_zero=phi_zero,
-            phi_pole=phi_pole,
-            dr_nonzero=dr_nonzero,
-            image=image,
-        )
-
     if not mult_d:
-        if not phi_zero:
-            return rec(1)
-        return rec(7) if r_pole else rec(2)
-    if phi_pole:
+        case_id = (7 if r_pole else 2) if phi_zero else 1
+    elif phi_pole:
         if r_pole:
             raise UnclassifiableError(
                 f"value {v}: pole of both phi and R is outside the case table"
             )
-        return rec(3) if dr_nonzero else rec(6)
-    if phi_zero:
-        return rec(8) if r_pole else rec(5)
-    if r_pole:
+        case_id = 3 if dr_nonzero else 6
+    elif phi_zero:
+        case_id = 8 if r_pole else 5
+    elif r_pole:
         raise UnclassifiableError(
             f"value {v}: eigenvalue of D at a pole of R with phi regular "
             "is outside the case table"
         )
-    return rec(4)
+    else:
+        case_id = 4
+    return CaseRecord(v, case_id, mult_d, phi_zero, phi_pole, dr_nonzero, image)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +569,6 @@ class Induction:
             self.index[cls] = len(self.table)
             splits = cls == ZERO_CLASS or cls in self.dd.split
             self.table.append((cls, cls.degree, splits))
-            self.keys.append(cls.key())
         return self.index[cls]
 
     def _start(self):
@@ -601,7 +577,7 @@ class Induction:
         Each case rule becomes (e, a mult_D, b, c, R(e)), with R(e) None at
         a pole of R."""
         dd = self.dd
-        self.table, self.index, self.keys = [], {}, []
+        self.table, self.index = [], {}
         split = sorted(dd.split, key=AlgebraicClass.key)  # hash-independent table order
         for cls in (ZERO_CLASS, self.first, *dd.case_records, *split):
             self._intern(cls)
@@ -715,7 +691,7 @@ class Induction:
         if total != v_n:
             raise InconsistentSpectrumError(f"sum rule violated at level {n}: {total} != {v_n}")
         if len(self.order) < len(table):  # the first level, or a split base added classes
-            self.order = sorted(range(len(table)), key=self.keys.__getitem__)
+            self.order = sorted(range(len(table)), key=lambda i: table[i][0].key())
         born = {i: new[i] for i in self.order if i in new}
         self.level, self.prev, self.v_prev, self.scale = n, {0: 1, **born}, v_n, scale * s.m
         return v_n, {table[i][0]: mult for i, mult in born.items()}, lifted

@@ -14,6 +14,8 @@ integers (four Machin-like atanh series), so nothing here loads mpmath.
 from __future__ import annotations
 
 import sys
+from itertools import combinations
+from math import gcd
 from types import MappingProxyType
 from typing import Dict, Mapping
 
@@ -124,10 +126,25 @@ def _log10_fixed(bases, w: int) -> Dict[int, tuple]:
     return out
 
 
+def _is_one(exponents: Dict[int, int]) -> bool:
+    """Whether prod p^e over a base -> signed exponent map is 1.  Two bases x
+    and y with g = gcd(x, y) > 1 become x/g, g and y/g, 1s dropped, until the
+    bases are pairwise coprime (Bach-Driscoll-Shallit factor refinement,
+    *J. Algorithms* 15, 1993); over those the product is 1 iff every e is 0."""
+    while pair := next(((x, y) for x, y in combinations(exponents, 2) if gcd(x, y) > 1), None):
+        (x, y), g = pair, gcd(*pair)
+        ex, ey = exponents.pop(x), exponents.pop(y)
+        for z, e in ((x // g, ex), (g, ex + ey), (y // g, ey)):
+            if z > 1:
+                exponents[z] = exponents.get(z, 0) + e
+    return not any(exponents.values())
+
+
 class FactoredInteger(Record):
     """A positive integer as a prime -> exponent map (exponents >= 1).
 
-    Immutable: `factors` is a read-only view of a private copy.
+    Immutable: `factors` is a read-only view of a private copy.  Composite
+    bases are taken too, and every comparison is by value.
     """
 
     __slots__ = ("factors",)
@@ -214,7 +231,9 @@ class FactoredInteger(Record):
 
     def __eq__(self, other):
         if isinstance(other, FactoredInteger):
-            return self.factors == other.factors
+            # maps that differ form one value only if their hashes agree
+            return self.factors == other.factors or hash(self) == hash(other) and _is_one(
+                {p: self.exponent(p) - other.exponent(p) for p in {*self.factors, *other.factors}})
         if isinstance(other, int):
             return self._equals_int(other)
         return NotImplemented
@@ -237,7 +256,7 @@ class FactoredInteger(Record):
             if e * (p.bit_length() - 1) >= n.bit_length():
                 return False
             n, r = divmod(n, p ** e)
-            if r or n % p == 0:
+            if r:
                 return False
         return n == 1
 

@@ -463,6 +463,27 @@ def test_malformed_fractal_file_one_error_line(tmp_path, capsys, mutate, expect)
             assert expect.format(path=path) in err
 
 
+@pytest.mark.parametrize(
+    "edge, expect",
+    [
+        ([0, 2, 1, 5], "edge must be [u, v] or [u, v, mult]: [0, 2, 1, 5]"),
+        ([0], "edge must be [u, v] or [u, v, mult]: [0]"),
+        ([0, 2, 0], "edge multiplicity must be positive: [0, 2, 0]"),
+        ([0, 2, -1], "edge multiplicity must be positive: [0, 2, -1]"),
+    ],
+)
+def test_fractal_file_with_a_malformed_edge_refused(tmp_path, capsys, edge, expect):
+    path = tmp_path / "bad.json"
+    d = to_json_dict(builtin("diamond"))
+    path.write_text(json.dumps({**d, "edges": [edge] + d["edges"][1:]}))
+    assert run(capsys, "count", str(path), "-n", "2") == (1, "", f"error: {expect}\n")
+
+
+def test_fractal_path_that_is_a_directory_refused(tmp_path, capsys):
+    assert run(capsys, "count", str(tmp_path), "-n", "2") == (
+        1, "", f"error: cannot read {tmp_path}: Is a directory\n")
+
+
 def test_negative_level_rejected(capsys):
     code, _, err = run(capsys, "count", "diamond", "-n", "-2")
     assert code == 1

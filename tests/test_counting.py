@@ -2,6 +2,7 @@ import hashlib
 import re
 from collections import Counter
 from fractions import Fraction as F
+from math import prod
 from pathlib import Path
 
 import mpmath
@@ -197,6 +198,35 @@ def test_factored_integer_equals_int_without_factoring_it():
     assert FactoredInteger({2: 1, 3: 3}) != 27 * 4
     assert FactoredInteger({}) == 1
     assert FactoredInteger({2: 1}) != 0
+
+
+def test_factored_integer_equality_is_transitive_over_composite_bases():
+    # {4: 1} and {2: 2} both equal 4, so they equal each other
+    assert FactoredInteger({4: 1}) == 4 and FactoredInteger({2: 2}) == 4
+    assert FactoredInteger({4: 1}) == FactoredInteger({2: 2})
+    assert FactoredInteger({6: 1}) == FactoredInteger({2: 1, 3: 1})
+    assert FactoredInteger({12: 2}) == FactoredInteger({4: 2, 9: 1})
+    assert FactoredInteger({4: 1}) != FactoredInteger({2: 1})
+    assert FactoredInteger({12: 2}) != FactoredInteger({4: 2, 3: 1})
+    assert FactoredInteger({2: 1, 4: 1}) == 8 == FactoredInteger({2: 3})  # bases sharing a prime
+    assert len({FactoredInteger({4: 1}), FactoredInteger({2: 2}), 4}) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(2, 60), min_size=1, max_size=6),
+    st.lists(st.integers(2, 60), min_size=1, max_size=6),
+    st.data(),
+)
+def test_factored_integer_equality_is_value_equality(xs, ys, data):
+    # a map {base: count} of the drawn bases has the value prod(xs); the same
+    # bases multiplied in pairs, in a drawn order, give a second map of it
+    order = data.draw(st.permutations(xs))
+    paired = [prod(order[i:i + 2]) for i in range(0, len(order), 2)]
+    a, b, c = (FactoredInteger(Counter(bases)) for bases in (xs, paired, ys))
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a == prod(xs) and b == prod(xs)
+    assert (a == c) == (prod(xs) == prod(ys)) == (c == a)
 
 
 def test_factored_integer_digit_count_is_exact():
@@ -433,6 +463,14 @@ def test_assembly_refuses_a_non_integer_product(monkeypatch, capsys, fitted):
         _scale_ratio(monkeypatch, -1)
     with pytest.raises(AssemblyError, match=_not_positive(level, -1, [])):
         tau(nonpcf, level, derive(nonpcf))
+
+
+def test_negative_levels_are_refused(dds):
+    s = builtin("sierpinski")
+    with pytest.raises(ValueError, match="^level must be nonnegative$"):
+        tau(s, -1, dds["sierpinski"])
+    with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+        exponent_table(s, -1, dds["sierpinski"])
 
 
 def test_interval_tau_is_one(dds):

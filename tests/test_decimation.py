@@ -55,9 +55,8 @@ def rf(num, den=(1,)):
 
 def rebuilt(dd, R=None):
     """dd rebuilt from its four facts through `DecimationData.__init__`
-    (with R in place of dd.R when given), so no cached `_preimage_cache`
-    entry carries over, and with `image_of`'s cache
-    emptied of the images the construction's case records asked for."""
+    (with R in place of dd.R when given), with `image_of`'s cache emptied
+    of the images the construction's case records asked for."""
     fresh = DecimationData(dd.structure, dd.phi, dd.R if R is None else R, dd.charpoly_d)
     fresh._image_cache.clear()
     return fresh
@@ -488,6 +487,35 @@ def test_preimage_classes_match_the_full_factorization(name, monkeypatch):
     assert not (set(dd.case_records) | {ZERO_CLASS}) & set(factored)
     for base in set(bases):
         assert dd.preimage_classes(base) == ref_preimage_classes(dd, base), base
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("fractal", [
+    "sierpinski", "hexagasket", str(ROOT / "perfbench" / "structures" / "sg3.json"),
+    str(ROOT / "tests" / "data" / "sg_2_5.json"),
+], ids=["sierpinski", "hexagasket", "sg3", "sg_2_5"])
+def test_no_command_factors_a_split_base_twice(fractal, monkeypatch, capsys):
+    # `preimage_classes` keeps no cache: each pass records a split base's
+    # preimages once (`Induction.subs`), and every command runs one pass per
+    # DecimationData, so no (decimation data, base) pair is factored twice
+    from fractal_trees.cli import main
+
+    real, calls = DecimationData.preimage_classes, []
+
+    def spy(dd, base):
+        calls.append((dd, base))
+        return real(dd, base)
+
+    monkeypatch.setattr(DecimationData, "preimage_classes", spy)
+    for argv in (["decimate", fractal, "-n", "3"], ["count", fractal, "-n", "40", "--format", "json"],
+                 ["entropy", fractal, "-n", "60"], ["verify", fractal, "--max-level", "3"]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        pairs = [(id(dd), base) for dd, base in calls]
+        assert pairs and len(set(pairs)) == len(pairs), argv
 
 
 # ---------------------------------------------------------------------------

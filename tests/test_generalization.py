@@ -15,7 +15,7 @@ must refuse rather than produce numbers.
 import hashlib
 import json
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import mpmath
@@ -33,7 +33,7 @@ from fractal_trees import (
 )
 from fractal_trees.decimation import NotFullySymmetricError
 from fractal_trees.polys import Polynomial
-from fractal_trees.structures import SelfSimilarStructure, to_json_dict, validate
+from fractal_trees.structures import SelfSimilarStructure, load_json, to_json_dict, validate
 from conftest import gauss_jordan_q
 
 
@@ -567,6 +567,34 @@ def test_pentagasket_valid_but_refused():
     assert validate(p).ok
     with pytest.raises(NotFullySymmetricError):
         derive(p)
+
+
+def test_lopsided_passes_the_moment_check_without_a_boundary_swap(capsys):
+    # the moment check decides S(z) = phi(z) (P0 - R(z)), which full symmetry
+    # implies but does not need: no automorphism of G1 swaps the boundary
+    # points (point 0 has a double edge, point 1 none), yet every check passes
+    from fractal_trees.cli import main
+
+    path = Path(__file__).parent / "data" / "lopsided.json"
+    s = load_json(str(path))
+    g1 = build_level(s, 1)
+    edges = {(u, v): m for u, v, m in g1.edges}
+
+    def image(perm):
+        return {tuple(sorted((perm[u], perm[v]))): m for (u, v), m in edges.items()}
+
+    autos = [p for p in permutations(range(g1.vertex_count)) if image(p) == edges]
+    assert autos and not [p for p in autos if (p[0], p[1]) == (1, 0)]
+    assert sorted(m for (u, v), m in edges.items() if 0 in (u, v)) == [2]
+    assert sorted(m for (u, v), m in edges.items() if 1 in (u, v)) == [1, 1]
+    assert main(["verify", str(path), "--max-level", "4"]) == 0
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 12 and all(line.startswith("PASS  ") for line in lines)
+    counts = [1, 2, 48, 23887872, 2197928831479350058601391587328]
+    dd = derive(s)
+    for n, count in enumerate(counts):
+        assert tau(s, n, dd) == count == tau_bruteforce(build_level(s, n))
 
 
 def test_cli_verify_on_custom_structures(tmp_path, capsys):

@@ -116,6 +116,9 @@ def test_disconnected_rejected():
 def test_loop_rejected():
     with pytest.raises(ValueError, match="loop"):
         LevelGraph.from_edges(2, [(0, 0)])
+    # a graph built past `from_edges` keeps its loop until the Laplacian refuses it
+    with pytest.raises(ValueError, match="^loop edge$"):
+        laplacian(LevelGraph(2, ((0, 1, 1), (1, 1, 1))))
 
 
 def test_laplacian_rows_sum_to_zero():
