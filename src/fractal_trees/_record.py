@@ -3,8 +3,9 @@
 A subclass names its fields in `__slots__`, in constructor order, and the
 trailing ones' defaults in `_defaults` (one whose `__init__` derives more
 slots names the fields it is built from in `_fields`).  A record refuses
-assignment, and compares, hashes, prints and pickles by its fields, as a
-frozen dataclass does.
+assignment, and compares, hashes and prints by its fields, as a frozen
+dataclass does.  Nothing in the package copies or pickles a value, so a
+record supports neither (a copy raises where it sets a field).
 """
 
 
@@ -44,6 +45,3 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()

@@ -32,7 +32,9 @@ The pipeline, all in exact arithmetic:
      read R(e) from `image_of` (None at a pole of R, the one place that
      tests for it), and map it to one of the eight multiplicity rules
      (`CASE_RULES`, linear in m^(n-1), |V_{n-1}| and the multiplicity of
-     R(e) at level n - 1).
+     R(e) at level n - 1).  The rules were derived for simple zeros of
+     phi and simple poles of R, so a value where either has order 2 or
+     more is refused.
   4. Induct the spectrum of P_n upward.  Non-exceptional eigenvalues lift
      to their d preimages with unchanged multiplicity; they are tracked
      symbolically as (base class, depth) preiterate families.  Each
@@ -513,7 +515,23 @@ def classify(dd: DecimationData, v: AlgebraicClass) -> CaseRecord:
         )
     else:
         case_id = 4
+    zero_order = _order(mp, dd.phi.num) if phi_zero else 0
+    pole_order = _order(mp, dd.R.den) if r_pole else 0
+    if zero_order > 1 or pole_order > 1:
+        raise UnclassifiableError(
+            f"value {v}: case {case_id} at a zero of phi of order {zero_order} "
+            f"and a pole of R of order {pole_order} is outside the case table"
+        )
     return CaseRecord(v, case_id, mult_d, phi_zero, phi_pole, dr_nonzero, image)
+
+
+def _order(mp: Polynomial, p: Polynomial) -> int:
+    """The multiplicity k of the irreducible mp in p, which it divides:
+    over Q, mp divides p to order k iff it divides p' to order k - 1."""
+    k = 1
+    while mp.divides(p := p.derivative()):
+        k += 1
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,6 @@ class FactoredInteger(Record):
                 raise ValueError("FactoredInteger exponents must be >= 1")
         object.__setattr__(self, "factors", MappingProxyType(dict(factors)))
 
-    def __reduce__(self):  # a mappingproxy does not pickle
-        return FactoredInteger, (dict(self.factors),)
-
     @classmethod
     def from_int(cls, n: int) -> "FactoredInteger":
         if n < 1:

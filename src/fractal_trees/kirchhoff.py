@@ -2,10 +2,8 @@
 
 `tau_bruteforce` evaluates a cofactor of the integer graph Laplacian by
 sparse elimination on integer rows (each with a rational scale kept as a
-pair of ints), so it is exact for any graph this package can build.  Its
-minimum-degree order breaks ties toward the newest vertex, so on a level
-graph it finishes one cell before it starts the next, as nested
-dissection does, and the fill stays on that cell's corners.  The
+pair of ints) from the highest vertex id down: exact in any order, and
+sparse in the order `build_level` numbers a level graph.  The
 probabilistic-Laplacian variant (tau = prod d_j / sum d_j times the
 product of nonzero eigenvalues of P = D^-1 (D - A)) is verified against
 it exactly; the eigenvalue product is read off the exact characteristic
@@ -20,7 +18,6 @@ eigenvalue product at a second zero eigenvalue of P.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .levels import LevelGraph
@@ -48,32 +45,32 @@ def tau_bruteforce(g) -> int:
     """Number of spanning trees: cofactor of the Laplacian, exactly.
 
     Row and column 0 are deleted (by the matrix-tree theorem any choice
-    gives the same value).  The minor of a connected graph is positive
-    definite, so symmetric elimination never meets a zero pivot and needs
-    no pivoting.  A component without vertex 0 has a singular Laplacian
-    of its own, so the last of its vertices to go meets a zero pivot (a
-    zero the sparse row does not hold), and the graph is refused as
-    disconnected there; no connectivity scan runs first.  The rows are
-    kept sparse and hold integers: row i holds snum_i/sden_i times its row of the current Schur complement, a positive
-    rational scale kept as a pair of ints.  Eliminating v updates each
-    neighbour row in place: with c = gcd(pivot, a_iv) it becomes
-    (pivot/c) * r_i - (a_iv/c) * r_v, so no entry is ever a fraction.  Only
-    when pivot/c is not 1 has the row grown by a factor; then it is divided
-    by the gcd of its entries and its scale is updated.  The determinant
-    is the product of the true pivots pivot * sden_v / snum_v.
+    gives the same value) and the vertices eliminated from the highest id
+    down to 1.  Any order is exact with no pivoting: every principal minor
+    of a connected graph's reduced Laplacian is positive, so no pivot is
+    0.  A component without vertex 0 has a singular Laplacian of its own,
+    so its last vertex, its lowest id, meets a zero pivot (a zero the
+    sparse row does not hold), and the graph is refused as disconnected
+    there; no connectivity scan runs first.  The order decides only the
+    fill.  `build_level` gives each copy's interior a block of ids after
+    its corners, level by level, so the elimination finishes one cell
+    before it starts the next and the fill stays on that cell's corners,
+    as nested dissection keeps it on separators; permuted ids stay exact
+    but fill far more.
 
-    Vertices are taken in minimum-degree order from a lazy heap of (row
-    length, -vertex): on equal length the largest id goes first.
-    `build_level` numbers each copy's interior after its corners, so the
-    largest id is the vertex glued most recently, and the elimination
-    finishes one cell before it starts the next, leaving the fill on that
-    cell's corners.  Ties broken by the smallest id scatter the elimination
-    across cells and about double the work on the level graphs.
+    Row i holds the integers snum[i]/sden[i] times its row of the current
+    Schur complement, a positive rational scale kept as a pair of ints.
+    Eliminating v updates each neighbour row in place: with
+    c = gcd(pivot, a_iv) it becomes (pivot/c) * r_i - (a_iv/c) * r_v, so
+    no entry is ever a fraction.  Only when pivot/c is not 1 has the row
+    grown by a factor; then it is divided by the gcd of its entries and
+    its scale is updated.  The determinant is the product of the true
+    pivots pivot * sden[v] / snum[v].
     """
     n = g.vertex_count
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    rows: dict[int, dict[int, int]] = {v: {v: 0} for v in range(1, n)}
+    rows = [{v: 0} for v in range(n)]  # row 0 is deleted, never read
     for u, v, m in g.edges:
         for a, b in ((u, v), (v, u)):
             if a != 0:
@@ -81,22 +78,15 @@ def tau_bruteforce(g) -> int:
                 row[a] += m
                 if b != 0:
                     row[b] = row.get(b, 0) - m
-    snum, sden = dict.fromkeys(rows, 1), dict.fromkeys(rows, 1)
-    heap = [(len(row), -v) for v, row in rows.items()]
-    heapify(heap)
+    snum, sden = [1] * n, [1] * n
     num = den = 1
-    while heap:
-        length, v = heappop(heap)
-        v = -v
-        row = rows.get(v)
-        if row is None or len(row) != length:
-            continue  # eliminated, or pushed again with its new length
-        del rows[v]
+    for v in range(n - 1, 0, -1):
+        row = rows.pop()  # rows[v]: the rows above it are gone
         pivot = row.pop(v, 0)  # a zero diagonal is not held
         if pivot == 0:
             raise ValueError("disconnected")
-        num *= pivot * sden[v]
-        den *= snum[v]
+        num *= pivot * sden.pop()
+        den *= snum.pop()
         for i in row:
             ri = rows[i]
             a_iv = ri.pop(v)  # not row[i]: the rows carry different scales
@@ -119,7 +109,6 @@ def tau_bruteforce(g) -> int:
                 s, t = snum[i] * p, sden[i] * k
                 h = gcd(s, t)
                 snum[i], sden[i] = s // h, t // h
-            heappush(heap, (len(ri), -i))
     det, rem = divmod(num, den)
     if rem or det < 1:
         raise AssertionError("spanning tree count must be a positive integer")

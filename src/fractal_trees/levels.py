@@ -90,6 +90,7 @@ def build_level(
     is G_{n-1} when the caller already has it (a caller walking the
     levels up glues each one once); without it G_{n-1} is built by the
     same recursion.  A `prev` of another level or vertex count is refused.
+    These ids, highest first, are `tau_bruteforce`'s elimination order.
     """
     if n < 0:
         raise ValueError("level must be nonnegative")

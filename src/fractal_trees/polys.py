@@ -73,9 +73,6 @@ class Polynomial(Record):
         object.__setattr__(self, "numerators", tuple(nums))
         object.__setattr__(self, "denominator", den)
 
-    def __reduce__(self):
-        return Polynomial.from_integers, (self.numerators, self.denominator)
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

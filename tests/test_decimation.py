@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from fractal_trees.decimation import (
     NotFullySymmetricError,
     Spectra,
     SpectrumTable,
+    UnclassifiableError,
     ZERO_CLASS,
     classify,
 )
@@ -37,10 +39,12 @@ from fractal_trees.polys import (
     squarefree_decomposition,
 )
 from fractal_trees.structures import BUILTIN_NAMES, InvalidStructureError, load_json
+from test_cli import run
 from test_generalization import assert_schur_factors, gasket
 from conftest import gauss_jordan_q, scaled, small_rationals
 from test_polys import _is_rational_square, irreducible_factors
 
+DATA = Path(__file__).parent / "data"
 SQRT2_PAIR = AlgebraicClass(Polynomial([F(7, 16), F(-3, 2), 1]))
 SQRT5_PAIR = AlgebraicClass(Polynomial([F(1, 4), F(-3, 2), 1]))
 
@@ -168,6 +172,40 @@ def test_hexagasket_cases(dds):
     assert cases == {rat("3/2"): 5, rat("1/2"): 7, SQRT2_PAIR: 3, SQRT5_PAIR: 3}
     assert dd.case_records[SQRT2_PAIR].image == ZERO_CLASS
     assert dd.case_records[SQRT5_PAIR].image == rat("3/2")
+
+
+# the exceptional value 1 at a double zero of phi (case 7) and at a double
+# pole of R (case 8): the rules were derived for simple ones, and both
+# structures exited 2 at level 1 ("sum rule violated at level 1: 4 != 6"
+# and "8 != 6") before `classify` refused them
+DOUBLE_ORDERS = {
+    "pendants": "value 1: case 7 at a zero of phi of order 2 and a pole of R of order 1 "
+                "is outside the case table",
+    "double_pole": "value 1: case 8 at a zero of phi of order 1 and a pole of R of order 2 "
+                   "is outside the case table",
+}
+
+
+@pytest.mark.parametrize("name", DOUBLE_ORDERS)
+def test_a_double_zero_of_phi_or_pole_of_r_is_refused_by_name(capsys, name):
+    path, message = str(DATA / f"{name}.json"), DOUBLE_ORDERS[name]
+    with pytest.raises(UnclassifiableError, match=f"^{re.escape(message)}$"):
+        derive(load_json(path))
+    for argv, prefix in (
+        (["decimate", path], ""),
+        (["count", path, "-n", "1"], ""),
+        (["verify", path], "decimation failed: "),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {prefix}{message}\n"), argv
+
+
+def test_order_of_a_class_in_a_polynomial():
+    # the order `classify` reads at a zero of phi or a pole of R, for a
+    # rational and a quadratic class
+    z = Polynomial.x()
+    for mp, u in ((z - F(1, 2), z + 3), (z * z - 2, z * z + z + 1)):
+        for k in (1, 2, 3):
+            assert decimation._order(mp, mp ** k * u) == k
 
 
 def test_probe_value_not_exceptional(dds):

@@ -248,8 +248,8 @@ def test_in_place_updates_against_bareiss_on_random_multigraphs():
 
 @pytest.mark.parametrize("name", ["hexagasket", "sg3"])
 def test_relabeled_level_graphs_keep_their_counts(name):
-    # the elimination order breaks ties by vertex id, so a relabeling
-    # changes the order but not the count
+    # the elimination runs from the highest id down, so a relabeling
+    # changes the order, and the fill, but not the count
     s = load_json(str(SG3)) if name == "sg3" else builtin(name)
     g = build_level(s, 2)
     expected = tau(s, 2).value()
@@ -266,11 +266,13 @@ def test_relabeled_level_graphs_keep_their_counts(name):
 
 @pytest.mark.parametrize(
     ("name", "n"),
-    [("sierpinski", 4), ("sierpinski", 5), ("sierpinski", 6), ("nonpcf_sg", 4),
-     ("diamond", 4), ("diamond", 5), ("sg3", 4)],
+    [("sierpinski", 4), ("sierpinski", 5), ("sierpinski", 6), ("sierpinski", 8),
+     ("nonpcf_sg", 4), ("diamond", 4), ("diamond", 5), ("diamond", 7), ("hexagasket", 5),
+     ("sg3", 4), ("sg3", 5)],
 )
 def test_engine_agrees_with_kirchhoff_beyond_the_verify_cap(name, n):
-    # `verify` runs the oracle up to 400 vertices; these reach 1,816
+    # `verify` runs the oracle up to 400 vertices; these reach 13,998, where
+    # build order keeps the elimination's fill on each cell's corners
     s = load_json(str(SG3)) if name == "sg3" else builtin(name)
     g = build_level(s, n)
     assert g.vertex_count == vertex_count_formula(s, n)
@@ -390,6 +392,14 @@ DISCONNECTED = {
     "a multi-edge holding vertex 0": LevelGraph.from_edges(5, [(0, 1, 3), (2, 3), (3, 4), (4, 2)]),
     "two multigraph components": LevelGraph.from_edges(
         6, [(0, 4, 2), (4, 5), (5, 0), (1, 2, 3), (2, 3), (3, 1, 2)]
+    ),
+    # the elimination runs from the highest id down: the component without
+    # vertex 0 meets its zero pivot at its lowest id, last or first
+    "a component without vertex 0 on the lowest ids": LevelGraph.from_edges(
+        7, [(1, 2, 2), (2, 3, 3), (1, 3), (0, 4, 2), (4, 5), (5, 6, 3), (0, 6), (4, 6)]
+    ),
+    "a component without vertex 0 on the highest ids": LevelGraph.from_edges(
+        7, [(0, 1, 2), (1, 2), (2, 3, 3), (0, 3), (0, 2), (4, 5, 2), (5, 6), (4, 6, 3)]
     ),
 }
 
