@@ -387,30 +387,25 @@ class DecimationData:
         return AlgebraicClass(Polynomial([h0 * h0 - b * h0 * h1 + c * h1 * h1, b * h1 - 2 * h0, 1]))
 
     def preimage_classes(self, base: AlgebraicClass) -> list[tuple[AlgebraicClass, int]]:
-        """The irreducible factors, with multiplicities and sorted by class
-        key, of the degree d*deg(base) polynomial q(R(z)) of R-preimages of
-        base (q its minimal polynomial).
+        """The regular R-preimages of base: the irreducible factors, with
+        multiplicities and sorted by class key, of q(R(z)) (q the minimal
+        polynomial of base) less its exceptional factors and 0.
 
-        The exceptional factors are known without factoring: an exceptional
-        class e divides q(R(z)) iff R(e) is a root of q, iff its case
-        record's image is base (off the poles of R, num - w den = den (R - w);
-        at a pole it is num, prime to den), and the zero class divides it
-        when base is the zero class, as R(0) = 0.  Each is divided out to its
-        full multiplicity by exact division, and only the cofactor is
-        factored."""
+        Those are known without factoring: an exceptional class e divides
+        q(R(z)) iff R(e) is a root of q, iff its case record's image is base
+        (off the poles of R, num - w den = den (R - w); at a pole,
+        q(R(z)) den^g is num(e)^g != 0), and 0 divides it iff base is 0, as
+        R(0) = 0.  Each is divided out to its full multiplicity by exact
+        division (0 twice when exceptional: a no-op), and only the cofactor
+        is factored."""
         rest = preimage_poly(base.minpoly, self.R.num, self.R.den)
         known = [e for e, rec in self.case_records.items() if rec.image == base]
-        if base == ZERO_CLASS and ZERO_CLASS not in self.case_records:
+        if base == ZERO_CLASS:
             known.append(ZERO_CLASS)
-        out = []
         for cls in known:
-            k = 0
             while not (divided := rest.divmod(cls.minpoly))[1]:
-                rest, k = divided[0], k + 1
-            out.append((cls, k))
-        if rest.degree > 0:
-            out += factor_classes(rest)
-        return sorted(out, key=lambda cm: cm[0].key())
+                rest = divided[0]
+        return factor_classes(rest) if rest.degree > 0 else []
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +604,10 @@ class Induction:
         # the families born at level n - 1, and the zero eigenvalue as one
         # more that always splits (into the roots of R)
         self.prev = {0: 1, self.index[self.first]: self.v_prev - 1}
-        # the orbits not yet ended, each class's first lifting birth level,
-        # the earliest deep hit (level, -depth, base key, e, base): `_hit`,
-        # and the first refusal
+        # the orbits not yet ended, each class's first lifting birth level
+        # (`deep_hit` reads it with `reach`), and the first refusal
         self.orbits = {e: _orbit(dd, e) for e in dd.exceptional}
-        self.reach, self.lifted_at, self.deep_hit, self.refused = {}, {}, None, None
+        self.reach, self.lifted_at, self.refused = {}, {}, None
 
     def _pull(self, n: int):
         """Take R^n(e) from each orbit not yet ended, in `exceptional` order."""
@@ -621,17 +615,17 @@ class Induction:
             cls = next(orbit, None)
             if cls is None:
                 del self.orbits[e]
-            elif n >= 2 and cls not in self.reach:
-                self.reach[cls] = (n, e)
-                self._hit(cls)
+            elif n >= 2:
+                self.reach.setdefault(cls, (n, e))
 
-    def _hit(self, cls: AlgebraicClass):
-        """Once an orbit reaches cls and a family of it lifts, e sits among the
-        depth-k preiterates of the first such family k levels after its birth."""
-        if cls in self.reach and cls in self.lifted_at:
-            k, e = self.reach[cls]
-            hit = (self.lifted_at[cls] + k, -k, cls.key(), e, cls)
-            self.deep_hit = min(hit, self.deep_hit) if self.deep_hit else hit
+    @property
+    def deep_hit(self) -> Optional[tuple]:
+        """The earliest deep hit (level, -depth, base key, e, base) or None:
+        once an orbit reaches a class at depth k and a family of it lifts, e
+        sits in the depth-k preiterates of the first, k levels after its birth."""
+        hits = [(self.lifted_at[c] + k, -k, c.key(), e, c)
+                for c, (k, e) in self.reach.items() if c in self.lifted_at]
+        return min(hits, default=None)
 
     def __next__(self) -> tuple[int, dict, dict]:
         if self.refused is None:
@@ -649,8 +643,8 @@ class Induction:
         table, prev, subs, v_prev, scale = self.table, self.prev, self.subs, self.v_prev, self.scale
         n = self.level + 1
         self._pull(n)
-        if self.deep_hit is not None and self.deep_hit[0] <= n:
-            _, k, _, e, base = self.deep_hit
+        if (hit := self.deep_hit) is not None and hit[0] <= n:
+            _, k, _, e, base = hit
             raise InconsistentSpectrumError(
                 f"exceptional value {e} sits inside the depth-{-k} "
                 f"preiterates of {base}; deep family splitting is not supported"
@@ -685,11 +679,7 @@ class Induction:
             if splits:
                 removed += mult * degree
                 if i not in subs:  # the first split of this base checks and indexes its preimages
-                    regular = [
-                        (sub, root_mult)
-                        for sub, root_mult in dd.preimage_classes(cls)
-                        if sub not in dd.case_records and sub != ZERO_CLASS
-                    ]
+                    regular = dd.preimage_classes(cls)
                     if any(root_mult != 1 for _, root_mult in regular):
                         raise InconsistentSpectrumError(
                             "repeated regular preimage inside a split family; "
@@ -700,9 +690,7 @@ class Induction:
                     put(j, mult)
                 continue
             lifted[cls] = mult
-            if cls not in self.lifted_at:
-                self.lifted_at[cls] = n - 1
-                self._hit(cls)
+            self.lifted_at.setdefault(cls, n - 1)
 
         # sum rule: lifts multiply the eigenvalue count by d
         total = 1 + dd.d * (v_prev - removed) + sum(m * table[i][1] for i, m in new.items())
