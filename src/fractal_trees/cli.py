@@ -31,7 +31,7 @@ from .decimation import (
     derive,
     spectrum,
 )
-from .entropy import entropy
+from .entropy import decimal_printer, entropy
 from .kirchhoff import prob_laplacian_charpoly, tau_bruteforce, verify_matrix_tree
 from .levels import build_level, export, vertex_count_formula
 from .structures import (
@@ -287,29 +287,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    from mpmath.libmp import to_str
-
     s = _resolve(args.fractal)
     report = entropy(s, n_max=args.level, precision=args.prec)
     prec = args.prec
+    to_str = decimal_printer(prec)
 
     def digits(x):  # mpmath.nstr(x, prec) of an mpf
-        return None if x is None else to_str(x._mpf_, prec)
+        return None if x is None else to_str(x._mpf_)
 
     if args.format == "json":
-        _print_json(
+        import json
+
+        head = json.dumps(
             {
                 "schema": "1",
                 "fractal": s.name,
                 "precision": prec,
-                "values": [[n, digits(c)] for n, c in report.values],
                 "extrapolated": digits(report.extrapolated),
                 "bounds_applicable": report.bounds_applicable,
                 "lower_bound": digits(report.lower_bound),
                 "upper_bound": digits(report.upper_bound),
                 "diffs_decreasing": report.diffs_decreasing,
-            }
+            },
+            indent=2, sort_keys=True, check_circular=False,
         )
+        # "values" sorts after every other key and holds at least one row, so
+        # its rows go in before the closing brace as json.dumps would lay them
+        # out; a value's digits, '.', 'e', '+' and '-' need no escapes
+        rows = ",\n".join(f'    [\n      {n},\n      "{digits(c)}"\n    ]' for n, c in report.values)
+        print(f'{head[:-2]},\n  "values": [\n{rows}\n  ]\n}}')
         return EXIT_OK
     print(f"tree entropy of {s.name} (ln-based, {prec} digits)")
     for n, c in report.values:

@@ -10,6 +10,8 @@ later level.  `entropy` sums e ln p over each level's exponents as the
 walk reaches it, primes ascending, with ln p computed once per prime by
 mpmath, in plain integers that round as mpf arithmetic does
 (`_level_value`), so each c_n is bit for bit the mpf objects' sum.
+`decimal_printer` prints each value in plain integers too, character for
+character as `mpmath.nstr` (libmp's `to_str`) does.
 The general bounds ln(3)/2 <= c <=
 ln((m-1)|V0|(|V0|-1) / (|V1|-|V0|)) apply when |V0| > 2 and G_1 is not a
 tree; the 3-branch tree structure (builtin `tree3`) attains the lower
@@ -19,7 +21,6 @@ bound in the limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 
 from ._record import Record
 from .counting import LevelWalk, check_structure, tau  # noqa: F401 - perfbench's tracer wraps tau here
@@ -64,20 +65,82 @@ def bounds(s: SelfSimilarStructure, precision: int = 30):
         return lower, upper, True
 
 
+def decimal_printer(dps: int):
+    """The printer of zero and positive finite raw mpfs (sign, man, exp,
+    bc) with |exp + bc| <= 3500, character for character as
+    `mpmath.libmp.to_str(x, dps)` (what `mpmath.nstr(x, dps)` prints), for
+    dps >= 1.
+
+    It takes to_str's steps in plain integers: `to_digits_exp` at dps + 3
+    digits (the value floored to fixed point, times 10^fixdps, read with
+    `str`), the round-up through trailing 9s, the fixed or exponent layout
+    and the stripping of trailing zeros.  Any other input raises
+    `ValueError`, as does a dps past about 4,290, where `str` meets
+    CPython's int-to-str digit limit (`entropy` stops at 2,000).
+    """
+    import math
+
+    log2_10 = math.log(10, 2)  # to_digits_exp's own float
+    bitprec = int((dps + 3) * log2_10) + 10
+    min_fixed = min(-(dps // 3), -5)
+    powers = {}  # 10^fixdps by fixdps; a printer sees one or two
+
+    def to_str(x) -> str:
+        sign, man, exp, bc = x
+        if sign or not man or abs(exp + bc) > 3500:
+            if x == (0, 0, 0, 0):
+                return "0.0"
+            raise ValueError(f"not a zero or positive finite mpf within 2^3500 of 1: {x!r}")
+        fixprec = max(bitprec - exp - bc, 0)
+        fixdps = int(fixprec / log2_10 + 0.5)
+        shift = exp + fixprec
+        fixed = man << shift if shift >= 0 else man >> -shift
+        if fixdps not in powers:
+            powers[fixdps] = 10 ** fixdps
+        digits = str(fixed * powers[fixdps] >> fixprec)
+        exponent = len(digits) - fixdps - 1
+        if len(digits) > dps and digits[dps] in "56789":
+            # round up past trailing 9s; the zeros to_str pads on here are
+            # stripped below, and the fixed layout pads what it needs
+            kept = digits[:dps].rstrip("9")
+            if kept:
+                digits = kept[:-1] + str(int(kept[-1]) + 1)
+            else:
+                digits = "1"
+                exponent += 1
+        else:
+            digits = digits[:dps]
+        if min_fixed < exponent < dps:
+            if exponent < 0:
+                digits = "0" * -exponent + digits
+                split = 1
+            else:
+                split = exponent + 1
+                digits = digits.ljust(split, "0")
+            exponent = 0
+        else:
+            split = 1
+        digits = f"{digits[:split]}.{digits[split:]}".rstrip("0")
+        if digits[-1] == ".":
+            digits += "0"
+        if not exponent:
+            return digits
+        return f"{digits}e+{exponent}" if exponent > 0 else f"{digits}e{exponent}"
+
+    return to_str
+
+
 def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
     """The positive man 2^exp rounded to `prec` bits, to nearest with ties
-    to even, as (man, exp) with man odd: libmp's `normalize` in
-    `round_nearest`."""
-    n = man.bit_length() - prec
-    if n > 0:
-        half = man >> (n - 1)  # the kept bits and the first cut one
-        if half & 1 and (half & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (half >> 1) + 1
-        else:
-            man = half >> 1
-        exp += n
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + zeros
+    to even: libmp's `normalize` in `round_nearest`, less its stripping of
+    trailing zeros, which changes no value."""
+    cut = man.bit_length() - prec
+    if cut > 0:
+        half = man >> cut - 1  # the kept bits and the first cut one
+        if half & 1 and (half & 2 or man & (1 << cut - 1) - 1):
+            half += 1
+        return half >> 1, exp + cut
+    return man, exp
 
 
 def _level_value(terms, v: int, prec: int) -> tuple[int, int]:
@@ -88,13 +151,16 @@ def _level_value(terms, v: int, prec: int) -> tuple[int, int]:
     rounded once by `_round`, as libmp's `mpf_mul_int`, `mpf_add` and
     `mpf_div` round in `round_nearest`; a correctly rounded value is
     unique, so this is bit for bit the mpf objects' e * ln p, += and / v.
+    Only the result's trailing zeros are stripped.
     """
     acc = acc_exp = 0
     for (man, exp), e in terms:
         if e:
             man, exp = _round(man * e, exp, prec)
-            low = min(acc_exp, exp)
-            acc, acc_exp = _round((acc << acc_exp - low) + (man << exp - low), low, prec)
+            if acc:
+                low = min(acc_exp, exp)
+                man, exp = _round((acc << acc_exp - low) + (man << exp - low), low, prec)
+            acc, acc_exp = man, exp
     if not acc:
         return 0, 0
     # the quotient has prec + 5 bits or more, and a sticky 1 below them
@@ -102,7 +168,9 @@ def _level_value(terms, v: int, prec: int) -> tuple[int, int]:
     # and a nonzero tail either way
     extra = prec - acc.bit_length() + v.bit_length() + 5
     quot, rem = divmod(acc << extra, v)
-    return _round(2 * quot + (rem > 0), acc_exp - extra - 1, prec)
+    man, exp = _round(2 * quot + (rem > 0), acc_exp - extra - 1, prec)
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
 
 
 def entropy(
@@ -150,12 +218,16 @@ def entropy(
     v_n = v1  # |V_n| = m (|V_(n-1)| - |V0|) + |V1| from n = 1
     with mpmath.workdps(precision + 10):
         prec, make_mpf = mpmath.mp.prec, mpmath.mp.make_mpf
-        log = cache(lambda p: mpmath.log(p)._mpf_[1:3])  # ln p once per prime
+        logs = {}  # (man, exp) of ln p, once per prime
         values = []
         for n in range(2, n_max + 1):
             walk.jump(n)
             v_n = m * (v_n - v0) + v1
-            terms = [(log(p), e) for p, e in sorted(walk.exponents().items())]
+            terms = []
+            for p, e in sorted(walk.exponents().items()):
+                if p not in logs:
+                    logs[p] = mpmath.log(p)._mpf_[1:3]
+                terms.append((logs[p], e))
             man, exp = _level_value(terms, v_n, prec)
             values.append((n, make_mpf((0, man, exp, man.bit_length()))))
         last = [c for _, c in values[-6:]]

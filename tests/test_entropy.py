@@ -8,13 +8,16 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul_int, round_nearest
+from mpmath.libmp import (
+    fnan, finf, fninf, from_int, from_man_exp, mpf_add, mpf_div, mpf_mul_int, round_nearest, to_str,
+)
 
 from fractal_trees import (
     BUILTIN_NAMES, bounds, builtin, derive, entropy, exponent_table, load_json,
 )
 from fractal_trees.decimation import DecimationError, NotFullySymmetricError
-from fractal_trees.entropy import _level_value, g1_is_tree
+from fractal_trees.cli import main
+from fractal_trees.entropy import _level_value, decimal_printer, g1_is_tree
 
 
 def constants(name):
@@ -243,6 +246,57 @@ def test_entropy_prints_what_nstr_prints(capsys, name, precision):
                          else "bounds: not applicable (|V0| = 2 or G1 is a tree)")
 
 
+@pytest.mark.parametrize("precision", [30, 300])
+@pytest.mark.parametrize("name", ["sierpinski", "nonpcf_sg", "diamond", "hexagasket", "sg3"])
+def test_entropy_prints_what_nstr_prints_at_the_benchmark_shapes(capsys, name, precision):
+    # the entropy-sweep workload's levels and precisions, text and JSON
+    s, dd = structure_and_dd(name)
+    fractal = str(STRUCTURE_FILES.get(name, name))
+
+    def nstr(x):
+        return None if x is None else mpmath.nstr(x, precision)
+
+    for n_max in (60, 65, 115, 120):
+        rep = entropy(s, n_max=n_max, precision=precision, dd=dd)
+        argv = ["entropy", fractal, "-n", str(n_max), "--prec", str(precision)]
+        assert main([*argv, "--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["values"] == [[n, nstr(c)] for n, c in rep.values]
+        assert printed["extrapolated"] == nstr(rep.extrapolated)
+        assert [printed["lower_bound"], printed["upper_bound"]] == [nstr(rep.lower_bound), nstr(rep.upper_bound)]
+
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:-3] == [f"  c_{n:<3d} = {nstr(c)}" for n, c in rep.values]
+        assert lines[-3] == f"extrapolated: {nstr(rep.extrapolated)}"
+        assert lines[-2] == (f"bounds: {nstr(rep.lower_bound)} <= c <= {nstr(rep.upper_bound)}"
+                             if rep.bounds_applicable else "bounds: not applicable (|V0| = 2 or G1 is a tree)")
+
+
+ESCAPED_NAME = 'a "quoted" \\ name, \u00e9t\u00e9 \u2014 \U0001d4ae'
+
+
+@pytest.mark.parametrize("fractal, n_max, precision", [
+    ("sierpinski", 120, 300), ("sierpinski", 2, 6), ("interval", 40, 30), ("diamond", 65, 31),
+    ("escaped name", 60, 30),
+])
+def test_entropy_json_is_jsons_indented_sorted_layout(capsys, tmp_path, fractal, n_max, precision):
+    # the "values" rows are written by hand; every byte must be json.dumps's,
+    # a name that json escapes included
+    if fractal == "escaped name":
+        fractal = tmp_path / "escaped.json"
+        fractal.write_text(json.dumps(dict(json.loads(STRUCTURE_FILES["sg3"].read_text()), name=ESCAPED_NAME)))
+    assert main(["entropy", str(fractal), "-n", str(n_max), "--prec", str(precision), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert [n for n, _ in report["values"]] == list(range(2, n_max + 1))
+    assert report["fractal"] == (ESCAPED_NAME if isinstance(fractal, Path) else fractal)
+    if fractal == "interval":
+        assert {c for _, c in report["values"]} == {"0.0"}
+        assert report["lower_bound"] is report["upper_bound"] is None
+
+
 def level_value_by_libmp(terms, v, prec):
     """The raw mpf sum(e ln p) / v by libmp's own calls, in order."""
     def product(term):
@@ -315,3 +369,83 @@ def level_sums(draw):
 def test_level_value_is_libmps_sum_bit_for_bit(case):
     terms, v, prec = case
     assert level_value(terms, v, prec) == level_value_by_libmp(terms, v, prec)
+
+
+# decimal_printer against libmp's to_str, which mpmath.nstr calls
+
+
+@st.composite
+def printable_mpfs(draw):
+    """(raw mpf, dps): zero, or a positive mpf within 2^3500 of 1, some of
+    them a few units below a power of ten so that rounding carries."""
+    dps = draw(st.integers(6, 2000))
+    kind = draw(st.sampled_from(["zero", "any", "below a power of ten"]))
+    if kind == "zero":
+        return from_int(0), dps
+    if kind == "any":
+        bits = draw(st.integers(1, 4 * dps + 60))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        return from_man_exp(man, draw(st.integers(-3500 - bits, 3500 - bits))), dps
+    k = draw(st.integers(-1000, 1000))
+    scale = 4 * (dps + max(-k, 0)) + draw(st.integers(0, 100))  # 10^k 2^scale has 4 dps bits
+    man = (10 ** max(k, 0) << scale) // 10 ** max(-k, 0) - draw(st.integers(0, 3))
+    return from_man_exp(man, -scale), dps
+
+
+@settings(max_examples=300, deadline=None)
+@given(printable_mpfs())
+def test_decimal_printer_is_to_str(case):
+    x, dps = case
+    assert decimal_printer(dps)(x) == to_str(x, dps)
+
+
+def mpf_of(text, dps):
+    with mpmath.workdps(dps + 20):
+        return mpmath.mpf(text)._mpf_
+
+
+PRINTER_CASES = {
+    # to_str's round-up through trailing 9s, to the next power of ten
+    "a carry to 10 in the fixed layout": (mpf_of("9.9999996", 6), 6, "10.0"),
+    "a carry to 1 from below": (mpf_of("0.99999996", 6), 6, "1.0"),
+    "a carry into the exponent layout": (mpf_of("999999.7", 6), 6, "1.0e+6"),
+    "a carry inside the digits": (mpf_of("1.2999996", 6), 6, "1.3"),
+    "a 9 kept before a 4": (mpf_of("1.999994", 6), 6, "1.99999"),
+    # at or past 10^dps, and below 10^-5 (or 10^-(dps // 3) at 30 digits)
+    "10^dps": (from_int(10 ** 6), 6, "1.0e+6"),
+    "just below 10^dps": (from_int(10 ** 6 - 1), 6, "999999.0"),
+    "past 10^dps": (from_man_exp(1, 3000), 30, None),
+    "10^-3 at 6 digits, still fixed": (mpf_of("0.00123", 6), 6, "0.00123"),
+    "10^-6 at 6 digits": (mpf_of("1e-6", 6), 6, "1.0e-6"),
+    "10^-5 at 6 digits": (mpf_of("0.00001234567", 6), 6, "1.23457e-5"),
+    "10^-9 at 30 digits, still fixed": (mpf_of("1.5e-9", 30), 30, "0.0000000015"),
+    "10^-11 at 30 digits": (mpf_of("1.5e-11", 30), 30, "1.5e-11"),
+    "near 2^-3500": (from_man_exp(3, -3501), 2000, None),
+    "near 2^3500": (from_man_exp((1 << 3000) - 1, 500), 2000, None),
+    "zero": (from_int(0), 6, "0.0"),
+}
+
+
+@pytest.mark.parametrize("x, dps, printed", PRINTER_CASES.values(), ids=PRINTER_CASES)
+def test_decimal_printer_named_cases(x, dps, printed):
+    assert decimal_printer(dps)(x) == to_str(x, dps)
+    if printed is not None:
+        assert decimal_printer(dps)(x) == printed
+
+
+@pytest.mark.parametrize("dps", [6, 7, 30, 31, 300, 301, 2000])
+def test_decimal_printer_prints_the_bounds(dps):
+    for name in ("sierpinski", "nonpcf_sg", "hexagasket", "tree3"):
+        lower, upper, ok = bounds(builtin(name), dps)
+        assert ok
+        for x in (lower._mpf_, upper._mpf_):
+            assert decimal_printer(dps)(x) == to_str(x, dps)
+
+
+@pytest.mark.parametrize("x", [
+    from_int(-3), mpf_of("-1e-7", 6), finf, fninf, fnan,
+    from_man_exp(1, 3500), from_man_exp(1, -3502), from_man_exp(5, 4000),
+], ids=["-3", "-1e-7", "+inf", "-inf", "nan", "2^3500", "2^-3502", "5 2^4000"])
+def test_decimal_printer_refuses_what_it_does_not_follow(x):
+    with pytest.raises(ValueError):
+        decimal_printer(30)(x)

@@ -55,6 +55,25 @@ def test_a_count_loads_no_mpmath():
     assert done.stdout.splitlines() == [b"False False", b"False True", b"False True", b"False True"]
 
 
+def test_a_text_entropy_loads_no_json():
+    # a text count first loads neither; text entropy then loads mpmath for
+    # its logs, and its values and bounds print without json
+    commands = [
+        ["count", "sierpinski", "-n", "5"], ["entropy", "sierpinski", "-n", "120", "--prec", "300"],
+        ["entropy", "interval", "-n", "40"], ["entropy", "hexagasket", "-n", "60", "--prec", "30"],
+    ]
+    probe = (
+        "import contextlib, io, sys; from fractal_trees.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    print('mpmath' in sys.modules, 'json' in sys.modules)"
+    )
+    done = fresh("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [b"False False", b"True False", b"True False", b"True False"]
+
+
 def test_well_formed_commands_load_no_argparse_gettext_or_locale():
     # argparse (2-3 ms to import) and the gettext and locale modules its
     # first message loads serve only help text and usage errors
